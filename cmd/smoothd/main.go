@@ -57,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}, ready ch
 	defaultTimeout := fs.Duration("default-timeout", 0, "per-job deadline when the request sets none (0 = default 30s)")
 	maxTimeout := fs.Duration("max-timeout", 0, "cap on requested per-job deadlines (0 = default 2m)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight searches before cancelling them")
-	noVisited := fs.Bool("no-visited", false, "do not retain visited-node lists in searches (lower memory; results are unchanged)")
 	compiled := fs.Bool("compiled", false, "evaluate descriptions as descvm bytecode in every search (same results, faster)")
 	dataDir := fs.String("data-dir", "", "durable store root: specs, results and session checkpoints survive restarts (empty = in-memory)")
 	tenantQueued := fs.Int("tenant-max-queued", 0, "per-tenant bound on queued jobs, 429 beyond it (0 = the -queue bound, negative = unlimited)")
@@ -81,7 +80,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}, ready ch
 		MaxNodes:         *maxNodes,
 		DefaultTimeout:   *defaultTimeout,
 		MaxTimeout:       *maxTimeout,
-		NoVisited:        *noVisited,
 		Compiled:         *compiled,
 		DataDir:          *dataDir,
 		TenantMaxQueued:  *tenantQueued,

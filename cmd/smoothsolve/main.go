@@ -58,7 +58,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	showStats := fs.Bool("stats", false, "print search statistics (nodes, pruning, memo, timing)")
 	statsJSON := fs.Bool("stats-json", false, "print search statistics as JSON")
 	timeout := fs.Duration("timeout", 0, "wall-clock bound on the search (0 = none), e.g. 500ms or 10s")
-	noVisited := fs.Bool("no-visited", false, "do not retain the list of visited nodes (lower memory on large searches)")
 	compiled := fs.Bool("compiled", false, "evaluate descriptions as descvm bytecode (same results, faster; sides that cannot lower keep the interpreter)")
 	bytecode := fs.Bool("bytecode", false, "print the descvm disassembly of the description's sides and exit")
 	if err := fs.Parse(args); err != nil {
@@ -117,7 +116,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		problem.MaxDepth = *depth
 	}
 	problem.MaxNodes = *maxNodes
-	problem.CollectVisited = !*noVisited
+	problem.CollectVisited = false // nothing below prints the visited list
 	problem.Compiled = *compiled
 
 	fmt.Fprintf(stdout, "system: %d description(s), channels %v, depth %d\n",
@@ -132,12 +131,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	var res solver.Result
-	if *workers > 1 {
-		res = solver.EnumerateParallel(ctx, problem, *workers)
-	} else {
-		res = solver.Enumerate(ctx, problem)
-	}
+	res := solver.EnumerateParallel(ctx, problem, *workers)
 	fmt.Fprintf(stdout, "explored %d tree node(s)%s\n", res.Nodes, truncNote(res))
 	fmt.Fprintf(stdout, "smooth solutions: %d\n", len(res.Solutions))
 	for _, s := range res.Solutions {

@@ -118,11 +118,7 @@ func (in *Instance) CrossCheck(ctx context.Context) error {
 // instance at the given worker count — the corpus's differential oracle
 // across machines, Go versions and worker counts.
 func (in *Instance) Fingerprint(ctx context.Context, workers int) uint64 {
-	p := in.Prog.Problem()
-	if workers > 1 {
-		return solver.EnumerateParallel(ctx, p, workers).Fingerprint()
-	}
-	return solver.Enumerate(ctx, p).Fingerprint()
+	return solver.EnumerateParallel(ctx, in.Prog.Problem(), workers).Fingerprint()
 }
 
 // GenerateInstance runs one grammar walk: family + seed → Instance. The

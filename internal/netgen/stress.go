@@ -59,7 +59,7 @@ type StressInstance struct {
 // shape because their tree is pure interleaving: every node is reachable,
 // Theorem 1 admits input events without evaluation, and the node count
 // grows exponentially in depth with no pruning cliff, so the parallel
-// search sees sustained, stealable load.
+// search sees wide windows level after level.
 func Stress(seed int64, cfg StressConfig) (*StressInstance, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(seed))
@@ -128,14 +128,12 @@ func Stress(seed int64, cfg StressConfig) (*StressInstance, error) {
 	}, nil
 }
 
-// Solve runs the instance through the parallel solver with the settings
-// large searches want: no visited-node retention, compiled evaluation.
+// Solve runs the instance through the solver at the given worker count
+// with the settings large searches want: no visited-node retention,
+// compiled evaluation.
 func (s *StressInstance) Solve(ctx context.Context, workers int) solver.Result {
 	p := s.Prog.Problem()
 	p.CollectVisited = false
 	p.Compiled = true
-	if workers > 1 {
-		return solver.EnumerateParallel(ctx, p, workers)
-	}
-	return solver.Enumerate(ctx, p)
+	return solver.EnumerateParallel(ctx, p, workers)
 }

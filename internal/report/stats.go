@@ -22,8 +22,8 @@ type Section struct {
 
 // Item is one reading. Unit is "" for plain counts, "ns" for wall-clock
 // nanoseconds, and "sched" for counters that depend on goroutine
-// scheduling (work steals, idle parks, in-flight memo waits); "ns" and
-// "sched" items are nondeterministic and Deterministic drops them.
+// scheduling (in-flight memo waits); "ns" and "sched" items are
+// nondeterministic and Deterministic drops them.
 type Item struct {
 	Name  string `json:"name"`
 	Value int64  `json:"value"`

@@ -19,6 +19,7 @@ import (
 	"smoothproc/internal/specplan"
 	"smoothproc/internal/specvet"
 	"smoothproc/internal/store"
+	"smoothproc/internal/trace"
 )
 
 // Config bounds the server. Every knob has a production-minded default:
@@ -47,9 +48,6 @@ type Config struct {
 	// (defaults 30s and 2m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// NoVisited skips retaining each search's visited-node list. The
-	// wire result never includes it, so this only lowers memory.
-	NoVisited bool
 	// Compiled evaluates descriptions as descvm bytecode in every
 	// served search. Results, stats and cache keys are byte-identical
 	// to interpreted evaluation (the solver's differential suite holds
@@ -180,12 +178,10 @@ type Server struct {
 	// degrades durability, not availability).
 	sessionRestores metrics.Counter
 	storeErrors     metrics.Counter
-	// Work-stealing residue accumulated across parallel searches: steal
-	// events, worker parks, and memo in-flight waits. Scheduling noise by
-	// nature (never part of cached results), but the totals show whether
-	// the pool is actually sharing work or idling.
-	steals        metrics.Counter
-	idleWaits     metrics.Counter
+	// Memo in-flight waits accumulated across parallel searches: a
+	// worker waiting for a value another worker is computing. Scheduling
+	// noise by nature (never part of cached results), but the total shows
+	// how often workers meet on shared prefixes.
 	inflightWaits metrics.Counter
 	start         time.Time
 }
@@ -583,26 +579,20 @@ func (s *Server) timeout(req SolveRequest) time.Duration {
 	return min(d, s.cfg.MaxTimeout)
 }
 
-// solve runs one from-scratch search; solveProblem is shared with the
-// streaming endpoint (which adds a solution callback), and wireResult
-// with the session endpoints (whose searches run inside a session).
-func (s *Server) solve(ctx context.Context, prog *eqlang.Program, p SolveParams) *SolveResult {
+// solve runs one from-scratch search, streaming its solutions to
+// onSolution when that is non-nil (the stream endpoint). No endpoint
+// returns the visited-node list, so the search never keeps it.
+// wireResult is shared with the session endpoints, whose searches run
+// inside a session.
+func (s *Server) solve(ctx context.Context, prog *eqlang.Program, p SolveParams, onSolution func(trace.Trace)) *SolveResult {
 	problem := prog.Problem()
-	problem.CollectVisited = !s.cfg.NoVisited
-	return s.solveProblem(ctx, problem, p)
-}
-
-func (s *Server) solveProblem(ctx context.Context, problem solver.Problem, p SolveParams) *SolveResult {
+	problem.CollectVisited = false
 	problem.MaxDepth = p.Depth
 	problem.MaxNodes = p.MaxNodes
 	problem.Compiled = s.cfg.Compiled
+	problem.OnSolution = onSolution
 	start := time.Now()
-	var res solver.Result
-	if p.Workers > 1 {
-		res = solver.EnumerateParallel(ctx, problem, p.Workers)
-	} else {
-		res = solver.Enumerate(ctx, problem)
-	}
+	res := solver.EnumerateParallel(ctx, problem, p.Workers)
 	s.countSearch(res, res.Nodes, len(res.Solutions))
 	return wireResult(res, start)
 }
@@ -614,8 +604,6 @@ func (s *Server) solveProblem(ctx context.Context, problem solver.Problem, p Sol
 func (s *Server) countSearch(res solver.Result, newNodes, newSolutions int) {
 	s.nodesSearched.Add(int64(newNodes))
 	s.solutions.Add(int64(newSolutions))
-	s.steals.Add(res.Stats.Steals)
-	s.idleWaits.Add(res.Stats.IdleWaits)
 	s.inflightWaits.Add(res.Stats.Eval.InflightWaits)
 }
 
@@ -679,7 +667,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		TraceID:  s.traceOf(r),
 		AdmitNs:  time.Since(admitStart).Nanoseconds(),
 		Run: func(ctx context.Context) (*SolveResult, error) {
-			res := s.solve(ctx, prog, p)
+			res := s.solve(ctx, prog, p, nil)
 			if !res.Truncated && !res.Canceled {
 				s.saveResult(key, *res)
 			}
@@ -864,8 +852,6 @@ func (s *Server) Metrics() report.Stats {
 	search := report.Section{Name: "search"}
 	search.Add("nodes searched total", s.nodesSearched.Load(), "")
 	search.Add("solutions found total", s.solutions.Load(), "")
-	search.Add("work steals total", s.steals.Load(), "sched")
-	search.Add("idle waits total", s.idleWaits.Load(), "sched")
 	search.Add("memo inflight waits total", s.inflightWaits.Load(), "sched")
 
 	return report.Stats{Sections: []report.Section{server, cache, admission, jobs, sessions, storeSec, tenants, search}}

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"smoothproc/internal/solver"
 	"smoothproc/internal/trace"
 )
 
@@ -91,7 +90,7 @@ func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 
 	buf := newStreamBuf()
 	key := resultKey{hash: hash, params: p}
-	start := time.Now()
+	admitStart := time.Now()
 	var estimate uint64
 	if spec.plan != nil {
 		estimate = spec.plan.MinNodes(p.Depth)
@@ -103,22 +102,9 @@ func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 		Timeout:  s.timeout(req),
 		Estimate: estimate,
 		TraceID:  s.traceOf(r),
-		AdmitNs:  time.Since(start).Nanoseconds(),
+		AdmitNs:  time.Since(admitStart).Nanoseconds(),
 		Run: func(ctx context.Context) (*SolveResult, error) {
-			problem := prog.Problem()
-			problem.CollectVisited = false
-			problem.MaxDepth = p.Depth
-			problem.MaxNodes = p.MaxNodes
-			problem.Compiled = s.cfg.Compiled
-			problem.OnSolution = buf.push
-			var res solver.Result
-			if p.Workers > 1 {
-				res = solver.EnumerateParallel(ctx, problem, p.Workers)
-			} else {
-				res = solver.Enumerate(ctx, problem)
-			}
-			s.countSearch(res, res.Nodes, len(res.Solutions))
-			out := wireResult(res, start)
+			out := s.solve(ctx, prog, p, buf.push)
 			if !out.Truncated && !out.Canceled {
 				s.saveResult(key, *out)
 			}

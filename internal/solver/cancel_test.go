@@ -33,8 +33,7 @@ func TestEnumerateParallelCanceledContext(t *testing.T) {
 		t.Fatalf("cancelled search: Canceled=%v Truncated=%v, want both true", res.Canceled, res.Truncated)
 	}
 	// Same accounting as sequential: the root is visited, observed
-	// cancelled, and skipped — the old barrier implementation stopped at
-	// a level boundary with zero nodes, which diverged from Enumerate.
+	// cancelled, and skipped.
 	if res.Nodes != 1 {
 		t.Errorf("cancelled parallel search visited %d nodes, want 1 (the root, skipped)", res.Nodes)
 	}

@@ -19,7 +19,9 @@
 // capture at depth d resumed in Final mode to depth D > d reproduces the
 // cold depth-D fingerprint byte for byte, evaluator counters included
 // (the root resume differential suite enforces this across all shipped
-// specs, sequentially and in parallel).
+// specs, at one worker and several). Since a stopped search commits
+// exactly the prefix it evaluated, this also holds for a capture that a
+// deadline or the node budget cut short.
 package solver
 
 import (
@@ -44,10 +46,9 @@ type frontierEntry struct {
 //
 // A Checkpoint is not safe for concurrent use; callers that share one
 // (the session subsystem) serialize resumes. The evaluator inside is
-// always built in its locked (concurrency-safe) mode, so a sequential
-// capture may be resumed in parallel and vice versa — the memo's
-// hit/apply counters are byte-identical either way (the evaluator's
-// single-threaded/locked parity contract).
+// always built in its locked (concurrency-safe) mode, so any leg may run
+// at any worker count — the memo's hit/apply counters are byte-identical
+// either way (the evaluator's single-threaded/locked parity contract).
 type Checkpoint struct {
 	s        *search
 	done     Result
@@ -57,34 +58,12 @@ type Checkpoint struct {
 	finaled  bool
 }
 
-// EnumerateCapture is Enumerate in capture mode: the same classified
-// Result (see the package comment for the bound-level stats caveat),
-// plus a Checkpoint that can resume the search at larger bounds.
-func EnumerateCapture(ctx context.Context, p Problem) (Result, *Checkpoint) {
-	// The locked evaluator keeps the checkpoint resumable in parallel.
-	s := newSearch(p, false)
-	cp := &Checkpoint{s: s}
-	var res Result
-	res.Stats.Thm1FastPath = s.thm1
-	seqLoop(ctx, s, &res, []trace.Trace{root}, cp)
-	res.Stats.Eval = s.e.Snapshot()
-	res.Stats.CompiledEval = s.e.Compiled()
-	cp.done = res
-	return res, cp
-}
-
-// EnumerateParallelCapture is EnumerateParallel in capture mode; see
-// EnumerateCapture.
-func EnumerateParallelCapture(ctx context.Context, p Problem, workers int) (Result, *Checkpoint) {
-	s := newSearch(p, false)
-	cp := &Checkpoint{s: s}
-	var res Result
-	res.Stats.Thm1FastPath = s.thm1
-	parLoop(ctx, s, &res, []trace.Trace{root}, workers, cp)
-	res.Stats.Eval = s.e.Snapshot()
-	res.Stats.CompiledEval = s.e.Compiled()
-	cp.done = res
-	return res, cp
+// EnumerateCapture is EnumerateParallel in capture mode: the same
+// classified Result (see the package comment for the bound-level stats
+// caveat), plus a Checkpoint that can resume the search at larger
+// bounds, at any worker count.
+func EnumerateCapture(ctx context.Context, p Problem, workers int) (Result, *Checkpoint) {
+	return enumerate(ctx, p, workers, true)
 }
 
 // ResumeOpts are the bounds and mode of one resume leg.
@@ -96,9 +75,9 @@ type ResumeOpts struct {
 	// prefix); 0 means unbounded. A positive budget must exceed the nodes
 	// already classified.
 	MaxNodes int
-	// Workers selects the parallel search when > 1 (< 0 uses GOMAXPROCS,
-	// as EnumerateParallel); 0 or 1 resumes sequentially. Legs may switch
-	// freely between sequential and parallel.
+	// Workers spreads the leg's windows over that many goroutines, as
+	// EnumerateParallel does; ≤ 1 resumes sequentially. Legs may use any
+	// worker count, whatever the capture used.
 	Workers int
 	// Final ends the checkpoint's lineage: the resumed leg treats the new
 	// depth bound with the plain hasSon probe, so its Result is
@@ -186,13 +165,7 @@ func (cp *Checkpoint) Resume(ctx context.Context, o ResumeOpts) (Result, error) 
 		capCp = nil
 	}
 	res := base
-	if o.Workers == 0 || o.Workers == 1 {
-		seqLoop(ctx, cp.s, &res, queue, capCp)
-	} else {
-		parLoop(ctx, cp.s, &res, queue, o.Workers, capCp)
-	}
-	res.Stats.Eval = cp.s.e.Snapshot()
-	res.Stats.CompiledEval = cp.s.e.Compiled()
+	cp.s.run(ctx, &res, queue, o.Workers, capCp)
 	cp.resumes++
 	if o.Final {
 		cp.finaled = true

@@ -30,7 +30,7 @@ import (
 )
 
 // checkpointVersion guards the body layout; bump on any change.
-const checkpointVersion = 1
+const checkpointVersion = 2
 
 // Encode serializes the checkpoint into one self-verifying blob (see the
 // trace codec for the integrity story). The checkpoint is not locked:
@@ -271,8 +271,6 @@ func encodeStats(e *trace.Encoder, s SearchStats) {
 	}
 	e.Bool(s.Thm1FastPath)
 	e.Bool(s.CompiledEval)
-	e.Varint(s.Steals)
-	e.Varint(s.IdleWaits)
 	e.Varint(int64(s.Elapsed))
 	e.Uvarint(uint64(len(s.Levels)))
 	for _, l := range s.Levels {
@@ -309,12 +307,6 @@ func decodeStats(d *trace.Decoder) (SearchStats, error) {
 		return s, err
 	}
 	if s.CompiledEval, err = d.Bool(); err != nil {
-		return s, err
-	}
-	if s.Steals, err = d.Varint(); err != nil {
-		return s, err
-	}
-	if s.IdleWaits, err = d.Varint(); err != nil {
 		return s, err
 	}
 	el, err := d.Varint()

@@ -19,7 +19,7 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	const capDepth, fullDepth = 2, 5
 
-	capRes, cp := EnumerateCapture(ctx, dfmProblem(capDepth))
+	capRes, cp := EnumerateCapture(ctx, dfmProblem(capDepth), 1)
 	blob, err := cp.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 // checkpoint blobs content-addressable.
 func TestCheckpointCodecDeterministic(t *testing.T) {
 	ctx := context.Background()
-	_, cp := EnumerateParallelCapture(ctx, dfmProblem(3), 3)
+	_, cp := EnumerateCapture(ctx, dfmProblem(3), 3)
 	b1, err := cp.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestCheckpointCodecTruncated(t *testing.T) {
 	ctx := context.Background()
 	p := dfmProblem(4)
 	p.MaxNodes = 9
-	capRes, cp := EnumerateCapture(ctx, p)
+	capRes, cp := EnumerateCapture(ctx, p, 1)
 	if !capRes.Truncated || cp.PendingSize() == 0 {
 		t.Fatalf("capture not truncated as intended (truncated=%v pending=%d)", capRes.Truncated, cp.PendingSize())
 	}
@@ -110,7 +110,7 @@ func TestCheckpointCodecTruncated(t *testing.T) {
 // TestCheckpointCodecFlagMismatch: decoding under a differently
 // configured problem must fail loudly, not produce drifting results.
 func TestCheckpointCodecFlagMismatch(t *testing.T) {
-	_, cp := EnumerateCapture(context.Background(), dfmProblem(2))
+	_, cp := EnumerateCapture(context.Background(), dfmProblem(2), 1)
 	blob, err := cp.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestCheckpointCodecFlagMismatch(t *testing.T) {
 // matches the cold solve. Never a panic.
 func TestCheckpointCodecCorrupt(t *testing.T) {
 	ctx := context.Background()
-	_, cp := EnumerateCapture(ctx, dfmProblem(2))
+	_, cp := EnumerateCapture(ctx, dfmProblem(2), 1)
 	blob, err := cp.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestCheckpointCodecCorrupt(t *testing.T) {
 // a panic is acceptable, and a successful decode must hold a result
 // whose invariants still balance.
 func FuzzCheckpointDecode(f *testing.F) {
-	_, cp := EnumerateCapture(context.Background(), dfmProblem(2))
+	_, cp := EnumerateCapture(context.Background(), dfmProblem(2), 1)
 	if blob, err := cp.Encode(); err == nil {
 		f.Add(blob)
 		f.Add(blob[:len(blob)/2])
@@ -207,12 +207,7 @@ func TestCheckpointCodecResumeParity(t *testing.T) {
 		{"par-par", 2, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var cp *Checkpoint
-			if tc.capWorkers > 1 {
-				_, cp = EnumerateParallelCapture(ctx, dfmProblem(capDepth), tc.capWorkers)
-			} else {
-				_, cp = EnumerateCapture(ctx, dfmProblem(capDepth))
-			}
+			_, cp := EnumerateCapture(ctx, dfmProblem(capDepth), tc.capWorkers)
 			blob, err := cp.Encode()
 			if err != nil {
 				t.Fatal(err)
@@ -234,7 +229,7 @@ func TestCheckpointCodecEqualStats(t *testing.T) {
 	// The decoded checkpoint's full (non-Deterministic) counter set for
 	// the deterministic fields must equal the live one; spot-check the
 	// eval snapshot directly since fingerprints hang off it.
-	_, cp := EnumerateCapture(context.Background(), dfmProblem(3))
+	_, cp := EnumerateCapture(context.Background(), dfmProblem(3), 1)
 	blob, err := cp.Encode()
 	if err != nil {
 		t.Fatal(err)

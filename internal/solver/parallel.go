@@ -2,387 +2,55 @@ package solver
 
 import (
 	"context"
-	"math"
-	"runtime"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"smoothproc/internal/trace"
 )
 
-// maxChunk caps how many frontier nodes one claim takes from the shared
-// pool. Small enough that a worker never hoards a level, large enough
-// that wide levels amortize the pool lock.
-const maxChunk = 64
+// windowSize bounds how many queued nodes one parallel step visits
+// before the loop commits them. Large enough that the per-window
+// barrier and goroutine start-up vanish against the node work, small
+// enough that a stopped search wastes nothing (a window never outruns
+// the node budget, and a cancelled one commits what it finished).
+const windowSize = 256
 
-// nodeOut is one node's classification, keyed by its canonical BFS
-// index. Outputs are index-addressed, which is what makes the merged
-// result independent of which worker processed the node and when.
-type nodeOut struct {
-	done     bool
-	solution bool
-	frontier bool
-	dead     bool
-	closed   bool
-	// bound marks a depth-bound node visited in capture mode: its sons
-	// were fully expanded for the resume frontier but must never enter
-	// the canonical order (the commit loop skips them; the capture
-	// collection reads them instead).
-	bound bool
-	sons  []trace.Trace
-}
-
-// span is a claimed range of canonical BFS indices [pos, hi). The owner
-// takes nodes from the front; a thief takes the back half.
-type span struct {
-	pos, hi int
-}
-
-// wsState is the shared state of one work-stealing search. One mutex
-// guards all of it: the search's unit of work (classify + expand one
-// node, typically several f/g evaluations) is orders of magnitude
-// heavier than a pool operation, so striping here would buy nothing.
-//
-// order is the canonical BFS order of the tree, identical to the visit
-// order of sequential Enumerate: commit appends the sons of node i
-// (already in channel/alphabet order from expand) before those of node
-// i+1, regardless of which worker finished first. outs is parallel to
-// order. committed is the length of the contiguous prefix of outs that
-// is done — the only nodes whose sons exist in order, and exactly the
-// nodes the final merge classifies.
-type wsState struct {
-	mu   sync.Mutex
-	cond sync.Cond
-
-	order     []trace.Trace
-	outs      []nodeOut
-	committed int
-	next      int // first unclaimed index; next ≤ min(len(order), limit)
-	doneCnt   int // nodes completed (in or out of order)
-	limit     int // MaxNodes, or math.MaxInt when unbounded
-
-	spans    []span
-	steals   int64
-	idles    int64
-	stopped  bool // no more work will ever be claimable
-	canceled bool
-
-	// capture selects the checkpoint semantics for depth-bound nodes
-	// (full expansion, sons retained, never committed into order).
-	capture bool
-	// emit, when non-nil, receives each solution as the commit pointer
-	// passes it — canonical order by construction, independent of which
-	// worker classified the node. Called with mu held (commits advance
-	// monotonically under it), so it must not block; see
-	// Problem.OnSolution.
-	emit func(trace.Trace)
-}
-
-// claimable returns how far next may advance right now.
-func (ws *wsState) claimable() int {
-	if len(ws.order) < ws.limit {
-		return len(ws.order)
-	}
-	return ws.limit
-}
-
-// takeOne hands the calling worker its next node, blocking while other
-// workers may still commit sons. It returns ok=false when the search is
-// over: every claimable node is done, or the context was cancelled.
-// Cancellation is checked here — once per node, the same granularity as
-// sequential Enumerate — so a cancelled search abandons whole spans but
-// never a node mid-classification.
-func (ws *wsState) takeOne(ctx context.Context, w int) (int, trace.Trace, bool) {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	for {
-		if ws.stopped {
-			return 0, trace.Trace{}, false
-		}
-		if ctx.Err() != nil {
-			ws.canceled = true
-			ws.stopped = true
-			ws.cond.Broadcast()
-			return 0, trace.Trace{}, false
-		}
-		if sp := &ws.spans[w]; sp.pos < sp.hi {
-			i := sp.pos
-			sp.pos++
-			return i, ws.order[i], true
-		}
-		if avail := ws.claimable(); ws.next < avail {
-			// Refill from the unclaimed pool: an even split of what's
-			// there, capped so late-arriving sons still spread out.
-			chunk := (avail - ws.next) / len(ws.spans)
-			if chunk < 1 {
-				chunk = 1
-			}
-			if chunk > maxChunk {
-				chunk = maxChunk
-			}
-			ws.spans[w] = span{pos: ws.next, hi: ws.next + chunk}
-			ws.next += chunk
-			continue
-		}
-		// Pool dry: steal the back half of the largest remaining span.
-		// (A remainder of 1 is left alone — migrating a single node just
-		// moves the work without sharing it.)
-		victim, best := -1, 1
-		for v := range ws.spans {
-			if rem := ws.spans[v].hi - ws.spans[v].pos; rem > best {
-				victim, best = v, rem
-			}
-		}
-		if victim >= 0 {
-			vs := &ws.spans[victim]
-			mid := vs.pos + (best+1)/2
-			ws.spans[w] = span{pos: mid, hi: vs.hi}
-			vs.hi = mid
-			ws.steals++
-			continue
-		}
-		if ws.doneCnt == ws.next {
-			// Nothing claimable, nothing stealable, nothing in flight:
-			// commit has caught up and order can never grow again.
-			ws.stopped = true
-			ws.cond.Broadcast()
-			return 0, trace.Trace{}, false
-		}
-		// Other workers are mid-node; their sons may refill the pool.
-		ws.idles++
-		ws.cond.Wait()
-	}
-}
-
-// complete records node i's output and advances the commit pointer,
-// appending newly admitted sons — in canonical order — to the shared
-// frontier. Every completion wakes parked workers: either the frontier
-// grew, a span became stealable earlier, or the search just finished.
-func (ws *wsState) complete(i int, o nodeOut) {
-	o.done = true
-	ws.mu.Lock()
-	ws.outs[i] = o
-	ws.doneCnt++
-	for ws.committed < len(ws.outs) && ws.outs[ws.committed].done {
-		out := ws.outs[ws.committed]
-		if !out.bound {
-			sons := out.sons
-			ws.order = append(ws.order, sons...)
-			ws.outs = append(ws.outs, make([]nodeOut, len(sons))...)
-		}
-		if out.solution && ws.emit != nil {
-			ws.emit(ws.order[ws.committed])
-		}
-		ws.committed++
-	}
-	ws.cond.Broadcast()
-	ws.mu.Unlock()
-}
-
-// EnumerateParallel is Enumerate with the tree explored by a
-// work-stealing worker pool instead of one goroutine. There is no
-// per-level barrier: workers claim chunks of the shared frontier, steal
-// from each other when their chunk runs dry, and each finished node
-// feeds its sons back the moment the commit pointer reaches it. Results
-// are byte-identical to Enumerate at any worker count — Solutions,
-// Frontier, DeadLeaves and Visited in the same order, and every
-// deterministic SearchStats counter equal (see DESIGN.md on why
-// determinism survives stealing; Steals and IdleWaits are the
-// scheduling-dependent residue, reported separately). Workers ≤ 0 uses
-// GOMAXPROCS. All workers share one sharded memoized evaluator, so f
-// and g are applied at most once per distinct trace across the pool.
-//
-// The node budget matches sequential accounting exactly: claims stop at
-// MaxNodes, so a truncated search classifies exactly MaxNodes nodes and
-// then observes one more as Skipped — never a whole level more, and
-// never silently dropping the cut nodes.
-//
-// Cancellation is checked once per claimed node, like Enumerate. A
-// cancelled run keeps the contiguous committed prefix of the canonical
-// order (everything in it is genuine) plus one Skipped node.
-func EnumerateParallel(ctx context.Context, p Problem, workers int) Result {
-	s := newSearch(p, false)
-	var res Result
-	res.Stats.Thm1FastPath = s.thm1
-	parLoop(ctx, s, &res, []trace.Trace{root}, workers, nil)
-	res.Stats.Eval = s.e.Snapshot()
-	res.Stats.CompiledEval = s.e.Compiled()
-	return res
-}
-
-// parLoop runs the work-stealing pool over a seed queue (canonical BFS
-// order), folding classifications into res — which, as in seqLoop, may
-// arrive pre-loaded with a resumed search's classified prefix. A non-nil
-// cp selects capture semantics for depth-bound nodes and records the
-// resume frontier and any truncation remainder, exactly mirroring the
-// sequential capture path (see seqLoop).
-func parLoop(ctx context.Context, s *search, res *Result, seed []trace.Trace, workers int, cp *Checkpoint) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	p := s.p
-	st := &res.Stats
-	st.Workers = workers
-	start := time.Now()
-
-	ws := &wsState{
-		order:   seed,
-		outs:    make([]nodeOut, len(seed)),
-		limit:   math.MaxInt,
-		spans:   make([]span, workers),
-		capture: cp != nil,
-		emit:    p.OnSolution,
-	}
-	ws.cond.L = &ws.mu
-	if p.MaxNodes > 0 {
-		// res.Nodes already counts the resumed prefix; the budget for this
-		// leg is whatever the prefix left over (callers validate it is
-		// positive). Claims stop at the limit index, matching sequential
-		// accounting: exactly MaxNodes nodes classified in total.
-		ws.limit = p.MaxNodes - res.Nodes
-	}
-
-	// Per-worker stats shards: classify/expand write edge counters into
-	// their worker's shard with no sharing; the totals are sums over the
-	// deterministic node set, so the merged counters are deterministic
-	// even though the partition into shards is not.
-	shards := make([]SearchStats, workers)
-	work := func(w int) {
-		shard := &shards[w]
-		for {
-			i, cur, ok := ws.takeOne(ctx, w)
-			if !ok {
+// visitWindow visits nodes — a prefix of the BFS queue — across one
+// goroutine per stats shard (the caller is the first) and returns how
+// many it visited, writing node i's output to outs[i]. Workers check
+// the context before each claim and then take the next index from one
+// atomic counter, so the visited nodes are always nodes[:k], every one
+// of them visited in full; run commits exactly those. Outputs are keyed
+// by index, never by arrival, which is what keeps the result
+// independent of scheduling. Son slices are fresh: they live until the
+// window commits, past the next expand.
+func (s *search) visitWindow(ctx context.Context, nodes []trace.Trace, outs []nodeOut, shards []SearchStats, capture bool) int {
+	var next atomic.Int64
+	work := func(shard *SearchStats) {
+		for ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= len(nodes) {
 				return
 			}
-			ws.complete(i, s.visit(cur, shard, ws.capture))
+			outs[i] = s.visit(nodes[i], shard, capture, nil)
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
+	for w := 1; w < len(shards); w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(shard *SearchStats) {
 			defer wg.Done()
-			work(w)
-		}(w)
+			work(shard)
+		}(&shards[w])
 	}
-	work(0) // the caller is worker 0; workers == 1 spawns nothing
+	work(&shards[0])
 	wg.Wait()
-
-	// Merge. Only the contiguous committed prefix is classified — those
-	// are exactly the nodes whose sons made it into the canonical order,
-	// i.e. the nodes sequential Enumerate would have classified.
-	for i := 0; i < ws.committed; i++ {
-		cur := ws.order[i]
-		o := ws.outs[i]
-		res.Nodes++
-		if p.CollectVisited {
-			res.Visited = append(res.Visited, cur)
-		}
-		st.Visited++
-		lvl := st.level(cur.Len())
-		lvl.Nodes++
-		if o.solution {
-			res.Solutions = append(res.Solutions, cur)
-			st.Solutions++
-			lvl.Solutions++
-		}
-		switch {
-		case o.frontier:
-			res.Frontier = append(res.Frontier, cur)
-			st.Frontier++
-		case o.dead:
-			res.DeadLeaves = append(res.DeadLeaves, cur)
-			st.Dead++
-		case o.closed:
-			st.Closed++
-		default:
-			st.Interior++
-		}
-	}
-	for w := range shards {
-		st.merge(shards[w])
-	}
-	st.Steals += ws.steals
-	st.IdleWaits += ws.idles
-
-	// Capture collection, in committed (canonical) order: bound nodes
-	// with sons form the resume frontier; an uncommitted remainder of the
-	// order is the pending queue a truncated capture resumes from.
-	if cp != nil {
-		for i := 0; i < ws.committed; i++ {
-			if o := &ws.outs[i]; o.bound && o.frontier {
-				cp.frontier = append(cp.frontier, frontierEntry{node: ws.order[i], sons: o.sons})
-				st.RetainedSons += len(o.sons)
-			}
-		}
-		if ws.committed < len(ws.order) {
-			cp.pending = append([]trace.Trace(nil), ws.order[ws.committed:]...)
-		}
-	}
-
-	// Truncation accounting, identical to sequential: the first node
-	// past the stopping point is visited but skipped — counted in Nodes
-	// and Visited, never classified, no level entry.
-	if ws.committed < len(ws.order) {
-		res.Truncated = true
-		res.Canceled = ws.canceled
-		cur := ws.order[ws.committed]
-		res.Nodes++
-		if p.CollectVisited {
-			res.Visited = append(res.Visited, cur)
-		}
-		st.Visited++
-		st.Skipped++
-	}
-
-	st.Elapsed += time.Since(start)
-}
-
-// visit classifies one node: limit condition, role, and — below the
-// depth bound — its admitted sons. Pure with respect to the shared
-// search state; all counters go to the caller's shard. capture selects
-// the checkpoint semantics at the depth bound (full expansion retained
-// for the resume frontier; see seqLoop).
-func (s *search) visit(cur trace.Trace, shard *SearchStats, capture bool) nodeOut {
-	var o nodeOut
-	o.solution = s.classify(cur, shard)
-	if cur.Len() >= s.p.MaxDepth {
-		if capture {
-			o.bound = true
-			o.sons = s.expand(cur, shard, nil)
-			if len(o.sons) > 0 {
-				o.frontier = true
-			} else if !o.solution {
-				o.dead = true
-			} else {
-				o.closed = true
-			}
-			return o
-		}
-		if s.hasSon(cur, shard) {
-			o.frontier = true
-		} else if !o.solution {
-			o.dead = true
-		} else {
-			o.closed = true
-		}
-		return o
-	}
-	o.sons = s.expand(cur, shard, nil)
-	if len(o.sons) == 0 {
-		if o.solution {
-			o.closed = true
-		} else {
-			o.dead = true
-		}
-	}
-	return o
+	return min(int(next.Load()), len(nodes))
 }
 
 // merge folds one worker shard's edge/level counters into the
-// aggregate. Node roles and per-level node counts are accounted by the
-// canonical merge loop; shards only carry edge fates and per-level
-// prunes.
+// aggregate. Node roles and per-level node counts are accounted by
+// commit; shards only carry edge fates and per-level prunes.
 func (s *SearchStats) merge(o SearchStats) {
 	s.LimitChecks += o.LimitChecks
 	s.EdgesChecked += o.EdgesChecked

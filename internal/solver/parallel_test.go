@@ -51,7 +51,7 @@ func TestParallelIsDeterministic(t *testing.T) {
 	if strings.Join(a.SolutionKeys(), "|") != strings.Join(b.SolutionKeys(), "|") {
 		t.Error("parallel runs disagree")
 	}
-	// And the per-level sort makes Visited deterministic too.
+	// Windows commit in queue order, so Visited is deterministic too.
 	for i := range a.Visited {
 		if !a.Visited[i].Equal(b.Visited[i]) {
 			t.Fatalf("visited order differs at %d", i)

@@ -28,7 +28,7 @@ func raceFingerprint(res Result) string {
 	return b.String()
 }
 
-// TestParallelFingerprintUnderRace runs the work-stealing search under
+// TestParallelFingerprintUnderRace runs the windowed parallel search under
 // the race detector at several worker counts and asserts the full
 // deterministic fingerprint — including the evaluator's apply counts,
 // which the pre-singleflight implementation could not keep stable —

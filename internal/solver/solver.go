@@ -76,14 +76,14 @@ type Problem struct {
 	// mechanics for speed. Sides that cannot lower (opaque combinators)
 	// silently keep the interpreter.
 	Compiled bool
-	// OnSolution, when non-nil, is invoked for each smooth solution as it
-	// is classified, always in canonical BFS order — sequentially at
-	// classification time, in the parallel search as the commit pointer
-	// passes the node (so emission order is independent of worker
-	// scheduling). The callback runs on the search's critical path (in
-	// the parallel search it briefly holds the pool lock) and must not
-	// block; buffer and hand off instead. The streaming service endpoint
-	// is the intended consumer.
+	// OnSolution, when non-nil, is invoked for each smooth solution as the
+	// search commits it, always in canonical BFS order and always on the
+	// goroutine that called the search: a sequential search emits node by
+	// node, a parallel one as each window commits (so emission order is
+	// independent of worker scheduling). The callback runs on the
+	// search's critical path — no worker visits while it runs — and must
+	// not block; buffer and hand off instead. The streaming service
+	// endpoint is the intended consumer.
 	OnSolution func(trace.Trace)
 }
 
@@ -161,11 +161,11 @@ type search struct {
 	// capacity an expanding node's son list can need.
 	fanout int
 	fsupp  trace.ChanSet
-	// sonBuf is the reusable son-slot buffer of the sequential walks
-	// (enumerate, CheckInduction): capacity fanout, so expand never
+	// sonBuf is the reusable son-slot buffer of single-node visits
+	// (run, Sample, CheckInduction): capacity fanout, so expand never
 	// reallocates, and the consumer copies the sons into its queue
-	// before the next expand reuses the slots. The parallel search must
-	// not use it — its nodeOuts retain son slices until commit.
+	// before the next expand reuses the slots. Window visits must not
+	// use it — their nodeOuts hold son slices until the window commits.
 	sonBuf []trace.Trace
 }
 
@@ -181,9 +181,10 @@ type candSet struct {
 }
 
 // newSearch builds the shared search state. single promises the caller
-// drives the search from one goroutine (Enumerate, Sample,
-// CheckInduction), letting the evaluator memo skip its locks;
-// EnumerateParallel must pass false.
+// drives the search from one goroutine (a one-worker Enumerate, Sample,
+// CheckInduction), letting the evaluator memo skip its locks; a search
+// whose windows spread over workers, or that a checkpoint may resume
+// that way, must pass false.
 func newSearch(p Problem, single bool) *search {
 	s := &search{
 		p: p,
@@ -231,25 +232,63 @@ func newSearch(p Problem, single bool) *search {
 // expired deadline stops the search with Truncated and Canceled set, so
 // adversarial problems (wide alphabets, deep probes) cannot run
 // unbounded when the caller holds a deadline.
-func Enumerate(ctx context.Context, p Problem) Result {
-	s := newSearch(p, true)
-	res := enumerate(ctx, s)
-	res.Stats.Eval = s.e.Snapshot()
-	res.Stats.CompiledEval = s.e.Compiled()
+func Enumerate(ctx context.Context, p Problem) Result { return EnumerateParallel(ctx, p, 1) }
+
+// EnumerateParallel is Enumerate with the per-node work spread over
+// workers goroutines; workers ≤ 1 is exactly Enumerate. The search is
+// the same breadth-first walk in the same canonical order: the loop
+// hands each window of up to windowSize queued nodes to the workers and
+// commits their outputs in queue order (see run), so Result and every
+// deterministic SearchStats counter are byte-identical to Enumerate at
+// any worker count. All workers share one sharded memoized evaluator, so
+// f and g are applied at most once per distinct trace across the pool.
+func EnumerateParallel(ctx context.Context, p Problem, workers int) Result {
+	res, _ := enumerate(ctx, p, workers, false)
 	return res
 }
 
-func enumerate(ctx context.Context, s *search) Result {
+// enumerate runs a search from ⊥, in capture mode (returning its
+// Checkpoint) when capture is set. A checkpoint keeps the locked
+// evaluator so that any later leg may resume it at any worker count.
+func enumerate(ctx context.Context, p Problem, workers int, capture bool) (Result, *Checkpoint) {
+	s := newSearch(p, workers <= 1 && !capture)
+	var cp *Checkpoint
+	if capture {
+		cp = &Checkpoint{s: s}
+	}
 	var res Result
-	res.Stats.Thm1FastPath = s.thm1
-	seqLoop(ctx, s, &res, []trace.Trace{root}, nil)
-	return res
+	s.run(ctx, &res, []trace.Trace{root}, workers, cp)
+	if cp != nil {
+		cp.done = res
+	}
+	return res, cp
 }
 
-// seqLoop is the sequential BFS core, shared by Enumerate and the
-// checkpoint capture/resume paths. It folds classifications into res,
-// which may arrive pre-loaded with an already-classified prefix (a
+// nodeOut is what visiting one node decides: the limit condition,
+// whether the node has a smooth son, and the admitted sons when it was
+// expanded (below the depth bound, or at it in capture mode).
+type nodeOut struct {
+	solution bool
+	hasSon   bool
+	sons     []trace.Trace
+}
+
+// run is the one BFS core, shared by Enumerate, EnumerateParallel and
+// the checkpoint capture/resume paths. It folds classifications into
+// res, which may arrive pre-loaded with an already-classified prefix (a
 // resumed search); queue seeds the work list in canonical BFS order.
+//
+// Each step visits the head of the queue and commits it: the node is
+// counted, classified and its sons appended to the queue. With workers
+// > 1 the step is a window instead — up to windowSize queued nodes, and
+// never more than the node budget has left — visited by the workers
+// into index-keyed outputs (visitWindow) and then committed in queue
+// order by this same loop, so the canonical order and every counter are
+// those of the one-node steps. The context and the budget are checked
+// before every step; a window whose visit the context cut short commits
+// the prefix it finished, so a stopped search has always committed — and
+// evaluated — exactly a prefix of the canonical order, the next node of
+// which it reports as Skipped.
 //
 // A nil cp selects the plain semantics above. A non-nil cp selects
 // capture semantics: depth-bound nodes are fully expanded (instead of
@@ -260,89 +299,125 @@ func enumerate(ctx context.Context, s *search) Result {
 // only the bound-level edge accounting differs (expand visits every
 // candidate where hasSon stops at the first witness, and never counts
 // FrontierWitnesses). See Checkpoint for how that difference is reported.
-func seqLoop(ctx context.Context, s *search, res *Result, queue []trace.Trace, cp *Checkpoint) {
+func (s *search) run(ctx context.Context, res *Result, queue []trace.Trace, workers int, cp *Checkpoint) {
 	p := s.p
 	st := &res.Stats
-	start := time.Now()
+	begin := time.Now()
+	st.Thm1FastPath = s.thm1
+	st.Workers = 0
+	// A window's nodes are copied out of the queue (into win) for the
+	// workers: the queue never reaches another goroutine, so the seed
+	// slice stays off the heap and a one-worker search allocates exactly
+	// what the plain BFS does.
+	var win []trace.Trace
+	var outs []nodeOut
+	var shards []SearchStats
+	if workers > 1 {
+		st.Workers = workers
+		win = make([]trace.Trace, 0, windowSize)
+		outs = make([]nodeOut, windowSize)
+		shards = make([]SearchStats, workers)
+	}
 	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		res.Nodes++
-		if p.CollectVisited {
-			res.Visited = append(res.Visited, cur)
-		}
-		st.Visited++
-		if ctx.Err() != nil {
-			res.Truncated = true
-			res.Canceled = true
+		canceled := ctx.Err() != nil
+		if canceled || (p.MaxNodes > 0 && res.Nodes >= p.MaxNodes) {
+			// The first node past the stopping point is visited but
+			// skipped: counted in Nodes and Visited, never classified.
+			res.Truncated, res.Canceled = true, canceled
+			res.Nodes++
+			if p.CollectVisited {
+				res.Visited = append(res.Visited, queue[0])
+			}
+			st.Visited++
 			st.Skipped++
 			if cp != nil {
-				cp.pending = append([]trace.Trace{cur}, queue...)
+				cp.pending = append([]trace.Trace(nil), queue...)
 			}
 			break
 		}
-		if p.MaxNodes > 0 && res.Nodes > p.MaxNodes {
-			res.Truncated = true
-			st.Skipped++
-			if cp != nil {
-				cp.pending = append([]trace.Trace{cur}, queue...)
-			}
-			break
+		n := min(len(queue), len(outs))
+		if p.MaxNodes > 0 {
+			n = min(n, p.MaxNodes-res.Nodes)
 		}
-		lvl := st.level(cur.Len())
-		lvl.Nodes++
-		isSolution := s.classify(cur, st)
-		if isSolution {
-			res.Solutions = append(res.Solutions, cur)
-			st.Solutions++
-			lvl.Solutions++
-			if p.OnSolution != nil {
-				p.OnSolution(cur)
-			}
-		}
-		if cur.Len() >= p.MaxDepth {
-			switch {
-			case cp != nil:
-				// Capture mode: expand the bound node in full so the sons
-				// survive as the resume frontier. The role verdict is the
-				// same as hasSon's (a son exists iff expand admits one);
-				// retained sons must not live in sonBuf.
-				sons := s.expand(cur, st, nil)
-				if len(sons) > 0 {
-					res.Frontier = append(res.Frontier, cur)
-					st.Frontier++
-					cp.frontier = append(cp.frontier, frontierEntry{node: cur, sons: sons})
-					st.RetainedSons += len(sons)
-				} else if !isSolution {
-					res.DeadLeaves = append(res.DeadLeaves, cur)
-					st.Dead++
-				} else {
-					st.Closed++
-				}
-			case s.hasSon(cur, st):
-				res.Frontier = append(res.Frontier, cur)
-				st.Frontier++
-			case !isSolution:
-				res.DeadLeaves = append(res.DeadLeaves, cur)
-				st.Dead++
-			default:
-				st.Closed++
-			}
+		if n <= 1 {
+			cur := queue[0]
+			queue = append(queue[1:], s.commit(res, cp, cur, s.visit(cur, st, cp != nil, s.sonBuf[:0]))...)
 			continue
 		}
-		sons := s.expand(cur, st, s.sonBuf[:0])
-		switch {
-		case len(sons) > 0:
-			st.Interior++
-		case isSolution:
-			st.Closed++
-		default:
-			res.DeadLeaves = append(res.DeadLeaves, cur)
-			st.Dead++
+		win = append(win[:0], queue[:n]...)
+		n = s.visitWindow(ctx, win, outs, shards, cp != nil)
+		for i, o := range outs[:n] {
+			queue = append(queue, s.commit(res, cp, win[i], o)...)
 		}
-		queue = append(queue, sons...)
+		queue = queue[n:]
 	}
-	st.Elapsed += time.Since(start)
+	for i := range shards {
+		st.merge(shards[i])
+	}
+	st.Eval = s.e.Snapshot()
+	st.CompiledEval = s.e.Compiled()
+	st.Elapsed += time.Since(begin)
+}
+
+// visit decides one node: limit condition, and whether it has a son —
+// expanding it below the depth bound (into dst) or, in capture mode, at
+// the bound (into fresh slots the resume frontier retains), and probing
+// with hasSon otherwise. Pure with respect to the shared search state;
+// all counters go to st.
+func (s *search) visit(cur trace.Trace, st *SearchStats, capture bool, dst []trace.Trace) nodeOut {
+	o := nodeOut{solution: s.classify(cur, st)}
+	switch {
+	case cur.Len() < s.p.MaxDepth:
+		o.sons = s.expand(cur, st, dst)
+	case capture:
+		o.sons = s.expand(cur, st, nil)
+	default:
+		o.hasSon = s.hasSon(cur, st)
+		return o
+	}
+	o.hasSon = len(o.sons) > 0
+	return o
+}
+
+// commit folds one visited node into the result in canonical order —
+// node and level counts, solution (streamed through OnSolution), role,
+// and in capture mode the retained frontier — and returns the sons the
+// queue must take (none at the depth bound).
+func (s *search) commit(res *Result, cp *Checkpoint, cur trace.Trace, o nodeOut) []trace.Trace {
+	st := &res.Stats
+	res.Nodes++
+	if s.p.CollectVisited {
+		res.Visited = append(res.Visited, cur)
+	}
+	st.Visited++
+	lvl := st.level(cur.Len())
+	lvl.Nodes++
+	if o.solution {
+		res.Solutions = append(res.Solutions, cur)
+		st.Solutions++
+		lvl.Solutions++
+		if s.p.OnSolution != nil {
+			s.p.OnSolution(cur)
+		}
+	}
+	switch {
+	case !o.hasSon && o.solution:
+		st.Closed++
+	case !o.hasSon:
+		res.DeadLeaves = append(res.DeadLeaves, cur)
+		st.Dead++
+	case cur.Len() < s.p.MaxDepth:
+		st.Interior++
+		return o.sons
+	default:
+		res.Frontier = append(res.Frontier, cur)
+		st.Frontier++
+		if cp != nil {
+			cp.frontier = append(cp.frontier, frontierEntry{node: cur, sons: o.sons})
+			st.RetainedSons += len(o.sons)
+		}
+	}
+	return nil
 }
 
 // classify decides the limit condition at a node, with the full

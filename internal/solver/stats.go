@@ -73,16 +73,10 @@ type SearchStats struct {
 	// what the compiled-vs-interpreted differential suite asserts.
 	CompiledEval bool `json:"compiled_eval,omitempty"`
 
-	// Workers is the pool size of a parallel search (zero for
-	// sequential). Steals counts work-stealing events — one worker taking
-	// the back half of another's claimed span — and IdleWaits counts
-	// parks of a worker that found the frontier momentarily dry. Both are
-	// scheduling-dependent (reported with the "sched" unit, dropped from
-	// deterministic views); every other counter in this struct is equal
-	// across worker counts, including sequential.
-	Workers   int   `json:"workers,omitempty"`
-	Steals    int64 `json:"steals,omitempty"`
-	IdleWaits int64 `json:"idle_waits,omitempty"`
+	// Workers is the worker count of the latest leg of a parallel search
+	// (zero for sequential). Run configuration, like CompiledEval: every
+	// other counter in this struct is equal across worker counts.
+	Workers int `json:"workers,omitempty"`
 
 	// Levels holds per-depth stats, indexed by trace length.
 	Levels []LevelStats `json:"levels,omitempty"`
@@ -192,8 +186,6 @@ func (s SearchStats) Report() report.Stats {
 
 	parallel := report.Section{Name: "parallel"}
 	parallel.AddInt("workers", s.Workers)
-	parallel.Add("steals", s.Steals, "sched")
-	parallel.Add("idle waits", s.IdleWaits, "sched")
 
 	levels := report.Section{Name: "levels"}
 	for _, l := range s.Levels {
@@ -217,8 +209,8 @@ func (s SearchStats) Report() report.Stats {
 
 // Deterministic returns a copy with every scheduling-, timing- and
 // configuration-dependent field zeroed: Workers and CompiledEval (run
-// configuration), Steals, IdleWaits, Elapsed, and the evaluator's
-// wall-clock and in-flight-wait readings. Two searches of the same
+// configuration), Elapsed, and the evaluator's wall-clock and
+// in-flight-wait readings. Two searches of the same
 // problem — sequential or parallel, at any worker count, compiled or
 // interpreted — produce equal Deterministic views; the parity suite,
 // the differential suite and the CI smoke assertion compare exactly
@@ -226,8 +218,6 @@ func (s SearchStats) Report() report.Stats {
 func (s SearchStats) Deterministic() SearchStats {
 	s.Workers = 0
 	s.CompiledEval = false
-	s.Steals = 0
-	s.IdleWaits = 0
 	s.Elapsed = 0
 	s.Eval.InflightWaits = 0
 	s.Eval.FNanos = 0

@@ -129,9 +129,8 @@ func TestMemoizationTransparent(t *testing.T) {
 
 // TestParallelBudgetExact: truncation follows sequential Enumerate's
 // accounting exactly — MaxNodes nodes classified, then one more node
-// visited as Skipped (budget+1 observed, like TestMaxNodesTruncates).
-// The old barrier implementation cut the level to exactly MaxNodes and
-// silently dropped the cut nodes, diverging from Enumerate.
+// visited as Skipped (budget+1 observed, like TestMaxNodesTruncates):
+// a window never takes more nodes than the budget has left.
 func TestParallelBudgetExact(t *testing.T) {
 	for _, budget := range []int{1, 2, 5, 9} {
 		p := dfmProblem(6)

@@ -82,7 +82,7 @@ func TestThm1FastPathEquivalence(t *testing.T) {
 	}
 }
 
-// TestThm1ParallelMatches checks the work-stealing parallel search reports the
+// TestThm1ParallelMatches checks the parallel search reports the
 // same fast-path accounting as the sequential one.
 func TestThm1ParallelMatches(t *testing.T) {
 	ctx := context.Background()

@@ -1,6 +1,6 @@
-// Cross-implementation parity suite: every shipped spec is solved by
-// sequential Enumerate and by the work-stealing EnumerateParallel at
-// several worker counts, and the complete observable result — the
+// Worker-count parity suite: every shipped spec is solved by sequential
+// Enumerate and by EnumerateParallel at several worker counts, and the
+// complete observable result — the
 // fingerprint BENCH_solver.json tracks, the ordered result slices, and
 // every deterministic SearchStats counter — must be byte-identical.
 // This is the contract the parallel search advertises (deterministic

@@ -64,9 +64,10 @@ func measure(name string, bench func(b *testing.B)) perfEntry {
 
 // solverWorkloads are the enumerate benchmarks the gate tracks — the
 // two specs with the deepest trees among the shipped examples, each
-// interpreted and compiled (the descvm acceptance workloads), plus the
-// work-stealing parallel search on the widest one at 1 and 4 workers
-// (the acceptance workload for the barrier-free scheduler).
+// interpreted and compiled (the descvm acceptance workloads), plus
+// EnumerateParallel on the widest one at 1 and 4 workers: at one worker
+// it is the sequential search and must cost what enumerate costs; at
+// four it spreads each queue window over the workers.
 func solverWorkloads(t *testing.T) map[string]func(b *testing.B) {
 	t.Helper()
 	out := map[string]func(b *testing.B){}
@@ -114,7 +115,7 @@ func solverWorkloads(t *testing.T) map[string]func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				half := prog.Problem()
-				_, cp := solver.EnumerateCapture(context.Background(), half)
+				_, cp := solver.EnumerateCapture(context.Background(), half, 1)
 				b.StartTimer()
 				res, err := cp.Resume(context.Background(), solver.ResumeOpts{
 					MaxDepth: half.MaxDepth + 2,
@@ -297,7 +298,7 @@ func storeWorkloads(t *testing.T) map[string]func(b *testing.B) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cp := solver.EnumerateCapture(context.Background(), prog.Problem())
+	_, cp := solver.EnumerateCapture(context.Background(), prog.Problem(), 1)
 	blob, err := cp.Encode()
 	if err != nil {
 		t.Fatal(err)

@@ -20,6 +20,7 @@ import (
 	"sort"
 	"strconv"
 	"testing"
+	"time"
 
 	"smoothproc/internal/eqlang"
 	"smoothproc/internal/solver"
@@ -36,8 +37,8 @@ func TestResumeParityAcrossSpecs(t *testing.T) {
 	sort.Strings(matches)
 
 	maxW := runtime.GOMAXPROCS(0)
-	// (capture workers, resume workers): the legs may switch engines
-	// freely, so cross the sequential and parallel searches both ways.
+	// (capture workers, resume workers): legs may use any worker count,
+	// so cross one worker and several both ways.
 	combos := [][2]int{{1, 1}, {1, maxW}, {maxW, 1}, {2, 2}}
 
 	for _, path := range matches {
@@ -67,12 +68,7 @@ func TestResumeParityAcrossSpecs(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					half := prog.Problem()
 					half.MaxDepth = capDepth
-					var cp *solver.Checkpoint
-					if capW > 1 {
-						_, cp = solver.EnumerateParallelCapture(context.Background(), half, capW)
-					} else {
-						_, cp = solver.EnumerateCapture(context.Background(), half)
-					}
+					_, cp := solver.EnumerateCapture(context.Background(), half, capW)
 					// A capture with a retained frontier must have classified
 					// strictly fewer nodes than the cold solve — that unexplored
 					// remainder is the resume's work. (A tree that fits within
@@ -109,5 +105,59 @@ func TestResumeParityAcrossSpecs(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestCanceledCaptureResumesToCold cuts a depth-6 kahn-buffer capture
+// with deadlines spread across the search and resumes every cancelled
+// capture Final to depth 7: its fingerprint must equal the cold depth-7
+// solve's, at one worker and at four. A stopped search commits exactly
+// the prefix of the canonical order it evaluated, so no node is counted
+// by the capture and then visited again by the resume.
+func TestCanceledCaptureResumesToCold(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("specs", "kahn-buffer.eq"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := eqlang.CompileSource(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const capDepth, fullDepth = 6, 7
+	full := prog.Problem()
+	full.MaxDepth = fullDepth
+	cold := solver.Enumerate(context.Background(), full)
+	coldFp := cold.Fingerprint()
+	for _, workers := range []int{1, 4} {
+		canceled, diverged := 0, 0
+		for k := 0; k < 200; k++ {
+			deadline := 50*time.Microsecond + time.Duration(k)*10*time.Microsecond
+			ctx, cancel := context.WithTimeout(context.Background(), deadline)
+			half := prog.Problem()
+			half.MaxDepth = capDepth
+			capRes, cp := solver.EnumerateCapture(ctx, half, workers)
+			cancel()
+			if !capRes.Canceled {
+				continue
+			}
+			canceled++
+			res, err := cp.Resume(context.Background(), solver.ResumeOpts{MaxDepth: fullDepth, Workers: workers, Final: true})
+			if err != nil {
+				t.Fatalf("w%d deadline %v: resume: %v", workers, deadline, err)
+			}
+			if res.Fingerprint() != coldFp {
+				if diverged++; diverged <= 3 {
+					t.Errorf("w%d deadline %v: capture cut at %d nodes resumed to a different search:\n got %+v\nwant %+v",
+						workers, deadline, capRes.Nodes, fingerprint("kahn-buffer.eq", res), fingerprint("kahn-buffer.eq", cold))
+				}
+			}
+		}
+		if canceled == 0 {
+			t.Fatalf("w%d: no deadline cut the capture", workers)
+		}
+		if diverged > 0 {
+			t.Errorf("w%d: %d of %d cancelled captures resumed to a different search", workers, diverged, canceled)
+		}
+		t.Logf("w%d: %d of 200 captures cancelled", workers, canceled)
 	}
 }
