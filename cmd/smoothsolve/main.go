@@ -58,7 +58,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	showStats := fs.Bool("stats", false, "print search statistics (nodes, pruning, memo, timing)")
 	statsJSON := fs.Bool("stats-json", false, "print search statistics as JSON")
 	timeout := fs.Duration("timeout", 0, "wall-clock bound on the search (0 = none), e.g. 500ms or 10s")
-	compiled := fs.Bool("compiled", false, "evaluate descriptions as descvm bytecode (same results, faster; sides that cannot lower keep the interpreter)")
 	bytecode := fs.Bool("bytecode", false, "print the descvm disassembly of the description's sides and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -117,7 +116,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	problem.MaxNodes = *maxNodes
 	problem.CollectVisited = false // nothing below prints the visited list
-	problem.Compiled = *compiled
 
 	fmt.Fprintf(stdout, "system: %d description(s), channels %v, depth %d\n",
 		len(prog.System.Descs), problem.Channels, problem.MaxDepth)

@@ -28,6 +28,7 @@ func TestCorpusStressEndToEnd(t *testing.T) {
 
 	ctx := context.Background()
 	cold := s.Solve(ctx, 1)
+	checkEvalCounts(t, s.Name+" cold", s.Prog.Problem(), cold)
 	if cold.Nodes < 100_000 {
 		t.Fatalf("%s (%s): %d nodes, want >= 1e5", s.Name, s.Shape, cold.Nodes)
 	}
@@ -43,9 +44,7 @@ func TestCorpusStressEndToEnd(t *testing.T) {
 	// Session leg: capture at half depth, then deepen to full. The
 	// resumed result must match the cold solve exactly — resuming a
 	// stress-sized search is a pure work split, never a different search.
-	p := s.Prog.Problem()
-	p.Compiled = true
-	sess := session.New(s.Name, p, s.Prog.System)
+	sess := session.New(s.Name, s.Prog.Problem(), s.Prog.System)
 	if _, outcome, err := sess.Solve(ctx, session.Options{Depth: s.Depth / 2, Workers: 4}); err != nil {
 		t.Fatal(err)
 	} else if outcome != session.Cold {
@@ -62,4 +61,24 @@ func TestCorpusStressEndToEnd(t *testing.T) {
 		t.Errorf("resumed session diverged from cold solve: %d nodes / %d solutions vs %d / %d",
 			res.Nodes, len(res.Solutions), cold.Nodes, len(cold.Solutions))
 	}
+}
+
+// TestCorpusStressEvalCounts holds the largest calibrated instance, seed
+// 0's ~1.24M-node tree, to the evaluation-count invariant (see
+// eval_invariant_test.go): far past the point where a bounded
+// whole-search memo would fill and start re-applying, f and g are still
+// never applied twice to one node.
+func TestCorpusStressEvalCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus stress is the scheduled CI leg")
+	}
+	s, err := netgen.Stress(0, netgen.StressConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := s.Solve(context.Background(), 1)
+	if res.Nodes < 1_000_000 || res.Truncated {
+		t.Fatalf("%s (%s): %d nodes (truncated %v), want a complete search of >= 1e6", s.Name, s.Shape, res.Nodes, res.Truncated)
+	}
+	checkEvalCounts(t, s.Name, s.Prog.Problem(), res)
 }

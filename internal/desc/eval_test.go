@@ -1,7 +1,6 @@
 package desc
 
 import (
-	"sync"
 	"testing"
 
 	"smoothproc/internal/fn"
@@ -25,50 +24,51 @@ func evalTestTraces() []trace.Trace {
 	return base.Prefixes()
 }
 
-// TestEvaluatorTransparent: memoized evaluation agrees with direct
-// application of both sides on every prefix, in any query order.
+// TestEvaluatorTransparent: evaluation agrees with direct application
+// of both sides on every prefix, interpreted and compiled, single- and
+// multi-goroutine, and every call is counted as one application.
 func TestEvaluatorTransparent(t *testing.T) {
 	d := evalTestDesc()
-	e := NewEvaluator(d, true)
 	traces := evalTestTraces()
-	// Query twice, second pass entirely from cache.
-	for pass := 0; pass < 2; pass++ {
-		for _, tr := range traces {
-			if !e.F(tr).Equal(d.F.Apply(tr)) {
-				t.Errorf("pass %d: F(%s) mismatch", pass, tr)
-			}
-			if !e.G(tr).Equal(d.G.Apply(tr)) {
-				t.Errorf("pass %d: G(%s) mismatch", pass, tr)
-			}
-			if e.LimitOK(tr) != d.LimitOK(tr) {
-				t.Errorf("pass %d: LimitOK(%s) mismatch", pass, tr)
+	for _, opts := range []EvalOptions{
+		{},
+		{SingleThreaded: true},
+		{Compiled: true},
+		{Compiled: true, SingleThreaded: true},
+	} {
+		e := NewEvaluator(d, opts)
+		if e.Compiled() != opts.Compiled {
+			t.Fatalf("%+v: Compiled() = %v", opts, e.Compiled())
+		}
+		for pass := 0; pass < 2; pass++ {
+			for _, tr := range traces {
+				if !e.F(tr).Equal(d.F.Apply(tr)) {
+					t.Errorf("%+v pass %d: F(%s) mismatch", opts, pass, tr)
+				}
+				if !e.G(tr).Equal(d.G.Apply(tr)) {
+					t.Errorf("%+v pass %d: G(%s) mismatch", opts, pass, tr)
+				}
 			}
 		}
-	}
-	for _, tr := range traces[1:] {
-		u := tr.Take(tr.Len() - 1)
-		if e.EdgeOK(u, tr) != d.EdgeOK(u, tr) {
-			t.Errorf("EdgeOK(%s, %s) mismatch", u, tr)
+		s := e.Snapshot()
+		if want := int64(2 * len(traces)); s.FApplies != want || s.GApplies != want {
+			t.Errorf("%+v: applies = %d/%d, want %d each (one per call)", opts, s.FApplies, s.GApplies, want)
 		}
-	}
-	s := e.Snapshot()
-	if s.FApplies != int64(len(traces)) || s.GApplies != int64(len(traces)) {
-		t.Errorf("applies = %d/%d, want %d each (one per distinct trace)",
-			s.FApplies, s.GApplies, len(traces))
-	}
-	if s.CacheHits() == 0 {
-		t.Error("no cache hits on repeated queries")
-	}
-	if s.FNanos <= 0 || s.GNanos <= 0 {
-		t.Errorf("timers not running: f=%dns g=%dns", s.FNanos, s.GNanos)
+		if s.CacheHits() != 0 {
+			t.Errorf("%+v: %d hits without a carried value", opts, s.CacheHits())
+		}
+		if !opts.Compiled && (s.FNanos <= 0 || s.GNanos <= 0) {
+			t.Errorf("%+v: timers not running: f=%dns g=%dns", opts, s.FNanos, s.GNanos)
+		}
 	}
 }
 
-// TestEvaluatorUnmemoized: with the cache off every query applies the
-// underlying function and no hit is ever recorded.
+// TestEvaluatorUnmemoized: the evaluator keeps no memo — every query
+// applies the underlying side — and records a hit only when the caller
+// reports reading a value it carried.
 func TestEvaluatorUnmemoized(t *testing.T) {
 	d := evalTestDesc()
-	e := NewEvaluator(d, false)
+	e := NewEvaluator(d, EvalOptions{})
 	tr := evalTestTraces()[2]
 	for i := 0; i < 3; i++ {
 		e.F(tr)
@@ -81,58 +81,39 @@ func TestEvaluatorUnmemoized(t *testing.T) {
 	if s.CacheHits() != 0 {
 		t.Errorf("hits = %d, want 0", s.CacheHits())
 	}
-	if s.CacheMisses() != 6 {
-		t.Errorf("misses = %d, want 6", s.CacheMisses())
+	e.FHit()
+	e.GHit()
+	e.GHit()
+	s = e.Snapshot()
+	if s.FHits != 1 || s.GHits != 2 || s.CacheMisses() != 6 {
+		t.Errorf("after carried reads: hits f=%d g=%d misses %d, want 1, 2 and 6", s.FHits, s.GHits, s.CacheMisses())
 	}
 }
 
-// TestEvaluatorConcurrent hammers one evaluator from several goroutines —
-// the EnumerateParallel sharing pattern — and checks the results stay
-// correct and the books balance.
-func TestEvaluatorConcurrent(t *testing.T) {
-	d := evalTestDesc()
-	e := NewEvaluator(d, true)
-	traces := evalTestTraces()
-	var wg sync.WaitGroup
-	errs := make(chan string, 64)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				tr := traces[i%len(traces)]
-				if !e.F(tr).Equal(d.F.Apply(tr)) {
-					select {
-					case errs <- "F mismatch on " + tr.String():
-					default:
-					}
-				}
-				if !e.G(tr).Equal(d.G.Apply(tr)) {
-					select {
-					case errs <- "G mismatch on " + tr.String():
-					default:
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for msg := range errs {
-		t.Error(msg)
-	}
-	s := e.Snapshot()
-	total := s.CacheHits() + s.CacheMisses()
-	if total != 2*8*200 {
-		t.Errorf("hits+misses = %d, want %d", total, 2*8*200)
+// TestEvaluatorSeedSnapshot: seeding pins the counters to exactly the
+// given values whatever the evaluator counted before, on both the
+// single-goroutine and the atomic path.
+func TestEvaluatorSeedSnapshot(t *testing.T) {
+	want := EvalSnapshot{FApplies: 7, GApplies: 5, FHits: 3, GHits: 2}
+	for _, single := range []bool{false, true} {
+		e := NewEvaluator(evalTestDesc(), EvalOptions{SingleThreaded: single})
+		e.F(trace.Empty)
+		e.G(trace.Empty)
+		e.GHit()
+		e.SeedSnapshot(want)
+		got := e.Snapshot()
+		got.FNanos, got.GNanos = 0, 0
+		if got != want {
+			t.Errorf("single=%v: seeded snapshot %+v, want %+v", single, got, want)
+		}
 	}
 }
 
 // TestEvaluatorOmegaConst: OmegaConstFn's approximation depends on the
-// trace length, which the memo key determines — caching stays exact.
+// trace length; repeated evaluation stays exact.
 func TestEvaluatorOmegaConst(t *testing.T) {
 	d := MustNew("ticks", fn.ChanFn("b"), fn.OmegaConstFn("trues", seq.Of(value.T)))
-	e := NewEvaluator(d, true)
+	e := NewEvaluator(d, EvalOptions{})
 	for n := 0; n <= 4; n++ {
 		tr := trace.CycleGen("t", trace.Of(trace.E("b", value.T))).Prefix(n)
 		for i := 0; i < 2; i++ {
@@ -140,42 +121,5 @@ func TestEvaluatorOmegaConst(t *testing.T) {
 				t.Errorf("G mismatch at depth %d", n)
 			}
 		}
-	}
-}
-
-// TestEvaluatorCollisionFallback forges two distinct traces onto the
-// same (hash, length) memo key and checks the evaluator's equality
-// fallback: the collision costs a second application (a miss), never a
-// wrong cached tuple.
-func TestEvaluatorCollisionFallback(t *testing.T) {
-	d := evalTestDesc()
-	a := trace.Of(trace.E("b", value.Int(0)), trace.E("d", value.Int(0)))
-	b := trace.Of(trace.E("c", value.Int(1)), trace.E("d", value.Int(1)))
-	fa, fb := trace.WithKeyHash(a, 0x42), trace.WithKeyHash(b, 0x42)
-	if fa.Key() != fb.Key() {
-		t.Fatal("forged keys should collide")
-	}
-	e := NewEvaluator(d, true)
-	va, vb := e.F(fa), e.F(fb)
-	if !va.Equal(d.F.Apply(a)) || !vb.Equal(d.F.Apply(b)) {
-		t.Fatal("collision produced a wrong tuple")
-	}
-	if va.Equal(vb) {
-		t.Fatal("test needs traces with distinct images")
-	}
-	s := e.Snapshot()
-	if s.FApplies != 2 || s.FHits != 0 {
-		t.Errorf("collision accounting: applies=%d hits=%d, want 2 misses", s.FApplies, s.FHits)
-	}
-	// Both entries live in one bucket; each is now served as a hit.
-	if got := e.F(fa); !got.Equal(va) {
-		t.Error("first colliding entry lost")
-	}
-	if got := e.F(fb); !got.Equal(vb) {
-		t.Error("second colliding entry lost")
-	}
-	s = e.Snapshot()
-	if s.FApplies != 2 || s.FHits != 2 {
-		t.Errorf("post-collision accounting: applies=%d hits=%d, want 2 and 2", s.FApplies, s.FHits)
 	}
 }

@@ -3,96 +3,51 @@ package desc
 import (
 	"sync"
 	"testing"
-
-	"smoothproc/internal/trace"
-	"smoothproc/internal/value"
 )
 
-// TestEvaluatorAtMostOnceUnderRace is the regression test for the
-// double-application race: the old apply released its read lock before
-// calling side.Apply and re-locked to insert, so two goroutines racing
-// on the same cold trace both applied the side and FApplies drifted
-// past the number of distinct traces. The sharded memo's in-flight
-// dedup closes that window; this test makes the race as likely as
-// possible — every goroutine starts on the same cold traces — and
-// asserts the applied-at-most-once doc contract exactly. Run it with
-// -race (the CI invariants job does): the old implementation also trips
-// the race detector on the counter-vs-insert interleaving.
-func TestEvaluatorAtMostOnceUnderRace(t *testing.T) {
-	const goroutines = 16
-	const rounds = 50
-	for round := 0; round < rounds; round++ {
-		d := evalTestDesc()
-		e := NewEvaluator(d, true)
-		traces := evalTestTraces()
-		var start, wg sync.WaitGroup
-		start.Add(1)
-		for w := 0; w < goroutines; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				start.Wait() // maximise the simultaneous cold misses
-				for i := 0; i < len(traces); i++ {
-					// Half the goroutines walk the prefixes backwards so
-					// collisions happen at both ends of the spine.
-					tr := traces[i]
-					if w%2 == 1 {
-						tr = traces[len(traces)-1-i]
-					}
-					e.F(tr)
-					e.G(tr)
-				}
-			}(w)
-		}
-		start.Done()
-		wg.Wait()
-		s := e.Snapshot()
-		distinct := int64(len(traces))
-		if s.FApplies != distinct || s.GApplies != distinct {
-			t.Fatalf("round %d: applies f=%d g=%d, want exactly %d each (one per distinct trace)",
-				round, s.FApplies, s.GApplies, distinct)
-		}
-		lookups := int64(2 * goroutines * len(traces))
-		if got := s.CacheHits() + s.CacheMisses(); got != lookups {
-			t.Fatalf("round %d: hits+misses = %d, want %d", round, got, lookups)
-		}
-	}
-}
-
-// TestEvaluatorAtMostOncePerCollidingKey: the in-flight dedup matches
-// claims by trace equality, not just by memo key, so two distinct
-// traces forged onto one (hash, length) key are each applied exactly
-// once — concurrently if the schedule allows — and neither blocks or
-// absorbs the other.
-func TestEvaluatorAtMostOncePerCollidingKey(t *testing.T) {
+// TestEvaluatorConcurrent hammers one evaluator from several goroutines —
+// the parallel window visit's sharing pattern, interpreted and compiled
+// — and checks the results stay correct and the books balance: EvalStats
+// is documented safe for concurrent use, and CI runs this under -race.
+func TestEvaluatorConcurrent(t *testing.T) {
+	const workers, rounds = 8, 200
 	d := evalTestDesc()
-	a := trace.Of(trace.E("b", value.Int(0)), trace.E("d", value.Int(0)))
-	b := trace.Of(trace.E("c", value.Int(1)), trace.E("d", value.Int(1)))
-	fa, fb := trace.WithKeyHash(a, 0x7), trace.WithKeyHash(b, 0x7)
-	if fa.Key() != fb.Key() {
-		t.Fatal("forged keys should collide")
-	}
-	e := NewEvaluator(d, true)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			tr := fa
-			if w%2 == 1 {
-				tr = fb
-			}
-			for i := 0; i < 100; i++ {
-				e.F(tr)
-			}
-		}(w)
-	}
-	wg.Wait()
-	s := e.Snapshot()
-	if s.FApplies != 2 {
-		t.Fatalf("FApplies = %d, want 2 (one per distinct colliding trace)", s.FApplies)
-	}
-	if got := s.FHits + s.FApplies; got != 8*100 {
-		t.Fatalf("lookups = %d, want %d", got, 8*100)
+	traces := evalTestTraces()
+	for _, compiled := range []bool{false, true} {
+		e := NewEvaluator(d, EvalOptions{Compiled: compiled})
+		var wg sync.WaitGroup
+		errs := make(chan string, 64)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					tr := traces[i%len(traces)]
+					if !e.F(tr).Equal(d.F.Apply(tr)) {
+						select {
+						case errs <- "F mismatch on " + tr.String():
+						default:
+						}
+					}
+					if !e.G(tr).Equal(d.G.Apply(tr)) {
+						select {
+						case errs <- "G mismatch on " + tr.String():
+						default:
+						}
+					}
+					e.FHit()
+					e.GHit()
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for msg := range errs {
+			t.Errorf("compiled=%v: %s", compiled, msg)
+		}
+		s := e.Snapshot()
+		if s.CacheMisses() != 2*workers*rounds || s.CacheHits() != 2*workers*rounds {
+			t.Errorf("compiled=%v: misses %d hits %d, want %d each", compiled, s.CacheMisses(), s.CacheHits(), 2*workers*rounds)
+		}
 	}
 }

@@ -188,8 +188,9 @@ func TestEvalMatchesInterpreterRandom(t *testing.T) {
 }
 
 // TestOutputsAreFresh: the Tuple returned by one Eval must survive any
-// number of later Evals unchanged — the evaluator memo retains results
-// indefinitely, so aliasing frame scratch would corrupt the memo.
+// number of later Evals unchanged — the search carries results down
+// tree edges and into checkpoints, so aliasing frame scratch would
+// corrupt them.
 func TestOutputsAreFresh(t *testing.T) {
 	f := buildComposite()
 	p, _ := Compile(f)
@@ -220,5 +221,51 @@ func TestOmegaTracksRawLength(t *testing.T) {
 			t.Fatalf("len %d: approximation depth %d, want %d", i, got, u.Len()+fn.OmegaPad)
 		}
 		u = u.Append(trace.E("unread", value.Int(int64(i))))
+	}
+}
+
+// TestSessionMatchesInterpreter drives one Session through the
+// breadth-first search's access pattern — each node's limit-check
+// evaluation, then a burst over its sons, level by level — so both
+// frames adopt, swap and reload, and holds every result to the
+// interpreter: the frames are carved from shared arrays and must still
+// never see each other's state.
+func TestSessionMatchesInterpreter(t *testing.T) {
+	f := buildComposite()
+	p, ok := Compile(f)
+	if !ok {
+		t.Fatal("composite did not compile")
+	}
+	s := p.NewSession()
+	events := []trace.Event{
+		trace.E("a", value.Int(2)), trace.E("b", value.T),
+		trace.E("b", value.F), trace.E("x", value.Int(0)),
+	}
+	level := []trace.Trace{trace.Empty}
+	for depth := 0; depth < 4; depth++ {
+		var next []trace.Trace
+		for _, u := range level {
+			for _, tr := range append([]trace.Trace{u}, u.Append(events[0]), u.Append(events[1]), u.Append(events[2]), u.Append(events[3])) {
+				if got, want := s.Eval(tr), f.Apply(tr); !got.Equal(want) {
+					t.Fatalf("trace %s:\nsession     %v\ninterpreted %v", tr, got, want)
+				}
+			}
+			for _, e := range events {
+				next = append(next, u.Append(e))
+			}
+		}
+		level = next
+	}
+}
+
+// TestNewSessionAllocs pins a session's set-up cost: the session and
+// its two frames are one block, and each kind of frame slice one array.
+func TestNewSessionAllocs(t *testing.T) {
+	p, ok := Compile(buildComposite())
+	if !ok {
+		t.Fatal("composite did not compile")
+	}
+	if got := testing.AllocsPerRun(50, func() { _ = p.NewSession() }); got > 4 {
+		t.Fatalf("NewSession allocates %.0f objects, want ≤ 4", got)
 	}
 }

@@ -79,9 +79,23 @@ type Session struct {
 	fr, prev *frame // most- and second-most-recently used
 }
 
-// NewSession returns a fresh single-goroutine handle for p.
+// NewSession returns a fresh single-goroutine handle for p. The
+// session and both frames are one allocation, and each kind of frame
+// slice is carved from one backing array shared by the two frames, so
+// a session costs four allocations.
 func (p *Prog) NewSession() *Session {
-	return &Session{p: p, fr: newFrame(p), prev: newFrame(p)}
+	blk := new(struct {
+		s        Session
+		fr, prev frame
+	})
+	n, c := p.nregs, len(p.chans)
+	regs := make([]seq.Seq, 2*n)
+	scratch := make([][]value.Value, 2*n)
+	chanVals := make([][]value.Value, 2*c)
+	blk.fr = frame{regs: regs[:n:n], scratch: scratch[:n:n], chanVals: chanVals[:c:c]}
+	blk.prev = frame{regs: regs[n:], scratch: scratch[n:], chanVals: chanVals[c:]}
+	blk.s = Session{p: p, fr: &blk.fr, prev: &blk.prev}
+	return &blk.s
 }
 
 // Eval is Prog.Eval through the session's dedicated frames.
@@ -285,8 +299,9 @@ func (p *Prog) exec(fr *frame, rawLen int) fn.Tuple {
 		}
 	}
 
-	// Copy the outputs into one fresh backing array: callers (the
-	// evaluator memo in particular) retain the Tuple indefinitely, while
+	// Copy the outputs into one fresh backing array: callers (the search
+	// in particular, which carries f down tree edges and into
+	// checkpoints) retain the Tuple indefinitely, while
 	// every non-stable register aliases frame state that the next Eval
 	// overwrites. Table constants (stable registers) are immutable and
 	// shared, exactly as the interpreter's ConstTraceFn shares its k.

@@ -17,7 +17,7 @@ import (
 //	t == u, t != u      identity comparison; use Trace.Equal (or
 //	                    IsEmpty for the ⊥ test)
 //	map[trace.Trace]V   identity-keyed map; key by Trace.Key() (the
-//	                    hashed memo key) or Trace.String()
+//	                    hashed key) or Trace.String()
 var TraceAlias = &Analyzer{
 	Name: "tracealias",
 	Doc:  "forbid identity comparison and identity map keys on trace.Trace; use Trace.Equal/IsEmpty or key by Trace.Key()/String()",

@@ -291,9 +291,8 @@ func copyLoop(c *netsim.Ctx, in, out string) {
 
 // dedup removes duplicate values, keeping the first occurrence of each
 // and preserving first-seen order. Values are bucketed by Hash64 with an
-// Equal fallback inside each bucket (the trace memo's pattern), so wide
-// generated alphabets dedup in O(n) instead of the old O(n²) pairwise
-// scan.
+// Equal fallback inside each bucket, so wide generated alphabets dedup
+// in O(n) instead of the old O(n²) pairwise scan.
 func dedup(vals []value.Value) []value.Value {
 	var out []value.Value
 	buckets := make(map[uint64][]value.Value, len(vals))

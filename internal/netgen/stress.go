@@ -129,11 +129,9 @@ func Stress(seed int64, cfg StressConfig) (*StressInstance, error) {
 }
 
 // Solve runs the instance through the solver at the given worker count
-// with the settings large searches want: no visited-node retention,
-// compiled evaluation.
+// with the setting large searches want: no visited-node retention.
 func (s *StressInstance) Solve(ctx context.Context, workers int) solver.Result {
 	p := s.Prog.Problem()
 	p.CollectVisited = false
-	p.Compiled = true
 	return solver.EnumerateParallel(ctx, p, workers)
 }

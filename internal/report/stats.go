@@ -20,10 +20,9 @@ type Section struct {
 	Items []Item `json:"items"`
 }
 
-// Item is one reading. Unit is "" for plain counts, "ns" for wall-clock
-// nanoseconds, and "sched" for counters that depend on goroutine
-// scheduling (in-flight memo waits); "ns" and "sched" items are
-// nondeterministic and Deterministic drops them.
+// Item is one reading. Unit is "" for plain counts and "ns" for
+// wall-clock nanoseconds; "ns" items are nondeterministic and
+// Deterministic drops them.
 type Item struct {
 	Name  string `json:"name"`
 	Value int64  `json:"value"`
@@ -38,16 +37,15 @@ func (s *Section) Add(name string, value int64, unit string) {
 // AddInt appends a plain count.
 func (s *Section) AddInt(name string, value int) { s.Add(name, int64(value), "") }
 
-// Deterministic returns a copy with timing ("ns") and scheduling
-// ("sched") items and then-empty sections removed — the view compared
-// against committed baselines, where only run-independent counters
-// belong.
+// Deterministic returns a copy with timing ("ns") items and then-empty
+// sections removed — the view compared against committed baselines,
+// where only run-independent counters belong.
 func (s Stats) Deterministic() Stats {
 	var out Stats
 	for _, sec := range s.Sections {
 		kept := Section{Name: sec.Name}
 		for _, it := range sec.Items {
-			if it.Unit != "ns" && it.Unit != "sched" {
+			if it.Unit != "ns" {
 				kept.Items = append(kept.Items, it)
 			}
 		}

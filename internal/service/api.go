@@ -207,12 +207,10 @@ type SessionView struct {
 	SpecHash string `json:"spec_hash"`
 	// Depth is the session's current depth bound; Nodes its commit
 	// pointer (nodes classified so far); Frontier the retained
-	// depth-bound nodes a resume deepens from; MemoEntries the evaluator
-	// memo footprint the session keeps warm.
-	Depth       int `json:"depth"`
-	Nodes       int `json:"nodes"`
-	Frontier    int `json:"frontier"`
-	MemoEntries int `json:"memo_entries"`
+	// depth-bound nodes a resume deepens from.
+	Depth    int `json:"depth"`
+	Nodes    int `json:"nodes"`
+	Frontier int `json:"frontier"`
 	// Solves, Resumes and Replays count how the session has answered.
 	Solves  int `json:"solves"`
 	Resumes int `json:"resumes"`

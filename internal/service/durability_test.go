@@ -201,6 +201,17 @@ func TestTenantQuota429(t *testing.T) {
 		default:
 			t.Fatalf("submission %d: status %d: %s", i, resp.StatusCode, body)
 		}
+		if i == 0 {
+			// Let the one worker take the first job off alice's queue, so
+			// the next submission queues behind it instead of racing the
+			// dequeue for the queue's one slot.
+			for deadline := time.Now().Add(10 * time.Second); metricValue(t, ts.URL, "tenants", "alice running") != 1; {
+				if time.Now().After(deadline) {
+					t.Fatal("first job never started running")
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
 	}
 	if accepted != 2 || quotaRejected != 2 {
 		t.Errorf("accepted=%d quotaRejected=%d, want 2/2 (1 running + 1 queued)", accepted, quotaRejected)

@@ -48,11 +48,6 @@ type Config struct {
 	// (defaults 30s and 2m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// Compiled evaluates descriptions as descvm bytecode in every
-	// served search. Results, stats and cache keys are byte-identical
-	// to interpreted evaluation (the solver's differential suite holds
-	// the two equal), so the switch is safe to flip on a live fleet.
-	Compiled bool
 	// DataDir roots the durable content-addressed store. When set,
 	// uploaded specs, finished solve results and session checkpoints
 	// survive restarts: the in-memory LRUs become read-through caches in
@@ -178,12 +173,7 @@ type Server struct {
 	// degrades durability, not availability).
 	sessionRestores metrics.Counter
 	storeErrors     metrics.Counter
-	// Memo in-flight waits accumulated across parallel searches: a
-	// worker waiting for a value another worker is computing. Scheduling
-	// noise by nature (never part of cached results), but the total shows
-	// how often workers meet on shared prefixes.
-	inflightWaits metrics.Counter
-	start         time.Time
+	start           time.Time
 }
 
 // New builds a server and starts its worker pool. Callers own shutdown:
@@ -589,11 +579,10 @@ func (s *Server) solve(ctx context.Context, prog *eqlang.Program, p SolveParams,
 	problem.CollectVisited = false
 	problem.MaxDepth = p.Depth
 	problem.MaxNodes = p.MaxNodes
-	problem.Compiled = s.cfg.Compiled
 	problem.OnSolution = onSolution
 	start := time.Now()
 	res := solver.EnumerateParallel(ctx, problem, p.Workers)
-	s.countSearch(res, res.Nodes, len(res.Solutions))
+	s.countSearch(res.Nodes, len(res.Solutions))
 	return wireResult(res, start)
 }
 
@@ -601,10 +590,9 @@ func (s *Server) solve(ctx context.Context, prog *eqlang.Program, p SolveParams,
 // what this search actually classified — for a resumed session leg that
 // is the growth beyond the retained prefix, so nodes_searched_total
 // reflects real work, not re-reported prefixes.
-func (s *Server) countSearch(res solver.Result, newNodes, newSolutions int) {
+func (s *Server) countSearch(newNodes, newSolutions int) {
 	s.nodesSearched.Add(int64(newNodes))
 	s.solutions.Add(int64(newSolutions))
-	s.inflightWaits.Add(res.Stats.Eval.InflightWaits)
 }
 
 // wireResult converts a solver result to the wire form.
@@ -852,7 +840,6 @@ func (s *Server) Metrics() report.Stats {
 	search := report.Section{Name: "search"}
 	search.Add("nodes searched total", s.nodesSearched.Load(), "")
 	search.Add("solutions found total", s.solutions.Load(), "")
-	search.Add("memo inflight waits total", s.inflightWaits.Load(), "sched")
 
 	return report.Stats{Sections: []report.Section{server, cache, admission, jobs, sessions, storeSec, tenants, search}}
 }

@@ -27,7 +27,7 @@ type sessionEntry struct {
 // sessionFor returns the session for a compiled spec — live from the
 // cache, restored from the durable store's checkpoint, or (when create
 // is set) fresh. Serialized so concurrent lookups converge on one
-// session (whose evaluator memo and frontier they then share). The
+// session (whose checkpoint they then share). The
 // returned entry is pinned against eviction; the caller must
 // s.sessions.Unpin(hash) when its leg is done.
 func (s *Server) sessionFor(ctx context.Context, hash string, spec compiledSpec, create bool) (*sessionEntry, bool) {
@@ -40,10 +40,9 @@ func (s *Server) sessionFor(ctx context.Context, hash string, spec compiledSpec,
 	// Sessions retain their state between solves, so never pin the
 	// visited-node list; the wire result does not carry it anyway.
 	p.CollectVisited = false
-	p.Compiled = s.cfg.Compiled
-	// A persisted session (same spec, same evaluation mode) resumes
-	// exactly where the previous process stopped: the decoder verifies
-	// the checkpoint's content address and rebuilds frontier and memo.
+	// A persisted session (same spec) resumes exactly where the previous
+	// process stopped: the decoder verifies the checkpoint's content
+	// address and rebuilds the frontier with the f its sons carry.
 	if meta, err := s.store.Get(ctx, store.KindSession, store.Key(hash)); err == nil {
 		sess, err := session.Decode(meta, p, spec.prog.System, func(ref string) ([]byte, error) {
 			return s.store.Get(ctx, store.KindCheckpoint, store.Key(ref))
@@ -109,14 +108,13 @@ func (s *Server) liveSession(w http.ResponseWriter, r *http.Request, hash string
 func sessionView(hash string, e *sessionEntry) SessionView {
 	solves, resumes, replays := e.sess.Counts()
 	return SessionView{
-		SpecHash:    hash,
-		Depth:       e.sess.Depth(),
-		Nodes:       e.sess.Nodes(),
-		Frontier:    e.sess.FrontierSize(),
-		MemoEntries: e.sess.MemoEntries(),
-		Solves:      solves,
-		Resumes:     resumes,
-		Replays:     replays,
+		SpecHash: hash,
+		Depth:    e.sess.Depth(),
+		Nodes:    e.sess.Nodes(),
+		Frontier: e.sess.FrontierSize(),
+		Solves:   solves,
+		Resumes:  resumes,
+		Replays:  replays,
 	}
 }
 
@@ -168,7 +166,7 @@ func (s *Server) runSession(w http.ResponseWriter, r *http.Request, hash string,
 				return nil, err
 			}
 			outcome = out
-			s.countSearch(res, res.Nodes-prevNodes, len(res.Solutions)-len(prevRes.Solutions))
+			s.countSearch(res.Nodes-prevNodes, len(res.Solutions)-len(prevRes.Solutions))
 			// Checkpoint the advanced chain element while still on the
 			// worker, so legs whose client disconnected persist too.
 			s.persistSession(hash, e)

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"smoothproc/internal/eqlang"
 	"smoothproc/internal/trace"
 )
 
@@ -188,4 +189,51 @@ func TestSessionCodecDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(keys(got.Solutions), keys(want.Solutions)) {
 		t.Fatalf("decoded delta %v, live %v", keys(got.Solutions), keys(want.Solutions))
 	}
+}
+
+// FuzzSessionDecode throws a meta blob and a fetched checkpoint at
+// Decode: any outcome but a panic is acceptable. A session that decodes
+// must answer its accessors and deepen one level under a small node
+// budget — resuming from whatever frontier and carried f the checkpoint
+// holds — without panicking. Seeds: a depth-bound session, a
+// budget-truncated one and an unsolved one.
+func FuzzSessionDecode(f *testing.F) {
+	ctx := context.Background()
+	prog, err := eqlang.CompileSource(dfmSrc)
+	if err != nil {
+		f.Fatal(err)
+	}
+	newSession := func() *Session {
+		p := prog.Problem()
+		p.CollectVisited = false
+		return New("dfm", p, prog.System)
+	}
+	for _, o := range []*Options{{Depth: 2}, {Depth: 3, MaxNodes: 6}, nil} {
+		s := newSession()
+		if o != nil {
+			if _, _, err := s.Solve(ctx, *o); err != nil {
+				f.Fatal(err)
+			}
+		}
+		b, err := s.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Meta, b.Checkpoint)
+	}
+	f.Fuzz(func(t *testing.T, meta, checkpoint []byte) {
+		p := prog.Problem()
+		p.CollectVisited = false
+		fetch := func(string) ([]byte, error) { return checkpoint, nil }
+		s, err := Decode(meta, p, prog.System, fetch)
+		if err != nil {
+			return // fail-closed
+		}
+		_, _, _ = s.Depth(), s.Nodes(), s.FrontierSize()
+		_, _ = s.Result()
+		if d, n := s.Depth(), s.Nodes(); d < 0 || d > 8 || n < 0 || n > 1<<20 {
+			return // bounds no solve of this fixture should run to
+		}
+		_, _, _ = s.Solve(ctx, Options{Depth: s.Depth() + 1, MaxNodes: s.Nodes() + 64})
+	})
 }

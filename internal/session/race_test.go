@@ -60,7 +60,6 @@ func TestRaceConcurrentResumeAndReaders(t *testing.T) {
 				_ = s.Depth()
 				_ = s.Nodes()
 				_ = s.FrontierSize()
-				_ = s.MemoEntries()
 				if res, ok := s.Result(); ok {
 					_ = len(res.Solutions)
 				}

@@ -90,8 +90,8 @@ func TestSessionLifecycle(t *testing.T) {
 	if solves, resumes, replays := counts(s); solves != 3 || resumes != 1 || replays != 1 {
 		t.Fatalf("counts (%d,%d,%d), want (3,1,1)", solves, resumes, replays)
 	}
-	if s.Depth() != 4 || s.Nodes() != cold4.Nodes || s.MemoEntries() == 0 {
-		t.Fatalf("accessors: depth %d nodes %d memo %d", s.Depth(), s.Nodes(), s.MemoEntries())
+	if s.Depth() != 4 || s.Nodes() != cold4.Nodes || s.FrontierSize() != cold4.Stats.Frontier {
+		t.Fatalf("accessors: depth %d nodes %d frontier %d", s.Depth(), s.Nodes(), s.FrontierSize())
 	}
 }
 

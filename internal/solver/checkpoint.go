@@ -1,11 +1,12 @@
 // Checkpointed (resumable) search. A capture-mode solve retains exactly
 // the state the §3.3 chain view says a deeper solve needs: the canonical
 // BFS order's classified prefix (the Result), the depth-bound nodes'
-// admitted sons (the retained frontier, in commit order), any
+// admitted sons (the retained frontier, in commit order) and any
 // unclassified queue remainder of a truncated run (the pending nodes),
-// and the evaluator memo handle. Resuming re-enters the BFS from that
-// frontier, so the already-classified prefix is never re-expanded — and
-// because every per-node contribution to the result and the memo is
+// each son and pending node with the f its parent's edge check carried.
+// Resuming re-enters the BFS from that frontier, so the
+// already-classified prefix is never re-expanded — and because every
+// per-node contribution to the result and the evaluation counters is
 // independent of when the node was processed, a resumed search's Result
 // is byte-identical to a cold solve at the target bounds.
 //
@@ -33,27 +34,27 @@ import (
 )
 
 // frontierEntry is one retained depth-bound node together with its
-// admitted sons, in canonical order — the unit of the resume frontier.
+// admitted sons (each carrying its f), in canonical order — the unit of
+// the resume frontier.
 type frontierEntry struct {
 	node trace.Trace
-	sons []trace.Trace
+	sons []node
 }
 
 // Checkpoint is the retained state of a capture-mode search: the problem
 // (whose bounds track the latest leg), the shared search machinery — the
-// evaluator memo handle and interned candidates — the last leg's Result,
-// the resume frontier, and the pending queue of a truncated run.
+// evaluator and interned candidates — the last leg's Result, the resume
+// frontier, and the pending queue of a truncated run.
 //
 // A Checkpoint is not safe for concurrent use; callers that share one
 // (the session subsystem) serialize resumes. The evaluator inside is
-// always built in its locked (concurrency-safe) mode, so any leg may run
-// at any worker count — the memo's hit/apply counters are byte-identical
-// either way (the evaluator's single-threaded/locked parity contract).
+// always built in its multi-goroutine mode, so any leg may run at any
+// worker count — its apply/hit counters are byte-identical either way.
 type Checkpoint struct {
 	s        *search
 	done     Result
 	frontier []frontierEntry
-	pending  []trace.Trace
+	pending  []node
 	resumes  int
 	finaled  bool
 }
@@ -144,7 +145,7 @@ func (cp *Checkpoint) Resume(ctx context.Context, o ResumeOpts) (Result, error) 
 	// at this point: the pending remainder first (BFS level order puts
 	// every pending node before any frontier son), then the retained
 	// frontier's sons in commit order.
-	queue := append([]trace.Trace(nil), cp.pending...)
+	queue := append([]node(nil), cp.pending...)
 	if deepen {
 		st.Interior += st.Frontier
 		st.Frontier = 0
@@ -214,7 +215,3 @@ func (cp *Checkpoint) Resumes() int { return cp.resumes }
 
 // Resumable reports whether another Resume may run (false after Final).
 func (cp *Checkpoint) Resumable() bool { return !cp.finaled }
-
-// MemoEntries returns the number of retained evaluator memo entries —
-// the footprint the checkpoint keeps alive between legs.
-func (cp *Checkpoint) MemoEntries() int { return cp.s.e.MemoEntries() }

@@ -1,12 +1,13 @@
 // Checkpoint serialization. A checkpoint is exactly the state the §3.3
 // chain view calls a chain element — the classified BFS prefix, the
-// retained frontier, the pending queue — plus the evaluator memo, so a
-// decoded checkpoint resumes to a solve byte-identical to one that never
-// left memory, deterministic fingerprint (evaluator hit/miss counters
-// included) and all. The blob rides on the trace codec: every retained
-// trace is a reference into one shared node pool, so the prefix sharing
-// between solutions, frontier sons, visited lists and memo keys costs
-// one spine on disk, exactly as in memory.
+// retained frontier, the pending queue — with the f each frontier son
+// and pending node carries, so a decoded checkpoint resumes to a solve
+// byte-identical to one that never left memory, deterministic
+// fingerprint (evaluator hit/miss counters included) and all. The blob
+// rides on the trace codec: every retained trace is a reference into
+// one shared node pool, so the prefix sharing between solutions,
+// frontier sons and visited lists costs one spine on disk, exactly as
+// in memory.
 //
 // What is NOT serialized: the Problem's function values (the description
 // sides and callbacks). DecodeCheckpoint takes a caller-supplied Problem
@@ -14,8 +15,7 @@
 // flags against it, overriding only the bounds the blob carries. The
 // evaluator is reconstructed by re-running newSearch (the Theorem 1
 // induction base check re-evaluates both sides at ⊥, as a live capture's
-// constructor did) and then seeded with the exported memo entries and
-// exact counter baselines.
+// constructor did) and then seeded with the exact counter baselines.
 package solver
 
 import (
@@ -23,14 +23,13 @@ import (
 
 	"time"
 
-	"smoothproc/internal/desc"
 	"smoothproc/internal/fn"
 	"smoothproc/internal/seq"
 	"smoothproc/internal/trace"
 )
 
 // checkpointVersion guards the body layout; bump on any change.
-const checkpointVersion = 2
+const checkpointVersion = 3
 
 // Encode serializes the checkpoint into one self-verifying blob (see the
 // trace codec for the integrity story). The checkpoint is not locked:
@@ -49,7 +48,6 @@ func (cp *Checkpoint) Encode() ([]byte, error) {
 	e.Varint(int64(p.MaxDepth))
 	e.Varint(int64(p.MaxNodes))
 	e.Bool(p.Prune)
-	e.Bool(p.Memoize)
 	e.Bool(p.CollectVisited)
 	e.Bool(p.Thm1)
 	e.Bool(p.Compiled)
@@ -59,22 +57,18 @@ func (cp *Checkpoint) Encode() ([]byte, error) {
 	e.Uvarint(uint64(len(cp.frontier)))
 	for _, fe := range cp.frontier {
 		e.Trace(fe.node)
-		encodeTraces(e, fe.sons)
+		encodeNodes(e, fe.sons)
 	}
-	encodeTraces(e, cp.pending)
+	encodeNodes(e, cp.pending)
 	e.Varint(int64(cp.resumes))
 	e.Bool(cp.finaled)
-
-	fm, gm := cp.s.e.ExportMemo()
-	encodeMemo(e, fm)
-	encodeMemo(e, gm)
 	return e.Bytes(), nil
 }
 
 // DecodeCheckpoint rebuilds a checkpoint from Encode's blob. p must be
 // the same problem the capture ran (sides rebuilt from the same spec,
-// same Prune/Memoize/Thm1/Compiled/CollectVisited configuration — the
-// stored flags are verified); the blob's captured bounds override
+// same Prune/Thm1/Compiled/CollectVisited configuration — the stored
+// flags are verified); the blob's captured bounds override
 // p.MaxDepth/p.MaxNodes. All corruption failures wrap trace.ErrCorrupt.
 func DecodeCheckpoint(data []byte, p Problem) (*Checkpoint, error) {
 	d, err := trace.NewDecoder(data)
@@ -104,16 +98,16 @@ func decodeCheckpoint(d *trace.Decoder, p Problem) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	var flags [5]bool
+	var flags [4]bool
 	for i := range flags {
 		if flags[i], err = d.Bool(); err != nil {
 			return nil, err
 		}
 	}
-	if flags[0] != p.Prune || flags[1] != p.Memoize || flags[2] != p.CollectVisited || flags[3] != p.Thm1 || flags[4] != p.Compiled {
-		return nil, fmt.Errorf("checkpoint was captured with prune=%t memoize=%t visited=%t thm1=%t compiled=%t, caller passed prune=%t memoize=%t visited=%t thm1=%t compiled=%t",
-			flags[0], flags[1], flags[2], flags[3], flags[4],
-			p.Prune, p.Memoize, p.CollectVisited, p.Thm1, p.Compiled)
+	if flags[0] != p.Prune || flags[1] != p.CollectVisited || flags[2] != p.Thm1 || flags[3] != p.Compiled {
+		return nil, fmt.Errorf("checkpoint was captured with prune=%t visited=%t thm1=%t compiled=%t, caller passed prune=%t visited=%t thm1=%t compiled=%t",
+			flags[0], flags[1], flags[2], flags[3],
+			p.Prune, p.CollectVisited, p.Thm1, p.Compiled)
 	}
 	p.MaxDepth = int(maxDepth)
 	p.MaxNodes = int(maxNodes)
@@ -137,13 +131,13 @@ func decodeCheckpoint(d *trace.Decoder, p Problem) (*Checkpoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		sons, err := decodeTraces(d)
+		sons, err := decodeNodes(d)
 		if err != nil {
 			return nil, err
 		}
 		frontier = append(frontier, frontierEntry{node: node, sons: sons})
 	}
-	pending, err := decodeTraces(d)
+	pending, err := decodeNodes(d)
 	if err != nil {
 		return nil, err
 	}
@@ -155,26 +149,16 @@ func decodeCheckpoint(d *trace.Decoder, p Problem) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	fm, err := decodeMemo(d)
-	if err != nil {
-		return nil, err
-	}
-	gm, err := decodeMemo(d)
-	if err != nil {
-		return nil, err
-	}
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
 
 	// Rebuild the search machinery. The constructor may run the Theorem 1
-	// induction base check, evaluating both sides at ⊥ — SeedMemo skips
-	// entries that insert already cached (sides are pure, so the fresh ⊥
-	// tuples equal the exported ones) and SeedSnapshot then pins the
-	// apply/hit counters to exactly the captured values.
+	// induction base check, applying both sides at ⊥ again (sides are
+	// pure, so the root of a capture cut before its first node reads the
+	// same values); SeedSnapshot then pins the apply/hit counters to
+	// exactly the captured values.
 	s := newSearch(p, false)
-	s.e.SeedMemo(fm, gm)
 	s.e.SeedSnapshot(res.Stats.Eval)
 
 	return &Checkpoint{
@@ -281,7 +265,7 @@ func encodeStats(e *trace.Encoder, s SearchStats) {
 	}
 	for _, n := range []int64{
 		s.Eval.FApplies, s.Eval.GApplies, s.Eval.FHits, s.Eval.GHits,
-		s.Eval.InflightWaits, s.Eval.FNanos, s.Eval.GNanos,
+		s.Eval.FNanos, s.Eval.GNanos,
 	} {
 		e.Varint(n)
 	}
@@ -335,7 +319,7 @@ func decodeStats(d *trace.Decoder) (SearchStats, error) {
 	}
 	evals := []*int64{
 		&s.Eval.FApplies, &s.Eval.GApplies, &s.Eval.FHits, &s.Eval.GHits,
-		&s.Eval.InflightWaits, &s.Eval.FNanos, &s.Eval.GNanos,
+		&s.Eval.FNanos, &s.Eval.GNanos,
 	}
 	for _, p := range evals {
 		if *p, err = d.Varint(); err != nil {
@@ -345,33 +329,47 @@ func decodeStats(d *trace.Decoder) (SearchStats, error) {
 	return s, nil
 }
 
-func encodeMemo(e *trace.Encoder, es []desc.MemoEntry) {
-	e.Uvarint(uint64(len(es)))
-	for _, en := range es {
-		e.Trace(en.T)
-		encodeTuple(e, en.V)
+// encodeNodes writes queued nodes: each trace, then whether it carries
+// f and, if so, the tuple.
+func encodeNodes(e *trace.Encoder, ns []node) {
+	e.Uvarint(uint64(len(ns)))
+	for _, n := range ns {
+		e.Trace(n.t)
+		e.Bool(n.f != nil)
+		if n.f != nil {
+			encodeTuple(e, n.f)
+		}
 	}
 }
 
-func decodeMemo(d *trace.Decoder) ([]desc.MemoEntry, error) {
+func decodeNodes(d *trace.Decoder) ([]node, error) {
 	n, err := d.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(d.Remaining()/9)+1 {
-		return nil, fmt.Errorf("memo claims %d entries in %d bytes: %w", n, d.Remaining(), trace.ErrCorrupt)
+	// Each encoded node costs ≥ 10 bytes (ref + fixed64 key + flag).
+	if n > uint64(d.Remaining()/10)+1 {
+		return nil, fmt.Errorf("node list claims %d entries in %d bytes: %w", n, d.Remaining(), trace.ErrCorrupt)
 	}
-	out := make([]desc.MemoEntry, 0, n)
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]node, 0, n)
 	for i := uint64(0); i < n; i++ {
-		t, err := d.Trace()
+		var nd node
+		if nd.t, err = d.Trace(); err != nil {
+			return nil, err
+		}
+		carried, err := d.Bool()
 		if err != nil {
 			return nil, err
 		}
-		v, err := decodeTuple(d)
-		if err != nil {
-			return nil, err
+		if carried {
+			if nd.f, err = decodeTuple(d); err != nil {
+				return nil, err
+			}
 		}
-		out = append(out, desc.MemoEntry{T: t, V: v})
+		out = append(out, nd)
 	}
 	return out, nil
 }

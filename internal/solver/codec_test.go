@@ -12,9 +12,9 @@ import (
 
 // TestCheckpointCodecRoundTrip is the persistence contract: a decoded
 // checkpoint is indistinguishable from the live one — stored result,
-// frontier/pending shape, memo footprint — and a Final resume from it
-// is byte-identical to a cold solve at the target depth, evaluator
-// hit/apply counters included.
+// frontier/pending shape, the f each retained son carries — and a Final
+// resume from it is byte-identical to a cold solve at the target depth,
+// evaluator hit/apply counters included.
 func TestCheckpointCodecRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	const capDepth, fullDepth = 2, 5
@@ -37,8 +37,20 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 			dec.FrontierSize(), dec.PendingSize(), dec.Resumes(), dec.Resumable(), dec.MaxDepth(),
 			cp.FrontierSize(), cp.PendingSize(), cp.Resumes(), cp.Resumable(), cp.MaxDepth())
 	}
-	if dec.MemoEntries() != cp.MemoEntries() {
-		t.Fatalf("decoded memo holds %d entries, live %d", dec.MemoEntries(), cp.MemoEntries())
+	carried := 0
+	for i, fe := range cp.frontier {
+		for j, son := range fe.sons {
+			got := dec.frontier[i].sons[j]
+			if !got.t.Equal(son.t) || (got.f == nil) != (son.f == nil) || !got.f.Equal(son.f) {
+				t.Fatalf("frontier %d son %d: decoded (%s, %v), live (%s, %v)", i, j, got.t, got.f, son.t, son.f)
+			}
+			if son.f != nil {
+				carried++
+			}
+		}
+	}
+	if carried == 0 {
+		t.Fatal("no frontier son carries f; the test needs a problem with evaluated edges")
 	}
 
 	cold := Enumerate(ctx, dfmProblem(fullDepth))
@@ -116,9 +128,9 @@ func TestCheckpointCodecFlagMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := dfmProblem(2)
-	p.Memoize = false
+	p.Compiled = !p.Compiled
 	if _, err := DecodeCheckpoint(blob, p); err == nil {
-		t.Fatal("decode under mismatched Memoize succeeded")
+		t.Fatal("decode under mismatched Compiled succeeded")
 	}
 	p = dfmProblem(2)
 	p.Prune = false
@@ -169,13 +181,25 @@ func TestCheckpointCodecCorrupt(t *testing.T) {
 }
 
 // FuzzCheckpointDecode throws raw bytes at the decoder: any outcome but
-// a panic is acceptable, and a successful decode must hold a result
-// whose invariants still balance.
+// a panic is acceptable. A successful decode must hold a result whose
+// invariants can be checked, and must resume one level deeper under a
+// small node budget — reading whatever f the blob's frontier sons and
+// pending nodes carry — without panicking. The seeds are a depth-bound
+// capture (frontier sons carrying f) and a budget-truncated one
+// (pending nodes carrying f).
 func FuzzCheckpointDecode(f *testing.F) {
-	_, cp := EnumerateCapture(context.Background(), dfmProblem(2), 1)
+	ctx := context.Background()
+	_, cp := EnumerateCapture(ctx, dfmProblem(2), 1)
 	if blob, err := cp.Encode(); err == nil {
 		f.Add(blob)
 		f.Add(blob[:len(blob)/2])
+	}
+	budget := dfmProblem(2)
+	budget.MaxNodes = 5
+	if _, cp := EnumerateCapture(ctx, budget, 1); cp.PendingSize() > 0 {
+		if blob, err := cp.Encode(); err == nil {
+			f.Add(blob)
+		}
 	}
 	f.Add([]byte("SPT1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -187,6 +211,10 @@ func FuzzCheckpointDecode(f *testing.F) {
 		}
 		res := dec.Result()
 		_ = res.Stats.CheckInvariants(res.Truncated)
+		if dec.MaxDepth() < 0 || dec.MaxDepth() > 8 || dec.Nodes() < 0 || dec.Nodes() > 1<<20 || !dec.Resumable() {
+			return // bounds no resume of this fixture should run to
+		}
+		_, _ = dec.Resume(ctx, ResumeOpts{MaxDepth: dec.MaxDepth() + 1, MaxNodes: dec.Nodes() + 64})
 	})
 }
 

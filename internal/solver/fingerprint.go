@@ -8,12 +8,12 @@ import (
 
 // Fingerprint condenses a search result into one uint64 covering every
 // deterministic observable: the solution, frontier and dead-leaf traces
-// (in result order) and the node/edge/pruning/memo counters. Two runs of
-// the same problem — at any worker count, interpreted or compiled — must
-// produce equal fingerprints; that is the determinism contract the
-// parity suites assert field by field, packed into a value cheap enough
-// to log per corpus instance and compare across machines and Go
-// versions. Run-configuration flags (Thm1FastPath, CompiledEval,
+// (in result order) and the node/edge/pruning/evaluation counters. Two
+// runs of the same problem — at any worker count, interpreted or
+// compiled — must produce equal fingerprints; that is the determinism
+// contract the parity suites assert field by field, packed into a value
+// cheap enough to log per corpus instance and compare across machines
+// and Go versions. Run-configuration flags (Thm1FastPath, CompiledEval,
 // Workers) are deliberately excluded.
 func (r Result) Fingerprint() uint64 {
 	h := fnv.New64a()

@@ -4,8 +4,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-
-	"smoothproc/internal/trace"
 )
 
 // windowSize bounds how many queued nodes one parallel step visits
@@ -24,7 +22,7 @@ const windowSize = 256
 // by index, never by arrival, which is what keeps the result
 // independent of scheduling. Son slices are fresh: they live until the
 // window commits, past the next expand.
-func (s *search) visitWindow(ctx context.Context, nodes []trace.Trace, outs []nodeOut, shards []SearchStats, capture bool) int {
+func (s *search) visitWindow(ctx context.Context, nodes []node, outs []nodeOut, shards []SearchStats, capture bool) int {
 	var next atomic.Int64
 	work := func(shard *SearchStats) {
 		for ctx.Err() == nil {

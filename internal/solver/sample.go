@@ -37,9 +37,11 @@ type SampleResult struct {
 	// Steps is the total number of edges taken.
 	Steps int
 	// Stats instruments the walks. Walks revisit shared prefixes
-	// constantly, so the memo hit rate here is the highest of the three
-	// search modes; node-role counters stay zero (walks classify no
-	// nodes), while edge and evaluation counters are live.
+	// constantly and share no memo, so a prefix two walks take is
+	// evaluated once per walk: hits are only the values a walk carries
+	// down its own edges, as in Enumerate. Node-role counters stay zero
+	// (walks classify no nodes), while edge and evaluation counters are
+	// live.
 	Stats SearchStats
 	// Canceled reports that the context stopped the walks early; the
 	// solutions gathered so far are still sound.
@@ -64,27 +66,28 @@ func Sample(ctx context.Context, p Problem, opts SampleOpts) SampleResult {
 	start := time.Now()
 walks:
 	for w := 0; w < opts.Walks; w++ {
-		cur := root
+		cur := s.rootNode()
 		for depth := 0; ; depth++ {
 			if ctx.Err() != nil {
 				res.Canceled = true
 				break walks
 			}
 			st.LimitChecks++
-			if s.e.LimitOK(cur) {
-				res.Solutions[cur.String()] = cur
+			gu, ok := s.limit(cur)
+			if ok {
+				res.Solutions[cur.t.String()] = cur.t
 			}
 			if depth >= opts.MaxDepth {
 				break
 			}
-			sons := s.expand(cur, st, s.sonBuf[:0])
+			sons := s.expand(cur.t, gu, st, s.sonBuf[:0])
 			if len(sons) == 0 {
 				break
 			}
 			cur = sons[rng.Intn(len(sons))]
 			res.Steps++
-			if cur.Len() > res.Deepest.Len() {
-				res.Deepest = cur
+			if cur.t.Len() > res.Deepest.Len() {
+				res.Deepest = cur.t
 			}
 		}
 	}

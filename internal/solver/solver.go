@@ -45,11 +45,6 @@ type Problem struct {
 	// prune. With pruning off, every one-step extension is a son and
 	// smoothness is re-checked from scratch on candidate solutions.
 	Prune bool
-	// Memoize caches f and g evaluations across the whole search (one
-	// desc.Evaluator per Enumerate/EnumerateParallel/Sample call), so
-	// shared trace prefixes are evaluated once. Transparent to results;
-	// false is the memoization ablation.
-	Memoize bool
 	// CollectVisited controls whether Result.Visited is populated.
 	// NewProblem turns it on (the compatible default); large
 	// service-driven searches turn it off so the result stops pinning
@@ -69,11 +64,12 @@ type Problem struct {
 	// newSearch).
 	Thm1 bool
 	// Compiled lowers the description's sides to descvm bytecode for the
-	// search's evaluations (see desc.EvalOptions). Observably transparent:
-	// the evaluator memo, all counters and every result are byte-identical
-	// to interpreted evaluation — the root differential suite enforces
-	// this across all shipped specs — so the flag only trades evaluation
-	// mechanics for speed. Sides that cannot lower (opaque combinators)
+	// search's evaluations (see desc.EvalOptions). NewProblem sets it:
+	// bytecode is the production evaluator. Observably transparent: all
+	// counters and every result are byte-identical to interpreted
+	// evaluation — the root differential suite enforces this across all
+	// shipped specs — so false only selects the interpreter, the
+	// differential oracle. Sides that cannot lower (opaque combinators)
 	// silently keep the interpreter.
 	Compiled bool
 	// OnSolution, when non-nil, is invoked for each smooth solution as the
@@ -94,7 +90,7 @@ func NewProblem(d desc.Description, alphabet map[string][]value.Value, maxDepth 
 		chans = append(chans, c)
 	}
 	sort.Strings(chans)
-	return Problem{D: d, Channels: chans, Alphabet: alphabet, MaxDepth: maxDepth, Prune: true, Memoize: true, CollectVisited: true, Thm1: d.Thm1Eligible()}
+	return Problem{D: d, Channels: chans, Alphabet: alphabet, MaxDepth: maxDepth, Prune: true, CollectVisited: true, Thm1: d.Thm1Eligible(), Compiled: true}
 }
 
 // Result reports a bounded exploration of the smooth-solution tree.
@@ -135,13 +131,24 @@ var ErrBudget = errors.New("solver: node budget exhausted")
 
 // root is the tree's bottom element ⊥. Tree nodes are plain traces: the
 // persistent representation extends in O(1) with full prefix sharing,
-// and Trace.Key gives the evaluator its (hash, length) memo key in O(1),
-// so no per-node key string is maintained any more.
+// so no per-node key string is maintained.
 var root = trace.Empty
 
+// node is one queued tree node: its trace, and f of it when the
+// parent's edge check computed it. The §3.3 tree reaches every trace
+// once, so that edge check is the only other read of f(v) there ever
+// is; carrying the value down the edge replaces a whole-search memo. f
+// is nil when nothing computed it: sons the Theorem 1 fast path
+// admitted unevaluated, and the root unless the induction-base check
+// ran (see search.rootNode).
+type node struct {
+	t trace.Trace
+	f fn.Tuple
+}
+
 // search carries the machinery shared by one tree exploration: the
-// problem, the memoized evaluator, and the interned candidate events —
-// one Event per (channel, message) built up front, so expansion never
+// problem, the evaluator, and the interned candidate events — one Event
+// per (channel, message) built up front, so expansion never
 // re-constructs them.
 type search struct {
 	p Problem
@@ -157,6 +164,10 @@ type search struct {
 	// f(⊥) ⊑ g(⊥) holds. Candidates on channels outside fsupp are then
 	// admitted without evaluation (see Problem.Thm1).
 	thm1 bool
+	// f0 and g0 are f(⊥) and g(⊥) when the induction-base check computed
+	// them (nil otherwise): the root's limit check reads them instead of
+	// applying the sides again.
+	f0, g0 fn.Tuple
 	// fanout is the total alphabet size across channels — the exact
 	// capacity an expanding node's son list can need.
 	fanout int
@@ -166,7 +177,7 @@ type search struct {
 	// reallocates, and the consumer copies the sons into its queue
 	// before the next expand reuses the slots. Window visits must not
 	// use it — their nodeOuts hold son slices until the window commits.
-	sonBuf []trace.Trace
+	sonBuf []node
 }
 
 // candSet is one channel's interned candidate events and their hashes.
@@ -182,14 +193,13 @@ type candSet struct {
 
 // newSearch builds the shared search state. single promises the caller
 // drives the search from one goroutine (a one-worker Enumerate, Sample,
-// CheckInduction), letting the evaluator memo skip its locks; a search
-// whose windows spread over workers, or that a checkpoint may resume
-// that way, must pass false.
+// CheckInduction), letting the evaluator count without atomics and keep
+// dedicated VM frames; a search whose windows spread over workers, or
+// that a checkpoint may resume that way, must pass false.
 func newSearch(p Problem, single bool) *search {
 	s := &search{
 		p: p,
-		e: desc.NewEvaluatorOpts(p.D, desc.EvalOptions{
-			Memoize:        p.Memoize,
+		e: desc.NewEvaluator(p.D, desc.EvalOptions{
 			Compiled:       p.Compiled,
 			SingleThreaded: single,
 		}),
@@ -205,14 +215,15 @@ func newSearch(p Problem, single bool) *search {
 		s.cands = append(s.cands, candSet{ch: c, es: es, hs: hs})
 		s.fanout += len(es)
 	}
-	s.sonBuf = make([]trace.Trace, 0, s.fanout)
+	s.sonBuf = make([]node, 0, s.fanout)
 	if p.Thm1 && p.Prune && !p.D.F.Omega {
 		// Induction base for the fast path's invariant. If it fails, the
 		// root has no sons at all (f(⊥) ⊑ f(v) ⊑ g(⊥) for any admitted
 		// v), so falling back to the full edge check costs nothing. The
 		// F.Omega re-check guards callers that set Thm1 by hand on an
 		// ω-approximation left side, for which auto-admit is unsound.
-		s.thm1 = s.e.F(trace.Empty).Leq(s.e.G(trace.Empty))
+		s.f0, s.g0 = s.e.F(root), s.e.G(root)
+		s.thm1 = s.f0.Leq(s.g0)
 		s.fsupp = p.D.F.Support
 		if s.thm1 {
 			for i := range s.cands {
@@ -223,10 +234,16 @@ func newSearch(p Problem, single bool) *search {
 	return s
 }
 
+// rootNode is ⊥ as a queued node, carrying f(⊥) when the
+// induction-base check computed it.
+func (s *search) rootNode() node { return node{t: root, f: s.f0} }
+
 // Enumerate explores the Section 3.3 tree breadth-first to the problem's
-// bounds and classifies every visited node. One memoized evaluator backs
-// the whole search (see Problem.Memoize), so f and g are applied at most
-// once per distinct trace; Result.Stats accounts for every node and edge.
+// bounds and classifies every visited node. Each node's f and g are
+// applied at most once: f(v) when its parent's edge check admits it,
+// g(u) at u's limit check, and both carried to their one other read
+// (see node); Result.Stats accounts for every node, edge and
+// evaluation.
 //
 // The context is checked once per visited node: cancellation or an
 // expired deadline stops the search with Truncated and Canceled set, so
@@ -240,15 +257,14 @@ func Enumerate(ctx context.Context, p Problem) Result { return EnumerateParallel
 // hands each window of up to windowSize queued nodes to the workers and
 // commits their outputs in queue order (see run), so Result and every
 // deterministic SearchStats counter are byte-identical to Enumerate at
-// any worker count. All workers share one sharded memoized evaluator, so
-// f and g are applied at most once per distinct trace across the pool.
+// any worker count.
 func EnumerateParallel(ctx context.Context, p Problem, workers int) Result {
 	res, _ := enumerate(ctx, p, workers, false)
 	return res
 }
 
 // enumerate runs a search from ⊥, in capture mode (returning its
-// Checkpoint) when capture is set. A checkpoint keeps the locked
+// Checkpoint) when capture is set. A checkpoint keeps the concurrent
 // evaluator so that any later leg may resume it at any worker count.
 func enumerate(ctx context.Context, p Problem, workers int, capture bool) (Result, *Checkpoint) {
 	s := newSearch(p, workers <= 1 && !capture)
@@ -257,7 +273,7 @@ func enumerate(ctx context.Context, p Problem, workers int, capture bool) (Resul
 		cp = &Checkpoint{s: s}
 	}
 	var res Result
-	s.run(ctx, &res, []trace.Trace{root}, workers, cp)
+	s.run(ctx, &res, []node{s.rootNode()}, workers, cp)
 	if cp != nil {
 		cp.done = res
 	}
@@ -270,7 +286,7 @@ func enumerate(ctx context.Context, p Problem, workers int, capture bool) (Resul
 type nodeOut struct {
 	solution bool
 	hasSon   bool
-	sons     []trace.Trace
+	sons     []node
 }
 
 // run is the one BFS core, shared by Enumerate, EnumerateParallel and
@@ -299,7 +315,7 @@ type nodeOut struct {
 // only the bound-level edge accounting differs (expand visits every
 // candidate where hasSon stops at the first witness, and never counts
 // FrontierWitnesses). See Checkpoint for how that difference is reported.
-func (s *search) run(ctx context.Context, res *Result, queue []trace.Trace, workers int, cp *Checkpoint) {
+func (s *search) run(ctx context.Context, res *Result, queue []node, workers int, cp *Checkpoint) {
 	p := s.p
 	st := &res.Stats
 	begin := time.Now()
@@ -309,12 +325,12 @@ func (s *search) run(ctx context.Context, res *Result, queue []trace.Trace, work
 	// workers: the queue never reaches another goroutine, so the seed
 	// slice stays off the heap and a one-worker search allocates exactly
 	// what the plain BFS does.
-	var win []trace.Trace
+	var win []node
 	var outs []nodeOut
 	var shards []SearchStats
 	if workers > 1 {
 		st.Workers = workers
-		win = make([]trace.Trace, 0, windowSize)
+		win = make([]node, 0, windowSize)
 		outs = make([]nodeOut, windowSize)
 		shards = make([]SearchStats, workers)
 	}
@@ -326,12 +342,12 @@ func (s *search) run(ctx context.Context, res *Result, queue []trace.Trace, work
 			res.Truncated, res.Canceled = true, canceled
 			res.Nodes++
 			if p.CollectVisited {
-				res.Visited = append(res.Visited, queue[0])
+				res.Visited = append(res.Visited, queue[0].t)
 			}
 			st.Visited++
 			st.Skipped++
 			if cp != nil {
-				cp.pending = append([]trace.Trace(nil), queue...)
+				cp.pending = append([]node(nil), queue...)
 			}
 			break
 		}
@@ -341,13 +357,13 @@ func (s *search) run(ctx context.Context, res *Result, queue []trace.Trace, work
 		}
 		if n <= 1 {
 			cur := queue[0]
-			queue = append(queue[1:], s.commit(res, cp, cur, s.visit(cur, st, cp != nil, s.sonBuf[:0]))...)
+			queue = append(queue[1:], s.commit(res, cp, cur.t, s.visit(cur, st, cp != nil, s.sonBuf[:0]))...)
 			continue
 		}
 		win = append(win[:0], queue[:n]...)
 		n = s.visitWindow(ctx, win, outs, shards, cp != nil)
 		for i, o := range outs[:n] {
-			queue = append(queue, s.commit(res, cp, win[i], o)...)
+			queue = append(queue, s.commit(res, cp, win[i].t, o)...)
 		}
 		queue = queue[n:]
 	}
@@ -362,17 +378,19 @@ func (s *search) run(ctx context.Context, res *Result, queue []trace.Trace, work
 // visit decides one node: limit condition, and whether it has a son —
 // expanding it below the depth bound (into dst) or, in capture mode, at
 // the bound (into fresh slots the resume frontier retains), and probing
-// with hasSon otherwise. Pure with respect to the shared search state;
-// all counters go to st.
-func (s *search) visit(cur trace.Trace, st *SearchStats, capture bool, dst []trace.Trace) nodeOut {
-	o := nodeOut{solution: s.classify(cur, st)}
+// with hasSon otherwise. g(cur) goes from the limit check to the
+// expansion. Pure with respect to the shared search state; all counters
+// go to st.
+func (s *search) visit(cur node, st *SearchStats, capture bool, dst []node) nodeOut {
+	gu, sol := s.classify(cur, st)
+	o := nodeOut{solution: sol}
 	switch {
-	case cur.Len() < s.p.MaxDepth:
-		o.sons = s.expand(cur, st, dst)
+	case cur.t.Len() < s.p.MaxDepth:
+		o.sons = s.expand(cur.t, gu, st, dst)
 	case capture:
-		o.sons = s.expand(cur, st, nil)
+		o.sons = s.expand(cur.t, gu, st, nil)
 	default:
-		o.hasSon = s.hasSon(cur, st)
+		o.hasSon = s.hasSon(cur.t, gu, st)
 		return o
 	}
 	o.hasSon = len(o.sons) > 0
@@ -383,7 +401,7 @@ func (s *search) visit(cur trace.Trace, st *SearchStats, capture bool, dst []tra
 // node and level counts, solution (streamed through OnSolution), role,
 // and in capture mode the retained frontier — and returns the sons the
 // queue must take (none at the depth bound).
-func (s *search) commit(res *Result, cp *Checkpoint, cur trace.Trace, o nodeOut) []trace.Trace {
+func (s *search) commit(res *Result, cp *Checkpoint, cur trace.Trace, o nodeOut) []node {
 	st := &res.Stats
 	res.Nodes++
 	if s.p.CollectVisited {
@@ -420,37 +438,58 @@ func (s *search) commit(res *Result, cp *Checkpoint, cur trace.Trace, o nodeOut)
 	return nil
 }
 
-// classify decides the limit condition at a node, with the full
-// smoothness re-check the unpruned ablation requires.
-func (s *search) classify(t trace.Trace, st *SearchStats) bool {
-	st.LimitChecks++
-	isSolution := s.e.LimitOK(t)
-	if s.p.Prune {
-		// With pruning, every node is reachable only through smooth
-		// edges, so the limit condition alone decides.
-		return isSolution
+// limit evaluates the limit condition f = g at n and returns g of it,
+// which the node's expansion reads again. f comes from n when its
+// parent's edge check carried it, and the root takes both sides from
+// the induction-base check when that ran; each such read counts as an
+// evaluator hit.
+func (s *search) limit(n node) (fn.Tuple, bool) {
+	fu := n.f
+	if fu != nil {
+		s.e.FHit()
+	} else {
+		fu = s.e.F(n.t)
 	}
-	if isSolution {
-		// Without pruning, re-check the full smoothness condition.
-		isSolution = s.p.D.IsSmoothFinite(t) == nil
+	var gu fn.Tuple
+	if n.t.Len() == 0 && s.g0 != nil {
+		s.e.GHit()
+		gu = s.g0
+	} else {
+		gu = s.e.G(n.t)
 	}
-	return isSolution
+	return gu, fu.Equal(gu)
 }
 
-// expand generates the smooth sons of u. g(u) is evaluated at most once
-// per node — not once per candidate, and not at all when the Theorem 1
-// fast path admits every candidate — and each rejected candidate is a
-// whole subtree of the unpruned tree cut before any of it is expanded.
-// Each son is an O(1) persistent extension sharing u's spine.
+// classify decides the limit condition at a node, with the full
+// smoothness re-check the unpruned ablation requires, and returns g of
+// the node for its expansion.
+func (s *search) classify(n node, st *SearchStats) (fn.Tuple, bool) {
+	st.LimitChecks++
+	gu, isSolution := s.limit(n)
+	if isSolution && !s.p.Prune {
+		// With pruning, every node is reachable only through smooth
+		// edges, so the limit condition alone decides; without it,
+		// re-check the full smoothness condition.
+		isSolution = s.p.D.IsSmoothFinite(n.t) == nil
+	}
+	return gu, isSolution
+}
+
+// expand generates the smooth sons of u, given gu = g(u) from u's limit
+// check: g is never re-applied here, and the check's reuse of it is
+// counted once per node — not once per candidate, and not at all when
+// the Theorem 1 fast path admits every candidate. Each admitted son
+// carries the f its edge check computed. Each rejected candidate is a
+// whole subtree of the unpruned tree cut before any of it is expanded,
+// and each son is an O(1) persistent extension sharing u's spine.
 //
 // dst, when non-nil, supplies the son slots (the sequential walks pass
 // the search's reusable buffer); callers that retain the returned slice
 // past the next expand — the parallel search — must pass nil.
-func (s *search) expand(u trace.Trace, st *SearchStats, dst []trace.Trace) []trace.Trace {
+func (s *search) expand(u trace.Trace, gu fn.Tuple, st *SearchStats, dst []node) []node {
 	sons := dst
 	lvl := st.level(u.Len() + 1)
-	var gu fn.Tuple
-	guReady := false
+	guRead := false
 	for ci := range s.cands {
 		// Fast path (Theorem 1): a channel outside supp(f) means
 		// f(u·e) = f(u), and f(u) ⊑ g(u) holds at every admitted node, so
@@ -459,17 +498,17 @@ func (s *search) expand(u trace.Trace, st *SearchStats, dst []trace.Trace) []tra
 		c := &s.cands[ci]
 		auto := c.auto
 		for i, e := range c.es {
-			v := u.AppendPrehashed(e, c.hs[i])
+			v := node{t: u.AppendPrehashed(e, c.hs[i])}
 			st.EdgesChecked++
 			if s.p.Prune {
 				if auto {
 					st.Thm1AutoEdges++
 				} else {
-					if !guReady {
-						gu = s.e.G(u)
-						guReady = true
+					if !guRead {
+						s.e.GHit()
+						guRead = true
 					}
-					if !s.e.F(v).Leq(gu) {
+					if v.f = s.e.F(v.t); !v.f.Leq(gu) {
 						st.SubtreesPruned++
 						lvl.Pruned++
 						continue
@@ -478,7 +517,7 @@ func (s *search) expand(u trace.Trace, st *SearchStats, dst []trace.Trace) []tra
 			}
 			st.EdgesKept++
 			if sons == nil {
-				sons = make([]trace.Trace, 0, s.fanout)
+				sons = make([]node, 0, s.fanout)
 			}
 			sons = append(sons, v)
 		}
@@ -487,13 +526,13 @@ func (s *search) expand(u trace.Trace, st *SearchStats, dst []trace.Trace) []tra
 }
 
 // hasSon reports whether a depth-bound node has a smooth son, stopping at
-// the first witness. Failed candidates are pruned subtrees like expand's;
-// the witness is counted separately since it is never enqueued. A
-// Theorem-1 auto-admitted candidate is an immediate witness.
-func (s *search) hasSon(u trace.Trace, st *SearchStats) bool {
+// the first witness; gu is g(u) from the limit check, as for expand.
+// Failed candidates are pruned subtrees like expand's; the witness is
+// counted separately since it is never enqueued. A Theorem-1
+// auto-admitted candidate is an immediate witness.
+func (s *search) hasSon(u trace.Trace, gu fn.Tuple, st *SearchStats) bool {
 	lvl := st.level(u.Len() + 1)
-	var gu fn.Tuple
-	guReady := false
+	guRead := false
 	for ci := range s.cands {
 		c := &s.cands[ci]
 		auto := c.auto
@@ -505,9 +544,9 @@ func (s *search) hasSon(u trace.Trace, st *SearchStats) bool {
 				st.FrontierWitnesses++
 				return true
 			}
-			if !guReady {
-				gu = s.e.G(u)
-				guReady = true
+			if !guRead {
+				s.e.GHit()
+				guRead = true
 			}
 			if s.e.F(v).Leq(gu) {
 				st.FrontierWitnesses++
@@ -532,7 +571,7 @@ func (r Result) Contains(t trace.Trace) bool {
 
 // SolutionKeys returns the canonical strings of all solutions, sorted —
 // convenient for table-driven tests. These are the human-readable
-// renderings (Trace.String), not the (hash, length) memo keys.
+// renderings (Trace.String), not the (hash, length) trace keys.
 func (r Result) SolutionKeys() []string {
 	keys := make([]string, len(r.Solutions))
 	for i, s := range r.Solutions {
@@ -566,19 +605,20 @@ func IsTreeNode(d desc.Description, t trace.Trace) bool {
 //
 // The tree is explored exactly once: each dequeued node is classified by
 // the limit condition during the same walk that checks the inductive
-// step along its out-edges, sharing one memoized evaluator — there is no
-// second Enumerate pass.
+// step along its out-edges, carrying f and g down the tree as Enumerate
+// does — there is no second Enumerate pass.
 func CheckInduction(ctx context.Context, p Problem, phi func(trace.Trace) bool) error {
 	if !phi(trace.Empty) {
 		return errors.New("solver: induction base φ(⊥) fails")
 	}
 	s := newSearch(p, true)
 	var st SearchStats
-	queue := []trace.Trace{root}
+	queue := []node{s.rootNode()}
 	nodes := 0
 	var unsound error
 	for len(queue) > 0 {
-		u := queue[0]
+		n := queue[0]
+		u := n.t
 		queue = queue[1:]
 		nodes++
 		if err := ctx.Err(); err != nil {
@@ -593,14 +633,15 @@ func CheckInduction(ctx context.Context, p Problem, phi func(trace.Trace) bool) 
 		// anywhere in the walk take precedence, matching the rule's
 		// reading (an unsound conclusion only matters once the premises
 		// are discharged).
-		if unsound == nil && s.classify(u, &st) && !phi(u) {
+		gu, solution := s.classify(n, &st)
+		if unsound == nil && solution && !phi(u) {
 			unsound = fmt.Errorf("solver: induction rule unsound?! φ fails on smooth solution %s", u)
 		}
 		if u.Len() >= p.MaxDepth {
 			continue
 		}
-		for _, v := range s.expand(u, &st, s.sonBuf[:0]) {
-			if err := p.D.InductionPremise(phi, u, v); err != nil {
+		for _, v := range s.expand(u, gu, &st, s.sonBuf[:0]) {
+			if err := p.D.InductionPremise(phi, u, v.t); err != nil {
 				return err
 			}
 			queue = append(queue, v)

@@ -82,7 +82,8 @@ type SearchStats struct {
 	Levels []LevelStats `json:"levels,omitempty"`
 
 	// Eval is the description evaluator's account: f/g applications,
-	// memo hits, and where evaluation time went.
+	// hits (reads of a value carried down a tree edge), and where
+	// evaluation time went.
 	Eval desc.EvalSnapshot `json:"eval"`
 
 	// Elapsed is the wall-clock duration of the search.
@@ -178,7 +179,6 @@ func (s SearchStats) Report() report.Stats {
 	memo.Add("cache misses", s.Eval.CacheMisses(), "")
 	memo.Add("f applications", s.Eval.FApplies, "")
 	memo.Add("g applications", s.Eval.GApplies, "")
-	memo.Add("inflight waits", s.Eval.InflightWaits, "sched")
 	if s.CompiledEval {
 		// Only rendered when on, so interpreted-run goldens are unchanged.
 		memo.AddInt("compiled eval", 1)
@@ -207,19 +207,17 @@ func (s SearchStats) Report() report.Stats {
 	return report.Stats{Sections: sections}
 }
 
-// Deterministic returns a copy with every scheduling-, timing- and
+// Deterministic returns a copy with every timing- and
 // configuration-dependent field zeroed: Workers and CompiledEval (run
-// configuration), Elapsed, and the evaluator's wall-clock and
-// in-flight-wait readings. Two searches of the same
-// problem — sequential or parallel, at any worker count, compiled or
-// interpreted — produce equal Deterministic views; the parity suite,
-// the differential suite and the CI smoke assertion compare exactly
-// this.
+// configuration), Elapsed, and the evaluator's wall-clock readings. Two
+// searches of the same problem — sequential or parallel, at any worker
+// count, compiled or interpreted — produce equal Deterministic views;
+// the parity suite, the differential suite and the CI smoke assertion
+// compare exactly this.
 func (s SearchStats) Deterministic() SearchStats {
 	s.Workers = 0
 	s.CompiledEval = false
 	s.Elapsed = 0
-	s.Eval.InflightWaits = 0
 	s.Eval.FNanos = 0
 	s.Eval.GNanos = 0
 	return s

@@ -2,7 +2,6 @@ package solver
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"smoothproc/internal/desc"
@@ -92,38 +91,6 @@ func TestStatsPrunedNonzero(t *testing.T) {
 	}
 	if lvlPruned != res.Stats.SubtreesPruned {
 		t.Errorf("level pruned %d ≠ total %d", lvlPruned, res.Stats.SubtreesPruned)
-	}
-}
-
-// TestMemoizationTransparent: the memo ablation — identical results with
-// the cache on and off, and the expected stats signature (hits only with
-// the cache, more applications without).
-func TestMemoizationTransparent(t *testing.T) {
-	on := dfmProblem(5)
-	off := dfmProblem(5)
-	off.Memoize = false
-	ron, roff := Enumerate(context.Background(), on), Enumerate(context.Background(), off)
-	if ron.Nodes != roff.Nodes {
-		t.Errorf("nodes: memo %d vs direct %d", ron.Nodes, roff.Nodes)
-	}
-	for i := range ron.Visited {
-		if !ron.Visited[i].Equal(roff.Visited[i]) {
-			t.Fatalf("visited order diverges at %d", i)
-		}
-	}
-	a, b := ron.SolutionKeys(), roff.SolutionKeys()
-	if fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Errorf("solutions diverge: %v vs %v", a, b)
-	}
-	if ron.Stats.Eval.CacheHits() == 0 {
-		t.Error("memoized run recorded no hits")
-	}
-	if roff.Stats.Eval.CacheHits() != 0 {
-		t.Error("unmemoized run recorded hits")
-	}
-	if roff.Stats.Eval.CacheMisses() <= ron.Stats.Eval.CacheMisses() {
-		t.Errorf("memoization saved no applications: %d vs %d",
-			ron.Stats.Eval.CacheMisses(), roff.Stats.Eval.CacheMisses())
 	}
 }
 
@@ -241,25 +208,5 @@ func TestStatsReportRendering(t *testing.T) {
 		if sec.Name == "timing" {
 			t.Error("timing survived Deterministic()")
 		}
-	}
-}
-
-func BenchmarkMemoization(b *testing.B) {
-	for _, depth := range []int{6, 8} {
-		on := dfmProblem(depth)
-		off := dfmProblem(depth)
-		off.Memoize = false
-		b.Run(fmt.Sprintf("memo-depth-%d", depth), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				Enumerate(context.Background(), on)
-			}
-		})
-		b.Run(fmt.Sprintf("direct-depth-%d", depth), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				Enumerate(context.Background(), off)
-			}
-		})
 	}
 }

@@ -132,8 +132,9 @@ type Plan struct {
 	NodesBound    uint64 `json:"nodes_bound"`
 	MinNodesBound uint64 `json:"min_nodes_bound"`
 	// Shareability estimates the fraction of candidate evaluations the
-	// search's prefix memoization avoids — an estimate from prefix
-	// structure, not a sound bound.
+	// search avoids by carrying f and g down tree edges instead of
+	// re-applying them — an estimate from prefix structure, not a sound
+	// bound.
 	Shareability float64 `json:"shareability"`
 	// LoweredSides counts description sides that lowered to descvm
 	// bytecode (and passed the static verifier); VerifyError reports a
@@ -280,10 +281,10 @@ func geomSum(b uint64, d int) uint64 {
 	return total
 }
 
-// shareability estimates the fraction of side evaluations the search's
-// prefix memoization avoids at depth d. Unmemoized, every candidate
-// edge evaluates f at the son and g at the parent (2E for E candidate
-// edges); memoized, each distinct son evaluates f once (E) and each
+// shareability estimates the fraction of side evaluations the search
+// avoids at depth d by carrying values down tree edges. Naively, every
+// candidate edge evaluates f at the son and g at the parent (2E for E
+// candidate edges); carried, each son evaluates f once (E) and each
 // node evaluates g once (N). The estimate is 1 − (E+N)/2E.
 func (p *Plan) shareability(d int) float64 {
 	if !p.BaseHolds {

@@ -3,8 +3,8 @@
 // written once, parents before children — and the traces in the body are
 // varint references into that pool, so the prefix sharing that makes the
 // §3.3 search's trace storage O(N) survives serialization byte for byte.
-// A solver checkpoint whose frontier, memo and result all hang off one
-// spine costs one pool on disk, not one copy per retained trace.
+// A solver checkpoint whose frontier and result all hang off one spine
+// costs one pool on disk, not one copy per retained trace.
 //
 // Integrity: the rolling structural hash is deliberately NOT stored per
 // node. The decoder rebuilds every node through AppendPrehashed — the
@@ -12,7 +12,7 @@
 // and every trace reference carries the 64-bit Key the encoder observed.
 // A decoded reference whose recomputed Key differs from the stored one
 // fails closed with a *CodecError (wrapping ErrCorrupt); it can never
-// silently produce a trace whose memo key disagrees with its events.
+// silently produce a trace whose Key disagrees with its events.
 // Decoding never panics on corrupt input: every length, reference and
 // offset is bounds-checked first (the codec fuzz suite hammers this).
 package trace

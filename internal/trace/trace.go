@@ -15,8 +15,8 @@
 // Section 3.3 tree search materialises every node of a tree whose nodes
 // share almost all of their prefix, this turns the search's O(N·depth)
 // trace storage into O(N). Each node also carries an incrementally
-// maintained 64-bit structural hash, so Key — the (hash, length) memo
-// key used by the solver stack — is O(1). See DESIGN.md ("Persistent
+// maintained 64-bit structural hash, so Key — the (hash, length) map
+// key for traces — is O(1). See DESIGN.md ("Persistent
 // traces and the trace cpo") for why sharing is sound.
 package trace
 
@@ -65,7 +65,7 @@ const emptyHash uint64 = 0xcbf29ce484222325
 // Trace is a finite communication history. The zero Trace is ⊥ (the
 // empty trace). Traces are immutable persistent values: extending one
 // never copies or invalidates another, so they may be shared freely
-// across solver nodes, memo entries and histories. Compare traces with
+// across solver nodes, checkpoints and histories. Compare traces with
 // Equal/Leq, never with ==.
 type Trace struct {
 	end *node // nil for ⊥
@@ -324,15 +324,15 @@ func (t Trace) String() string {
 // Key is a compact map key for a trace: the incrementally maintained
 // structural hash mixed with the length into one word. Building one is
 // O(1), and a single-word key takes the runtime map's fast uint64 path —
-// measurably cheaper than hashing a two-field struct in memo-bound
-// searches. Two equal traces always have equal Keys; distinct traces
-// collide only on a 64-bit hash collision, so every consumer (the
-// evaluator memo, caches) must treat buckets as candidate sets and
-// confirm with Trace.Equal — the equality fallback. See DESIGN.md on
+// measurably cheaper than hashing a two-field struct in map-bound code.
+// Two equal traces always have equal Keys; distinct traces collide only
+// on a 64-bit hash collision, so every consumer (the session delta's
+// dedup, caches) must treat buckets as candidate sets and confirm with
+// Trace.Equal — the equality fallback. See DESIGN.md on
 // hash-key transparency.
 type Key uint64
 
-// Key returns the memo key of t in O(1).
+// Key returns the map key of t in O(1).
 func (t Trace) Key() Key {
 	if t.end == nil {
 		return Key(value.HashMix(emptyHash, 0))

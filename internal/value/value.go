@@ -225,8 +225,8 @@ func (v Value) String() string {
 }
 
 // AppendTo appends String's rendering of v to b and returns the extended
-// slice. Hot paths (trace keys in the solver's memoized evaluator) use
-// this to render values without intermediate string allocations.
+// slice. Hot paths use this to render values without intermediate
+// string allocations.
 func (v Value) AppendTo(b []byte) []byte {
 	switch v.kind {
 	case KindInt:
@@ -282,7 +282,7 @@ func HashString(h uint64, s string) uint64 {
 
 // Hash64 returns a 64-bit structural hash of v: equal values hash equal,
 // and the hash is computed from the structure directly (no rendering).
-// It backs the O(1) (hash, length) memo keys of package trace.
+// It backs the O(1) (hash, length) keys of package trace.
 func (v Value) Hash64() uint64 {
 	switch v.kind {
 	case KindInt:

@@ -66,8 +66,9 @@ func measure(name string, bench func(b *testing.B)) perfEntry {
 // two specs with the deepest trees among the shipped examples, each
 // interpreted and compiled (the descvm acceptance workloads), plus
 // EnumerateParallel on the widest one at 1 and 4 workers: at one worker
-// it is the sequential search and must cost what enumerate costs; at
-// four it spreads each queue window over the workers.
+// it is the sequential search and must cost what enumerate-compiled
+// costs; at four it spreads each queue window over the workers. Every
+// leg but enumerate runs on bytecode, the default.
 func solverWorkloads(t *testing.T) map[string]func(b *testing.B) {
 	t.Helper()
 	out := map[string]func(b *testing.B){}
@@ -80,10 +81,15 @@ func solverWorkloads(t *testing.T) map[string]func(b *testing.B) {
 		if err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}
+		// enumerate is the interpreter leg: bytecode is the default, so
+		// the problem opts out explicitly to keep measuring what its
+		// baseline recorded.
 		out[spec+"/enumerate"] = func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res := solver.Enumerate(context.Background(), prog.Problem())
+				p := prog.Problem()
+				p.Compiled = false
+				res := solver.Enumerate(context.Background(), p)
 				if len(res.Solutions) == 0 && len(res.Frontier) == 0 {
 					b.Fatal("search found nothing")
 				}
