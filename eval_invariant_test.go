@@ -5,11 +5,14 @@
 // and again at v's limit check, and f(⊥), g(⊥) once more when the
 // Theorem 1 induction-base check runs. Every need is either an
 // application or a hit, and nothing is ever applied twice, however
-// large the search: the books below balance exactly.
+// large the search: the books below balance exactly. Sample's random
+// walks keep the f book too: each walk reads f once per limit check and
+// once per evaluated edge, with f(⊥) carried from the base check.
 package smoothproc_test
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -20,16 +23,25 @@ import (
 )
 
 // checkEvalCounts asserts the invariant on a pruned search of p:
-// GApplies = LimitChecks, and FApplies + FHits = LimitChecks +
-// EdgesChecked − Thm1AutoEdges (+1 when the induction-base check ran).
+// GApplies = LimitChecks, and the f book of checkFReads.
 func checkEvalCounts(t *testing.T, what string, p solver.Problem, res solver.Result) {
 	t.Helper()
 	st := res.Stats
-	if !p.Prune {
-		t.Fatalf("%s: the invariant is stated for pruned searches", what)
-	}
 	if got, want := st.Eval.GApplies, int64(st.LimitChecks); got != want {
 		t.Errorf("%s: g applied %d times for %d limit checks", what, got, want)
+	}
+	checkFReads(t, what, p, st)
+}
+
+// checkFReads asserts the f book on a pruned search or walk of p:
+// FApplies + FHits = LimitChecks + EdgesChecked − Thm1AutoEdges (+1 when
+// the induction-base check ran). It is all Sample's walks keep: each
+// walk re-reads g(⊥), so their g applications fall short of their limit
+// checks whenever the base check supplied it.
+func checkFReads(t *testing.T, what string, p solver.Problem, st solver.SearchStats) {
+	t.Helper()
+	if !p.Prune {
+		t.Fatalf("%s: the invariant is stated for pruned searches", what)
 	}
 	want := int64(st.LimitChecks + st.EdgesChecked - st.Thm1AutoEdges)
 	if p.Thm1 && !p.D.F.Omega {
@@ -79,6 +91,10 @@ func TestEvalCountInvariantAcrossSpecs(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkEvalCounts(t, w+" capture → final resume", full, res)
+			}
+			for seed := int64(1); seed <= 3; seed++ {
+				sr := solver.Sample(ctx, full, solver.SampleOpts{Seed: seed})
+				checkFReads(t, fmt.Sprintf("sample seed %d", seed), full, sr.Stats)
 			}
 		})
 	}

@@ -15,9 +15,8 @@ import (
 // function value, so it names the function the way fn.SeqLower names a
 // sequence primitive. Caching keeps repeated searches of one
 // description — the service's steady state, benchmark loops — from
-// re-lowering per search, and shares the compiled program's warm frame
-// pool across searches. Sound because Progs are immutable and safe for
-// concurrent Eval.
+// re-lowering per search. Sound because Progs are immutable: every
+// goroutine evaluates one through a Session of its own.
 var progCache sync.Map // *fn.TraceIR → *Prog
 
 // progCacheLimit bounds progCache. Long-lived processes hold a handful
@@ -85,7 +84,6 @@ func compile(f fn.TraceFn) (*Prog, bool) {
 		len(p.outs) == 1 && p.outs[0] == p.code[0].dst {
 		p.soloChan = int(p.code[0].a)
 	}
-	p.frames.New = func() any { return newFrame(p) }
 	return p, true
 }
 

@@ -11,17 +11,19 @@ import (
 	"smoothproc/internal/value"
 )
 
-// checkAgainstInterpreter compiles f and compares Eval against Apply on
-// every given trace, in order — the order matters, because it drives the
-// frame's base cache through its hit and miss paths.
+// checkAgainstInterpreter compiles f and compares one Session's Eval
+// against Apply on every given trace, in order — the order matters,
+// because it drives the frames' base caches through their hit, adopt and
+// reload paths.
 func checkAgainstInterpreter(t *testing.T, f fn.TraceFn, traces []trace.Trace) {
 	t.Helper()
 	p, ok := Compile(f)
 	if !ok {
 		t.Fatalf("%s: did not compile", f.Name)
 	}
+	s := p.NewSession()
 	for i, tr := range traces {
-		got, want := p.Eval(tr), f.Apply(tr)
+		got, want := s.Eval(tr), f.Apply(tr)
 		if !got.Equal(want) {
 			t.Fatalf("%s: trace %d %s:\ncompiled    %v\ninterpreted %v\n%s",
 				f.Name, i, tr, got, want, p.Disasm())
@@ -165,6 +167,7 @@ func TestEvalMatchesInterpreterRandom(t *testing.T) {
 	if !ok {
 		t.Fatal("composite did not compile")
 	}
+	s := p.NewSession()
 	rng := rand.New(rand.NewSource(1))
 	chans := []string{"a", "b", "x"}
 	vals := []value.Value{value.Int(0), value.Int(1), value.Int(2), value.T, value.F}
@@ -174,13 +177,13 @@ func TestEvalMatchesInterpreterRandom(t *testing.T) {
 			u = u.Append(trace.E(chans[rng.Intn(len(chans))], vals[rng.Intn(len(vals))]))
 		}
 		// Evaluate the parent then a burst of sons, mimicking expand:
-		// the first eval misses the frame cache, the rest hit it.
+		// the first eval may miss the frame caches, the rest hit them.
 		evals := []trace.Trace{u}
 		for k := 0; k < 3; k++ {
 			evals = append(evals, u.Append(trace.E(chans[rng.Intn(len(chans))], vals[rng.Intn(len(vals))])))
 		}
 		for _, tr := range evals {
-			if got, want := p.Eval(tr), f.Apply(tr); !got.Equal(want) {
+			if got, want := s.Eval(tr), f.Apply(tr); !got.Equal(want) {
 				t.Fatalf("iter %d, trace %s:\ncompiled    %v\ninterpreted %v", iter, tr, got, want)
 			}
 		}
@@ -194,12 +197,13 @@ func TestEvalMatchesInterpreterRandom(t *testing.T) {
 func TestOutputsAreFresh(t *testing.T) {
 	f := buildComposite()
 	p, _ := Compile(f)
+	s := p.NewSession()
 	t1 := trace.Of(trace.E("a", value.Int(2)), trace.E("b", value.T), trace.E("a", value.Int(4)))
-	first := p.Eval(t1)
+	first := s.Eval(t1)
 	want := f.Apply(t1)
-	// Hammer the same pooled frame with different inputs.
+	// Hammer the same session's frames with different inputs.
 	for i := 0; i < 50; i++ {
-		p.Eval(trace.Of(trace.E("a", value.Int(int64(i))), trace.E("b", value.F)))
+		s.Eval(trace.Of(trace.E("a", value.Int(int64(i))), trace.E("b", value.F)))
 	}
 	if !first.Equal(want) {
 		t.Fatalf("earlier result mutated by later evaluations:\n got %v\nwant %v", first, want)
@@ -212,12 +216,13 @@ func TestOutputsAreFresh(t *testing.T) {
 func TestOmegaTracksRawLength(t *testing.T) {
 	f := fn.OmegaConstFn("zeros", seq.OfInts(0))
 	p, _ := Compile(f)
+	s := p.NewSession()
 	u := trace.Empty
 	for i := 0; i < 5; i++ {
-		if got, want := p.Eval(u), f.Apply(u); !got.Equal(want) {
+		if got, want := s.Eval(u), f.Apply(u); !got.Equal(want) {
 			t.Fatalf("len %d: %v != %v", i, got, want)
 		}
-		if got := p.Eval(u)[0].Len(); got != u.Len()+fn.OmegaPad {
+		if got := s.Eval(u)[0].Len(); got != u.Len()+fn.OmegaPad {
 			t.Fatalf("len %d: approximation depth %d, want %d", i, got, u.Len()+fn.OmegaPad)
 		}
 		u = u.Append(trace.E("unread", value.Int(int64(i))))

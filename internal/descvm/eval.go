@@ -10,11 +10,10 @@ import (
 // frame is the mutable state of one evaluation: the register file, the
 // per-register scratch buffers the specialized opcodes write through,
 // and the incrementally maintained channel histories of a cached base
-// trace. Frames live in the Prog's sync.Pool: Eval takes one, runs, and
-// returns it, so a goroutine repeatedly evaluating neighbours of the
-// same parent — the breadth-first search's access pattern — keeps
-// getting its own warm frame back and extends the histories in O(1)
-// instead of re-walking the trace spine.
+// trace. Frames belong to a Session, so a goroutine repeatedly
+// evaluating neighbours of the same parent — the breadth-first search's
+// access pattern — finds its frame warm and extends the histories in
+// O(1) instead of re-walking the trace spine.
 type frame struct {
 	regs     []seq.Seq
 	scratch  [][]value.Value
@@ -23,14 +22,6 @@ type frame struct {
 
 	base      trace.Trace // the trace whose histories chanVals holds
 	baseValid bool
-}
-
-func newFrame(p *Prog) *frame {
-	return &frame{
-		regs:     make([]seq.Seq, p.nregs),
-		scratch:  make([][]value.Value, p.nregs),
-		chanVals: make([][]value.Value, len(p.chans)),
-	}
 }
 
 // load rebuilds the frame's channel histories for base: one walk of the
@@ -49,31 +40,15 @@ func (p *Prog) load(fr *frame, base trace.Trace) {
 	fr.baseValid = true
 }
 
-// Eval applies the compiled function to t, returning a Tuple the caller
-// owns (components never alias frame state). It is safe for concurrent
-// use; see TestEvalConcurrent for the race check.
-//
-// The frame cache keys on parent(t): a full spine walk happens only
-// when the parent changes, so evaluating all sons u·e of one node, or
-// sibling nodes u1, u2 of one parent in BFS order, costs one walk per
-// parent group plus an O(1) push/pop per evaluation.
-func (p *Prog) Eval(t trace.Trace) fn.Tuple {
-	fr := p.frames.Get().(*frame)
-	out := p.evalFrame(fr, t)
-	p.frames.Put(fr)
-	return out
-}
-
 // Session is a single-goroutine evaluation handle owning two dedicated
-// frames. A sequential search evaluating one side thousands of times
-// skips the pool round-trip per call, and — unlike pooled frames, which
-// the GC clears between cycles — its base caches survive the whole
-// search. Two frames because the breadth-first search alternates
-// between two bases per node: the limit check evaluates at the node
-// (base = its parent's level) and the expansion evaluates the node's
-// sons (base = the node); with a single frame each alternation would
-// re-walk a spine, with two both bases stay warm. Not safe for
-// concurrent use; concurrent callers use Prog.Eval.
+// frames, and the only way to run a Prog: goroutines sharing one Prog
+// each evaluate through a Session of their own. A search evaluating one
+// side thousands of times keeps both frames' base caches for its whole
+// run. Two frames because the breadth-first search alternates between
+// two bases per node: the limit check evaluates at the node (base = its
+// parent's level) and the expansion evaluates the node's sons (base =
+// the node); with a single frame each alternation would re-walk a
+// spine, with two both bases stay warm. Not safe for concurrent use.
 type Session struct {
 	p        *Prog
 	fr, prev *frame // most- and second-most-recently used
@@ -98,7 +73,13 @@ func (p *Prog) NewSession() *Session {
 	return &blk.s
 }
 
-// Eval is Prog.Eval through the session's dedicated frames.
+// Eval applies the compiled function to t, returning a Tuple the caller
+// owns (components never alias frame state).
+//
+// The frame caches key on parent(t): a full spine walk happens only
+// when the parent changes, so evaluating all sons u·e of one node, or
+// sibling nodes u1, u2 of one parent in BFS order, costs one walk per
+// parent group plus an O(1) push/pop per evaluation.
 //
 // The search's bases drift by O(1) edits — a node's expansion base
 // extends its limit-check base by one event, and consecutive nodes of
@@ -167,18 +148,6 @@ func (fr *frame) adopt(p *Prog, parent trace.Trace, n int) bool {
 	}
 	fr.base = parent
 	return true
-}
-
-func (p *Prog) evalFrame(fr *frame, t trace.Trace) fn.Tuple {
-	n := t.Len()
-	parent := trace.Empty
-	if n > 0 {
-		parent = t.Take(n - 1)
-	}
-	if !fr.matches(parent, n-1) {
-		p.load(fr, parent)
-	}
-	return p.execAt(fr, t, n)
 }
 
 // execAt runs the program for t on a frame whose base is parent(t):

@@ -95,11 +95,12 @@ func FuzzEvalMatchesInterpreter(f *testing.F) {
 		if !ok {
 			t.Fatalf("%s: fuzz grammar produced a non-lowerable function", tf.Name)
 		}
+		s := p.NewSession()
 		u := fuzzTrace(events)
 		evals := u.Prefixes()
 		evals = append(evals, u, u)
 		for i, tr := range evals {
-			got, want := p.Eval(tr), tf.Apply(tr)
+			got, want := s.Eval(tr), tf.Apply(tr)
 			if !got.Equal(want) {
 				t.Fatalf("%s: eval %d of %s:\ncompiled    %v\ninterpreted %v\n%s",
 					tf.Name, i, tr, got, want, p.Disasm())
@@ -133,7 +134,7 @@ func FuzzVerifyNeverRejectsCompiled(f *testing.F) {
 		}
 		// The program must also actually evaluate: Verify accepting a
 		// prog Eval would crash on would be vacuous.
-		if got := p.Eval(fuzzTrace(ops)); got.Width() != tf.Out {
+		if got := p.NewSession().Eval(fuzzTrace(ops)); got.Width() != tf.Out {
 			t.Fatalf("%s: eval width %d, want %d", tf.Name, got.Width(), tf.Out)
 		}
 	})

@@ -9,28 +9,29 @@
 // executed by a small VM, with three structural wins the interpreter
 // cannot have:
 //
-//   - one spine walk per parent group: the VM frame caches the channel
-//     histories of a base trace and extends them in O(1) for each
+//   - one spine walk per parent group: a Session's frames cache the
+//     channel histories of a base trace and extend them in O(1) for each
 //     sibling or son evaluated next — exactly the access pattern of the
 //     breadth-first search, where one g(u) application feeds every son
 //     u·e — instead of re-walking the trace per channel per evaluation;
 //   - common-subexpression elimination: a channel history or a lowered
 //     sub-function used by several equations of a system is computed
 //     once per evaluation, keyed on constructor identity (see fn.SeqLower);
-//   - pooled intermediates: every instruction writes through a reusable
-//     per-register scratch buffer, so an evaluation allocates only its
-//     returned Tuple (one backing array plus the Tuple header).
+//   - reused intermediates: every instruction writes through a
+//     per-register scratch buffer the frame keeps, so an evaluation
+//     allocates only its returned Tuple (one backing array plus the
+//     Tuple header).
 //
-// Compiled and interpreted evaluation are observably identical — the
-// differential suites (this package's tests, the eqlang corpus fuzz and
-// the root parity suite) hold them equal on every input, and the solver
-// keeps the interpreter as the oracle.
+// A Session is the one way to run a program. Compiled and interpreted
+// evaluation are observably identical — the differential suites (this
+// package's tests, the eqlang corpus fuzz and the root parity suite)
+// hold them equal on every input, and the solver keeps the interpreter
+// as the oracle.
 package descvm
 
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"smoothproc/internal/fn"
 	"smoothproc/internal/seq"
@@ -82,8 +83,9 @@ type instr struct {
 // Prog is a compiled description function: a flat instruction sequence
 // over virtual registers, with operand tables for channels, constants
 // and the Go closures of the lowered primitives. A Prog is immutable
-// after Compile and safe for concurrent Eval: mutable evaluation state
-// lives in pooled frames (eval.go), never in the Prog.
+// after Compile, so goroutines may share one: all mutable evaluation
+// state lives in the frames of a Session (eval.go), one per goroutine,
+// never in the Prog.
 type Prog struct {
 	code   []instr
 	nregs  int
@@ -106,8 +108,6 @@ type Prog struct {
 	bifns  []fn.BiSeqFn
 
 	names []string // per-instruction label for Disasm
-
-	frames sync.Pool
 }
 
 // NumRegs returns the register count — exposed for the opcode tests.

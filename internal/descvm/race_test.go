@@ -7,12 +7,16 @@ import (
 	"smoothproc/internal/fn"
 )
 
-// TestEvalConcurrent exercises concurrent Eval on one Prog — the
-// safe-for-concurrent-use property Prog.Eval claims: all mutable state
-// lives in pooled frames, never in the Prog. CI runs this under -race.
+// TestEvalConcurrent shares one Prog across goroutines, each evaluating
+// through a Session of its own — the parallel search's pattern, one
+// session per worker. A Prog is immutable after Compile and all mutable
+// state lives in session frames; CI runs this under -race.
 func TestEvalConcurrent(t *testing.T) {
 	f := buildComposite()
-	p, _ := Compile(f)
+	p, ok := Compile(f)
+	if !ok {
+		t.Fatal("composite did not compile")
+	}
 	traces := sampleTraces()
 	want := make([]fn.Tuple, len(traces))
 	for i, tr := range traces {
@@ -23,9 +27,10 @@ func TestEvalConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			s := p.NewSession()
 			for rep := 0; rep < 50; rep++ {
 				for i, tr := range traces {
-					if got := p.Eval(tr); !got.Equal(want[i]) {
+					if got := s.Eval(tr); !got.Equal(want[i]) {
 						t.Errorf("worker %d: trace %s: %v != %v", w, tr, got, want[i])
 						return
 					}

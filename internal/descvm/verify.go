@@ -25,7 +25,8 @@ func Verify(p *Prog) error {
 	if p.nregs != len(p.code) {
 		// The compiler allocates exactly one fresh register per emitted
 		// instruction; a mismatch means registers that are never written
-		// (reads of them would see stale pool contents) or double writes.
+		// (reads of them would see a previous evaluation's frame state) or
+		// double writes.
 		return fmt.Errorf("descvm: verify: %d registers for %d instructions", p.nregs, len(p.code))
 	}
 	if len(p.stable) != len(p.code) {

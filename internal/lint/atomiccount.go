@@ -16,10 +16,10 @@ import (
 //     them — everything else must go through Inc/Add/Load/Observe. A
 //     stray direct Store can silently un-monotonic a counter.
 //
-//  2. solver.SearchStats and solver.LevelStats fields may be written
-//     only by package solver itself. The stats are exported so reports
-//     and baselines can read them; a write from outside the search
-//     would cook the books the baseline gate audits.
+//  2. solver.SearchStats, solver.LevelStats and solver.EvalStats
+//     fields may be written only by package solver itself. The stats
+//     are exported so reports and baselines can read them; a write from
+//     outside the search would cook the books the baseline gate audits.
 var AtomicCount = &Analyzer{
 	Name: "atomiccount",
 	Doc:  "search/metrics counters are touched only via their accessors: no atomic field access outside owner methods, no SearchStats writes outside the solver",
@@ -97,8 +97,8 @@ func checkAtomicField(pass *Pass, sel *ast.SelectorExpr, recv *types.Named) {
 		ownerName, field.Name(), ownerName)
 }
 
-// checkStatsWrite flags assignments and ++/-- on SearchStats/LevelStats
-// fields from outside the solver package.
+// checkStatsWrite flags assignments and ++/-- on SearchStats, LevelStats
+// and EvalStats fields from outside the solver package.
 func checkStatsWrite(pass *Pass, lhs ast.Expr) {
 	if pass.Pkg.Path() == solverPath {
 		return
@@ -111,7 +111,7 @@ func checkStatsWrite(pass *Pass, lhs ast.Expr) {
 	if !ok {
 		return
 	}
-	for _, name := range []string{"SearchStats", "LevelStats"} {
+	for _, name := range []string{"SearchStats", "LevelStats", "EvalStats"} {
 		if namedType(tv.Type, solverPath, name) {
 			pass.Reportf(sel.Sel.Pos(),
 				"write to solver.%s.%s outside the solver; search statistics are read-only to consumers",

@@ -10,9 +10,10 @@ import (
 // ConcDoc polices concurrency claims in documentation. A doc comment
 // that promises a concurrency invariant — "safe for concurrent use",
 // "applied at most once per distinct …", determinism "at any worker
-// count" — is an API contract that only the race detector can audit:
-// the desc.Evaluator carried exactly such a comment through a release
-// in which racing workers double-applied f and g. This analyzer flags
+// count" — is an API contract that only the race detector can audit: an
+// early evaluator shared by the parallel search's workers carried
+// exactly such a comment through a release in which racing workers
+// double-applied f and g. This analyzer flags
 // any package-level or exported-declaration doc comment making such a
 // claim when the package directory contains no *race*_test.go file, so
 // every advertised invariant has a -race regression test living next to

@@ -145,20 +145,29 @@ func cook(st *solver.SearchStats) {
 	st.Visited = 7
 	lvl := st.Levels[0]
 	lvl.Pruned = 0
+	st.Eval.FApplies = 5
+	st.Eval.GHits++
 }
 
 func read(st solver.SearchStats) int {
-	return st.EdgesChecked + st.EdgesKept
+	return st.EdgesChecked + st.EdgesKept + int(st.Eval.CacheHits())
 }
 `
 	diags := checkSrc(t, "smoothproc/internal/fake", src, AtomicCount)
-	if len(diags) != 3 {
-		t.Fatalf("got %d findings, want 3 writes flagged: %v", len(diags), messages(diags))
+	if len(diags) != 5 {
+		t.Fatalf("got %d findings, want 5 writes flagged: %v", len(diags), messages(diags))
 	}
+	eval := 0
 	for _, d := range diags {
 		if !strings.Contains(d.Message, "read-only") {
 			t.Errorf("unexpected message %q", d.Message)
 		}
+		if strings.Contains(d.Message, "solver.EvalStats.") {
+			eval++
+		}
+	}
+	if eval != 2 {
+		t.Errorf("%d findings name solver.EvalStats, want 2: %v", eval, messages(diags))
 	}
 }
 

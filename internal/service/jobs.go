@@ -85,8 +85,9 @@ type Submission struct {
 	// TraceID is the request-scoped trace identifier threaded from the
 	// handler through the queue into the worker's context.
 	TraceID string
-	// AdmitNs is the handler-side admission span (decode, compile,
-	// admission control) in nanoseconds, reported in JobView's spans.
+	// AdmitNs is the handler-side admission span in nanoseconds, from
+	// handler entry to Submit (decode, compile or session lookup,
+	// admission control), reported in JobView's spans.
 	AdmitNs int64
 	// Run executes the search. Its context dies with the scheduler and
 	// after Timeout, and carries TraceID (see TraceID function).

@@ -133,13 +133,14 @@ func (s *Server) sessionParams(req SessionRequest) SolveParams {
 }
 
 // runSession schedules one session leg on the worker pool, waits for it
-// and writes the SessionView response. The solve runs under the job's
-// deadline: a timed-out leg returns its sound truncated result and the
-// session stays resumable from the retained queue.
-func (s *Server) runSession(w http.ResponseWriter, r *http.Request, hash string, e *sessionEntry, req SessionRequest) {
+// and writes the SessionView response. admitStart is the handler's entry
+// time, so the job's admit span covers decode and the session lookup.
+// The solve runs under the job's deadline: a timed-out leg returns its
+// sound truncated result and the session stays resumable from the
+// retained queue.
+func (s *Server) runSession(w http.ResponseWriter, r *http.Request, hash string, e *sessionEntry, req SessionRequest, admitStart time.Time) {
 	p := s.sessionParams(req)
 	var outcome session.Outcome
-	start := time.Now()
 	var estimate uint64
 	if e.plan != nil && p.Depth > 0 {
 		estimate = e.plan.MinNodes(p.Depth)
@@ -151,8 +152,9 @@ func (s *Server) runSession(w http.ResponseWriter, r *http.Request, hash string,
 		Timeout:  s.timeout(SolveRequest{TimeoutMs: req.TimeoutMs}),
 		Estimate: estimate,
 		TraceID:  s.traceOf(r),
-		AdmitNs:  time.Since(start).Nanoseconds(),
+		AdmitNs:  time.Since(admitStart).Nanoseconds(),
 		Run: func(ctx context.Context) (*SolveResult, error) {
+			start := time.Now()
 			// The prefix's nodes and solutions were counted by the legs that
 			// classified them; feed the counters only the growth.
 			prevNodes := e.sess.Nodes()
@@ -167,10 +169,19 @@ func (s *Server) runSession(w http.ResponseWriter, r *http.Request, hash string,
 			}
 			outcome = out
 			s.countSearch(res.Nodes-prevNodes, len(res.Solutions)-len(prevRes.Solutions))
+			switch out {
+			case session.Resumed:
+				s.sessionResumes.Inc()
+			case session.Replayed:
+				s.sessionReplays.Inc()
+			}
+			wire := wireResult(res, start)
 			// Checkpoint the advanced chain element while still on the
-			// worker, so legs whose client disconnected persist too.
+			// worker, so legs whose client disconnected persist and count
+			// too. The persist is outside the leg's elapsed time, which is
+			// the search's alone.
 			s.persistSession(hash, e)
-			return wireResult(res, start), nil
+			return wire, nil
 		},
 	})
 	if writeSubmitError(w, err) {
@@ -198,12 +209,6 @@ func (s *Server) runSession(w http.ResponseWriter, r *http.Request, hash string,
 		writeError(w, status, errors.New(view.Error))
 		return
 	}
-	switch outcome {
-	case session.Resumed:
-		s.sessionResumes.Inc()
-	case session.Replayed:
-		s.sessionReplays.Inc()
-	}
 	sv := sessionView(hash, e)
 	sv.Outcome = outcome.String()
 	sv.Result = view.Result
@@ -212,6 +217,7 @@ func (s *Server) runSession(w http.ResponseWriter, r *http.Request, hash string,
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
+	admitStart := time.Now()
 	var req SessionRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -225,7 +231,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if req.Depth <= 0 {
 		req.Depth = spec.prog.Depth
 	}
-	s.runSession(w, r, hash, e, req)
+	s.runSession(w, r, hash, e, req, admitStart)
 }
 
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
@@ -241,6 +247,7 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSessionResume(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
+	admitStart := time.Now()
 	hash := r.PathValue("hash")
 	e, ok := s.liveSession(w, r, hash)
 	if !ok {
@@ -255,7 +262,7 @@ func (s *Server) handleSessionResume(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("service: resume addresses the session by the path hash; drop source/spec_hash"))
 		return
 	}
-	s.runSession(w, r, hash, e, req)
+	s.runSession(w, r, hash, e, req, admitStart)
 }
 
 func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {

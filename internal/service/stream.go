@@ -68,6 +68,7 @@ func sseEvent(w http.ResponseWriter, event string, data any) error {
 // stream) but still warm it for later plain solves.
 func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
+	admitStart := time.Now()
 	var req SolveRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -90,7 +91,6 @@ func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 
 	buf := newStreamBuf()
 	key := resultKey{hash: hash, params: p}
-	admitStart := time.Now()
 	var estimate uint64
 	if spec.plan != nil {
 		estimate = spec.plan.MinNodes(p.Depth)

@@ -18,7 +18,7 @@
 // checked, FrontierWitnesses never counted). That expansion is exactly
 // the work a deeper cold solve does at those nodes, which is why a
 // capture at depth d resumed in Final mode to depth D > d reproduces the
-// cold depth-D fingerprint byte for byte, evaluator counters included
+// cold depth-D fingerprint byte for byte, evaluation counters included
 // (the root resume differential suite enforces this across all shipped
 // specs, at one worker and several). Since a stopped search commits
 // exactly the prefix it evaluated, this also holds for a capture that a
@@ -43,13 +43,14 @@ type frontierEntry struct {
 
 // Checkpoint is the retained state of a capture-mode search: the problem
 // (whose bounds track the latest leg), the shared search machinery — the
-// evaluator and interned candidates — the last leg's Result, the resume
-// frontier, and the pending queue of a truncated run.
+// sides' bytecode, the lead worker and the interned candidates — the
+// last leg's Result, the resume frontier, and the pending queue of a
+// truncated run. The Result carries every evaluation count so far; each
+// leg adds its workers' counts to it, so any leg may run at any worker
+// count and the counters stay byte-identical either way.
 //
 // A Checkpoint is not safe for concurrent use; callers that share one
-// (the session subsystem) serialize resumes. The evaluator inside is
-// always built in its multi-goroutine mode, so any leg may run at any
-// worker count — its apply/hit counters are byte-identical either way.
+// (the session subsystem) serialize resumes.
 type Checkpoint struct {
 	s        *search
 	done     Result

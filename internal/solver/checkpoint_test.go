@@ -45,7 +45,7 @@ func expectResultsEqual(t *testing.T, what string, got, want Result) {
 // TestCaptureResumeFinalMatchesCold is the core deepening contract: a
 // capture at depth d resumed in Final mode to depth D is byte-identical
 // to a cold plain solve at D — result slices, fingerprint counters and
-// evaluator hit/apply counts — across sequential and parallel legs in
+// evaluation hit/apply counts — across sequential and parallel legs in
 // every combination.
 func TestCaptureResumeFinalMatchesCold(t *testing.T) {
 	ctx := context.Background()
@@ -148,7 +148,7 @@ func TestCaptureBudgetResume(t *testing.T) {
 		}
 		// A window never outruns the node budget, so a truncated capture
 		// has evaluated exactly what it committed at any worker count:
-		// evaluator counters included, the resume matches cold.
+		// evaluation counters included, the resume matches cold.
 		expectResultsEqual(t, fmt.Sprintf("budget-resume-w%d", workers), res, cold)
 	}
 }

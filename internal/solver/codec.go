@@ -3,7 +3,7 @@
 // retained frontier, the pending queue — with the f each frontier son
 // and pending node carries, so a decoded checkpoint resumes to a solve
 // byte-identical to one that never left memory, deterministic
-// fingerprint (evaluator hit/miss counters included) and all. The blob
+// fingerprint (evaluation hit/miss counters included) and all. The blob
 // rides on the trace codec: every retained trace is a reference into
 // one shared node pool, so the prefix sharing between solutions,
 // frontier sons and visited lists costs one spine on disk, exactly as
@@ -13,9 +13,9 @@
 // sides and callbacks). DecodeCheckpoint takes a caller-supplied Problem
 // — rebuilt from the stored spec source — and verifies the stored search
 // flags against it, overriding only the bounds the blob carries. The
-// evaluator is reconstructed by re-running newSearch (the Theorem 1
+// search machinery is rebuilt by re-running newSearch (the Theorem 1
 // induction base check re-evaluates both sides at ⊥, as a live capture's
-// constructor did) and then seeded with the exact counter baselines.
+// constructor did); the counters come from the encoded Result alone.
 package solver
 
 import (
@@ -156,13 +156,10 @@ func decodeCheckpoint(d *trace.Decoder, p Problem) (*Checkpoint, error) {
 	// Rebuild the search machinery. The constructor may run the Theorem 1
 	// induction base check, applying both sides at ⊥ again (sides are
 	// pure, so the root of a capture cut before its first node reads the
-	// same values); SeedSnapshot then pins the apply/hit counters to
-	// exactly the captured values.
-	s := newSearch(p, false)
-	s.e.SeedSnapshot(res.Stats.Eval)
-
+	// same values). It counts nothing: the decoded result already holds
+	// every application and hit the captured legs made.
 	return &Checkpoint{
-		s:        s,
+		s:        newSearch(p),
 		done:     res,
 		frontier: frontier,
 		pending:  pending,

@@ -14,7 +14,7 @@ import (
 // checkpoint is indistinguishable from the live one — stored result,
 // frontier/pending shape, the f each retained son carries — and a Final
 // resume from it is byte-identical to a cold solve at the target depth,
-// evaluator hit/apply counters included.
+// evaluation hit/apply counters included.
 func TestCheckpointCodecRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	const capDepth, fullDepth = 2, 5
@@ -256,7 +256,7 @@ func TestCheckpointCodecResumeParity(t *testing.T) {
 func TestCheckpointCodecEqualStats(t *testing.T) {
 	// The decoded checkpoint's full (non-Deterministic) counter set for
 	// the deterministic fields must equal the live one; spot-check the
-	// eval snapshot directly since fingerprints hang off it.
+	// eval stats directly since fingerprints hang off them.
 	_, cp := EnumerateCapture(context.Background(), dfmProblem(3), 1)
 	blob, err := cp.Encode()
 	if err != nil {
@@ -266,10 +266,10 @@ func TestCheckpointCodecEqualStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := cp.s.e.Snapshot()
-	got := dec.s.e.Snapshot()
+	live := cp.Result().Stats.Eval
+	got := dec.Result().Stats.Eval
 	live.FNanos, live.GNanos, got.FNanos, got.GNanos = 0, 0, 0, 0
 	if !reflect.DeepEqual(got, live) {
-		t.Fatalf("decoded evaluator snapshot %+v, live %+v", got, live)
+		t.Fatalf("decoded eval stats %+v, live %+v", got, live)
 	}
 }

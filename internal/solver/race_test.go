@@ -10,7 +10,7 @@ import (
 
 // raceFingerprint renders everything a search promises to keep
 // deterministic: result slices in order, role counts, edge fates and
-// the evaluator's apply/hit counters — the in-memory analogue of the
+// the sides' apply/hit counters — the in-memory analogue of the
 // repo-level BENCH_solver.json fingerprint.
 func raceFingerprint(res Result) string {
 	var b strings.Builder
@@ -30,11 +30,12 @@ func raceFingerprint(res Result) string {
 
 // TestParallelFingerprintUnderRace runs the windowed parallel search under
 // the race detector at several worker counts and asserts the full
-// deterministic fingerprint — including the evaluator's apply counts,
-// which the pre-singleflight implementation could not keep stable —
-// equals sequential Enumerate's. The CI invariants job runs this with
-// -race; it backs the concurrency claims in EnumerateParallel's and
-// Evaluator's doc comments.
+// deterministic fingerprint — including the apply and hit counts each
+// worker keeps in its own shard and run folds together — equals
+// sequential Enumerate's. The CI invariants job runs this with -race; it
+// backs the concurrency claims in EnumerateParallel's and worker's doc
+// comments: workers share only the read-only search, and each evaluates
+// the shared bytecode through VM sessions of its own.
 func TestParallelFingerprintUnderRace(t *testing.T) {
 	problems := map[string]Problem{
 		"dfm-6": dfmProblem(6),

@@ -37,11 +37,13 @@ type SampleResult struct {
 	// Steps is the total number of edges taken.
 	Steps int
 	// Stats instruments the walks. Walks revisit shared prefixes
-	// constantly and share no memo, so a prefix two walks take is
-	// evaluated once per walk: hits are only the values a walk carries
-	// down its own edges, as in Enumerate. Node-role counters stay zero
-	// (walks classify no nodes), while edge and evaluation counters are
-	// live.
+	// constantly and keep no memo, so a prefix two walks take is
+	// evaluated once per walk: hits are the values a walk carries down
+	// its own edges, as in Enumerate, and f(⊥) and g(⊥) when the Theorem
+	// 1 induction-base check computed them — counted as applied once,
+	// read as a hit at every walk's root. Node-role counters stay zero
+	// (walks classify no nodes), while limit-check, edge and evaluation
+	// counters are live.
 	Stats SearchStats
 	// Canceled reports that the context stopped the walks early; the
 	// solutions gathered so far are still sound.
@@ -59,10 +61,11 @@ type SampleResult struct {
 // Canceled and returns what the walks found so far.
 func Sample(ctx context.Context, p Problem, opts SampleOpts) SampleResult {
 	opts = opts.withDefaults(p)
-	s := newSearch(p, true)
+	s := newSearch(p)
+	lead := &s.lead
+	s.countBase(&lead.st)
 	rng := rand.New(rand.NewSource(opts.Seed))
 	res := SampleResult{Solutions: map[string]trace.Trace{}}
-	st := &res.Stats
 	start := time.Now()
 walks:
 	for w := 0; w < opts.Walks; w++ {
@@ -72,15 +75,15 @@ walks:
 				res.Canceled = true
 				break walks
 			}
-			st.LimitChecks++
-			gu, ok := s.limit(cur)
+			lead.st.LimitChecks++
+			gu, ok := lead.limit(cur)
 			if ok {
 				res.Solutions[cur.t.String()] = cur.t
 			}
 			if depth >= opts.MaxDepth {
 				break
 			}
-			sons := s.expand(cur.t, gu, st, s.sonBuf[:0])
+			sons := lead.expand(cur.t, gu, s.sonBuf[:0])
 			if len(sons) == 0 {
 				break
 			}
@@ -91,7 +94,7 @@ walks:
 			}
 		}
 	}
-	st.Elapsed = time.Since(start)
-	st.Eval = s.e.Snapshot()
+	res.Stats = lead.st
+	res.Stats.Elapsed = time.Since(start)
 	return res
 }

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"smoothproc/internal/desc"
+	"smoothproc/internal/descvm"
 	"smoothproc/internal/fn"
 	"smoothproc/internal/trace"
 	"smoothproc/internal/value"
@@ -64,7 +65,8 @@ type Problem struct {
 	// newSearch).
 	Thm1 bool
 	// Compiled lowers the description's sides to descvm bytecode for the
-	// search's evaluations (see desc.EvalOptions). NewProblem sets it:
+	// search's evaluations; each goroutine of the search runs the shared
+	// programs through VM sessions of its own. NewProblem sets it:
 	// bytecode is the production evaluator. Observably transparent: all
 	// counters and every result are byte-identical to interpreted
 	// evaluation — the root differential suite enforces this across all
@@ -147,12 +149,22 @@ type node struct {
 }
 
 // search carries the machinery shared by one tree exploration: the
-// problem, the evaluator, and the interned candidate events — one Event
-// per (channel, message) built up front, so expansion never
-// re-constructs them.
+// problem, the sides' bytecode, and the interned candidate events — one
+// Event per (channel, message) built up front, so expansion never
+// re-constructs them. The workers of a window only read it; the lead
+// worker and sonBuf belong to the goroutine driving the search.
 type search struct {
 	p Problem
-	e *desc.Evaluator
+	// fprog and gprog are the bytecode of the two sides when p.Compiled
+	// and the side lowers; nil selects the interpreter for that side.
+	// A Prog is immutable, so each worker evaluates it through a session
+	// of its own.
+	fprog, gprog *descvm.Prog
+	// lead is the worker of the goroutine that drives the search: every
+	// single-node step runs on it, and it is worker 0 of every window. It
+	// lives as long as the search, so a checkpoint's later legs find its
+	// VM frames warm.
+	lead worker
 	// cands holds the per-channel candidate events in Channels order —
 	// the same data as ev, but expansion iterates it as a slice so the
 	// per-node inner loop never touches a map. Each event's Hash64 is
@@ -172,11 +184,12 @@ type search struct {
 	// capacity an expanding node's son list can need.
 	fanout int
 	fsupp  trace.ChanSet
-	// sonBuf is the reusable son-slot buffer of single-node visits
-	// (run, Sample, CheckInduction): capacity fanout, so expand never
-	// reallocates, and the consumer copies the sons into its queue
-	// before the next expand reuses the slots. Window visits must not
-	// use it — their nodeOuts hold son slices until the window commits.
+	// sonBuf is the lead worker's reusable son-slot buffer for
+	// single-node visits (run, Sample, CheckInduction): capacity fanout,
+	// so expand never reallocates, and the consumer copies the sons into
+	// its queue before the next expand reuses the slots. Window visits
+	// must not use it — their nodeOuts hold son slices until the window
+	// commits.
 	sonBuf []node
 }
 
@@ -191,20 +204,42 @@ type candSet struct {
 	auto bool
 }
 
-// newSearch builds the shared search state. single promises the caller
-// drives the search from one goroutine (a one-worker Enumerate, Sample,
-// CheckInduction), letting the evaluator count without atomics and keep
-// dedicated VM frames; a search whose windows spread over workers, or
-// that a checkpoint may resume that way, must pass false.
-func newSearch(p Problem, single bool) *search {
-	s := &search{
-		p: p,
-		e: desc.NewEvaluator(p.D, desc.EvalOptions{
-			Compiled:       p.Compiled,
-			SingleThreaded: single,
-		}),
-		cands: make([]candSet, 0, len(p.Channels)),
+// worker is one goroutine's share of a search: its SearchStats shard,
+// into which it counts every limit check, edge and evaluation it makes,
+// and a VM session for each side that lowered to bytecode. Workers share
+// nothing but the read-only search; run folds their shards into the
+// result (SearchStats.merge).
+type worker struct {
+	*search
+	st           SearchStats
+	fsess, gsess *descvm.Session
+}
+
+// newWorker returns a worker with an empty shard and fresh sessions.
+func (s *search) newWorker() worker {
+	w := worker{search: s}
+	if s.fprog != nil {
+		w.fsess = s.fprog.NewSession()
 	}
+	if s.gprog != nil {
+		w.gsess = s.gprog.NewSession()
+	}
+	return w
+}
+
+// newSearch builds the shared search state and runs the Theorem 1
+// induction-base check when the problem asks for the fast path.
+func newSearch(p Problem) *search {
+	s := &search{p: p, cands: make([]candSet, 0, len(p.Channels))}
+	if p.Compiled {
+		if prog, ok := descvm.Compile(p.D.F); ok {
+			s.fprog = prog
+		}
+		if prog, ok := descvm.Compile(p.D.G); ok {
+			s.gprog = prog
+		}
+	}
+	s.lead = s.newWorker()
 	for _, c := range p.Channels {
 		es := make([]trace.Event, len(p.Alphabet[c]))
 		hs := make([]uint64, len(es))
@@ -222,7 +257,13 @@ func newSearch(p Problem, single bool) *search {
 		// v), so falling back to the full edge check costs nothing. The
 		// F.Omega re-check guards callers that set Thm1 by hand on an
 		// ω-approximation left side, for which auto-admit is unsound.
-		s.f0, s.g0 = s.e.F(root), s.e.G(root)
+		// The two applications are not counted here, and their time is
+		// dropped: the search that starts at ⊥ counts them (countBase),
+		// and a decoded checkpoint, which runs this check again, carries
+		// them in its result already.
+		var untimed int64
+		s.f0 = apply(p.D.F, s.lead.fsess, root, &untimed)
+		s.g0 = apply(p.D.G, s.lead.gsess, root, &untimed)
 		s.thm1 = s.f0.Leq(s.g0)
 		s.fsupp = p.D.F.Support
 		if s.thm1 {
@@ -234,9 +275,43 @@ func newSearch(p Problem, single bool) *search {
 	return s
 }
 
+// countBase counts the induction-base check's applications of f and g
+// at ⊥ into st, once, for a search that starts at ⊥.
+func (s *search) countBase(st *SearchStats) {
+	if s.f0 != nil {
+		st.Eval.FApplies++
+		st.Eval.GApplies++
+	}
+}
+
 // rootNode is ⊥ as a queued node, carrying f(⊥) when the
 // induction-base check computed it.
 func (s *search) rootNode() node { return node{t: root, f: s.f0} }
+
+// apply applies one side to t: through sess when the side lowered to
+// bytecode, otherwise through the interpreter, whose wall-clock time it
+// adds to nanos (see EvalStats.FNanos).
+func apply(side fn.TraceFn, sess *descvm.Session, t trace.Trace, nanos *int64) fn.Tuple {
+	if sess != nil {
+		return sess.Eval(t)
+	}
+	start := time.Now()
+	v := side.Apply(t)
+	*nanos += time.Since(start).Nanoseconds()
+	return v
+}
+
+// f applies the description's left side to t, counting the application.
+func (w *worker) f(t trace.Trace) fn.Tuple {
+	w.st.Eval.FApplies++
+	return apply(w.p.D.F, w.fsess, t, &w.st.Eval.FNanos)
+}
+
+// g is f for the right side.
+func (w *worker) g(t trace.Trace) fn.Tuple {
+	w.st.Eval.GApplies++
+	return apply(w.p.D.G, w.gsess, t, &w.st.Eval.GNanos)
+}
 
 // Enumerate explores the Section 3.3 tree breadth-first to the problem's
 // bounds and classifies every visited node. Each node's f and g are
@@ -264,15 +339,15 @@ func EnumerateParallel(ctx context.Context, p Problem, workers int) Result {
 }
 
 // enumerate runs a search from ⊥, in capture mode (returning its
-// Checkpoint) when capture is set. A checkpoint keeps the concurrent
-// evaluator so that any later leg may resume it at any worker count.
+// Checkpoint) when capture is set.
 func enumerate(ctx context.Context, p Problem, workers int, capture bool) (Result, *Checkpoint) {
-	s := newSearch(p, workers <= 1 && !capture)
+	s := newSearch(p)
 	var cp *Checkpoint
 	if capture {
 		cp = &Checkpoint{s: s}
 	}
 	var res Result
+	s.countBase(&res.Stats)
 	s.run(ctx, &res, []node{s.rootNode()}, workers, cp)
 	if cp != nil {
 		cp.done = res
@@ -294,13 +369,15 @@ type nodeOut struct {
 // res, which may arrive pre-loaded with an already-classified prefix (a
 // resumed search); queue seeds the work list in canonical BFS order.
 //
-// Each step visits the head of the queue and commits it: the node is
-// counted, classified and its sons appended to the queue. With workers
-// > 1 the step is a window instead — up to windowSize queued nodes, and
-// never more than the node budget has left — visited by the workers
-// into index-keyed outputs (visitWindow) and then committed in queue
-// order by this same loop, so the canonical order and every counter are
-// those of the one-node steps. The context and the budget are checked
+// Each step visits the head of the queue on the lead worker and
+// commits it: the node is counted, classified and its sons appended to
+// the queue. With workers > 1 the step is a window instead — up to
+// windowSize queued nodes, and never more than the node budget has left
+// — visited by the workers into index-keyed outputs (visitWindow) and
+// then committed in queue order by this same loop, so the canonical
+// order and every counter are those of the one-node steps. The workers
+// count edges and evaluations into their own shards, which the leg folds
+// into res when it ends. The context and the budget are checked
 // before every step; a window whose visit the context cut short commits
 // the prefix it finished, so a stopped search has always committed — and
 // evaluated — exactly a prefix of the canonical order, the next node of
@@ -327,12 +404,15 @@ func (s *search) run(ctx context.Context, res *Result, queue []node, workers int
 	// what the plain BFS does.
 	var win []node
 	var outs []nodeOut
-	var shards []SearchStats
+	ws := []*worker{&s.lead}
 	if workers > 1 {
 		st.Workers = workers
 		win = make([]node, 0, windowSize)
 		outs = make([]nodeOut, windowSize)
-		shards = make([]SearchStats, workers)
+		for len(ws) < workers {
+			w := s.newWorker()
+			ws = append(ws, &w)
+		}
 	}
 	for len(queue) > 0 {
 		canceled := ctx.Err() != nil
@@ -357,21 +437,22 @@ func (s *search) run(ctx context.Context, res *Result, queue []node, workers int
 		}
 		if n <= 1 {
 			cur := queue[0]
-			queue = append(queue[1:], s.commit(res, cp, cur.t, s.visit(cur, st, cp != nil, s.sonBuf[:0]))...)
+			queue = append(queue[1:], s.commit(res, cp, cur.t, s.lead.visit(cur, cp != nil, s.sonBuf[:0]))...)
 			continue
 		}
 		win = append(win[:0], queue[:n]...)
-		n = s.visitWindow(ctx, win, outs, shards, cp != nil)
+		n = s.visitWindow(ctx, win, outs, ws, cp != nil)
 		for i, o := range outs[:n] {
 			queue = append(queue, s.commit(res, cp, win[i].t, o)...)
 		}
 		queue = queue[n:]
 	}
-	for i := range shards {
-		st.merge(shards[i])
+	for _, w := range ws {
+		st.merge(w.st)
 	}
-	st.Eval = s.e.Snapshot()
-	st.CompiledEval = s.e.Compiled()
+	// Empty the lead's shard for the next leg, keeping its level slots.
+	s.lead.st = SearchStats{Levels: s.lead.st.Levels[:0]}
+	st.CompiledEval = s.fprog != nil && s.gprog != nil
 	st.Elapsed += time.Since(begin)
 }
 
@@ -380,17 +461,17 @@ func (s *search) run(ctx context.Context, res *Result, queue []node, workers int
 // the bound (into fresh slots the resume frontier retains), and probing
 // with hasSon otherwise. g(cur) goes from the limit check to the
 // expansion. Pure with respect to the shared search state; all counters
-// go to st.
-func (s *search) visit(cur node, st *SearchStats, capture bool, dst []node) nodeOut {
-	gu, sol := s.classify(cur, st)
+// go to the worker's shard.
+func (w *worker) visit(cur node, capture bool, dst []node) nodeOut {
+	gu, sol := w.classify(cur)
 	o := nodeOut{solution: sol}
 	switch {
-	case cur.t.Len() < s.p.MaxDepth:
-		o.sons = s.expand(cur.t, gu, st, dst)
+	case cur.t.Len() < w.p.MaxDepth:
+		o.sons = w.expand(cur.t, gu, dst)
 	case capture:
-		o.sons = s.expand(cur.t, gu, st, nil)
+		o.sons = w.expand(cur.t, gu, nil)
 	default:
-		o.hasSon = s.hasSon(cur.t, gu, st)
+		o.hasSon = w.hasSon(cur.t, gu)
 		return o
 	}
 	o.hasSon = len(o.sons) > 0
@@ -441,21 +522,21 @@ func (s *search) commit(res *Result, cp *Checkpoint, cur trace.Trace, o nodeOut)
 // limit evaluates the limit condition f = g at n and returns g of it,
 // which the node's expansion reads again. f comes from n when its
 // parent's edge check carried it, and the root takes both sides from
-// the induction-base check when that ran; each such read counts as an
-// evaluator hit.
-func (s *search) limit(n node) (fn.Tuple, bool) {
+// the induction-base check when that ran; each such read counts as a
+// hit.
+func (w *worker) limit(n node) (fn.Tuple, bool) {
 	fu := n.f
 	if fu != nil {
-		s.e.FHit()
+		w.st.Eval.FHits++
 	} else {
-		fu = s.e.F(n.t)
+		fu = w.f(n.t)
 	}
 	var gu fn.Tuple
-	if n.t.Len() == 0 && s.g0 != nil {
-		s.e.GHit()
-		gu = s.g0
+	if n.t.Len() == 0 && w.g0 != nil {
+		w.st.Eval.GHits++
+		gu = w.g0
 	} else {
-		gu = s.e.G(n.t)
+		gu = w.g(n.t)
 	}
 	return gu, fu.Equal(gu)
 }
@@ -463,14 +544,14 @@ func (s *search) limit(n node) (fn.Tuple, bool) {
 // classify decides the limit condition at a node, with the full
 // smoothness re-check the unpruned ablation requires, and returns g of
 // the node for its expansion.
-func (s *search) classify(n node, st *SearchStats) (fn.Tuple, bool) {
-	st.LimitChecks++
-	gu, isSolution := s.limit(n)
-	if isSolution && !s.p.Prune {
+func (w *worker) classify(n node) (fn.Tuple, bool) {
+	w.st.LimitChecks++
+	gu, isSolution := w.limit(n)
+	if isSolution && !w.p.Prune {
 		// With pruning, every node is reachable only through smooth
 		// edges, so the limit condition alone decides; without it,
 		// re-check the full smoothness condition.
-		isSolution = s.p.D.IsSmoothFinite(n.t) == nil
+		isSolution = w.p.D.IsSmoothFinite(n.t) == nil
 	}
 	return gu, isSolution
 }
@@ -486,29 +567,30 @@ func (s *search) classify(n node, st *SearchStats) (fn.Tuple, bool) {
 // dst, when non-nil, supplies the son slots (the sequential walks pass
 // the search's reusable buffer); callers that retain the returned slice
 // past the next expand — the parallel search — must pass nil.
-func (s *search) expand(u trace.Trace, gu fn.Tuple, st *SearchStats, dst []node) []node {
+func (w *worker) expand(u trace.Trace, gu fn.Tuple, dst []node) []node {
+	st := &w.st
 	sons := dst
 	lvl := st.level(u.Len() + 1)
 	guRead := false
-	for ci := range s.cands {
+	for ci := range w.cands {
 		// Fast path (Theorem 1): a channel outside supp(f) means
 		// f(u·e) = f(u), and f(u) ⊑ g(u) holds at every admitted node, so
 		// the edge condition f(v) ⊑ g(u) is guaranteed — admit without
 		// evaluating.
-		c := &s.cands[ci]
+		c := &w.cands[ci]
 		auto := c.auto
 		for i, e := range c.es {
 			v := node{t: u.AppendPrehashed(e, c.hs[i])}
 			st.EdgesChecked++
-			if s.p.Prune {
+			if w.p.Prune {
 				if auto {
 					st.Thm1AutoEdges++
 				} else {
 					if !guRead {
-						s.e.GHit()
+						st.Eval.GHits++
 						guRead = true
 					}
-					if v.f = s.e.F(v.t); !v.f.Leq(gu) {
+					if v.f = w.f(v.t); !v.f.Leq(gu) {
 						st.SubtreesPruned++
 						lvl.Pruned++
 						continue
@@ -517,7 +599,7 @@ func (s *search) expand(u trace.Trace, gu fn.Tuple, st *SearchStats, dst []node)
 			}
 			st.EdgesKept++
 			if sons == nil {
-				sons = make([]node, 0, s.fanout)
+				sons = make([]node, 0, w.fanout)
 			}
 			sons = append(sons, v)
 		}
@@ -530,11 +612,12 @@ func (s *search) expand(u trace.Trace, gu fn.Tuple, st *SearchStats, dst []node)
 // Failed candidates are pruned subtrees like expand's; the witness is
 // counted separately since it is never enqueued. A Theorem-1
 // auto-admitted candidate is an immediate witness.
-func (s *search) hasSon(u trace.Trace, gu fn.Tuple, st *SearchStats) bool {
+func (w *worker) hasSon(u trace.Trace, gu fn.Tuple) bool {
+	st := &w.st
 	lvl := st.level(u.Len() + 1)
 	guRead := false
-	for ci := range s.cands {
-		c := &s.cands[ci]
+	for ci := range w.cands {
+		c := &w.cands[ci]
 		auto := c.auto
 		for i, e := range c.es {
 			v := u.AppendPrehashed(e, c.hs[i])
@@ -545,10 +628,10 @@ func (s *search) hasSon(u trace.Trace, gu fn.Tuple, st *SearchStats) bool {
 				return true
 			}
 			if !guRead {
-				s.e.GHit()
+				st.Eval.GHits++
 				guRead = true
 			}
-			if s.e.F(v).Leq(gu) {
+			if w.f(v).Leq(gu) {
 				st.FrontierWitnesses++
 				return true
 			}
@@ -611,8 +694,7 @@ func CheckInduction(ctx context.Context, p Problem, phi func(trace.Trace) bool) 
 	if !phi(trace.Empty) {
 		return errors.New("solver: induction base φ(⊥) fails")
 	}
-	s := newSearch(p, true)
-	var st SearchStats
+	s := newSearch(p)
 	queue := []node{s.rootNode()}
 	nodes := 0
 	var unsound error
@@ -633,14 +715,14 @@ func CheckInduction(ctx context.Context, p Problem, phi func(trace.Trace) bool) 
 		// anywhere in the walk take precedence, matching the rule's
 		// reading (an unsound conclusion only matters once the premises
 		// are discharged).
-		gu, solution := s.classify(n, &st)
+		gu, solution := s.lead.classify(n)
 		if unsound == nil && solution && !phi(u) {
 			unsound = fmt.Errorf("solver: induction rule unsound?! φ fails on smooth solution %s", u)
 		}
 		if u.Len() >= p.MaxDepth {
 			continue
 		}
-		for _, v := range s.expand(u, gu, &st, s.sonBuf[:0]) {
+		for _, v := range s.lead.expand(u, gu, s.sonBuf[:0]) {
 			if err := p.D.InductionPremise(phi, u, v.t); err != nil {
 				return err
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"smoothproc/internal/desc"
 	"smoothproc/internal/report"
 )
 
@@ -81,14 +80,44 @@ type SearchStats struct {
 	// Levels holds per-depth stats, indexed by trace length.
 	Levels []LevelStats `json:"levels,omitempty"`
 
-	// Eval is the description evaluator's account: f/g applications,
-	// hits (reads of a value carried down a tree edge), and where
-	// evaluation time went.
-	Eval desc.EvalSnapshot `json:"eval"`
+	// Eval is the account of the description's two sides: f/g
+	// applications, hits (reads of a value carried down a tree edge), and
+	// where evaluation time went.
+	Eval EvalStats `json:"eval"`
 
 	// Elapsed is the wall-clock duration of the search.
 	Elapsed time.Duration `json:"elapsed_ns"`
 }
+
+// EvalStats counts what the description's two sides cost a search:
+// underlying applications, hits (reads served from a value the search
+// carried down a tree edge instead of re-applying), and the time spent
+// inside f and g.
+type EvalStats struct {
+	// FApplies and GApplies count underlying applications of the two
+	// sides.
+	FApplies int64 `json:"f_applies"`
+	GApplies int64 `json:"g_applies"`
+	// FHits and GHits count reads of a side served from a carried value,
+	// so hits + applies is the number of times the search needed each
+	// side.
+	FHits int64 `json:"f_hits"`
+	GHits int64 `json:"g_hits"`
+	// FNanos and GNanos are the wall-clock nanoseconds spent inside
+	// interpreted applications. Bytecode runs are not timed: at the
+	// paper's spec sizes two clock reads cost as much as a whole compiled
+	// evaluation, so a compiled search reports zero. Deterministic zeroes
+	// both, so the asymmetry never reaches a fingerprint.
+	FNanos int64 `json:"f_nanos"`
+	GNanos int64 `json:"g_nanos"`
+}
+
+// CacheHits returns the total hits across both sides.
+func (s EvalStats) CacheHits() int64 { return s.FHits + s.GHits }
+
+// CacheMisses returns the total underlying applications across both
+// sides.
+func (s EvalStats) CacheMisses() int64 { return s.FApplies + s.GApplies }
 
 // LevelStats is the per-depth view of the search: how wide the tree was
 // at each level and how much of it the smoothness filter cut.
@@ -209,7 +238,7 @@ func (s SearchStats) Report() report.Stats {
 
 // Deterministic returns a copy with every timing- and
 // configuration-dependent field zeroed: Workers and CompiledEval (run
-// configuration), Elapsed, and the evaluator's wall-clock readings. Two
+// configuration), Elapsed, and the evaluation wall-clock readings. Two
 // searches of the same problem — sequential or parallel, at any worker
 // count, compiled or interpreted — produce equal Deterministic views;
 // the parity suite, the differential suite and the CI smoke assertion
