@@ -5,7 +5,7 @@
 // Usage:
 //
 //	smoothctl upload [-addr URL] file.eq
-//	smoothctl solve  [-addr URL] [-hash H | file.eq] [-depth N] [-workers N] [-timeout-ms N] [-async] [-no-cache] [-stream] [-resume] [-tenant T] [-trace ID]
+//	smoothctl solve  [-addr URL] [-hash H | file.eq] [-depth N] [-timeout-ms N] [-async] [-no-cache] [-stream] [-resume] [-tenant T] [-trace ID]
 //	smoothctl status [-addr URL] job-id
 //	smoothctl jobs   [-addr URL] [-trace] job-id...
 //	smoothctl delta  [-addr URL] (-hash H | file.eq) -channel NAME [-check]
@@ -259,7 +259,6 @@ func cmdSolve(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	hash := fs.String("hash", "", "solve a previously uploaded spec by hash")
 	depth := fs.Int("depth", 0, "override the spec's probe depth")
 	maxNodes := fs.Int("max-nodes", 0, "bound on tree nodes explored")
-	workers := fs.Int("workers", 0, "parallel tree workers on the server")
 	timeoutMs := fs.Int("timeout-ms", 0, "per-job deadline in milliseconds")
 	async := fs.Bool("async", false, "submit without waiting; print the job id to poll")
 	noCache := fs.Bool("no-cache", false, "skip the server's result cache")
@@ -279,7 +278,6 @@ func cmdSolve(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		SpecHash:  *hash,
 		Depth:     *depth,
 		MaxNodes:  *maxNodes,
-		Workers:   *workers,
 		TimeoutMs: *timeoutMs,
 		Wait:      !*async,
 		NoCache:   *noCache,
@@ -382,7 +380,6 @@ func solveResume(c *client, req service.SolveRequest, stdout, stderr io.Writer) 
 		Source:    req.Source,
 		Depth:     req.Depth,
 		MaxNodes:  req.MaxNodes,
-		Workers:   req.Workers,
 		TimeoutMs: req.TimeoutMs,
 	}
 	var sv service.SessionView
@@ -409,7 +406,6 @@ func cmdDelta(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	hash := fs.String("hash", "", "session spec hash (or pass the spec file to derive it)")
 	channel := fs.String("channel", "", "channel to eliminate (must carry an eliminable verdict)")
 	check := fs.Bool("check", false, "also run the Theorem 5/6 differential check against a fresh solve")
-	workers := fs.Int("workers", 0, "parallel workers for the check's fresh solve")
 	if fs.Parse(args) != nil {
 		return 2
 	}
@@ -433,7 +429,7 @@ func cmdDelta(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		h = info.Hash
 	}
 	var dv service.DeltaView
-	req := service.DeltaRequest{Channel: *channel, Check: *check, Workers: *workers}
+	req := service.DeltaRequest{Channel: *channel, Check: *check}
 	if _, err := c.call("POST", "/v1/sessions/"+h+"/delta", req, &dv); err != nil {
 		fmt.Fprintf(stderr, "smoothctl: delta: %v\n(a delta needs a solved session: run smoothctl solve -resume first)\n", err)
 		return 1

@@ -23,7 +23,7 @@ import (
 //	    is the per-PR CI corpus job.
 //	smoothsolve corpus generate [-family F] [-seed N] [-count N] -out DIR
 //	    write the emitted .eq sources to DIR without checking them.
-//	smoothsolve corpus stress [-seed N] [-workers N] [-target N]
+//	smoothsolve corpus stress [-seed N] [-target N]
 //	    generate one calibrated ≥target-node instance and solve it,
 //	    reporting the planner bracket against the actual tree.
 func runCorpus(args []string, stdout, stderr io.Writer) int {
@@ -42,7 +42,6 @@ func runCorpus(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 0, "base seed; instance i uses seed+i")
 	count := fs.Int("count", 10, "number of instances to generate")
 	out := fs.String("out", "", "generate: directory to write .eq files into")
-	workers := fs.Int("workers", 4, "stress: parallel solver workers")
 	target := fs.Uint64("target", 0, "stress: planner node target (default 100000)")
 	list := fs.Bool("list", false, "list the corpus families and exit")
 	if err := fs.Parse(args); err != nil {
@@ -59,7 +58,7 @@ func runCorpus(args []string, stdout, stderr io.Writer) int {
 	case "generate":
 		return corpusGenerate(*family, *seed, *count, *out, stdout, stderr)
 	case "stress":
-		return corpusStress(*seed, *workers, *target, stdout, stderr)
+		return corpusStress(*seed, *target, stdout, stderr)
 	default:
 		return corpusCheck(*family, *seed, *count, stdout, stderr)
 	}
@@ -145,7 +144,7 @@ func corpusCheckOne(ctx context.Context, in *netgen.Instance) error {
 	return in.CrossCheck(ctx)
 }
 
-func corpusStress(seed int64, workers int, target uint64, stdout, stderr io.Writer) int {
+func corpusStress(seed int64, target uint64, stdout, stderr io.Writer) int {
 	s, err := netgen.Stress(seed, netgen.StressConfig{TargetNodes: target})
 	if err != nil {
 		fmt.Fprintf(stderr, "smoothsolve corpus stress: %v\n", err)
@@ -153,10 +152,10 @@ func corpusStress(seed int64, workers int, target uint64, stdout, stderr io.Writ
 	}
 	fmt.Fprintf(stdout, "%s: %s, planner bracket [%d, %d] nodes\n", s.Name, s.Shape, s.PredictedMin, s.PredictedMax)
 	start := time.Now()
-	res := s.Solve(context.Background(), workers)
+	res := s.Solve(context.Background())
 	elapsed := time.Since(start).Round(time.Millisecond)
-	fmt.Fprintf(stdout, "solved %d node(s), %d solution(s), %d worker(s), %v\n",
-		res.Nodes, len(res.Solutions), workers, elapsed)
+	fmt.Fprintf(stdout, "solved %d node(s), %d solution(s), %v\n",
+		res.Nodes, len(res.Solutions), elapsed)
 	if uint64(res.Nodes) < s.PredictedMin || uint64(res.Nodes) > s.PredictedMax {
 		fmt.Fprintf(stderr, "smoothsolve corpus stress: %d nodes outside planner bracket [%d, %d]\n",
 			res.Nodes, s.PredictedMin, s.PredictedMax)

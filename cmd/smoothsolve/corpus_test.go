@@ -89,7 +89,7 @@ func TestCorpusStress(t *testing.T) {
 	var out, errOut strings.Builder
 	// Seed 3 is the calibrated twin-buffer instance the netgen stress
 	// tests also use: ~156k nodes, well inside the planner bracket.
-	code := run([]string{"corpus", "stress", "-seed", "3", "-workers", "4"},
+	code := run([]string{"corpus", "stress", "-seed", "3"},
 		strings.NewReader(""), &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())

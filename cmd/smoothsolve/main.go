@@ -54,7 +54,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	maxNodes := fs.Int("max-nodes", 0, "bound on tree nodes explored (0 = unbounded)")
 	showFrontier := fs.Bool("frontier", false, "also print frontier nodes (paths toward ω solutions)")
 	showDead := fs.Bool("dead", false, "also print dead leaves (stuck non-solutions)")
-	workers := fs.Int("workers", 1, "parallel tree workers (1 = sequential search)")
 	showStats := fs.Bool("stats", false, "print search statistics (nodes, pruning, memo, timing)")
 	statsJSON := fs.Bool("stats-json", false, "print search statistics as JSON")
 	timeout := fs.Duration("timeout", 0, "wall-clock bound on the search (0 = none), e.g. 500ms or 10s")
@@ -129,7 +128,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	res := solver.EnumerateParallel(ctx, problem, *workers)
+	res := solver.Enumerate(ctx, problem)
 	fmt.Fprintf(stdout, "explored %d tree node(s)%s\n", res.Nodes, truncNote(res))
 	fmt.Fprintf(stdout, "smooth solutions: %d\n", len(res.Solutions))
 	for _, s := range res.Solutions {

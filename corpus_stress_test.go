@@ -1,8 +1,7 @@
 // Corpus stress suite: one calibrated ≥1e5-node generated instance run
-// end to end through the subsystems large searches exercise — the
-// parallel solver at several worker counts, and a solve session captured
-// shallow then resumed to full depth — with the session result held to
-// the cold solve's fingerprint. This is the -short-gated leg of the CI
+// end to end through the subsystems large searches exercise — the solver,
+// and a solve session captured shallow then resumed to full depth — with
+// the session result held to the cold solve's fingerprint. This is the -short-gated leg of the CI
 // corpus job; the per-PR leg cross-checks the small families instead
 // (see internal/netgen and `smoothsolve corpus`).
 package smoothproc_test
@@ -27,7 +26,7 @@ func TestCorpusStressEndToEnd(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	cold := s.Solve(ctx, 1)
+	cold := s.Solve(ctx)
 	checkEvalCounts(t, s.Name+" cold", s.Prog.Problem(), cold)
 	if cold.Nodes < 100_000 {
 		t.Fatalf("%s (%s): %d nodes, want >= 1e5", s.Name, s.Shape, cold.Nodes)
@@ -36,21 +35,17 @@ func TestCorpusStressEndToEnd(t *testing.T) {
 		t.Errorf("%s: %d nodes outside planner bracket [%d, %d]",
 			s.Name, cold.Nodes, s.PredictedMin, s.PredictedMax)
 	}
-	par := s.Solve(ctx, 4)
-	if cold.Fingerprint() != par.Fingerprint() {
-		t.Errorf("%s: sequential and 4-worker fingerprints differ", s.Name)
-	}
 
 	// Session leg: capture at half depth, then deepen to full. The
 	// resumed result must match the cold solve exactly — resuming a
 	// stress-sized search is a pure work split, never a different search.
 	sess := session.New(s.Name, s.Prog.Problem(), s.Prog.System)
-	if _, outcome, err := sess.Solve(ctx, session.Options{Depth: s.Depth / 2, Workers: 4}); err != nil {
+	if _, outcome, err := sess.Solve(ctx, session.Options{Depth: s.Depth / 2}); err != nil {
 		t.Fatal(err)
 	} else if outcome != session.Cold {
 		t.Fatalf("first session leg: outcome %v, want cold", outcome)
 	}
-	res, outcome, err := sess.Solve(ctx, session.Options{Depth: s.Depth, Workers: 4})
+	res, outcome, err := sess.Solve(ctx, session.Options{Depth: s.Depth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +71,7 @@ func TestCorpusStressEvalCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := s.Solve(context.Background(), 1)
+	res := s.Solve(context.Background())
 	if res.Nodes < 1_000_000 || res.Truncated {
 		t.Fatalf("%s (%s): %d nodes (truncated %v), want a complete search of >= 1e6", s.Name, s.Shape, res.Nodes, res.Truncated)
 	}

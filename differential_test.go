@@ -1,7 +1,7 @@
 // Compiled-vs-interpreted differential suite: every shipped spec is
 // solved with Problem.Compiled off (the interpreter, kept as the
-// oracle) and on (descvm bytecode), sequentially and at several worker
-// counts, and the complete observable result — the fingerprint
+// oracle) and on (descvm bytecode), and the complete observable result
+// — the fingerprint
 // BENCH_solver.json tracks, the ordered result slices and every
 // deterministic SearchStats counter — must be byte-identical. This is
 // the transparency contract Problem.Compiled advertises, enforced by
@@ -16,7 +16,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
-	"strconv"
 	"testing"
 
 	"smoothproc/internal/eqlang"
@@ -60,32 +59,20 @@ func TestCompiledParityAcrossSpecs(t *testing.T) {
 
 			compiled := prog.Problem()
 			compiled.Compiled = true
-			check := func(what string, res solver.Result) {
-				t.Helper()
-				if !res.Stats.CompiledEval {
-					t.Errorf("%s: compiled run did not use bytecode", what)
-				}
-				if got := fingerprint(spec, res); got != oracleFp {
-					t.Errorf("%s: fingerprint drifted:\n got %+v\nwant %+v", what, got, oracleFp)
-				}
-				if got := res.Stats.Deterministic(); !reflect.DeepEqual(got, oracleStats) {
-					t.Errorf("%s: SearchStats diverged:\n got %+v\nwant %+v", what, got, oracleStats)
-				}
-				compareTraceSlices(t, 0, what+" solutions", res.Solutions, oracle.Solutions)
-				compareTraceSlices(t, 0, what+" frontier", res.Frontier, oracle.Frontier)
-				compareTraceSlices(t, 0, what+" dead leaves", res.DeadLeaves, oracle.DeadLeaves)
-				compareTraceSlices(t, 0, what+" visited", res.Visited, oracle.Visited)
+			res := solver.Enumerate(context.Background(), compiled)
+			if !res.Stats.CompiledEval {
+				t.Error("compiled run did not use bytecode")
 			}
-			check("sequential", solver.Enumerate(context.Background(), compiled))
-			for _, workers := range parityWorkerCounts() {
-				if workers == 1 {
-					continue
-				}
-				res := solver.EnumerateParallel(context.Background(), compiled, workers)
-				check(strWorkers(workers), res)
+			if got := fingerprint(spec, res); got != oracleFp {
+				t.Errorf("fingerprint drifted:\n got %+v\nwant %+v", got, oracleFp)
 			}
+			if got := res.Stats.Deterministic(); !reflect.DeepEqual(got, oracleStats) {
+				t.Errorf("SearchStats diverged:\n got %+v\nwant %+v", got, oracleStats)
+			}
+			compareTraceSlices(t, "solutions", res.Solutions, oracle.Solutions)
+			compareTraceSlices(t, "frontier", res.Frontier, oracle.Frontier)
+			compareTraceSlices(t, "dead leaves", res.DeadLeaves, oracle.DeadLeaves)
+			compareTraceSlices(t, "visited", res.Visited, oracle.Visited)
 		})
 	}
 }
-
-func strWorkers(n int) string { return "parallel-w" + strconv.Itoa(n) }

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"testing"
 
 	"smoothproc/internal/eqlang"
@@ -77,20 +76,16 @@ func TestEvalCountInvariantAcrossSpecs(t *testing.T) {
 		}
 		t.Run(filepath.Base(path), func(t *testing.T) {
 			full := prog.Problem()
-			for _, workers := range []int{1, 2} {
-				w := "w" + strconv.Itoa(workers)
-				checkEvalCounts(t, w+" cold", full, solver.EnumerateParallel(ctx, full, workers))
-				if full.MaxDepth < 2 {
-					continue
-				}
+			checkEvalCounts(t, "cold", full, solver.Enumerate(ctx, full))
+			if full.MaxDepth >= 2 {
 				half := prog.Problem()
 				half.MaxDepth = max(1, full.MaxDepth/2)
-				_, cp := solver.EnumerateCapture(ctx, half, workers)
-				res, err := cp.Resume(ctx, solver.ResumeOpts{MaxDepth: full.MaxDepth, Workers: workers, Final: true})
+				_, cp := solver.EnumerateCapture(ctx, half)
+				res, err := cp.Resume(ctx, solver.ResumeOpts{MaxDepth: full.MaxDepth, Final: true})
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkEvalCounts(t, w+" capture → final resume", full, res)
+				checkEvalCounts(t, "capture → final resume", full, res)
 			}
 			for seed := int64(1); seed <= 3; seed++ {
 				sr := solver.Sample(ctx, full, solver.SampleOpts{Seed: seed})

@@ -3,6 +3,7 @@ package descgen
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"smoothproc/internal/desc"
@@ -77,8 +78,10 @@ func TestMonitorOnRandomDescriptions(t *testing.T) {
 	}
 }
 
-// TestParallelSolverOnRandomDescriptions compares the sequential and
-// parallel enumerations on random instances.
+// TestParallelSolverOnRandomDescriptions runs two searches of each
+// random instance's Problem at once and compares each with a lone
+// search: independent searches share the description and its cached
+// bytecode, and nothing else.
 func TestParallelSolverOnRandomDescriptions(t *testing.T) {
 	for seed := int64(0); seed < sweepSeeds/2; seed++ {
 		g := Generate(seed, Config{Depth: 3})
@@ -87,12 +90,23 @@ func TestParallelSolverOnRandomDescriptions(t *testing.T) {
 		if a.Truncated {
 			continue
 		}
-		b := solver.EnumerateParallel(context.Background(), g.Problem, 4)
-		if strings.Join(a.SolutionKeys(), "|") != strings.Join(b.SolutionKeys(), "|") {
-			t.Errorf("seed %d (%s): parallel/sequential disagree", seed, g.Shape)
+		var par [2]solver.Result
+		var wg sync.WaitGroup
+		for i := range par {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				par[i] = solver.Enumerate(context.Background(), g.Problem)
+			}()
 		}
-		if a.Nodes != b.Nodes {
-			t.Errorf("seed %d (%s): node counts %d vs %d", seed, g.Shape, a.Nodes, b.Nodes)
+		wg.Wait()
+		for _, b := range par {
+			if strings.Join(a.SolutionKeys(), "|") != strings.Join(b.SolutionKeys(), "|") {
+				t.Errorf("seed %d (%s): parallel/lone searches disagree", seed, g.Shape)
+			}
+			if a.Nodes != b.Nodes {
+				t.Errorf("seed %d (%s): node counts %d vs %d", seed, g.Shape, a.Nodes, b.Nodes)
+			}
 		}
 	}
 }

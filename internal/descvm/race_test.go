@@ -8,9 +8,10 @@ import (
 )
 
 // TestEvalConcurrent shares one Prog across goroutines, each evaluating
-// through a Session of its own — the parallel search's pattern, one
-// session per worker. A Prog is immutable after Compile and all mutable
-// state lives in session frames; CI runs this under -race.
+// through a Session of its own — the pattern of concurrent searches of
+// one spec, one session per search and side. A Prog is immutable after
+// Compile and all mutable state lives in session frames; CI runs this
+// under -race.
 func TestEvalConcurrent(t *testing.T) {
 	f := buildComposite()
 	p, ok := Compile(f)

@@ -114,7 +114,7 @@ func CompileSource(src string) (*Program, error) {
 
 // Problem returns the solver problem for the program. The combined
 // description is built once and shared by every call: callers receive a
-// value copy they may adjust (Workers, Compiled, ...), while the
+// value copy they may adjust (MaxDepth, MaxNodes, ...), while the
 // function identity of the combined sides stays stable — which is what
 // lets descvm cache the compiled bytecode per IR across repeated solves
 // of one program (the service's steady state).

@@ -1,12 +1,12 @@
 // Package metrics is the measurement substrate for the reproduction's
-// search and simulation machinery: allocation-conscious counters, timers
-// and histograms that the solver, the description evaluator and the
-// network scheduler thread through their hot paths.
+// service and simulation machinery: allocation-conscious counters,
+// timers and histograms that smoothd, the store and the network
+// scheduler thread through their hot paths.
 //
-// Everything here is safe for concurrent use — EnumerateParallel shares
-// one description evaluator across its worker pool — and reads back into
-// plain-value snapshots, so stats structs stay copyable and vet-clean
-// (no lock or atomic is ever copied).
+// Everything here is safe for concurrent use — smoothd's handlers and
+// its request pool update one server's counters at once — and reads
+// back into plain-value snapshots, so stats structs stay copyable and
+// vet-clean (no lock or atomic is ever copied).
 package metrics
 
 import (

@@ -115,10 +115,10 @@ func (in *Instance) CrossCheck(ctx context.Context) error {
 }
 
 // Fingerprint is the solver's deterministic search fingerprint for the
-// instance at the given worker count — the corpus's differential oracle
-// across machines, Go versions and worker counts.
-func (in *Instance) Fingerprint(ctx context.Context, workers int) uint64 {
-	return solver.EnumerateParallel(ctx, in.Prog.Problem(), workers).Fingerprint()
+// instance — the corpus's differential oracle across machines and Go
+// versions.
+func (in *Instance) Fingerprint(ctx context.Context) uint64 {
+	return solver.Enumerate(ctx, in.Prog.Problem()).Fingerprint()
 }
 
 // GenerateInstance runs one grammar walk: family + seed → Instance. The

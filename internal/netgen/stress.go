@@ -58,8 +58,8 @@ type StressInstance struct {
 // sound lower bound clears TargetNodes. Buffers are the right stress
 // shape because their tree is pure interleaving: every node is reachable,
 // Theorem 1 admits input events without evaluation, and the node count
-// grows exponentially in depth with no pruning cliff, so the parallel
-// search sees wide windows level after level.
+// grows exponentially in depth with no pruning cliff, so every level of
+// the search is wider than the last.
 func Stress(seed int64, cfg StressConfig) (*StressInstance, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(seed))
@@ -128,10 +128,10 @@ func Stress(seed int64, cfg StressConfig) (*StressInstance, error) {
 	}, nil
 }
 
-// Solve runs the instance through the solver at the given worker count
-// with the setting large searches want: no visited-node retention.
-func (s *StressInstance) Solve(ctx context.Context, workers int) solver.Result {
+// Solve runs the instance through the solver with the setting large
+// searches want: no visited-node retention.
+func (s *StressInstance) Solve(ctx context.Context) solver.Result {
 	p := s.Prog.Problem()
 	p.CollectVisited = false
-	return solver.EnumerateParallel(ctx, p, workers)
+	return solver.Enumerate(ctx, p)
 }

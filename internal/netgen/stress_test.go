@@ -36,8 +36,8 @@ func TestStressCalibration(t *testing.T) {
 }
 
 // TestStressSolveReachesTarget actually runs one ≥1e5-node stress
-// instance through the parallel solver and asserts the real tree cleared
-// the calibration target with worker-count-independent fingerprints.
+// instance through the solver and asserts the real tree cleared the
+// calibration target inside the planner's bracket.
 // Skipped under -short: this is the scheduled/stress CI leg.
 func TestStressSolveReachesTarget(t *testing.T) {
 	if testing.Short() {
@@ -47,17 +47,12 @@ func TestStressSolveReachesTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	seq := s.Solve(ctx, 1)
-	par := s.Solve(ctx, 4)
+	seq := s.Solve(context.Background())
 	if seq.Nodes < 100_000 {
 		t.Errorf("%s (%s): solved %d nodes, want >= 1e5", s.Name, s.Shape, seq.Nodes)
 	}
 	if uint64(seq.Nodes) < s.PredictedMin || uint64(seq.Nodes) > s.PredictedMax {
 		t.Errorf("%s (%s): %d nodes outside predicted bracket [%d, %d]",
 			s.Name, s.Shape, seq.Nodes, s.PredictedMin, s.PredictedMax)
-	}
-	if seq.Fingerprint() != par.Fingerprint() {
-		t.Errorf("%s (%s): sequential and 4-worker fingerprints differ", s.Name, s.Shape)
 	}
 }

@@ -2,7 +2,6 @@ package service
 
 import (
 	"net/http"
-	"runtime"
 	"testing"
 )
 
@@ -79,8 +78,7 @@ func TestAdmissionAdmitsWithinBudget(t *testing.T) {
 }
 
 // twoGroups has two independent descriptions on disjoint channels — a
-// partition of width 2, which the server should pick as the worker
-// count when the client leaves it unset.
+// partition of width 2.
 const twoGroups = `alphabet a = {0}
 alphabet e = {0}
 alphabet x = {0}
@@ -90,7 +88,10 @@ desc e <- a
 desc y <- x
 `
 
-func TestAutoWorkersFromPartitionWidth(t *testing.T) {
+// TestWorkerCountDoesNotSplitResultCache: a request's worker count does
+// not change the answer, so it must not change the cache entry either.
+// Solves of one spec at workers 1, 2 and unset share one result.
+func TestWorkerCountDoesNotSplitResultCache(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 
 	resp, body := postJSON(t, ts.URL+"/v1/specs", SpecRequest{Source: twoGroups})
@@ -98,29 +99,24 @@ func TestAutoWorkersFromPartitionWidth(t *testing.T) {
 		t.Fatalf("upload: status %d: %s", resp.StatusCode, body)
 	}
 	info := decode[SpecInfo](t, body)
-	if info.Plan == nil {
-		t.Fatal("spec upload carries no plan")
-	}
-	if info.Plan.PartitionWidth != 2 {
-		t.Fatalf("partition width = %d, want 2", info.Plan.PartitionWidth)
+	if info.Plan == nil || info.Plan.PartitionWidth != 2 {
+		t.Fatalf("spec upload plan = %+v, want partition width 2", info.Plan)
 	}
 
-	resp, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{SpecHash: info.Hash, Wait: true})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("solve: status %d: %s", resp.StatusCode, body)
-	}
-	job := decode[JobView](t, body)
-	want := min(2, runtime.GOMAXPROCS(0))
-	if job.Params.Workers != want {
-		t.Errorf("auto-picked workers = %d, want %d (partition width clamped to cores)", job.Params.Workers, want)
-	}
-
-	// An explicit worker count always wins over the plan.
-	resp, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{SpecHash: info.Hash, Workers: 1, Wait: true, NoCache: true})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("explicit-workers solve: status %d: %s", resp.StatusCode, body)
-	}
-	if job := decode[JobView](t, body); job.Params.Workers != 1 {
-		t.Errorf("explicit workers overridden: got %d, want 1", job.Params.Workers)
+	for i, workers := range []int{1, 2, 0} {
+		resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{SpecHash: info.Hash, Workers: workers, Wait: true})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("workers %d: status %d: %s", workers, resp.StatusCode, body)
+		}
+		job := decode[JobView](t, body)
+		if job.Result == nil {
+			t.Fatalf("workers %d: no result: %s", workers, body)
+		}
+		if want := i > 0; job.Result.Cached != want {
+			t.Errorf("workers %d: cached = %t, want %t", workers, job.Result.Cached, want)
+		}
+		if job.Params.Workers != 1 {
+			t.Errorf("workers %d: params.workers = %d, want 1", workers, job.Params.Workers)
+		}
 	}
 }

@@ -95,7 +95,11 @@ type SolveRequest struct {
 	// MaxNodes bounds tree nodes explored; 0 or anything above the
 	// server's MaxNodes cap is clamped to the cap.
 	MaxNodes int `json:"max_nodes,omitempty"`
-	// Workers selects the parallel search when > 1.
+	// Workers is accepted and ignored: every search runs on one
+	// goroutine.
+	//
+	// Deprecated: kept only for the benchmark module's client until its
+	// next change (ROADMAP item 8).
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMs bounds the search wall clock; 0 uses the server default.
 	TimeoutMs int `json:"timeout_ms,omitempty"`
@@ -113,7 +117,11 @@ type SolveRequest struct {
 type SolveParams struct {
 	Depth    int `json:"depth"`
 	MaxNodes int `json:"max_nodes"`
-	Workers  int `json:"workers"`
+	// Workers is always 1: every search runs on one goroutine.
+	//
+	// Deprecated: kept only for the benchmark module, which rebuilds
+	// result keys from it, until its next change (ROADMAP item 8).
+	Workers int `json:"workers"`
 }
 
 // resultKey names one (spec, params) search in the result cache — a
@@ -195,8 +203,6 @@ type SessionRequest struct {
 	// its retained frontier.
 	Depth    int `json:"depth,omitempty"`
 	MaxNodes int `json:"max_nodes,omitempty"`
-	// Workers selects the parallel search when > 1.
-	Workers int `json:"workers,omitempty"`
 	// TimeoutMs bounds this leg's wall clock; a timed-out leg keeps the
 	// session resumable (the unexplored queue is retained).
 	TimeoutMs int `json:"timeout_ms,omitempty"`
@@ -234,8 +240,6 @@ type DeltaRequest struct {
 	// the eliminated system, verified against the projection in both
 	// directions (Theorems 5 and 6). The response carries the account.
 	Check bool `json:"check,omitempty"`
-	// Workers parallelizes the check's fresh solve.
-	Workers int `json:"workers,omitempty"`
 }
 
 // DeltaView is the wire form of a delta-solve.

@@ -54,7 +54,7 @@ func TestStressInstanceAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Source: s.Source, Wait: true, Workers: 2})
+	resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Source: s.Source, Wait: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("%s (%s): status %d: %s", s.Name, s.Shape, resp.StatusCode, body)
 	}

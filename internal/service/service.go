@@ -36,8 +36,8 @@ type Config struct {
 	SpecCacheSize   int
 	ResultCacheSize int
 	// SessionCacheSize bounds the live solve sessions (default 64). Each
-	// session retains its search frontier and evaluator memo, so this cap
-	// is the server's incremental-state memory knob.
+	// session retains its classified prefix and search frontier, so this
+	// cap is the server's incremental-state memory knob.
 	SessionCacheSize int
 	// MaxDepth caps the probe depth a request may ask for (default 12).
 	MaxDepth int
@@ -152,12 +152,10 @@ type Server struct {
 	compileErrors metrics.Counter
 	nodesSearched metrics.Counter
 	solutions     metrics.Counter
-	// Admission control: solves the static plan admitted, solves it
-	// rejected as guaranteed over budget, and solves whose worker count
-	// the Theorem 1 partition width picked.
+	// Admission control: solves the static plan admitted, and solves it
+	// rejected as guaranteed over budget.
 	admitted           metrics.Counter
 	rejectedOverBudget metrics.Counter
-	autoWorkers        metrics.Counter
 	// Session and streaming traffic: how often incremental state was
 	// created, deepened (resumes), served as-is (replays), answered by a
 	// Theorem 5/6 projection (deltas), and how many solutions were pushed
@@ -325,10 +323,12 @@ func (s *Server) lookupSpec(ctx context.Context, hash string) (compiledSpec, boo
 }
 
 // storeResultKey derives the result blob's content address from the
-// cache key: the SHA-256 of the canonical (spec, params) rendering.
+// cache key: the SHA-256 of the canonical (spec, params) rendering. The
+// trailing w1 is the form results had when a worker count was part of
+// the key; keeping it keeps results stored at one worker addressable.
 func storeResultKey(k resultKey) store.Key {
-	return store.KeyOf([]byte(fmt.Sprintf("result|%s|d%d|n%d|w%d",
-		k.hash, k.params.Depth, k.params.MaxNodes, k.params.Workers)))
+	return store.KeyOf([]byte(fmt.Sprintf("result|%s|d%d|n%d|w1",
+		k.hash, k.params.Depth, k.params.MaxNodes)))
 }
 
 // cachedResult is the read-through result lookup: LRU, then store.
@@ -502,14 +502,10 @@ func writeSubmitError(w http.ResponseWriter, err error) bool {
 	return true
 }
 
-// params normalizes a solve request against the server caps. When the
-// client does not choose a worker count, the spec's plan does: the
-// Theorem 1 partition width is the number of independent channel groups
-// — parallelism beyond it shares no structure to split. Safe to vary
-// per request because SolveResult.Stats is the deterministic report
-// (worker count never changes the answer, only the wall clock).
-func (s *Server) params(req SolveRequest, prog *eqlang.Program, plan *specplan.Plan) SolveParams {
-	p := SolveParams{Depth: req.Depth, MaxNodes: req.MaxNodes, Workers: req.Workers}
+// params normalizes a solve request against the server caps. The
+// request's worker count is ignored.
+func (s *Server) params(req SolveRequest, prog *eqlang.Program) SolveParams {
+	p := SolveParams{Depth: req.Depth, MaxNodes: req.MaxNodes, Workers: 1}
 	if p.Depth <= 0 {
 		p.Depth = prog.Depth
 	}
@@ -517,12 +513,6 @@ func (s *Server) params(req SolveRequest, prog *eqlang.Program, plan *specplan.P
 	if p.MaxNodes <= 0 || p.MaxNodes > s.cfg.MaxNodes {
 		p.MaxNodes = s.cfg.MaxNodes
 	}
-	if p.Workers <= 0 && plan != nil && plan.PartitionWidth > 1 {
-		p.Workers = min(plan.PartitionWidth, runtime.GOMAXPROCS(0))
-		s.autoWorkers.Inc()
-	}
-	p.Workers = max(p.Workers, 1)
-	p.Workers = min(p.Workers, 4*runtime.GOMAXPROCS(0))
 	return p
 }
 
@@ -581,7 +571,7 @@ func (s *Server) solve(ctx context.Context, prog *eqlang.Program, p SolveParams,
 	problem.MaxNodes = p.MaxNodes
 	problem.OnSolution = onSolution
 	start := time.Now()
-	res := solver.EnumerateParallel(ctx, problem, p.Workers)
+	res := solver.Enumerate(ctx, problem)
 	s.countSearch(res.Nodes, len(res.Solutions))
 	return wireResult(res, start)
 }
@@ -623,7 +613,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	prog := spec.prog
 
-	p := s.params(req, prog, spec.plan)
+	p := s.params(req, prog)
 	if est := s.admit(p, spec.plan); est != nil {
 		rejectOverBudget(w, est)
 		return
@@ -787,7 +777,6 @@ func (s *Server) Metrics() report.Stats {
 	admission := report.Section{Name: "admission"}
 	admission.Add("admitted", s.admitted.Load(), "")
 	admission.Add("rejected over budget", s.rejectedOverBudget.Load(), "")
-	admission.Add("auto workers picked", s.autoWorkers.Load(), "")
 
 	jobs := report.Section{Name: "jobs"}
 	submitted, completed, failed, canceled := s.sched.Counts()

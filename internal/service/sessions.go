@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"time"
 
 	"smoothproc/internal/session"
@@ -122,13 +121,11 @@ func sessionView(hash string, e *sessionEntry) SessionView {
 // that Depth 0 is kept (meaning "the session's current depth") instead
 // of defaulting to the spec's.
 func (s *Server) sessionParams(req SessionRequest) SolveParams {
-	p := SolveParams{Depth: req.Depth, MaxNodes: req.MaxNodes, Workers: req.Workers}
+	p := SolveParams{Depth: req.Depth, MaxNodes: req.MaxNodes, Workers: 1}
 	p.Depth = min(p.Depth, s.cfg.MaxDepth)
 	if p.MaxNodes <= 0 || p.MaxNodes > s.cfg.MaxNodes {
 		p.MaxNodes = s.cfg.MaxNodes
 	}
-	p.Workers = max(p.Workers, 1)
-	p.Workers = min(p.Workers, 4*runtime.GOMAXPROCS(0))
 	return p
 }
 
@@ -162,7 +159,6 @@ func (s *Server) runSession(w http.ResponseWriter, r *http.Request, hash string,
 			res, out, err := e.sess.Solve(ctx, session.Options{
 				Depth:    p.Depth,
 				MaxNodes: p.MaxNodes,
-				Workers:  p.Workers,
 			})
 			if err != nil {
 				return nil, err
@@ -317,7 +313,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		view.Solutions = append(view.Solutions, t.String())
 	}
 	if req.Check {
-		rep, err := e.sess.DeltaCheck(r.Context(), d, req.Workers)
+		rep, err := e.sess.DeltaCheck(r.Context(), d)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, fmt.Errorf("service: delta differential check failed: %w", err))
 			return

@@ -83,7 +83,7 @@ func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	prog := spec.prog
-	p := s.params(req, prog, spec.plan)
+	p := s.params(req, prog)
 	if est := s.admit(p, spec.plan); est != nil {
 		rejectOverBudget(w, est)
 		return

@@ -155,7 +155,7 @@ func TestSessionCodecCorrupt(t *testing.T) {
 func TestSessionCodecDeterministic(t *testing.T) {
 	ctx := context.Background()
 	s := dfmSession(t)
-	if _, _, err := s.Solve(ctx, Options{Depth: 3, Workers: 2}); err != nil {
+	if _, _, err := s.Solve(ctx, Options{Depth: 3}); err != nil {
 		t.Fatal(err)
 	}
 	b1, err := s.Encode()

@@ -40,9 +40,8 @@ type DeltaCheckReport struct {
 //     missed a solution).
 //
 // Any violation is returned as an error; a nil error certifies the
-// delta-solve's Solutions against the from-scratch answer. The fresh
-// solve runs at the given worker count (≤ 1 is sequential).
-func (s *Session) DeltaCheck(ctx context.Context, d DeltaResult, workers int) (DeltaCheckReport, error) {
+// delta-solve's Solutions against the from-scratch answer.
+func (s *Session) DeltaCheck(ctx context.Context, d DeltaResult) (DeltaCheckReport, error) {
 	s.mu.Lock()
 	if s.cp == nil {
 		s.mu.Unlock()
@@ -63,7 +62,7 @@ func (s *Session) DeltaCheck(ctx context.Context, d DeltaResult, workers int) (D
 	fp.Compiled = base.Compiled
 	fp.CollectVisited = false
 
-	fresh := solver.EnumerateParallel(ctx, fp, workers)
+	fresh := solver.Enumerate(ctx, fp)
 	if fresh.Truncated {
 		return DeltaCheckReport{}, fmt.Errorf("session: fresh solve of %s was truncated; delta check needs a complete reference", d.System.Name)
 	}

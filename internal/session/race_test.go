@@ -34,8 +34,7 @@ func TestRaceConcurrentResumeAndReaders(t *testing.T) {
 			defer wg.Done()
 			var got []string
 			_, _, err := s.Solve(ctx, Options{
-				Depth:   2 + i%3,
-				Workers: i % 3,
+				Depth: 2 + i%3,
 				OnSolution: func(tr trace.Trace) {
 					got = append(got, tr.String())
 				},
@@ -78,7 +77,7 @@ func TestRaceConcurrentResumeAndReaders(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				if _, err := s.DeltaCheck(ctx, d, 2); err != nil {
+				if _, err := s.DeltaCheck(ctx, d); err != nil {
 					t.Errorf("delta check under concurrency: %v", err)
 				}
 			}

@@ -37,10 +37,6 @@ type Options struct {
 	// MaxNodes is the total node budget (0 = unbounded). A truncated
 	// session resumes when the budget grows.
 	MaxNodes int
-	// Workers spreads the leg over that many goroutines (see
-	// solver.EnumerateParallel); ≤ 1 solves sequentially. Legs may use any
-	// worker count.
-	Workers int
 	// OnSolution, when non-nil, receives the complete solution stream of
 	// the search in canonical BFS order: stored prefix solutions are
 	// replayed first, then new solutions arrive as the resumed leg
@@ -120,7 +116,7 @@ func (s *Session) Solve(ctx context.Context, o Options) (solver.Result, Outcome,
 		}
 		p.MaxNodes = o.MaxNodes
 		p.OnSolution = o.OnSolution
-		res, cp := solver.EnumerateCapture(ctx, p, o.Workers)
+		res, cp := solver.EnumerateCapture(ctx, p)
 		p.OnSolution = nil
 		s.p = p
 		s.cp = cp
@@ -163,7 +159,6 @@ func (s *Session) Solve(ctx context.Context, o Options) (solver.Result, Outcome,
 	res, err := s.cp.Resume(ctx, solver.ResumeOpts{
 		MaxDepth:   depth,
 		MaxNodes:   o.MaxNodes,
-		Workers:    o.Workers,
 		OnSolution: o.OnSolution,
 	})
 	if err != nil {

@@ -58,7 +58,7 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatalf("depth-2 solutions %v, want %v", keys(res2.Solutions), keys(cold2.Solutions))
 	}
 
-	res4, out, err := s.Solve(ctx, Options{Depth: 4, Workers: 2})
+	res4, out, err := s.Solve(ctx, Options{Depth: 4})
 	if err != nil || out != Resumed {
 		t.Fatalf("deepen: outcome %v, err %v", out, err)
 	}
@@ -121,7 +121,7 @@ func TestSessionStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	coldLen := len(stream)
-	res, _, err := s.Solve(ctx, Options{Depth: 4, Workers: 3, OnSolution: emit})
+	res, _, err := s.Solve(ctx, Options{Depth: 4, OnSolution: emit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestSessionDelta(t *testing.T) {
 		}
 	}
 
-	rep, err := s.DeltaCheck(ctx, d, 2)
+	rep, err := s.DeltaCheck(ctx, d)
 	if err != nil {
 		t.Fatalf("delta check: %v (report %+v)", err, rep)
 	}

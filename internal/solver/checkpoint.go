@@ -20,7 +20,7 @@
 // capture at depth d resumed in Final mode to depth D > d reproduces the
 // cold depth-D fingerprint byte for byte, evaluation counters included
 // (the root resume differential suite enforces this across all shipped
-// specs, at one worker and several). Since a stopped search commits
+// specs). Since a stopped search commits
 // exactly the prefix it evaluated, this also holds for a capture that a
 // deadline or the node budget cut short.
 package solver
@@ -42,12 +42,11 @@ type frontierEntry struct {
 }
 
 // Checkpoint is the retained state of a capture-mode search: the problem
-// (whose bounds track the latest leg), the shared search machinery — the
-// sides' bytecode, the lead worker and the interned candidates — the
-// last leg's Result, the resume frontier, and the pending queue of a
-// truncated run. The Result carries every evaluation count so far; each
-// leg adds its workers' counts to it, so any leg may run at any worker
-// count and the counters stay byte-identical either way.
+// (whose bounds track the latest leg), the search machinery — the sides'
+// VM sessions and the interned candidates — the last leg's Result, the
+// resume frontier, and the pending queue of a truncated run. The Result
+// carries every evaluation count so far, and each leg counts on into
+// it.
 //
 // A Checkpoint is not safe for concurrent use; callers that share one
 // (the session subsystem) serialize resumes.
@@ -60,12 +59,11 @@ type Checkpoint struct {
 	finaled  bool
 }
 
-// EnumerateCapture is EnumerateParallel in capture mode: the same
-// classified Result (see the package comment for the bound-level stats
-// caveat), plus a Checkpoint that can resume the search at larger
-// bounds, at any worker count.
-func EnumerateCapture(ctx context.Context, p Problem, workers int) (Result, *Checkpoint) {
-	return enumerate(ctx, p, workers, true)
+// EnumerateCapture is Enumerate in capture mode: the same classified
+// Result (see the package comment for the bound-level stats caveat),
+// plus a Checkpoint that can resume the search at larger bounds.
+func EnumerateCapture(ctx context.Context, p Problem) (Result, *Checkpoint) {
+	return enumerate(ctx, p, true)
 }
 
 // ResumeOpts are the bounds and mode of one resume leg.
@@ -77,10 +75,6 @@ type ResumeOpts struct {
 	// prefix); 0 means unbounded. A positive budget must exceed the nodes
 	// already classified.
 	MaxNodes int
-	// Workers spreads the leg's windows over that many goroutines, as
-	// EnumerateParallel does; ≤ 1 resumes sequentially. Legs may use any
-	// worker count, whatever the capture used.
-	Workers int
 	// Final ends the checkpoint's lineage: the resumed leg treats the new
 	// depth bound with the plain hasSon probe, so its Result is
 	// byte-identical to a cold plain solve at the target bounds. The
@@ -167,7 +161,7 @@ func (cp *Checkpoint) Resume(ctx context.Context, o ResumeOpts) (Result, error) 
 		capCp = nil
 	}
 	res := base
-	cp.s.run(ctx, &res, queue, o.Workers, capCp)
+	cp.s.run(ctx, &res, queue, capCp)
 	cp.resumes++
 	if o.Final {
 		cp.finaled = true

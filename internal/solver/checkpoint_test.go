@@ -45,8 +45,9 @@ func expectResultsEqual(t *testing.T, what string, got, want Result) {
 // TestCaptureResumeFinalMatchesCold is the core deepening contract: a
 // capture at depth d resumed in Final mode to depth D is byte-identical
 // to a cold plain solve at D — result slices, fingerprint counters and
-// evaluation hit/apply counts — across sequential and parallel legs in
-// every combination.
+// evaluation hit/apply counts. Each leg runs either alone ("seq") or as
+// one of two independent legs of the same Problem at once ("par"), as a
+// session leg and another request for the spec do in smoothd.
 func TestCaptureResumeFinalMatchesCold(t *testing.T) {
 	ctx := context.Background()
 	const capDepth, fullDepth = 2, 5
@@ -56,33 +57,42 @@ func TestCaptureResumeFinalMatchesCold(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name                      string
-		capWorkers, resumeWorkers int
+		name           string
+		capPar, resPar bool
 	}{
-		{"seq-seq", 1, 1},
-		{"seq-par", 1, 3},
-		{"par-seq", 3, 1},
-		{"par-par", 2, 4},
+		{"seq-seq", false, false},
+		{"seq-par", false, true},
+		{"par-seq", true, false},
+		{"par-par", true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			capRes, cp := EnumerateCapture(ctx, dfmProblem(capDepth), tc.capWorkers)
-			if err := capRes.Stats.CheckInvariants(false); err != nil {
-				t.Fatal(err)
-			}
-			if capRes.Nodes >= cold.Nodes {
-				t.Fatalf("capture at depth %d classified %d nodes, not fewer than the %d at depth %d",
-					capDepth, capRes.Nodes, cold.Nodes, fullDepth)
-			}
-			res, err := cp.Resume(ctx, ResumeOpts{MaxDepth: fullDepth, Workers: tc.resumeWorkers, Final: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			expectResultsEqual(t, tc.name, res, cold)
-			if cp.Resumable() {
-				t.Error("checkpoint still resumable after a Final resume")
-			}
-			if _, err := cp.Resume(ctx, ResumeOpts{MaxDepth: fullDepth + 1}); err == nil {
-				t.Error("resume after Final should fail")
+			half := dfmProblem(capDepth)
+			var caps [2]Result
+			var cps [2]*Checkpoint
+			each(tc.capPar, 2, func(i int) { caps[i], cps[i] = EnumerateCapture(ctx, half) })
+			var res [2]Result
+			var errs [2]error
+			each(tc.resPar, 2, func(i int) {
+				res[i], errs[i] = cps[i].Resume(ctx, ResumeOpts{MaxDepth: fullDepth, Final: true})
+			})
+			for i, cp := range cps {
+				if err := caps[i].Stats.CheckInvariants(false); err != nil {
+					t.Fatal(err)
+				}
+				if caps[i].Nodes >= cold.Nodes {
+					t.Fatalf("capture at depth %d classified %d nodes, not fewer than the %d at depth %d",
+						capDepth, caps[i].Nodes, cold.Nodes, fullDepth)
+				}
+				if errs[i] != nil {
+					t.Fatal(errs[i])
+				}
+				expectResultsEqual(t, fmt.Sprintf("%s leg %d", tc.name, i), res[i], cold)
+				if cp.Resumable() {
+					t.Error("checkpoint still resumable after a Final resume")
+				}
+				if _, err := cp.Resume(ctx, ResumeOpts{MaxDepth: fullDepth + 1}); err == nil {
+					t.Error("resume after Final should fail")
+				}
 			}
 		})
 	}
@@ -94,9 +104,9 @@ func TestCaptureResumeFinalMatchesCold(t *testing.T) {
 // byte for byte.
 func TestCaptureResumeChain(t *testing.T) {
 	ctx := context.Background()
-	_, cp := EnumerateCapture(ctx, dfmProblem(1), 1)
+	_, cp := EnumerateCapture(ctx, dfmProblem(1))
 	for depth := 2; depth <= 4; depth++ {
-		res, err := cp.Resume(ctx, ResumeOpts{MaxDepth: depth, Workers: depth % 3})
+		res, err := cp.Resume(ctx, ResumeOpts{MaxDepth: depth})
 		if err != nil {
 			t.Fatalf("depth %d: %v", depth, err)
 		}
@@ -132,32 +142,29 @@ func TestCaptureBudgetResume(t *testing.T) {
 	if cold.Nodes < 12 {
 		t.Fatalf("test wants a tree bigger than 12 nodes, got %d", cold.Nodes)
 	}
-	for _, workers := range []int{1, 3} {
-		p := dfmProblem(depth)
-		p.MaxNodes = 7
-		capRes, cp := EnumerateCapture(ctx, p, workers)
-		if !capRes.Truncated {
-			t.Fatalf("w%d: capture with MaxNodes=7 not truncated", workers)
-		}
-		if cp.PendingSize() == 0 {
-			t.Fatalf("w%d: truncated capture retained no pending nodes", workers)
-		}
-		res, err := cp.Resume(ctx, ResumeOpts{MaxDepth: depth, Workers: workers, Final: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A window never outruns the node budget, so a truncated capture
-		// has evaluated exactly what it committed at any worker count:
-		// evaluation counters included, the resume matches cold.
-		expectResultsEqual(t, fmt.Sprintf("budget-resume-w%d", workers), res, cold)
+	p := dfmProblem(depth)
+	p.MaxNodes = 7
+	capRes, cp := EnumerateCapture(ctx, p)
+	if !capRes.Truncated {
+		t.Fatal("capture with MaxNodes=7 not truncated")
 	}
+	if cp.PendingSize() == 0 {
+		t.Fatal("truncated capture retained no pending nodes")
+	}
+	res, err := cp.Resume(ctx, ResumeOpts{MaxDepth: depth, Final: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A truncated capture has evaluated exactly what it committed:
+	// evaluation counters included, the resume matches cold.
+	expectResultsEqual(t, "budget-resume", res, cold)
 }
 
 // TestResumeValidation pins the guard rails: shrinking depth, exhausted
 // budgets and same-depth Final resumes over a live frontier all fail.
 func TestResumeValidation(t *testing.T) {
 	ctx := context.Background()
-	_, cp := EnumerateCapture(ctx, dfmProblem(2), 1)
+	_, cp := EnumerateCapture(ctx, dfmProblem(2))
 	if _, err := cp.Resume(ctx, ResumeOpts{MaxDepth: 1}); err == nil {
 		t.Error("resume below the captured depth should fail")
 	}
@@ -171,9 +178,9 @@ func TestResumeValidation(t *testing.T) {
 	}
 }
 
-// TestOnSolutionStreamsCanonically checks the streaming hook: sequential
-// and parallel searches emit the same solutions, in the same canonical
-// order as Result.Solutions, and a resume emits exactly the new ones.
+// TestOnSolutionStreamsCanonically checks the streaming hook: the search
+// emits its solutions in the canonical order of Result.Solutions, and a
+// resume emits exactly the new ones.
 func TestOnSolutionStreamsCanonically(t *testing.T) {
 	ctx := context.Background()
 	p := dfmProblem(4)
@@ -181,25 +188,17 @@ func TestOnSolutionStreamsCanonically(t *testing.T) {
 	p.OnSolution = func(tr trace.Trace) { seq = append(seq, tr.String()) }
 	res := Enumerate(ctx, p)
 	if len(seq) != len(res.Solutions) {
-		t.Fatalf("sequential emitted %d, result has %d", len(seq), len(res.Solutions))
+		t.Fatalf("emitted %d, result has %d", len(seq), len(res.Solutions))
 	}
 	for i, tr := range res.Solutions {
 		if seq[i] != tr.String() {
-			t.Fatalf("sequential emission[%d] = %s, want %s", i, seq[i], tr)
+			t.Fatalf("emission[%d] = %s, want %s", i, seq[i], tr)
 		}
-	}
-
-	var par []string
-	pp := dfmProblem(4)
-	pp.OnSolution = func(tr trace.Trace) { par = append(par, tr.String()) }
-	EnumerateParallel(ctx, pp, 4)
-	if !reflect.DeepEqual(par, seq) {
-		t.Errorf("parallel emission order %v, want %v", par, seq)
 	}
 
 	// Resume emits only the new solutions.
 	capP := dfmProblem(2)
-	capRes, cp := EnumerateCapture(ctx, capP, 1)
+	capRes, cp := EnumerateCapture(ctx, capP)
 	var resumed []string
 	full, err := cp.Resume(ctx, ResumeOpts{MaxDepth: 4, OnSolution: func(tr trace.Trace) {
 		resumed = append(resumed, tr.String())

@@ -29,7 +29,7 @@ import (
 )
 
 // checkpointVersion guards the body layout; bump on any change.
-const checkpointVersion = 3
+const checkpointVersion = 4
 
 // Encode serializes the checkpoint into one self-verifying blob (see the
 // trace codec for the integrity story). The checkpoint is not locked:
@@ -246,7 +246,7 @@ func encodeStats(e *trace.Encoder, s SearchStats) {
 		s.Visited, s.Interior, s.Frontier, s.Dead, s.Closed, s.Skipped,
 		s.Solutions, s.LimitChecks,
 		s.EdgesChecked, s.EdgesKept, s.SubtreesPruned, s.FrontierWitnesses,
-		s.RetainedSons, s.Thm1AutoEdges, s.Workers,
+		s.RetainedSons, s.Thm1AutoEdges,
 	} {
 		e.Varint(int64(n))
 	}
@@ -274,7 +274,7 @@ func decodeStats(d *trace.Decoder) (SearchStats, error) {
 		&s.Visited, &s.Interior, &s.Frontier, &s.Dead, &s.Closed, &s.Skipped,
 		&s.Solutions, &s.LimitChecks,
 		&s.EdgesChecked, &s.EdgesKept, &s.SubtreesPruned, &s.FrontierWitnesses,
-		&s.RetainedSons, &s.Thm1AutoEdges, &s.Workers,
+		&s.RetainedSons, &s.Thm1AutoEdges,
 	}
 	for _, p := range ints {
 		n, err := d.Varint()

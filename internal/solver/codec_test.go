@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	const capDepth, fullDepth = 2, 5
 
-	capRes, cp := EnumerateCapture(ctx, dfmProblem(capDepth), 1)
+	capRes, cp := EnumerateCapture(ctx, dfmProblem(capDepth))
 	blob, err := cp.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +67,7 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 // checkpoint blobs content-addressable.
 func TestCheckpointCodecDeterministic(t *testing.T) {
 	ctx := context.Background()
-	_, cp := EnumerateCapture(ctx, dfmProblem(3), 3)
+	_, cp := EnumerateCapture(ctx, dfmProblem(3))
 	b1, err := cp.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +98,7 @@ func TestCheckpointCodecTruncated(t *testing.T) {
 	ctx := context.Background()
 	p := dfmProblem(4)
 	p.MaxNodes = 9
-	capRes, cp := EnumerateCapture(ctx, p, 1)
+	capRes, cp := EnumerateCapture(ctx, p)
 	if !capRes.Truncated || cp.PendingSize() == 0 {
 		t.Fatalf("capture not truncated as intended (truncated=%v pending=%d)", capRes.Truncated, cp.PendingSize())
 	}
@@ -122,7 +123,7 @@ func TestCheckpointCodecTruncated(t *testing.T) {
 // TestCheckpointCodecFlagMismatch: decoding under a differently
 // configured problem must fail loudly, not produce drifting results.
 func TestCheckpointCodecFlagMismatch(t *testing.T) {
-	_, cp := EnumerateCapture(context.Background(), dfmProblem(2), 1)
+	_, cp := EnumerateCapture(context.Background(), dfmProblem(2))
 	blob, err := cp.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -139,13 +140,24 @@ func TestCheckpointCodecFlagMismatch(t *testing.T) {
 	}
 }
 
+// TestCheckpointCodecRejectsOldVersion: a blob of an earlier layout
+// (version 3 still carried the stats' worker count) fails decode as
+// corrupt, so smoothd counts a store error and starts the session cold.
+func TestCheckpointCodecRejectsOldVersion(t *testing.T) {
+	e := trace.NewEncoder()
+	e.Uvarint(checkpointVersion - 1)
+	if _, err := DecodeCheckpoint(e.Bytes(), dfmProblem(2)); !errors.Is(err, trace.ErrCorrupt) {
+		t.Fatalf("version %d blob: err = %v, want one wrapping trace.ErrCorrupt", checkpointVersion-1, err)
+	}
+}
+
 // TestCheckpointCodecCorrupt flips bytes across the blob: decode must
 // fail closed with an error wrapping trace.ErrCorrupt or — where the
 // flip is semantically inert — produce a checkpoint whose resume still
 // matches the cold solve. Never a panic.
 func TestCheckpointCodecCorrupt(t *testing.T) {
 	ctx := context.Background()
-	_, cp := EnumerateCapture(ctx, dfmProblem(2), 1)
+	_, cp := EnumerateCapture(ctx, dfmProblem(2))
 	blob, err := cp.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -189,14 +201,14 @@ func TestCheckpointCodecCorrupt(t *testing.T) {
 // (pending nodes carrying f).
 func FuzzCheckpointDecode(f *testing.F) {
 	ctx := context.Background()
-	_, cp := EnumerateCapture(ctx, dfmProblem(2), 1)
+	_, cp := EnumerateCapture(ctx, dfmProblem(2))
 	if blob, err := cp.Encode(); err == nil {
 		f.Add(blob)
 		f.Add(blob[:len(blob)/2])
 	}
 	budget := dfmProblem(2)
 	budget.MaxNodes = 5
-	if _, cp := EnumerateCapture(ctx, budget, 1); cp.PendingSize() > 0 {
+	if _, cp := EnumerateCapture(ctx, budget); cp.PendingSize() > 0 {
 		if blob, err := cp.Encode(); err == nil {
 			f.Add(blob)
 		}
@@ -219,36 +231,47 @@ func FuzzCheckpointDecode(f *testing.F) {
 }
 
 // TestCheckpointCodecResumeParity mirrors the live resume matrix over a
-// serialize/deserialize boundary: capture (seq or par), round-trip the
-// blob, resume (seq or par), compare against cold.
+// serialize/deserialize boundary: capture (alone or two at once),
+// round-trip the blob, resume (alone or two at once), compare against
+// cold.
 func TestCheckpointCodecResumeParity(t *testing.T) {
 	ctx := context.Background()
 	const capDepth, fullDepth = 2, 5
 	cold := Enumerate(ctx, dfmProblem(fullDepth))
 	for _, tc := range []struct {
-		name                      string
-		capWorkers, resumeWorkers int
+		name           string
+		capPar, resPar bool
 	}{
-		{"seq-seq", 1, 1},
-		{"seq-par", 1, 3},
-		{"par-seq", 3, 1},
-		{"par-par", 2, 4},
+		{"seq-seq", false, false},
+		{"seq-par", false, true},
+		{"par-seq", true, false},
+		{"par-par", true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, cp := EnumerateCapture(ctx, dfmProblem(capDepth), tc.capWorkers)
-			blob, err := cp.Encode()
-			if err != nil {
-				t.Fatal(err)
+			half := dfmProblem(capDepth)
+			var cps [2]*Checkpoint
+			each(tc.capPar, 2, func(i int) { _, cps[i] = EnumerateCapture(ctx, half) })
+			var decs [2]*Checkpoint
+			for i, cp := range cps {
+				blob, err := cp.Encode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if decs[i], err = DecodeCheckpoint(blob, half); err != nil {
+					t.Fatal(err)
+				}
 			}
-			dec, err := DecodeCheckpoint(blob, dfmProblem(capDepth))
-			if err != nil {
-				t.Fatal(err)
+			var res [2]Result
+			var errs [2]error
+			each(tc.resPar, 2, func(i int) {
+				res[i], errs[i] = decs[i].Resume(ctx, ResumeOpts{MaxDepth: fullDepth, Final: true})
+			})
+			for i := range res {
+				if errs[i] != nil {
+					t.Fatal(errs[i])
+				}
+				expectResultsEqual(t, fmt.Sprintf("%s leg %d", tc.name, i), res[i], cold)
 			}
-			res, err := dec.Resume(ctx, ResumeOpts{MaxDepth: fullDepth, Workers: tc.resumeWorkers, Final: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			expectResultsEqual(t, tc.name, res, cold)
 		})
 	}
 }
@@ -257,7 +280,7 @@ func TestCheckpointCodecEqualStats(t *testing.T) {
 	// The decoded checkpoint's full (non-Deterministic) counter set for
 	// the deterministic fields must equal the live one; spot-check the
 	// eval stats directly since fingerprints hang off them.
-	_, cp := EnumerateCapture(context.Background(), dfmProblem(3), 1)
+	_, cp := EnumerateCapture(context.Background(), dfmProblem(3))
 	blob, err := cp.Encode()
 	if err != nil {
 		t.Fatal(err)

@@ -62,10 +62,10 @@ type SampleResult struct {
 func Sample(ctx context.Context, p Problem, opts SampleOpts) SampleResult {
 	opts = opts.withDefaults(p)
 	s := newSearch(p)
-	lead := &s.lead
-	s.countBase(&lead.st)
-	rng := rand.New(rand.NewSource(opts.Seed))
 	res := SampleResult{Solutions: map[string]trace.Trace{}}
+	s.st = &res.Stats
+	s.countBase(s.st)
+	rng := rand.New(rand.NewSource(opts.Seed))
 	start := time.Now()
 walks:
 	for w := 0; w < opts.Walks; w++ {
@@ -75,15 +75,15 @@ walks:
 				res.Canceled = true
 				break walks
 			}
-			lead.st.LimitChecks++
-			gu, ok := lead.limit(cur)
+			s.st.LimitChecks++
+			gu, ok := s.limit(cur)
 			if ok {
 				res.Solutions[cur.t.String()] = cur.t
 			}
 			if depth >= opts.MaxDepth {
 				break
 			}
-			sons := lead.expand(cur.t, gu, s.sonBuf[:0])
+			sons := s.expand(cur.t, gu, s.sonBuf[:0])
 			if len(sons) == 0 {
 				break
 			}
@@ -94,7 +94,6 @@ walks:
 			}
 		}
 	}
-	res.Stats = lead.st
 	res.Stats.Elapsed = time.Since(start)
 	return res
 }

@@ -65,8 +65,8 @@ type Problem struct {
 	// newSearch).
 	Thm1 bool
 	// Compiled lowers the description's sides to descvm bytecode for the
-	// search's evaluations; each goroutine of the search runs the shared
-	// programs through VM sessions of its own. NewProblem sets it:
+	// search's evaluations; the search runs the shared programs through
+	// VM sessions of its own. NewProblem sets it:
 	// bytecode is the production evaluator. Observably transparent: all
 	// counters and every result are byte-identical to interpreted
 	// evaluation — the root differential suite enforces this across all
@@ -75,13 +75,10 @@ type Problem struct {
 	// silently keep the interpreter.
 	Compiled bool
 	// OnSolution, when non-nil, is invoked for each smooth solution as the
-	// search commits it, always in canonical BFS order and always on the
-	// goroutine that called the search: a sequential search emits node by
-	// node, a parallel one as each window commits (so emission order is
-	// independent of worker scheduling). The callback runs on the
-	// search's critical path — no worker visits while it runs — and must
-	// not block; buffer and hand off instead. The streaming service
-	// endpoint is the intended consumer.
+	// search commits it, in canonical BFS order, on the goroutine that
+	// called the search. The callback runs on the search's critical path
+	// and must not block; buffer and hand off instead. The streaming
+	// service endpoint is the intended consumer.
 	OnSolution func(trace.Trace)
 }
 
@@ -148,23 +145,23 @@ type node struct {
 	f fn.Tuple
 }
 
-// search carries the machinery shared by one tree exploration: the
-// problem, the sides' bytecode, and the interned candidate events — one
-// Event per (channel, message) built up front, so expansion never
-// re-constructs them. The workers of a window only read it; the lead
-// worker and sonBuf belong to the goroutine driving the search.
+// search carries the machinery of one tree exploration: the problem,
+// a VM session per side, the stats it counts into, and the interned
+// candidate events — one Event per (channel, message) built up front,
+// so expansion never re-constructs them. It runs on the goroutine that
+// called the search; concurrent searches share only the Problem and the
+// cached bytecode.
 type search struct {
 	p Problem
-	// fprog and gprog are the bytecode of the two sides when p.Compiled
+	// fsess and gsess evaluate the two sides' bytecode when p.Compiled
 	// and the side lowers; nil selects the interpreter for that side.
-	// A Prog is immutable, so each worker evaluates it through a session
-	// of its own.
-	fprog, gprog *descvm.Prog
-	// lead is the worker of the goroutine that drives the search: every
-	// single-node step runs on it, and it is worker 0 of every window. It
-	// lives as long as the search, so a checkpoint's later legs find its
-	// VM frames warm.
-	lead worker
+	// They live as long as the search, so a checkpoint's later legs find
+	// their VM frames warm.
+	fsess, gsess *descvm.Session
+	// st is where the running walk counts every limit check, edge and
+	// evaluation: run points it at its leg's Result.Stats and clears it
+	// when the leg ends, Sample at the walks' stats.
+	st *SearchStats
 	// cands holds the per-channel candidate events in Channels order —
 	// the same data as ev, but expansion iterates it as a slice so the
 	// per-node inner loop never touches a map. Each event's Hash64 is
@@ -184,12 +181,10 @@ type search struct {
 	// capacity an expanding node's son list can need.
 	fanout int
 	fsupp  trace.ChanSet
-	// sonBuf is the lead worker's reusable son-slot buffer for
-	// single-node visits (run, Sample, CheckInduction): capacity fanout,
-	// so expand never reallocates, and the consumer copies the sons into
-	// its queue before the next expand reuses the slots. Window visits
-	// must not use it — their nodeOuts hold son slices until the window
-	// commits.
+	// sonBuf is the reusable son-slot buffer for expansions below the
+	// depth bound: capacity fanout, so expand never reallocates, and the
+	// consumer copies the sons into its queue before the next expand
+	// reuses the slots.
 	sonBuf []node
 }
 
@@ -204,42 +199,18 @@ type candSet struct {
 	auto bool
 }
 
-// worker is one goroutine's share of a search: its SearchStats shard,
-// into which it counts every limit check, edge and evaluation it makes,
-// and a VM session for each side that lowered to bytecode. Workers share
-// nothing but the read-only search; run folds their shards into the
-// result (SearchStats.merge).
-type worker struct {
-	*search
-	st           SearchStats
-	fsess, gsess *descvm.Session
-}
-
-// newWorker returns a worker with an empty shard and fresh sessions.
-func (s *search) newWorker() worker {
-	w := worker{search: s}
-	if s.fprog != nil {
-		w.fsess = s.fprog.NewSession()
-	}
-	if s.gprog != nil {
-		w.gsess = s.gprog.NewSession()
-	}
-	return w
-}
-
-// newSearch builds the shared search state and runs the Theorem 1
+// newSearch builds the search state and runs the Theorem 1
 // induction-base check when the problem asks for the fast path.
 func newSearch(p Problem) *search {
 	s := &search{p: p, cands: make([]candSet, 0, len(p.Channels))}
 	if p.Compiled {
 		if prog, ok := descvm.Compile(p.D.F); ok {
-			s.fprog = prog
+			s.fsess = prog.NewSession()
 		}
 		if prog, ok := descvm.Compile(p.D.G); ok {
-			s.gprog = prog
+			s.gsess = prog.NewSession()
 		}
 	}
-	s.lead = s.newWorker()
 	for _, c := range p.Channels {
 		es := make([]trace.Event, len(p.Alphabet[c]))
 		hs := make([]uint64, len(es))
@@ -262,8 +233,8 @@ func newSearch(p Problem) *search {
 		// and a decoded checkpoint, which runs this check again, carries
 		// them in its result already.
 		var untimed int64
-		s.f0 = apply(p.D.F, s.lead.fsess, root, &untimed)
-		s.g0 = apply(p.D.G, s.lead.gsess, root, &untimed)
+		s.f0 = apply(p.D.F, s.fsess, root, &untimed)
+		s.g0 = apply(p.D.G, s.gsess, root, &untimed)
 		s.thm1 = s.f0.Leq(s.g0)
 		s.fsupp = p.D.F.Support
 		if s.thm1 {
@@ -302,15 +273,15 @@ func apply(side fn.TraceFn, sess *descvm.Session, t trace.Trace, nanos *int64) f
 }
 
 // f applies the description's left side to t, counting the application.
-func (w *worker) f(t trace.Trace) fn.Tuple {
-	w.st.Eval.FApplies++
-	return apply(w.p.D.F, w.fsess, t, &w.st.Eval.FNanos)
+func (s *search) f(t trace.Trace) fn.Tuple {
+	s.st.Eval.FApplies++
+	return apply(s.p.D.F, s.fsess, t, &s.st.Eval.FNanos)
 }
 
 // g is f for the right side.
-func (w *worker) g(t trace.Trace) fn.Tuple {
-	w.st.Eval.GApplies++
-	return apply(w.p.D.G, w.gsess, t, &w.st.Eval.GNanos)
+func (s *search) g(t trace.Trace) fn.Tuple {
+	s.st.Eval.GApplies++
+	return apply(s.p.D.G, s.gsess, t, &s.st.Eval.GNanos)
 }
 
 // Enumerate explores the Section 3.3 tree breadth-first to the problem's
@@ -320,27 +291,25 @@ func (w *worker) g(t trace.Trace) fn.Tuple {
 // (see node); Result.Stats accounts for every node, edge and
 // evaluation.
 //
-// The context is checked once per visited node: cancellation or an
-// expired deadline stops the search with Truncated and Canceled set, so
-// adversarial problems (wide alphabets, deep probes) cannot run
-// unbounded when the caller holds a deadline.
-func Enumerate(ctx context.Context, p Problem) Result { return EnumerateParallel(ctx, p, 1) }
-
-// EnumerateParallel is Enumerate with the per-node work spread over
-// workers goroutines; workers ≤ 1 is exactly Enumerate. The search is
-// the same breadth-first walk in the same canonical order: the loop
-// hands each window of up to windowSize queued nodes to the workers and
-// commits their outputs in queue order (see run), so Result and every
-// deterministic SearchStats counter are byte-identical to Enumerate at
-// any worker count.
-func EnumerateParallel(ctx context.Context, p Problem, workers int) Result {
-	res, _ := enumerate(ctx, p, workers, false)
+// The search runs on the calling goroutine. The context is checked once
+// per visited node: cancellation or an expired deadline stops the
+// search with Truncated and Canceled set, so adversarial problems (wide
+// alphabets, deep probes) cannot run unbounded when the caller holds a
+// deadline.
+func Enumerate(ctx context.Context, p Problem) Result {
+	res, _ := enumerate(ctx, p, false)
 	return res
 }
 
+// EnumerateParallel is Enumerate; workers is ignored.
+//
+// Deprecated: the search runs on one goroutine. Kept only for the
+// benchmark module's callers until its next change (ROADMAP item 8).
+func EnumerateParallel(ctx context.Context, p Problem, workers int) Result { return Enumerate(ctx, p) }
+
 // enumerate runs a search from ⊥, in capture mode (returning its
 // Checkpoint) when capture is set.
-func enumerate(ctx context.Context, p Problem, workers int, capture bool) (Result, *Checkpoint) {
+func enumerate(ctx context.Context, p Problem, capture bool) (Result, *Checkpoint) {
 	s := newSearch(p)
 	var cp *Checkpoint
 	if capture {
@@ -348,40 +317,23 @@ func enumerate(ctx context.Context, p Problem, workers int, capture bool) (Resul
 	}
 	var res Result
 	s.countBase(&res.Stats)
-	s.run(ctx, &res, []node{s.rootNode()}, workers, cp)
+	s.run(ctx, &res, []node{s.rootNode()}, cp)
 	if cp != nil {
 		cp.done = res
 	}
 	return res, cp
 }
 
-// nodeOut is what visiting one node decides: the limit condition,
-// whether the node has a smooth son, and the admitted sons when it was
-// expanded (below the depth bound, or at it in capture mode).
-type nodeOut struct {
-	solution bool
-	hasSon   bool
-	sons     []node
-}
-
-// run is the one BFS core, shared by Enumerate, EnumerateParallel and
-// the checkpoint capture/resume paths. It folds classifications into
-// res, which may arrive pre-loaded with an already-classified prefix (a
-// resumed search); queue seeds the work list in canonical BFS order.
+// run is the one BFS core, shared by Enumerate and the checkpoint
+// capture/resume paths. It folds classifications into res, which may
+// arrive pre-loaded with an already-classified prefix (a resumed
+// search); queue seeds the work list in canonical BFS order.
 //
-// Each step visits the head of the queue on the lead worker and
-// commits it: the node is counted, classified and its sons appended to
-// the queue. With workers > 1 the step is a window instead — up to
-// windowSize queued nodes, and never more than the node budget has left
-// — visited by the workers into index-keyed outputs (visitWindow) and
-// then committed in queue order by this same loop, so the canonical
-// order and every counter are those of the one-node steps. The workers
-// count edges and evaluations into their own shards, which the leg folds
-// into res when it ends. The context and the budget are checked
-// before every step; a window whose visit the context cut short commits
-// the prefix it finished, so a stopped search has always committed — and
-// evaluated — exactly a prefix of the canonical order, the next node of
-// which it reports as Skipped.
+// Each step visits the head of the queue and commits it (step): the
+// node is counted, classified and its sons appended to the queue. The
+// context and the budget are checked before every step, so a stopped
+// search has always committed — and evaluated — exactly a prefix of the
+// canonical order, the next node of which it reports as Skipped.
 //
 // A nil cp selects the plain semantics above. A non-nil cp selects
 // capture semantics: depth-bound nodes are fully expanded (instead of
@@ -392,28 +344,12 @@ type nodeOut struct {
 // only the bound-level edge accounting differs (expand visits every
 // candidate where hasSon stops at the first witness, and never counts
 // FrontierWitnesses). See Checkpoint for how that difference is reported.
-func (s *search) run(ctx context.Context, res *Result, queue []node, workers int, cp *Checkpoint) {
+func (s *search) run(ctx context.Context, res *Result, queue []node, cp *Checkpoint) {
 	p := s.p
 	st := &res.Stats
+	s.st = st
 	begin := time.Now()
 	st.Thm1FastPath = s.thm1
-	st.Workers = 0
-	// A window's nodes are copied out of the queue (into win) for the
-	// workers: the queue never reaches another goroutine, so the seed
-	// slice stays off the heap and a one-worker search allocates exactly
-	// what the plain BFS does.
-	var win []node
-	var outs []nodeOut
-	ws := []*worker{&s.lead}
-	if workers > 1 {
-		st.Workers = workers
-		win = make([]node, 0, windowSize)
-		outs = make([]nodeOut, windowSize)
-		for len(ws) < workers {
-			w := s.newWorker()
-			ws = append(ws, &w)
-		}
-	}
 	for len(queue) > 0 {
 		canceled := ctx.Err() != nil
 		if canceled || (p.MaxNodes > 0 && res.Nodes >= p.MaxNodes) {
@@ -431,89 +367,68 @@ func (s *search) run(ctx context.Context, res *Result, queue []node, workers int
 			}
 			break
 		}
-		n := min(len(queue), len(outs))
-		if p.MaxNodes > 0 {
-			n = min(n, p.MaxNodes-res.Nodes)
-		}
-		if n <= 1 {
-			cur := queue[0]
-			queue = append(queue[1:], s.commit(res, cp, cur.t, s.lead.visit(cur, cp != nil, s.sonBuf[:0]))...)
-			continue
-		}
-		win = append(win[:0], queue[:n]...)
-		n = s.visitWindow(ctx, win, outs, ws, cp != nil)
-		for i, o := range outs[:n] {
-			queue = append(queue, s.commit(res, cp, win[i].t, o)...)
-		}
-		queue = queue[n:]
+		queue = append(queue[1:], s.step(res, cp, queue[0])...)
 	}
-	for _, w := range ws {
-		st.merge(w.st)
-	}
-	// Empty the lead's shard for the next leg, keeping its level slots.
-	s.lead.st = SearchStats{Levels: s.lead.st.Levels[:0]}
-	st.CompiledEval = s.fprog != nil && s.gprog != nil
+	s.st = nil
+	st.CompiledEval = s.fsess != nil && s.gsess != nil
 	st.Elapsed += time.Since(begin)
 }
 
-// visit decides one node: limit condition, and whether it has a son —
-// expanding it below the depth bound (into dst) or, in capture mode, at
-// the bound (into fresh slots the resume frontier retains), and probing
-// with hasSon otherwise. g(cur) goes from the limit check to the
-// expansion. Pure with respect to the shared search state; all counters
-// go to the worker's shard.
-func (w *worker) visit(cur node, capture bool, dst []node) nodeOut {
-	gu, sol := w.classify(cur)
-	o := nodeOut{solution: sol}
-	switch {
-	case cur.t.Len() < w.p.MaxDepth:
-		o.sons = w.expand(cur.t, gu, dst)
-	case capture:
-		o.sons = w.expand(cur.t, gu, nil)
-	default:
-		o.hasSon = w.hasSon(cur.t, gu)
-		return o
-	}
-	o.hasSon = len(o.sons) > 0
-	return o
-}
-
-// commit folds one visited node into the result in canonical order —
-// node and level counts, solution (streamed through OnSolution), role,
-// and in capture mode the retained frontier — and returns the sons the
+// step visits one node and commits it. The visit decides the limit
+// condition and whether the node has a son — expanding it below the
+// depth bound (into sonBuf) or, in capture mode, at the bound (into
+// fresh slots the resume frontier retains), and probing with hasSon
+// otherwise; g(cur) goes from the limit check to the expansion. The
+// commit folds the node into the result in canonical order — node and
+// level counts, solution (streamed through OnSolution), role, and in
+// capture mode the retained frontier — and step returns the sons the
 // queue must take (none at the depth bound).
-func (s *search) commit(res *Result, cp *Checkpoint, cur trace.Trace, o nodeOut) []node {
-	st := &res.Stats
+func (s *search) step(res *Result, cp *Checkpoint, cur node) []node {
+	u := cur.t
+	gu, solution := s.classify(cur)
+	var sons []node
+	var hasSon bool
+	switch {
+	case u.Len() < s.p.MaxDepth:
+		sons = s.expand(u, gu, s.sonBuf[:0])
+	case cp != nil:
+		sons = s.expand(u, gu, nil)
+	default:
+		hasSon = s.hasSon(u, gu)
+	}
+	hasSon = hasSon || len(sons) > 0
+
+	st := s.st
 	res.Nodes++
 	if s.p.CollectVisited {
-		res.Visited = append(res.Visited, cur)
+		res.Visited = append(res.Visited, u)
 	}
 	st.Visited++
-	lvl := st.level(cur.Len())
+	lvl := st.level(u.Len())
 	lvl.Nodes++
-	if o.solution {
-		res.Solutions = append(res.Solutions, cur)
+	if solution {
+		res.Solutions = append(res.Solutions, u)
 		st.Solutions++
 		lvl.Solutions++
 		if s.p.OnSolution != nil {
-			s.p.OnSolution(cur)
+			s.p.OnSolution(u)
 		}
 	}
 	switch {
-	case !o.hasSon && o.solution:
+	case !hasSon && solution:
 		st.Closed++
-	case !o.hasSon:
-		res.DeadLeaves = append(res.DeadLeaves, cur)
+	case !hasSon:
+		res.DeadLeaves = append(res.DeadLeaves, u)
 		st.Dead++
-	case cur.Len() < s.p.MaxDepth:
+	case u.Len() < s.p.MaxDepth:
 		st.Interior++
-		return o.sons
+		return sons
 	default:
-		res.Frontier = append(res.Frontier, cur)
+		res.Frontier = append(res.Frontier, u)
 		st.Frontier++
 		if cp != nil {
-			cp.frontier = append(cp.frontier, frontierEntry{node: cur, sons: o.sons})
-			st.RetainedSons += len(o.sons)
+			cp.frontier = append(cp.frontier, frontierEntry{node: u, sons: sons})
+			st.RetainedSons += len(sons)
 		}
 	}
 	return nil
@@ -524,19 +439,19 @@ func (s *search) commit(res *Result, cp *Checkpoint, cur trace.Trace, o nodeOut)
 // parent's edge check carried it, and the root takes both sides from
 // the induction-base check when that ran; each such read counts as a
 // hit.
-func (w *worker) limit(n node) (fn.Tuple, bool) {
+func (s *search) limit(n node) (fn.Tuple, bool) {
 	fu := n.f
 	if fu != nil {
-		w.st.Eval.FHits++
+		s.st.Eval.FHits++
 	} else {
-		fu = w.f(n.t)
+		fu = s.f(n.t)
 	}
 	var gu fn.Tuple
-	if n.t.Len() == 0 && w.g0 != nil {
-		w.st.Eval.GHits++
-		gu = w.g0
+	if n.t.Len() == 0 && s.g0 != nil {
+		s.st.Eval.GHits++
+		gu = s.g0
 	} else {
-		gu = w.g(n.t)
+		gu = s.g(n.t)
 	}
 	return gu, fu.Equal(gu)
 }
@@ -544,14 +459,14 @@ func (w *worker) limit(n node) (fn.Tuple, bool) {
 // classify decides the limit condition at a node, with the full
 // smoothness re-check the unpruned ablation requires, and returns g of
 // the node for its expansion.
-func (w *worker) classify(n node) (fn.Tuple, bool) {
-	w.st.LimitChecks++
-	gu, isSolution := w.limit(n)
-	if isSolution && !w.p.Prune {
+func (s *search) classify(n node) (fn.Tuple, bool) {
+	s.st.LimitChecks++
+	gu, isSolution := s.limit(n)
+	if isSolution && !s.p.Prune {
 		// With pruning, every node is reachable only through smooth
 		// edges, so the limit condition alone decides; without it,
 		// re-check the full smoothness condition.
-		isSolution = w.p.D.IsSmoothFinite(n.t) == nil
+		isSolution = s.p.D.IsSmoothFinite(n.t) == nil
 	}
 	return gu, isSolution
 }
@@ -564,25 +479,25 @@ func (w *worker) classify(n node) (fn.Tuple, bool) {
 // whole subtree of the unpruned tree cut before any of it is expanded,
 // and each son is an O(1) persistent extension sharing u's spine.
 //
-// dst, when non-nil, supplies the son slots (the sequential walks pass
-// the search's reusable buffer); callers that retain the returned slice
-// past the next expand — the parallel search — must pass nil.
-func (w *worker) expand(u trace.Trace, gu fn.Tuple, dst []node) []node {
-	st := &w.st
+// dst, when non-nil, supplies the son slots (the search's reusable
+// buffer); callers that retain the returned slice past the next expand —
+// a capture's resume frontier — must pass nil.
+func (s *search) expand(u trace.Trace, gu fn.Tuple, dst []node) []node {
+	st := s.st
 	sons := dst
 	lvl := st.level(u.Len() + 1)
 	guRead := false
-	for ci := range w.cands {
+	for ci := range s.cands {
 		// Fast path (Theorem 1): a channel outside supp(f) means
 		// f(u·e) = f(u), and f(u) ⊑ g(u) holds at every admitted node, so
 		// the edge condition f(v) ⊑ g(u) is guaranteed — admit without
 		// evaluating.
-		c := &w.cands[ci]
+		c := &s.cands[ci]
 		auto := c.auto
 		for i, e := range c.es {
 			v := node{t: u.AppendPrehashed(e, c.hs[i])}
 			st.EdgesChecked++
-			if w.p.Prune {
+			if s.p.Prune {
 				if auto {
 					st.Thm1AutoEdges++
 				} else {
@@ -590,7 +505,7 @@ func (w *worker) expand(u trace.Trace, gu fn.Tuple, dst []node) []node {
 						st.Eval.GHits++
 						guRead = true
 					}
-					if v.f = w.f(v.t); !v.f.Leq(gu) {
+					if v.f = s.f(v.t); !v.f.Leq(gu) {
 						st.SubtreesPruned++
 						lvl.Pruned++
 						continue
@@ -599,7 +514,7 @@ func (w *worker) expand(u trace.Trace, gu fn.Tuple, dst []node) []node {
 			}
 			st.EdgesKept++
 			if sons == nil {
-				sons = make([]node, 0, w.fanout)
+				sons = make([]node, 0, s.fanout)
 			}
 			sons = append(sons, v)
 		}
@@ -612,12 +527,12 @@ func (w *worker) expand(u trace.Trace, gu fn.Tuple, dst []node) []node {
 // Failed candidates are pruned subtrees like expand's; the witness is
 // counted separately since it is never enqueued. A Theorem-1
 // auto-admitted candidate is an immediate witness.
-func (w *worker) hasSon(u trace.Trace, gu fn.Tuple) bool {
-	st := &w.st
+func (s *search) hasSon(u trace.Trace, gu fn.Tuple) bool {
+	st := s.st
 	lvl := st.level(u.Len() + 1)
 	guRead := false
-	for ci := range w.cands {
-		c := &w.cands[ci]
+	for ci := range s.cands {
+		c := &s.cands[ci]
 		auto := c.auto
 		for i, e := range c.es {
 			v := u.AppendPrehashed(e, c.hs[i])
@@ -631,7 +546,7 @@ func (w *worker) hasSon(u trace.Trace, gu fn.Tuple) bool {
 				st.Eval.GHits++
 				guRead = true
 			}
-			if w.f(v).Leq(gu) {
+			if s.f(v).Leq(gu) {
 				st.FrontierWitnesses++
 				return true
 			}
@@ -695,6 +610,7 @@ func CheckInduction(ctx context.Context, p Problem, phi func(trace.Trace) bool) 
 		return errors.New("solver: induction base φ(⊥) fails")
 	}
 	s := newSearch(p)
+	s.st = new(SearchStats) // the walk's counts are not reported
 	queue := []node{s.rootNode()}
 	nodes := 0
 	var unsound error
@@ -715,14 +631,14 @@ func CheckInduction(ctx context.Context, p Problem, phi func(trace.Trace) bool) 
 		// anywhere in the walk take precedence, matching the rule's
 		// reading (an unsound conclusion only matters once the premises
 		// are discharged).
-		gu, solution := s.lead.classify(n)
+		gu, solution := s.classify(n)
 		if unsound == nil && solution && !phi(u) {
 			unsound = fmt.Errorf("solver: induction rule unsound?! φ fails on smooth solution %s", u)
 		}
 		if u.Len() >= p.MaxDepth {
 			continue
 		}
-		for _, v := range s.lead.expand(u, gu, s.sonBuf[:0]) {
+		for _, v := range s.expand(u, gu, s.sonBuf[:0]) {
 			if err := p.D.InductionPremise(phi, u, v.t); err != nil {
 				return err
 			}

@@ -238,35 +238,28 @@ func TestTheorem4Degeneration(t *testing.T) {
 // the deterministic counters, is unchanged.
 func TestCollectVisitedOptOut(t *testing.T) {
 	ctx := context.Background()
-	for _, workers := range []int{1, 4} {
-		on := dfmProblem(4)
-		off := dfmProblem(4)
-		off.CollectVisited = false
-		var resOn, resOff Result
-		if workers == 1 {
-			resOn, resOff = Enumerate(ctx, on), Enumerate(ctx, off)
-		} else {
-			resOn, resOff = EnumerateParallel(ctx, on, workers), EnumerateParallel(ctx, off, workers)
-		}
-		if len(resOff.Visited) != 0 {
-			t.Fatalf("workers=%d: opt-out still collected %d visited nodes", workers, len(resOff.Visited))
-		}
-		if len(resOn.Visited) != resOn.Nodes || resOn.Nodes == 0 {
-			t.Fatalf("workers=%d: default should collect all %d nodes, got %d", workers, resOn.Nodes, len(resOn.Visited))
-		}
-		if resOff.Nodes != resOn.Nodes || resOff.Stats.Visited != resOn.Stats.Visited ||
-			resOff.Stats.EdgesChecked != resOn.Stats.EdgesChecked ||
-			resOff.Stats.EdgesKept != resOn.Stats.EdgesKept {
-			t.Errorf("workers=%d: counters changed under opt-out", workers)
-		}
-		kOn, kOff := resOn.SolutionKeys(), resOff.SolutionKeys()
-		if len(kOn) != len(kOff) {
-			t.Fatalf("workers=%d: solutions changed under opt-out", workers)
-		}
-		for i := range kOn {
-			if kOn[i] != kOff[i] {
-				t.Errorf("workers=%d: solution %d differs: %s vs %s", workers, i, kOn[i], kOff[i])
-			}
+	on := dfmProblem(4)
+	off := dfmProblem(4)
+	off.CollectVisited = false
+	resOn, resOff := Enumerate(ctx, on), Enumerate(ctx, off)
+	if len(resOff.Visited) != 0 {
+		t.Fatalf("opt-out still collected %d visited nodes", len(resOff.Visited))
+	}
+	if len(resOn.Visited) != resOn.Nodes || resOn.Nodes == 0 {
+		t.Fatalf("default should collect all %d nodes, got %d", resOn.Nodes, len(resOn.Visited))
+	}
+	if resOff.Nodes != resOn.Nodes || resOff.Stats.Visited != resOn.Stats.Visited ||
+		resOff.Stats.EdgesChecked != resOn.Stats.EdgesChecked ||
+		resOff.Stats.EdgesKept != resOn.Stats.EdgesKept {
+		t.Error("counters changed under opt-out")
+	}
+	kOn, kOff := resOn.SolutionKeys(), resOff.SolutionKeys()
+	if len(kOn) != len(kOff) {
+		t.Fatal("solutions changed under opt-out")
+	}
+	for i := range kOn {
+		if kOn[i] != kOff[i] {
+			t.Errorf("solution %d differs: %s vs %s", i, kOn[i], kOff[i])
 		}
 	}
 }

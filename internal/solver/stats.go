@@ -67,15 +67,10 @@ type SearchStats struct {
 
 	// CompiledEval records that both description sides ran on descvm
 	// bytecode (Problem.Compiled requested and both sides lowered). Run
-	// configuration, like Workers, not a search observable: every other
-	// deterministic counter is equal with the flag on or off, which is
-	// what the compiled-vs-interpreted differential suite asserts.
+	// configuration, not a search observable: every other deterministic
+	// counter is equal with the flag on or off, which is what the
+	// compiled-vs-interpreted differential suite asserts.
 	CompiledEval bool `json:"compiled_eval,omitempty"`
-
-	// Workers is the worker count of the latest leg of a parallel search
-	// (zero for sequential). Run configuration, like CompiledEval: every
-	// other counter in this struct is equal across worker counts.
-	Workers int `json:"workers,omitempty"`
 
 	// Levels holds per-depth stats, indexed by trace length.
 	Levels []LevelStats `json:"levels,omitempty"`
@@ -213,9 +208,6 @@ func (s SearchStats) Report() report.Stats {
 		memo.AddInt("compiled eval", 1)
 	}
 
-	parallel := report.Section{Name: "parallel"}
-	parallel.AddInt("workers", s.Workers)
-
 	levels := report.Section{Name: "levels"}
 	for _, l := range s.Levels {
 		levels.AddInt(fmt.Sprintf("level %d nodes", l.Depth), l.Nodes)
@@ -228,23 +220,16 @@ func (s SearchStats) Report() report.Stats {
 	timing.Add("f evaluation", s.Eval.FNanos, "ns")
 	timing.Add("g evaluation", s.Eval.GNanos, "ns")
 
-	sections := []report.Section{search, pruning, memo}
-	if s.Workers > 0 {
-		sections = append(sections, parallel)
-	}
-	sections = append(sections, levels, timing)
-	return report.Stats{Sections: sections}
+	return report.Stats{Sections: []report.Section{search, pruning, memo, levels, timing}}
 }
 
 // Deterministic returns a copy with every timing- and
-// configuration-dependent field zeroed: Workers and CompiledEval (run
+// configuration-dependent field zeroed: CompiledEval (run
 // configuration), Elapsed, and the evaluation wall-clock readings. Two
-// searches of the same problem — sequential or parallel, at any worker
-// count, compiled or interpreted — produce equal Deterministic views;
-// the parity suite, the differential suite and the CI smoke assertion
-// compare exactly this.
+// searches of the same problem — compiled or interpreted, cold or
+// resumed — produce equal Deterministic views; the differential suites
+// and the CI smoke assertion compare exactly this.
 func (s SearchStats) Deterministic() SearchStats {
-	s.Workers = 0
 	s.CompiledEval = false
 	s.Elapsed = 0
 	s.Eval.FNanos = 0

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"smoothproc/internal/desc"
@@ -25,53 +26,43 @@ func statsProblems() map[string]Problem {
 	}
 }
 
-// TestSearchStatsInvariants: on every corpus problem, sequential and
-// parallel searches produce stats whose books balance and that agree
-// with the classified result slices.
+// TestSearchStatsInvariants: on every corpus problem, the search
+// produces stats whose books balance and that agree with the classified
+// result slices.
 func TestSearchStatsInvariants(t *testing.T) {
 	for name, p := range statsProblems() {
-		p := p
 		t.Run(name, func(t *testing.T) {
-			for mode, res := range map[string]Result{
-				"enumerate": Enumerate(context.Background(), p),
-				"parallel":  EnumerateParallel(context.Background(), p, 4),
-			} {
-				st := res.Stats
-				if err := st.CheckInvariants(res.Truncated); err != nil {
-					t.Errorf("%s: %v", mode, err)
-				}
-				if st.Visited != res.Nodes {
-					t.Errorf("%s: stats visited %d ≠ nodes %d", mode, st.Visited, res.Nodes)
-				}
-				if st.Solutions != len(res.Solutions) {
-					t.Errorf("%s: stats solutions %d ≠ %d", mode, st.Solutions, len(res.Solutions))
-				}
-				if st.Frontier != len(res.Frontier) {
-					t.Errorf("%s: stats frontier %d ≠ %d", mode, st.Frontier, len(res.Frontier))
-				}
-				if st.Dead != len(res.DeadLeaves) {
-					t.Errorf("%s: stats dead %d ≠ %d", mode, st.Dead, len(res.DeadLeaves))
-				}
+			res := Enumerate(context.Background(), p)
+			st := res.Stats
+			if err := st.CheckInvariants(res.Truncated); err != nil {
+				t.Error(err)
+			}
+			if st.Visited != res.Nodes {
+				t.Errorf("stats visited %d ≠ nodes %d", st.Visited, res.Nodes)
+			}
+			if st.Solutions != len(res.Solutions) {
+				t.Errorf("stats solutions %d ≠ %d", st.Solutions, len(res.Solutions))
+			}
+			if st.Frontier != len(res.Frontier) {
+				t.Errorf("stats frontier %d ≠ %d", st.Frontier, len(res.Frontier))
+			}
+			if st.Dead != len(res.DeadLeaves) {
+				t.Errorf("stats dead %d ≠ %d", st.Dead, len(res.DeadLeaves))
 			}
 		})
 	}
 }
 
-// TestStatsSequentialMatchesParallel: the deterministic counters agree
-// between the two search implementations.
+// TestStatsSequentialMatchesParallel: searches running at once keep
+// their counters apart — each reports the lone search's deterministic
+// stats in full, per-level histograms and evaluation counters included.
 func TestStatsSequentialMatchesParallel(t *testing.T) {
 	p := dfmProblem(5)
-	a, b := Enumerate(context.Background(), p).Stats, EnumerateParallel(context.Background(), p, 4).Stats
-	type det struct {
-		visited, interior, frontier, dead, closed   int
-		solutions, checked, kept, pruned, witnesses int
-	}
-	da := det{a.Visited, a.Interior, a.Frontier, a.Dead, a.Closed,
-		a.Solutions, a.EdgesChecked, a.EdgesKept, a.SubtreesPruned, a.FrontierWitnesses}
-	db := det{b.Visited, b.Interior, b.Frontier, b.Dead, b.Closed,
-		b.Solutions, b.EdgesChecked, b.EdgesKept, b.SubtreesPruned, b.FrontierWitnesses}
-	if da != db {
-		t.Errorf("stats diverge:\nseq: %+v\npar: %+v", da, db)
+	want := Enumerate(context.Background(), p).Stats.Deterministic()
+	for i, res := range expectConcurrentMatch(t, p, 4) {
+		if got := res.Stats.Deterministic(); !reflect.DeepEqual(got, want) {
+			t.Errorf("search %d: stats diverge:\n got %+v\nwant %+v", i, got, want)
+		}
 	}
 }
 
@@ -94,15 +85,15 @@ func TestStatsPrunedNonzero(t *testing.T) {
 	}
 }
 
-// TestParallelBudgetExact: truncation follows sequential Enumerate's
-// accounting exactly — MaxNodes nodes classified, then one more node
-// visited as Skipped (budget+1 observed, like TestMaxNodesTruncates):
-// a window never takes more nodes than the budget has left.
+// TestParallelBudgetExact: truncation accounting is exact in each of
+// several budgeted searches running at once — MaxNodes nodes
+// classified, then one more node visited as Skipped (budget+1 observed,
+// like TestMaxNodesTruncates).
 func TestParallelBudgetExact(t *testing.T) {
 	for _, budget := range []int{1, 2, 5, 9} {
 		p := dfmProblem(6)
 		p.MaxNodes = budget
-		res := EnumerateParallel(context.Background(), p, 4)
+		res := expectConcurrentMatch(t, p, 2)[1]
 		if !res.Truncated {
 			t.Errorf("budget %d: not truncated", budget)
 		}
@@ -121,14 +112,18 @@ func TestParallelBudgetExact(t *testing.T) {
 	}
 }
 
-// TestParallelBudgetPrefix: the nodes a truncated parallel search visits
-// are a prefix of the untruncated search's canonical BFS order — the
-// classified ones and the final skipped one alike.
+// TestParallelBudgetPrefix: the nodes a truncated search visits are a
+// prefix of the untruncated search's canonical BFS order — the
+// classified ones and the final skipped one alike — with a full and a
+// truncated search of one Problem running at once.
 func TestParallelBudgetPrefix(t *testing.T) {
-	p := dfmProblem(4)
-	full := EnumerateParallel(context.Background(), p, 4)
-	p.MaxNodes = 6
-	cut := EnumerateParallel(context.Background(), p, 4)
+	pFull := dfmProblem(4)
+	pCut := pFull
+	pCut.MaxNodes = 6
+	res := concurrently(
+		func() Result { return Enumerate(context.Background(), pFull) },
+		func() Result { return Enumerate(context.Background(), pCut) })
+	full, cut := res[0], res[1]
 	if cut.Nodes != 7 {
 		t.Fatalf("visited %d, want 7 (6 classified + 1 skipped)", cut.Nodes)
 	}
@@ -139,38 +134,27 @@ func TestParallelBudgetPrefix(t *testing.T) {
 	}
 }
 
-// TestParallelBudgetMatchesSequential is the satellite parity test: with
-// MaxNodes landing exactly mid-level and one off on each side, the
-// parallel search's truncation accounting — Nodes, Truncated, Skipped,
-// role counts and the Visited prefix — is byte-identical to Enumerate's.
+// TestParallelBudgetMatchesSequential: with MaxNodes landing exactly
+// mid-level and one off on each side, searches of differently budgeted
+// copies of one Problem running at once each account their truncation —
+// Nodes, Truncated, Skipped, role counts and the Visited prefix — as a
+// lone search does.
 func TestParallelBudgetMatchesSequential(t *testing.T) {
 	// dfm-6's levels are 1, 2, 3, 5, ... nodes wide; budget 8 stops
 	// mid-level-4, and 7/9 sit one node to each side of that cut.
-	for _, budget := range []int{7, 8, 9} {
-		p := dfmProblem(6)
+	budgets := []int{7, 8, 9}
+	base := dfmProblem(6)
+	searches := make([]func() Result, len(budgets))
+	wants := make([]string, len(budgets))
+	for i, budget := range budgets {
+		p := base
 		p.MaxNodes = budget
-		seq := Enumerate(context.Background(), p)
-		for _, workers := range []int{1, 3, 4} {
-			par := EnumerateParallel(context.Background(), p, workers)
-			if par.Nodes != seq.Nodes || par.Truncated != seq.Truncated {
-				t.Errorf("budget %d w%d: nodes/truncated %d/%v, sequential %d/%v",
-					budget, workers, par.Nodes, par.Truncated, seq.Nodes, seq.Truncated)
-			}
-			if len(par.Visited) != len(seq.Visited) {
-				t.Fatalf("budget %d w%d: |Visited| %d vs %d", budget, workers, len(par.Visited), len(seq.Visited))
-			}
-			for i := range seq.Visited {
-				if !par.Visited[i].Equal(seq.Visited[i]) {
-					t.Errorf("budget %d w%d: visited[%d] = %s, want %s",
-						budget, workers, i, par.Visited[i], seq.Visited[i])
-				}
-			}
-			ds, dp := seq.Stats.Deterministic(), par.Stats.Deterministic()
-			if dp.Visited != ds.Visited || dp.Skipped != ds.Skipped ||
-				dp.Frontier != ds.Frontier || dp.Interior != ds.Interior ||
-				dp.Dead != ds.Dead || dp.Closed != ds.Closed {
-				t.Errorf("budget %d w%d: roles diverge:\nseq %+v\npar %+v", budget, workers, ds, dp)
-			}
+		wants[i] = raceFingerprint(Enumerate(context.Background(), p))
+		searches[i] = func() Result { return Enumerate(context.Background(), p) }
+	}
+	for i, res := range concurrently(searches...) {
+		if got := raceFingerprint(res); got != wants[i] {
+			t.Errorf("budget %d: diverged from a lone search:\n--- got ---\n%s--- want ---\n%s", budgets[i], got, wants[i])
 		}
 	}
 }

@@ -29,11 +29,10 @@
 //	           admissible.
 //
 // Everything here is an over-approximation of the *pruned* search — the
-// semantics Enumerate/EnumerateParallel implement; the Prune=false
-// ablation visits every extension and is deliberately out of scope. The
-// root plan-soundness suite holds Plan.Nodes(d) ≥ the solver's actual
-// node count (and MinNodes(d) ≤ it) on every shipped spec, sequential
-// and parallel crossed.
+// semantics Enumerate implements; the Prune=false ablation visits every
+// extension and is deliberately out of scope. The root plan-soundness
+// suite holds Plan.Nodes(d) ≥ the solver's actual node count (and
+// MinNodes(d) ≤ it) on every shipped spec.
 package specplan
 
 import (
@@ -87,8 +86,8 @@ type ChannelPlan struct {
 // Group is one component of the Theorem 1 channel-independence
 // partition: the channels transitively linked by sharing a description,
 // and the descriptions living on them. Distinct groups never constrain
-// each other, which is what makes the partition width a natural worker
-// count for the parallel search.
+// each other: the search tree over them is an interleaving of the
+// groups' own trees.
 type Group struct {
 	Channels []string `json:"channels"`
 	Descs    []string `json:"descs,omitempty"`
@@ -125,7 +124,7 @@ type Plan struct {
 	// Channels holds the per-channel analyses, sorted by name.
 	Channels []ChannelPlan `json:"channels"`
 	// Partition is the channel-independence partition; PartitionWidth is
-	// its group count — the natural parallel worker count.
+	// its group count, which the admission 422's estimate reports.
 	Partition      []Group `json:"partition"`
 	PartitionWidth int     `json:"partition_width"`
 	// NodesBound and MinNodesBound are Nodes(Depth) and MinNodes(Depth).

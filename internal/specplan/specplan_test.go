@@ -163,8 +163,7 @@ func TestFailedBasePinsTreeAtRoot(t *testing.T) {
 	}
 }
 
-// Two descriptions on disjoint channel sets partition into two groups;
-// the width is the natural parallel worker count.
+// Two descriptions on disjoint channel sets partition into two groups.
 func TestPartitionWidth(t *testing.T) {
 	src := "alphabet a = {0}\nalphabet e = {0}\nalphabet x = {0}\nalphabet y = {0}\n" +
 		"desc e <- a\ndesc y <- x\n"

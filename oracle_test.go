@@ -3,8 +3,8 @@
 // solution iff D.LimitOK(u) — on desc.Description directly, with no
 // evaluator, memo, Theorem 1 fast path or interned candidates. The
 // production search must agree with it on every shipped and generated
-// spec, at one worker and at two: the same solution, frontier and
-// dead-leaf sets and the same node count.
+// spec: the same solution, frontier and dead-leaf sets and the same
+// node count.
 package smoothproc_test
 
 import (
@@ -98,14 +98,12 @@ func TestSearchMatchesOracleAcrossSpecs(t *testing.T) {
 		t.Run(filepath.Base(path), func(t *testing.T) {
 			p := prog.Problem()
 			want := oracleWalk(p)
-			for _, workers := range []int{1, 2} {
-				res := solver.EnumerateParallel(context.Background(), p, workers)
-				if res.Truncated {
-					t.Fatalf("w%d: search truncated", workers)
-				}
-				if got := treeOf(res); !reflect.DeepEqual(got, want) {
-					t.Errorf("w%d: search disagrees with the §3.3 oracle:\n got %+v\nwant %+v", workers, got, want)
-				}
+			res := solver.Enumerate(context.Background(), p)
+			if res.Truncated {
+				t.Fatal("search truncated")
+			}
+			if got := treeOf(res); !reflect.DeepEqual(got, want) {
+				t.Errorf("search disagrees with the §3.3 oracle:\n got %+v\nwant %+v", got, want)
 			}
 		})
 	}

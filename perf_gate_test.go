@@ -13,7 +13,6 @@ package smoothproc_test
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -64,11 +63,8 @@ func measure(name string, bench func(b *testing.B)) perfEntry {
 
 // solverWorkloads are the enumerate benchmarks the gate tracks — the
 // two specs with the deepest trees among the shipped examples, each
-// interpreted and compiled (the descvm acceptance workloads), plus
-// EnumerateParallel on the widest one at 1 and 4 workers: at one worker
-// it is the sequential search and must cost what enumerate-compiled
-// costs; at four it spreads each queue window over the workers. Every
-// leg but enumerate runs on bytecode, the default.
+// interpreted and compiled (the descvm acceptance workloads). Every leg
+// but enumerate runs on bytecode, the default.
 func solverWorkloads(t *testing.T) map[string]func(b *testing.B) {
 	t.Helper()
 	out := map[string]func(b *testing.B){}
@@ -121,7 +117,7 @@ func solverWorkloads(t *testing.T) map[string]func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				half := prog.Problem()
-				_, cp := solver.EnumerateCapture(context.Background(), half, 1)
+				_, cp := solver.EnumerateCapture(context.Background(), half)
 				b.StartTimer()
 				res, err := cp.Resume(context.Background(), solver.ResumeOpts{
 					MaxDepth: half.MaxDepth + 2,
@@ -173,18 +169,6 @@ func solverWorkloads(t *testing.T) map[string]func(b *testing.B) {
 				}
 			}
 		}
-		for _, workers := range []int{1, 4} {
-			workers := workers
-			out[fmt.Sprintf("%s/enumerate-parallel-w%d", spec, workers)] = func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res := solver.EnumerateParallel(context.Background(), prog.Problem(), workers)
-					if len(res.Solutions) == 0 && len(res.Frontier) == 0 {
-						b.Fatal("search found nothing")
-					}
-				}
-			}
-		}
 	}
 	// corpus/generate-check-tier times the generator front end: emitting
 	// and compiling one instance of every family (no search). Guards the
@@ -201,13 +185,12 @@ func solverWorkloads(t *testing.T) map[string]func(b *testing.B) {
 			}
 		}
 	}
-	// corpus/stress-solve-w4 is the stress-tier representative scaled to
+	// corpus/stress-solve is the stress-tier representative scaled to
 	// benchmark size: the seed-3 buffer farm calibrated to a ~10k-node
 	// planner target (one depth level below the real 1e5 tier, ~20k
-	// actual nodes), solved with the 4-worker search the stress tier
-	// uses. Tracks the stress tier's per-node search cost without the
-	// full 1e5-node runtime.
-	out["corpus/stress-solve-w4"] = func(b *testing.B) {
+	// actual nodes). Tracks the stress tier's per-node search cost
+	// without the full 1e5-node runtime.
+	out["corpus/stress-solve"] = func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -216,7 +199,7 @@ func solverWorkloads(t *testing.T) map[string]func(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			res := s.Solve(context.Background(), 4)
+			res := s.Solve(context.Background())
 			if uint64(res.Nodes) < s.PredictedMin {
 				b.Fatalf("solved %d nodes, below planner floor %d", res.Nodes, s.PredictedMin)
 			}
@@ -304,7 +287,7 @@ func storeWorkloads(t *testing.T) map[string]func(b *testing.B) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cp := solver.EnumerateCapture(context.Background(), prog.Problem(), 1)
+	_, cp := solver.EnumerateCapture(context.Background(), prog.Problem())
 	blob, err := cp.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -385,13 +368,11 @@ func TestPerfGate(t *testing.T) {
 		"kahn-buffer.eq/enumerate-compiled",
 		"fig4-brock-ackermann.eq/enumerate",
 		"fig4-brock-ackermann.eq/enumerate-compiled",
-		"kahn-buffer.eq/enumerate-parallel-w1",
-		"kahn-buffer.eq/enumerate-parallel-w4",
 		"kahn-buffer.eq/resume-deepen",
 		"kahn-buffer.eq/enumerate-d6",
 		"kahn-buffer.eq/stream-first-solution",
 		"corpus/generate-check-tier",
-		"corpus/stress-solve-w4",
+		"corpus/stress-solve",
 	} {
 		solverGot = append(solverGot, measure(name, sw[name]))
 	}

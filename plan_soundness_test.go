@@ -1,7 +1,7 @@
 // Plan-soundness differential suite: the static planner's bounds are
 // checked against the search they predict, on every shipped spec. For
-// each spec and each depth in {4, 6, 8}, sequential and parallel
-// crossed, the pruned search's actual node count must sit inside
+// each spec and each depth in {4, 6, 8}, the pruned search's actual
+// node count must sit inside
 // [Plan.MinNodes(d), Plan.Nodes(d)] — the lower bound is what smoothd's
 // admission control rejects on, the upper bound is what the plan
 // advertises, and neither is allowed to drift from the real tree. The
@@ -48,26 +48,18 @@ func TestPlanSoundnessAcrossSpecs(t *testing.T) {
 				if lo > hi {
 					t.Fatalf("depth %d: MinNodes %d exceeds Nodes %d", depth, lo, hi)
 				}
-				for _, workers := range []int{1, 4} {
-					p := prog.Problem()
-					p.MaxDepth = depth
-					p.MaxNodes = 0
-					p.CollectVisited = false
-					var res solver.Result
-					if workers > 1 {
-						res = solver.EnumerateParallel(context.Background(), p, workers)
-					} else {
-						res = solver.Enumerate(context.Background(), p)
-					}
-					actual := uint64(res.Nodes)
-					if actual > hi {
-						t.Errorf("depth %d workers %d: search visited %d nodes, plan bound is %d — the upper bound is unsound",
-							depth, workers, actual, hi)
-					}
-					if actual < lo {
-						t.Errorf("depth %d workers %d: search visited %d nodes, plan floor is %d — admission control would over-reject",
-							depth, workers, actual, lo)
-					}
+				p := prog.Problem()
+				p.MaxDepth = depth
+				p.MaxNodes = 0
+				p.CollectVisited = false
+				actual := uint64(solver.Enumerate(context.Background(), p).Nodes)
+				if actual > hi {
+					t.Errorf("depth %d: search visited %d nodes, plan bound is %d — the upper bound is unsound",
+						depth, actual, hi)
+				}
+				if actual < lo {
+					t.Errorf("depth %d: search visited %d nodes, plan floor is %d — admission control would over-reject",
+						depth, actual, lo)
 				}
 			}
 		})

@@ -64,7 +64,7 @@ func TestRestartParityAcrossSpecs(t *testing.T) {
 			}
 			coldFp := fingerprint(spec, coldRes)
 			coldStats := coldRes.Stats.Deterministic()
-			compareTraceSlices(t, 1, "cold session solutions", coldRes.Solutions, cold.Solutions)
+			compareTraceSlices(t, "cold session solutions", coldRes.Solutions, cold.Solutions)
 
 			// First life: a session solves to half depth…
 			live := session.New(spec, prog.Problem(), prog.System)
@@ -132,7 +132,7 @@ func TestRestartParityAcrossSpecs(t *testing.T) {
 				if got := res.Stats.Deterministic(); !reflect.DeepEqual(got, coldStats) {
 					t.Errorf("%s SearchStats diverged:\n got %+v\nwant %+v", leg.name, got, coldStats)
 				}
-				compareTraceSlices(t, 1, leg.name+" solutions", res.Solutions, cold.Solutions)
+				compareTraceSlices(t, leg.name+" solutions", res.Solutions, cold.Solutions)
 			}
 		})
 	}

@@ -186,12 +186,11 @@ type (
 
 // Solver entry points.
 var (
-	NewProblem        = solver.NewProblem
-	Enumerate         = solver.Enumerate
-	EnumerateParallel = solver.EnumerateParallel
-	SampleSolutions   = solver.Sample
-	IsTreeNode        = solver.IsTreeNode
-	CheckInduction    = solver.CheckInduction
+	NewProblem      = solver.NewProblem
+	Enumerate       = solver.Enumerate
+	SampleSolutions = solver.Sample
+	IsTreeNode      = solver.IsTreeNode
+	CheckInduction  = solver.CheckInduction
 )
 
 // Kahn's deterministic special case (Section 6).
