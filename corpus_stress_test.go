@@ -8,6 +8,7 @@ package smoothproc_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"smoothproc/internal/netgen"
@@ -62,18 +63,31 @@ func TestCorpusStressEndToEnd(t *testing.T) {
 // 0's ~1.24M-node tree, to the evaluation-count invariant (see
 // eval_invariant_test.go): far past the point where a bounded
 // whole-search memo would fill and start re-applying, f and g are still
-// never applied twice to one node.
+// never applied twice to one node. The same solve is held to the
+// search's allocation budget: edge checks run on VM views and a pruned
+// candidate is never built, so what a node costs is its own trace, the
+// kept f it carries and its share of the queue and result slices — at
+// most maxAllocsPerNode objects.
 func TestCorpusStressEvalCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus stress is the scheduled CI leg")
 	}
+	const maxAllocsPerNode = 2
 	s, err := netgen.Stress(0, netgen.StressConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	res := s.Solve(context.Background())
+	runtime.ReadMemStats(&after)
 	if res.Nodes < 1_000_000 || res.Truncated {
 		t.Fatalf("%s (%s): %d nodes (truncated %v), want a complete search of >= 1e6", s.Name, s.Shape, res.Nodes, res.Truncated)
 	}
 	checkEvalCounts(t, s.Name, s.Prog.Problem(), res)
+	perNode := float64(after.Mallocs-before.Mallocs) / float64(res.Nodes)
+	if perNode > maxAllocsPerNode {
+		t.Errorf("%s: %.2f allocations per node, want at most %d", s.Name, perNode, maxAllocsPerNode)
+	}
+	t.Logf("%s: %d nodes, %.2f allocations per node", s.Name, res.Nodes, perNode)
 }

@@ -3,7 +3,8 @@
 // oracle) and on (descvm bytecode), and the complete observable result
 // — the fingerprint
 // BENCH_solver.json tracks, the ordered result slices and every
-// deterministic SearchStats counter — must be byte-identical. This is
+// deterministic SearchStats counter — must be byte-identical, and so
+// must Sample's random walks at three seeds. This is
 // the transparency contract Problem.Compiled advertises, enforced by
 // the CI differential job; together with the eqlang corpus fuzz
 // (FuzzCompiledVsInterpreted) it is what lets the solver treat the
@@ -73,6 +74,36 @@ func TestCompiledParityAcrossSpecs(t *testing.T) {
 			compareTraceSlices(t, "frontier", res.Frontier, oracle.Frontier)
 			compareTraceSlices(t, "dead leaves", res.DeadLeaves, oracle.DeadLeaves)
 			compareTraceSlices(t, "visited", res.Visited, oracle.Visited)
+
+			// Sample's walks revisit shared prefixes and re-read the
+			// induction-base check's f(⊥) and g(⊥) at every root, long
+			// after the VM sessions have moved on, so a value the search
+			// read through a view where it had to keep a copy shows here
+			// first.
+			for seed := int64(1); seed <= 3; seed++ {
+				want := solver.Sample(context.Background(), interp, solver.SampleOpts{Seed: seed})
+				got := solver.Sample(context.Background(), compiled, solver.SampleOpts{Seed: seed})
+				if got.Steps != want.Steps || !got.Deepest.Equal(want.Deepest) {
+					t.Errorf("sample seed %d: %d steps to %s, want %d steps to %s",
+						seed, got.Steps, got.Deepest, want.Steps, want.Deepest)
+				}
+				if g, w := sampleKeys(got), sampleKeys(want); !reflect.DeepEqual(g, w) {
+					t.Errorf("sample seed %d: solutions %v, want %v", seed, g, w)
+				}
+				if g, w := got.Stats.Deterministic(), want.Stats.Deterministic(); !reflect.DeepEqual(g, w) {
+					t.Errorf("sample seed %d: SearchStats diverged:\n got %+v\nwant %+v", seed, g, w)
+				}
+			}
 		})
 	}
+}
+
+// sampleKeys returns the canonical keys of a sample's solutions, sorted.
+func sampleKeys(r solver.SampleResult) []string {
+	keys := make([]string, 0, len(r.Solutions))
+	for k := range r.Solutions {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -52,33 +52,118 @@ func (p *Prog) load(fr *frame, base trace.Trace) {
 type Session struct {
 	p        *Prog
 	fr, prev *frame // most- and second-most-recently used
+	// view is the Tuple header every View and ViewSon returns, its
+	// components rewritten by each call.
+	view fn.Tuple
 }
 
 // NewSession returns a fresh single-goroutine handle for p. The
 // session and both frames are one allocation, and each kind of frame
-// slice is carved from one backing array shared by the two frames, so
-// a session costs four allocations.
+// slice is carved from one backing array shared by the two frames — the
+// register array also holds the view header — so a session costs four
+// allocations.
 func (p *Prog) NewSession() *Session {
 	blk := new(struct {
 		s        Session
 		fr, prev frame
 	})
-	n, c := p.nregs, len(p.chans)
-	regs := make([]seq.Seq, 2*n)
+	n, c, k := p.nregs, len(p.chans), len(p.outs)
+	regs := make([]seq.Seq, 2*n+k)
 	scratch := make([][]value.Value, 2*n)
 	chanVals := make([][]value.Value, 2*c)
 	blk.fr = frame{regs: regs[:n:n], scratch: scratch[:n:n], chanVals: chanVals[:c:c]}
-	blk.prev = frame{regs: regs[n:], scratch: scratch[n:], chanVals: chanVals[c:]}
-	blk.s = Session{p: p, fr: &blk.fr, prev: &blk.prev}
+	blk.prev = frame{regs: regs[n : 2*n : 2*n], scratch: scratch[n:], chanVals: chanVals[c:]}
+	blk.s = Session{p: p, fr: &blk.fr, prev: &blk.prev, view: fn.Tuple(regs[2*n:])}
 	return &blk.s
 }
 
 // Eval applies the compiled function to t, returning a Tuple the caller
 // owns (components never alias frame state).
+func (s *Session) Eval(t trace.Trace) fn.Tuple { return s.Keep(s.View(t)) }
+
+// View applies the compiled function to t and returns a view: a Tuple
+// whose components may alias the session's frames and scratch buffers,
+// valid only until the session's next View, ViewSon or Eval. A caller
+// that compares the value and drops it — the search's edge and limit
+// checks — pays no allocation; one that retains it copies it with Keep.
+func (s *Session) View(t trace.Trace) fn.Tuple {
+	if n := t.Len(); n > 0 {
+		return s.ViewSon(t.Take(n-1), t.Last())
+	}
+	s.p.exec(s.rebase(trace.Empty, -1), 0, s.view)
+	return s.view
+}
+
+// ViewSon is View(u·e) without building u·e: the session rebases a
+// frame onto u, pushes e, runs the program and pops e again. The
+// search's edge check f(u·e) ⊑ g(u) thus allocates nothing, and the
+// trace node for u·e is built only for a son the check admits.
 //
-// The frame caches key on parent(t): a full spine walk happens only
-// when the parent changes, so evaluating all sons u·e of one node, or
-// sibling nodes u1, u2 of one parent in BFS order, costs one walk per
+// A single-channel projection skips the push and the dispatch: its
+// answer is the cached history, extended by e when e lands on the
+// channel — appended past the history's end and truncated off again, so
+// the view still sees it until the next call reuses the slot.
+func (s *Session) ViewSon(u trace.Trace, e trace.Event) fn.Tuple {
+	n := u.Len()
+	fr := s.rebase(u, n)
+	p := s.p
+	ci := p.chanIdx(e.Ch)
+	if p.soloChan >= 0 {
+		hist := fr.chanVals[p.soloChan]
+		if ci == p.soloChan {
+			hist = append(hist, e.Val)
+			fr.chanVals[p.soloChan] = hist[:len(hist)-1]
+		}
+		s.view[0] = seq.Seq(hist)
+		return s.view
+	}
+	if ci >= 0 {
+		fr.chanVals[ci] = append(fr.chanVals[ci], e.Val)
+	}
+	p.exec(fr, n+1, s.view)
+	if ci >= 0 {
+		fr.chanVals[ci] = fr.chanVals[ci][:len(fr.chanVals[ci])-1]
+	}
+	return s.view
+}
+
+// Keep copies a view into a Tuple the caller owns: the non-stable
+// components share one fresh backing array, while table constants
+// (stable registers) are immutable and stay shared, exactly as the
+// interpreter's ConstTraceFn shares its k. v must be a view this
+// session returned and its next call has not yet invalidated.
+func (s *Session) Keep(v fn.Tuple) fn.Tuple {
+	p := s.p
+	total := 0
+	for i, r := range p.outs {
+		if !p.stable[r] {
+			total += len(v[i])
+		}
+	}
+	out := make(fn.Tuple, len(v))
+	backing := make([]value.Value, total)
+	o := 0
+	for i, r := range p.outs {
+		c := v[i]
+		if p.stable[r] {
+			out[i] = c
+			continue
+		}
+		dst := backing[o : o+len(c) : o+len(c)]
+		copy(dst, c)
+		out[i] = seq.Seq(dst)
+		o += len(c)
+	}
+	return out
+}
+
+// rebase returns a frame whose base is parent (of length n; n < 0 means
+// parent is ⊥ and the input itself is ⊥), promoting it to most recently
+// used.
+//
+// The frame caches key on the input's parent: a full spine walk happens
+// only when the parent changes, so evaluating all sons u·e of one node,
+// or sibling nodes u1, u2 of one parent in BFS order, costs one walk per
 // parent group plus an O(1) push/pop per evaluation.
 //
 // The search's bases drift by O(1) edits — a node's expansion base
@@ -88,22 +173,17 @@ func (p *Prog) NewSession() *Session {
 // already has. prev is tried first for adoption: in the steady BFS
 // rhythm fr holds the parent-level base the very next evaluation needs
 // again, and morphing prev instead keeps it parked there.
-func (s *Session) Eval(t trace.Trace) fn.Tuple {
-	n := t.Len()
-	parent := trace.Empty
-	if n > 0 {
-		parent = t.Take(n - 1)
-	}
+func (s *Session) rebase(parent trace.Trace, n int) *frame {
 	switch {
-	case s.fr.matches(parent, n-1):
-	case s.prev.matches(parent, n-1), s.prev.adopt(s.p, parent, n-1):
+	case s.fr.matches(parent, n):
+	case s.prev.matches(parent, n), s.prev.adopt(s.p, parent, n):
 		s.fr, s.prev = s.prev, s.fr
-	case s.fr.adopt(s.p, parent, n-1):
+	case s.fr.adopt(s.p, parent, n):
 	default:
 		s.fr, s.prev = s.prev, s.fr
 		s.p.load(s.fr, parent)
 	}
-	return s.p.execAt(s.fr, t, n)
+	return s.fr
 }
 
 // matches reports whether the frame's cached base is parent (whose
@@ -150,49 +230,12 @@ func (fr *frame) adopt(p *Prog, parent trace.Trace, n int) bool {
 	return true
 }
 
-// execAt runs the program for t on a frame whose base is parent(t):
-// push t's last event, execute, pop.
-func (p *Prog) execAt(fr *frame, t trace.Trace, n int) fn.Tuple {
-	if p.soloChan >= 0 {
-		// Single channel projection: the answer is the cached history
-		// (plus t's own last event when it lands on the channel), read
-		// out directly — no push/pop, no instruction dispatch.
-		hist := fr.chanVals[p.soloChan]
-		extra := 0
-		var lastVal value.Value
-		if n > 0 {
-			if last := t.Last(); last.Ch == p.chans[p.soloChan] {
-				lastVal = last.Val
-				extra = 1
-			}
-		}
-		backing := make([]value.Value, len(hist)+extra)
-		copy(backing, hist)
-		if extra == 1 {
-			backing[len(hist)] = lastVal
-		}
-		return fn.Tuple{seq.Seq(backing)}
-	}
-	if n == 0 {
-		return p.exec(fr, 0)
-	}
-	last := t.Last()
-	ci := p.chanIdx(last.Ch)
-	if ci >= 0 {
-		fr.chanVals[ci] = append(fr.chanVals[ci], last.Val)
-	}
-	out := p.exec(fr, n)
-	if ci >= 0 {
-		fr.chanVals[ci] = fr.chanVals[ci][:len(fr.chanVals[ci])-1]
-	}
-	return out
-}
-
 // exec runs the instruction sequence against the frame's loaded
-// histories and copies the output registers into a fresh Tuple. rawLen
-// is the unprojected input length |t|, which opOmega's approximation
-// depth depends on (fn.OmegaConstFn semantics).
-func (p *Prog) exec(fr *frame, rawLen int) fn.Tuple {
+// histories and points out's components at the output registers: out is
+// the session's view header, so nothing is copied or allocated here
+// (Keep copies). rawLen is the unprojected input length |t|, which
+// opOmega's approximation depth depends on (fn.OmegaConstFn semantics).
+func (p *Prog) exec(fr *frame, rawLen int, out fn.Tuple) {
 	regs := fr.regs
 	for _, ins := range p.code {
 		switch ins.op {
@@ -242,8 +285,8 @@ func (p *Prog) exec(fr *frame, rawLen int) fn.Tuple {
 			for n < len(src) && pred(src[n]) {
 				n++
 			}
-			// Aliases src within this run; the output copy below keeps
-			// the alias from escaping.
+			// Aliases src, like every view component; Keep copies it
+			// before anything retains it.
 			regs[ins.dst] = src[:n]
 		case opPrepend:
 			buf := fr.scratch[ins.dst][:0]
@@ -268,31 +311,7 @@ func (p *Prog) exec(fr *frame, rawLen int) fn.Tuple {
 		}
 	}
 
-	// Copy the outputs into one fresh backing array: callers (the search
-	// in particular, which carries f down tree edges and into
-	// checkpoints) retain the Tuple indefinitely, while
-	// every non-stable register aliases frame state that the next Eval
-	// overwrites. Table constants (stable registers) are immutable and
-	// shared, exactly as the interpreter's ConstTraceFn shares its k.
-	total := 0
-	for _, r := range p.outs {
-		if !p.stable[r] {
-			total += len(regs[r])
-		}
-	}
-	out := make(fn.Tuple, len(p.outs))
-	backing := make([]value.Value, total)
-	o := 0
 	for i, r := range p.outs {
-		v := regs[r]
-		if p.stable[r] {
-			out[i] = v
-			continue
-		}
-		dst := backing[o : o+len(v) : o+len(v)]
-		copy(dst, v)
-		out[i] = seq.Seq(dst)
-		o += len(v)
+		out[i] = regs[r]
 	}
-	return out
 }

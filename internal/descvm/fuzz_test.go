@@ -77,15 +77,23 @@ func fuzzTrace(bs []byte) trace.Trace {
 }
 
 // FuzzEvalMatchesInterpreter holds the VM equal to the direct IR walk:
-// for any bytecode-lowerable function and any trace, Eval must return
-// exactly fn.TraceFn.Apply. Every prefix is evaluated root-to-leaf, then
-// the full trace twice more — the session-frame hit, adopt and reload
-// paths all fire, the same access pattern the solver's expand produces.
+// for any bytecode-lowerable function and any trace, every evaluation
+// must return exactly fn.TraceFn.Apply. Each prefix is evaluated
+// root-to-leaf, each followed by a burst of sons, then the full trace
+// twice more — the session-frame hit, adopt and reload paths all fire,
+// the same access pattern the solver's limit checks and expand produce.
+// The high nibbles of the event bytes pick how each evaluation runs:
+// View, ViewSon on the trace's parent and last event, Eval, or Keep of
+// a View. A view is held to Apply at its call, since the session's next
+// call may overwrite it; an owned result is held to Apply again after
+// every later call, so a Keep that leaves anything aliased shows.
 func FuzzEvalMatchesInterpreter(f *testing.F) {
 	f.Add([]byte{0, 4}, []byte{0, 0, 1, 3})
 	f.Add([]byte{1, 7, 3, 9}, []byte{1, 3, 1, 4, 2, 0})
 	f.Add([]byte{0, 11, 5, 6}, []byte{0, 1, 0, 2})
 	f.Add([]byte{2}, []byte{})
+	f.Add([]byte{0, 11, 4, 9, 3}, []byte{0x10, 0x21, 0x30, 0x03, 0x12, 0x34, 0x20, 0x01})
+	f.Add([]byte{0}, []byte{0x30, 0x10, 0x20, 0x30, 0x11, 0x22})
 	f.Fuzz(func(t *testing.T, ops, events []byte) {
 		if len(ops) > 32 {
 			t.Skip("function too deep for the differential budget")
@@ -96,14 +104,54 @@ func FuzzEvalMatchesInterpreter(f *testing.F) {
 			t.Fatalf("%s: fuzz grammar produced a non-lowerable function", tf.Name)
 		}
 		s := p.NewSession()
-		u := fuzzTrace(events)
-		evals := u.Prefixes()
-		evals = append(evals, u, u)
-		for i, tr := range evals {
-			got, want := s.Eval(tr), tf.Apply(tr)
+		type owned struct {
+			tr        trace.Trace
+			got, want fn.Tuple
+		}
+		var kept []owned
+		calls := 0
+		eval := func(tr trace.Trace) {
+			mode := 0
+			if len(events) > 0 {
+				mode = int(events[calls%len(events)]>>4) % 4
+			}
+			calls++
+			want := tf.Apply(tr)
+			var got fn.Tuple
+			switch {
+			case mode == 1 && tr.Len() > 0:
+				got = s.ViewSon(tr.Take(tr.Len()-1), tr.Last())
+			case mode == 2:
+				got = s.Eval(tr)
+				kept = append(kept, owned{tr, got, want})
+			case mode == 3:
+				got = s.Keep(s.View(tr))
+				kept = append(kept, owned{tr, got, want})
+			default:
+				got = s.View(tr)
+			}
 			if !got.Equal(want) {
-				t.Fatalf("%s: eval %d of %s:\ncompiled    %v\ninterpreted %v\n%s",
-					tf.Name, i, tr, got, want, p.Disasm())
+				t.Fatalf("%s: call %d (mode %d) on %s:\ncompiled    %v\ninterpreted %v\n%s",
+					tf.Name, calls, mode, tr, got, want, p.Disasm())
+			}
+		}
+		u := fuzzTrace(events)
+		sons := []trace.Event{
+			trace.E("a", value.Int(1)), trace.E("a", value.Int(2)),
+			trace.E("b", value.F), trace.E("x", value.Int(0)),
+		}
+		for _, pre := range u.Prefixes() {
+			eval(pre)
+			for _, e := range sons {
+				eval(pre.Append(e))
+			}
+		}
+		eval(u)
+		eval(u)
+		for _, k := range kept {
+			if !k.got.Equal(k.want) {
+				t.Fatalf("%s: owned result for %s changed by later calls:\n got %v\nwant %v",
+					tf.Name, k.tr, k.got, k.want)
 			}
 		}
 	})

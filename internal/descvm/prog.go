@@ -18,9 +18,14 @@
 //     sub-function used by several equations of a system is computed
 //     once per evaluation, keyed on constructor identity (see fn.SeqLower);
 //   - reused intermediates: every instruction writes through a
-//     per-register scratch buffer the frame keeps, so an evaluation
-//     allocates only its returned Tuple (one backing array plus the
-//     Tuple header).
+//     per-register scratch buffer the frame keeps, and an evaluation
+//     returns a view of the output registers in a header the session
+//     owns, so it allocates nothing. The view is valid until the
+//     session's next call; Session.Keep copies one that must outlive it
+//     into an owned Tuple (one backing array plus the Tuple header),
+//     and Eval is View followed by Keep. Session.ViewSon evaluates a
+//     son u·e by one push on the frame based at u, without building
+//     u·e — the §3.3 edge check as a frame step.
 //
 // A Session is the one way to run a program. Compiled and interpreted
 // evaluation are observably identical — the differential suites (this
@@ -94,9 +99,9 @@ type Prog struct {
 
 	// soloChan is the channel-table index when the whole program is a
 	// single channel projection (one opChan, output width 1) — the shape
-	// of a plain `desc e <- a` description — and -1 otherwise. execAt
-	// then copies the cached history straight into the output, skipping
-	// the push/execute/pop cycle.
+	// of a plain `desc e <- a` description — and -1 otherwise. ViewSon
+	// then returns the cached history itself as the view, skipping the
+	// push/execute/pop cycle.
 	soloChan int
 
 	chans  []string

@@ -231,10 +231,12 @@ func newSearch(p Problem) *search {
 		// The two applications are not counted here, and their time is
 		// dropped: the search that starts at ⊥ counts them (countBase),
 		// and a decoded checkpoint, which runs this check again, carries
-		// them in its result already.
+		// them in its result already. Both values are kept, not viewed:
+		// every Sample walk re-reads them at its root, long after the
+		// sessions have moved on.
 		var untimed int64
-		s.f0 = apply(p.D.F, s.fsess, root, &untimed)
-		s.g0 = apply(p.D.G, s.gsess, root, &untimed)
+		s.f0 = keep(s.fsess, apply(p.D.F, s.fsess, root, nil, nil, &untimed))
+		s.g0 = keep(s.gsess, apply(p.D.G, s.gsess, root, nil, nil, &untimed))
 		s.thm1 = s.f0.Leq(s.g0)
 		s.fsupp = p.D.F.Support
 		if s.thm1 {
@@ -259,29 +261,53 @@ func (s *search) countBase(st *SearchStats) {
 // induction-base check computed it.
 func (s *search) rootNode() node { return node{t: root, f: s.f0} }
 
-// apply applies one side to t: through sess when the side lowered to
-// bytecode, otherwise through the interpreter, whose wall-clock time it
-// adds to nanos (see EvalStats.FNanos).
-func apply(side fn.TraceFn, sess *descvm.Session, t trace.Trace, nanos *int64) fn.Tuple {
+// apply applies one side to u·e, or to u itself when e is nil. A side
+// that lowered to bytecode is evaluated by sess into a view of its
+// frame, without building u·e: the caller may read the view until
+// sess's next call and must keep it to retain it. Otherwise the
+// interpreter applies the side, adding its wall-clock time to nanos
+// (see EvalStats.FNanos), and the caller owns the result. The
+// interpreter can apply a side only to a built trace, so it leaves u·e
+// in *son, which must be non-nil with e, for a caller that admits the
+// son; the VM leaves *son alone.
+func apply(side fn.TraceFn, sess *descvm.Session, u trace.Trace, e *trace.Event, son *trace.Trace, nanos *int64) fn.Tuple {
 	if sess != nil {
-		return sess.Eval(t)
+		if e == nil {
+			return sess.View(u)
+		}
+		return sess.ViewSon(u, *e)
+	}
+	if e != nil {
+		u = u.Append(*e)
+		*son = u
 	}
 	start := time.Now()
-	v := side.Apply(t)
+	v := side.Apply(u)
 	*nanos += time.Since(start).Nanoseconds()
 	return v
 }
 
-// f applies the description's left side to t, counting the application.
-func (s *search) f(t trace.Trace) fn.Tuple {
-	s.st.Eval.FApplies++
-	return apply(s.p.D.F, s.fsess, t, &s.st.Eval.FNanos)
+// keep returns a value apply produced in a form the caller may retain:
+// a copy of a view, the interpreter's own result as it is.
+func keep(sess *descvm.Session, v fn.Tuple) fn.Tuple {
+	if sess == nil {
+		return v
+	}
+	return sess.Keep(v)
 }
 
-// g is f for the right side.
-func (s *search) g(t trace.Trace) fn.Tuple {
+// f applies the description's left side to u·e (to u when e is nil),
+// counting the application; see apply for what the caller may do with
+// the value, and for son.
+func (s *search) f(u trace.Trace, e *trace.Event, son *trace.Trace) fn.Tuple {
+	s.st.Eval.FApplies++
+	return apply(s.p.D.F, s.fsess, u, e, son, &s.st.Eval.FNanos)
+}
+
+// g is f for the right side, at u itself.
+func (s *search) g(u trace.Trace) fn.Tuple {
 	s.st.Eval.GApplies++
-	return apply(s.p.D.G, s.gsess, t, &s.st.Eval.GNanos)
+	return apply(s.p.D.G, s.gsess, u, nil, nil, &s.st.Eval.GNanos)
 }
 
 // Enumerate explores the Section 3.3 tree breadth-first to the problem's
@@ -438,13 +464,14 @@ func (s *search) step(res *Result, cp *Checkpoint, cur node) []node {
 // which the node's expansion reads again. f comes from n when its
 // parent's edge check carried it, and the root takes both sides from
 // the induction-base check when that ran; each such read counts as a
-// hit.
+// hit. Applied values are views: f(n) dies here, and g(n) lives through
+// n's expansion, which evaluates only f, on the other session.
 func (s *search) limit(n node) (fn.Tuple, bool) {
 	fu := n.f
 	if fu != nil {
 		s.st.Eval.FHits++
 	} else {
-		fu = s.f(n.t)
+		fu = s.f(n.t, nil, nil)
 	}
 	var gu fn.Tuple
 	if n.t.Len() == 0 && s.g0 != nil {
@@ -474,10 +501,12 @@ func (s *search) classify(n node) (fn.Tuple, bool) {
 // expand generates the smooth sons of u, given gu = g(u) from u's limit
 // check: g is never re-applied here, and the check's reuse of it is
 // counted once per node — not once per candidate, and not at all when
-// the Theorem 1 fast path admits every candidate. Each admitted son
-// carries the f its edge check computed. Each rejected candidate is a
-// whole subtree of the unpruned tree cut before any of it is expanded,
-// and each son is an O(1) persistent extension sharing u's spine.
+// the Theorem 1 fast path admits every candidate. The edge check reads
+// f(u·e) as a view without building u·e; only an admitted son gets its
+// trace — an O(1) persistent extension sharing u's spine — and a kept
+// copy of that f to carry. Each rejected candidate is a whole subtree
+// of the unpruned tree cut before any of it is built, so on bytecode it
+// allocates nothing.
 //
 // dst, when non-nil, supplies the son slots (the search's reusable
 // buffer); callers that retain the returned slice past the next expand —
@@ -494,8 +523,8 @@ func (s *search) expand(u trace.Trace, gu fn.Tuple, dst []node) []node {
 		// evaluating.
 		c := &s.cands[ci]
 		auto := c.auto
-		for i, e := range c.es {
-			v := node{t: u.AppendPrehashed(e, c.hs[i])}
+		for i := range c.es {
+			var v node
 			st.EdgesChecked++
 			if s.p.Prune {
 				if auto {
@@ -505,14 +534,18 @@ func (s *search) expand(u trace.Trace, gu fn.Tuple, dst []node) []node {
 						st.Eval.GHits++
 						guRead = true
 					}
-					if v.f = s.f(v.t); !v.f.Leq(gu) {
+					if v.f = s.f(u, &c.es[i], &v.t); !v.f.Leq(gu) {
 						st.SubtreesPruned++
 						lvl.Pruned++
 						continue
 					}
+					v.f = keep(s.fsess, v.f)
 				}
 			}
 			st.EdgesKept++
+			if v.t.IsEmpty() {
+				v.t = u.AppendPrehashed(c.es[i], c.hs[i])
+			}
 			if sons == nil {
 				sons = make([]node, 0, s.fanout)
 			}
@@ -525,8 +558,9 @@ func (s *search) expand(u trace.Trace, gu fn.Tuple, dst []node) []node {
 // hasSon reports whether a depth-bound node has a smooth son, stopping at
 // the first witness; gu is g(u) from the limit check, as for expand.
 // Failed candidates are pruned subtrees like expand's; the witness is
-// counted separately since it is never enqueued. A Theorem-1
-// auto-admitted candidate is an immediate witness.
+// counted separately since it is never enqueued, so hasSon builds no
+// candidate's trace. A Theorem-1 auto-admitted candidate is an
+// immediate witness.
 func (s *search) hasSon(u trace.Trace, gu fn.Tuple) bool {
 	st := s.st
 	lvl := st.level(u.Len() + 1)
@@ -534,8 +568,7 @@ func (s *search) hasSon(u trace.Trace, gu fn.Tuple) bool {
 	for ci := range s.cands {
 		c := &s.cands[ci]
 		auto := c.auto
-		for i, e := range c.es {
-			v := u.AppendPrehashed(e, c.hs[i])
+		for i := range c.es {
 			st.EdgesChecked++
 			if auto {
 				st.Thm1AutoEdges++
@@ -546,7 +579,8 @@ func (s *search) hasSon(u trace.Trace, gu fn.Tuple) bool {
 				st.Eval.GHits++
 				guRead = true
 			}
-			if s.f(v).Leq(gu) {
+			var v trace.Trace
+			if s.f(u, &c.es[i], &v).Leq(gu) {
 				st.FrontierWitnesses++
 				return true
 			}
