@@ -315,10 +315,19 @@ func CheckTraceFnSupport(f TraceFn, samples []trace.Trace) error {
 // CheckTraceFnGrowth verifies the declared growth bound on the samples.
 func CheckTraceFnGrowth(f TraceFn, samples []trace.Trace) error {
 	for _, t := range samples {
-		for i, s := range f.Apply(t) {
-			if s.Len() > t.Len()+f.Growth {
-				return fmt.Errorf("fn: %s component %d exceeds growth bound %d on %s", f.Name, i, f.Growth, t)
-			}
+		if err := CheckOutputGrowth(f, t, f.Apply(t)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// CheckOutputGrowth verifies the declared growth bound on one output,
+// out = f.Apply(t), for callers that already hold it.
+func CheckOutputGrowth(f TraceFn, t trace.Trace, out Tuple) error {
+	for i, s := range out {
+		if s.Len() > t.Len()+f.Growth {
+			return fmt.Errorf("fn: %s component %d exceeds growth bound %d on %s", f.Name, i, f.Growth, t)
 		}
 	}
 	return nil

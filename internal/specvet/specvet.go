@@ -214,8 +214,7 @@ func Vet(src string) Result {
 	r.Findings = append(r.Findings, vetUnusedAlphabets(f, refs)...)
 	r.Findings = append(r.Findings, vetDuplicateDescs(f)...)
 	r.Findings = append(r.Findings, vetDivergentDescs(f, p)...)
-	samples := probeTraces(p.Alphabet, probeDepth, maxProbeTraces)
-	r.Findings = append(r.Findings, vetDeclaredContracts(f, p, samples)...)
+	r.Findings = append(r.Findings, vetDeclaredContracts(f, p, newProbe(p.Alphabet, probeDepth, maxProbeTraces))...)
 	r.Findings = append(r.Findings, vetTheorem1(f, p)...)
 	elimDiags, verdicts := vetElimination(f, p)
 	r.Findings = append(r.Findings, elimDiags...)
@@ -364,24 +363,32 @@ func hasLinearFixpoint(vals []value.Value, a, b int64) bool {
 // an empty support yet legitimately grows with the probe length of its
 // argument, so equality would false-positive; a side actually reading a
 // channel outside its support disagrees in content, which ⊑ catches.
-func vetDeclaredContracts(f *eqlang.File, p *eqlang.Program, samples []trace.Trace) []Diagnostic {
+//
+// Each side is applied once per sample: the projection of a sample onto
+// the side's support is itself a sample (see probe.project), so both
+// checks read outputs the probe already holds.
+func vetDeclaredContracts(f *eqlang.File, p *eqlang.Program, pr *probe) []Diagnostic {
 	var ds []Diagnostic
 	for i, d := range p.System.Descs {
 		stmt := f.Descs[i]
-		for side, tf := range map[string]fn.TraceFn{"left": d.F, "right": d.G} {
-			if msg := probeSupport(tf, samples); msg != "" {
+		for _, s := range [...]struct {
+			name string
+			tf   fn.TraceFn
+		}{{"left", d.F}, {"right", d.G}} {
+			msg, err := pr.check(s.tf)
+			if msg != "" {
 				ds = append(ds, Diagnostic{
 					Rule: "support-mismatch", Severity: SevError,
 					Line: stmt.Line, Col: stmt.Col,
-					Message: fmt.Sprintf("%s: %s side: %s", d.Name, side, msg),
+					Message: fmt.Sprintf("%s: %s side: %s", d.Name, s.name, msg),
 					Hint:    "the declared support feeds Theorem 1 and elimination checks; fix the combinator's Support",
 				})
 			}
-			if err := fn.CheckTraceFnGrowth(tf, samples); err != nil {
+			if err != nil {
 				ds = append(ds, Diagnostic{
 					Rule: "growth-bound", Severity: SevError,
 					Line: stmt.Line, Col: stmt.Col,
-					Message: fmt.Sprintf("%s: %s side: %v", d.Name, side, err),
+					Message: fmt.Sprintf("%s: %s side: %v", d.Name, s.name, err),
 				})
 			}
 		}
@@ -389,15 +396,85 @@ func vetDeclaredContracts(f *eqlang.File, p *eqlang.Program, samples []trace.Tra
 	return ds
 }
 
-// probeSupport returns a description of the first support violation, or
-// "" if the side honors its declaration on all samples. Exact functions
-// must be invariant under projection to their support; ω-approximations
-// (fn.TraceFn.Omega) legitimately shorten under projection, so only
-// compatibility is required of them.
-func probeSupport(tf fn.TraceFn, samples []trace.Trace) string {
-	for _, t := range samples {
-		proj := t.Project(tf.Support)
-		whole, onSupp := tf.Apply(t), tf.Apply(proj)
+// probe is the sample set the declared contracts are checked on: the
+// traces over the alphabet's events, channels in sorted order, listed
+// breadth-first up to a depth and capped at a count. The list is a
+// prefix of the complete n-ary tree of traces (n events) in heap order:
+// sample k ≥ 1 extends sample (k-1)/n by events[(k-1)%n], and the son
+// of sample j by events[e] is sample j·n+1+e.
+type probe struct {
+	traces []trace.Trace
+	events []trace.Event
+	// out and proj hold one side's outputs and support projections,
+	// reused from side to side.
+	out  []fn.Tuple
+	proj []int
+}
+
+// newProbe lists the samples breadth-first up to the given depth,
+// capped at max traces.
+func newProbe(alphabet map[string][]value.Value, depth, max int) *probe {
+	p := &probe{traces: make([]trace.Trace, 1, max)}
+	for _, c := range sortedKeys(alphabet) {
+		for _, v := range alphabet[c] {
+			p.events = append(p.events, trace.E(c, v))
+		}
+	}
+	for k, n := 1, len(p.events); k < max && n > 0; k++ {
+		parent := p.traces[(k-1)/n]
+		if parent.Len() == depth {
+			break
+		}
+		p.traces = append(p.traces, parent.Append(p.events[(k-1)%n]))
+	}
+	p.out = make([]fn.Tuple, len(p.traces))
+	p.proj = make([]int, len(p.traces))
+	return p
+}
+
+// project fills p.proj so that sample p.proj[k] equals traces[k]↾s.
+// Such a sample exists: the list is prefix-closed and every level but
+// the last is complete, so t↾s, when shorter than t, lies on a complete
+// level, and otherwise is t itself. A sample's projection is its
+// parent's when its last event lies off s, else that projection's son
+// by the event.
+func (p *probe) project(s trace.ChanSet) {
+	n := len(p.events)
+	for k := 1; k < len(p.traces); k++ {
+		j, e := p.proj[(k-1)/n], (k-1)%n
+		if s.Has(p.events[e].Ch) {
+			j = j*n + 1 + e
+		}
+		p.proj[k] = j
+	}
+}
+
+// check applies tf once to every sample and returns a description of
+// the first support violation ("" if the side honors its declaration on
+// all samples) and the first growth-bound violation.
+func (p *probe) check(tf fn.TraceFn) (string, error) {
+	for k, t := range p.traces {
+		p.out[k] = tf.Apply(t)
+	}
+	p.project(tf.Support)
+	msg := p.support(tf)
+	for k, t := range p.traces {
+		if err := fn.CheckOutputGrowth(tf, t, p.out[k]); err != nil {
+			return msg, err
+		}
+	}
+	return msg, nil
+}
+
+// support compares each sample's output with its support projection's,
+// as check stored them. Exact functions must be invariant under
+// projection to their support; ω-approximations (fn.TraceFn.Omega)
+// legitimately shorten under projection, so only compatibility is
+// required of them.
+func (p *probe) support(tf fn.TraceFn) string {
+	for k, t := range p.traces {
+		proj := p.traces[p.proj[k]]
+		whole, onSupp := p.out[k], p.out[p.proj[k]]
 		if tf.Omega {
 			if !onSupp.Leq(whole) {
 				return fmt.Sprintf("ω-approximation on support projection %s does not approximate the output on %s", proj, t)
@@ -481,36 +558,6 @@ func vetElimination(f *eqlang.File, p *eqlang.Program) ([]Diagnostic, []ElimVerd
 		vs = append(vs, ElimVerdict{Channel: b, Desc: d.Name, Index: i, Eliminable: true})
 	}
 	return ds, vs
-}
-
-// probeTraces enumerates traces over the alphabet breadth-first up to
-// the given depth, capped at max traces. Channels are visited in sorted
-// order so the sample set is deterministic.
-func probeTraces(alphabet map[string][]value.Value, depth, max int) []trace.Trace {
-	chans := sortedKeys(alphabet)
-	var events []trace.Event
-	for _, c := range chans {
-		for _, v := range alphabet[c] {
-			events = append(events, trace.E(c, v))
-		}
-	}
-	samples := []trace.Trace{trace.Empty}
-	level := []trace.Trace{trace.Empty}
-	for d := 0; d < depth && len(samples) < max; d++ {
-		var next []trace.Trace
-		for _, t := range level {
-			for _, e := range events {
-				if len(samples) >= max {
-					return samples
-				}
-				ext := t.Append(e)
-				samples = append(samples, ext)
-				next = append(next, ext)
-			}
-		}
-		level = next
-	}
-	return samples
 }
 
 // exprString renders an expression for duplicate detection and

@@ -138,12 +138,12 @@ func TestProbeSupportCatchesLie(t *testing.T) {
 			return fn.Tuple{t.Channel("x")} // reads x anyway
 		},
 	}
-	samples := probeTraces(map[string][]value.Value{"x": value.Ints(0, 1)}, 2, 64)
-	if msg := probeSupport(liar, samples); msg == "" {
+	pr := newProbe(map[string][]value.Value{"x": value.Ints(0, 1)}, 2, 64)
+	if msg, _ := pr.check(liar); msg == "" {
 		t.Fatal("support probe missed a function reading outside its declared support")
 	}
 	honest := fn.ChanFn("x")
-	if msg := probeSupport(honest, samples); msg != "" {
+	if msg, _ := pr.check(honest); msg != "" {
 		t.Fatalf("honest function flagged: %s", msg)
 	}
 }
@@ -209,7 +209,7 @@ func TestSupportMismatchDoc(t *testing.T) {
 	// has growth len(vals); the compiled combinators respect it, so no
 	// shipped spec triggers growth-bound (asserted by the goldens).
 	f := fn.ConstTraceFn(seq.OfInts(1, 2))
-	samples := probeTraces(map[string][]value.Value{"c": value.Ints(0)}, 1, 8)
+	samples := newProbe(map[string][]value.Value{"c": value.Ints(0)}, 1, 8).traces
 	if err := fn.CheckTraceFnGrowth(f, samples); err != nil {
 		t.Errorf("constant fn violates its growth bound: %v", err)
 	}

@@ -263,15 +263,23 @@ func reverse(es []Event) {
 // the paper's convention that "a channel name denotes the function that
 // maps a trace to the sequence associated with c in the trace" (Section
 // 4). Continuous.
+//
+// A first walk of the spine counts c's events, so Channel allocates
+// nothing when c does not occur (the result is an empty, non-nil Seq)
+// and one slice of exact size otherwise.
 func (t Trace) Channel(c string) seq.Seq {
-	out := make(seq.Seq, 0, t.Len())
+	k := 0
 	for n := t.end; n != nil; n = n.parent {
 		if n.ev.Ch == c {
-			out = append(out, n.ev.Val)
+			k++
 		}
 	}
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
+	out := make(seq.Seq, k)
+	for n := t.end; k > 0; n = n.parent {
+		if n.ev.Ch == c {
+			k--
+			out[k] = n.ev.Val
+		}
 	}
 	return out
 }

@@ -170,6 +170,27 @@ func TestChannelHistory(t *testing.T) {
 	}
 }
 
+var channelSink seq.Seq
+
+// TestChannelAllocatesOnlyItsResult: an absent channel costs no
+// allocation and still yields a non-nil empty Seq; a present one costs
+// one slice of exact size.
+func TestChannelAllocatesOnlyItsResult(t *testing.T) {
+	tr := sample()
+	if n := testing.AllocsPerRun(100, func() { channelSink = tr.Channel("nope") }); n != 0 {
+		t.Errorf("Channel(nope): %v allocs, want 0", n)
+	}
+	if got := tr.Channel("nope"); got == nil {
+		t.Error("Channel(nope) is nil, want an empty Seq")
+	}
+	if n := testing.AllocsPerRun(100, func() { channelSink = tr.Channel("c") }); n != 1 {
+		t.Errorf("Channel(c): %v allocs, want 1", n)
+	}
+	if got := tr.Channel("c"); !got.Equal(seq.OfInts(1, 3)) || cap(got) != 2 {
+		t.Errorf("Channel(c) = %s with cap %d, want ⟨1 3⟩ with cap 2", got, cap(got))
+	}
+}
+
 func TestChannels(t *testing.T) {
 	got := sample().Channels()
 	want := []string{"b", "c", "d"}

@@ -20,6 +20,7 @@ import (
 	"smoothproc/internal/eqlang"
 	"smoothproc/internal/netgen"
 	"smoothproc/internal/solver"
+	"smoothproc/internal/specvet"
 	"smoothproc/internal/store"
 	"smoothproc/internal/trace"
 	"smoothproc/internal/value"
@@ -182,6 +183,24 @@ func solverWorkloads(t *testing.T) map[string]func(b *testing.B) {
 			}
 			if len(ins) != 6 {
 				b.Fatalf("generated %d instances, want 6", len(ins))
+			}
+		}
+	}
+	// specvet/vet-check-tier times what a spec upload pays before any
+	// search: specvet.Vet (compile, static plan and the declared-contract
+	// probe) over the same six check-tier sources, generated off the
+	// clock.
+	vetSrcs, err := netgen.Corpus("all", 0, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["specvet/vet-check-tier"] = func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, in := range vetSrcs {
+				if r := specvet.Vet(in.Source); r.HasErrors() {
+					b.Fatalf("%s: vet errors: %v", in.Name, r.Findings)
+				}
 			}
 		}
 	}
@@ -372,6 +391,7 @@ func TestPerfGate(t *testing.T) {
 		"kahn-buffer.eq/enumerate-d6",
 		"kahn-buffer.eq/stream-first-solution",
 		"corpus/generate-check-tier",
+		"specvet/vet-check-tier",
 		"corpus/stress-solve",
 	} {
 		solverGot = append(solverGot, measure(name, sw[name]))
