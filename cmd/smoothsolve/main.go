@@ -114,7 +114,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		problem.MaxDepth = *depth
 	}
 	problem.MaxNodes = *maxNodes
-	problem.CollectVisited = false // nothing below prints the visited list
 
 	fmt.Fprintf(stdout, "system: %d description(s), channels %v, depth %d\n",
 		len(prog.System.Descs), problem.Channels, problem.MaxDepth)

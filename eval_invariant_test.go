@@ -1,5 +1,5 @@
 // Evaluation-count invariant: the §3.3 tree reaches every trace once,
-// so a pruned search needs f and g exactly where its edge rule says and
+// so a search needs f and g exactly where its edge rule says and
 // nowhere else — g(u) once at u's limit check (its reuse by u's
 // expansion is a carried value), f(v) once at the parent's edge check
 // and again at v's limit check, and f(⊥), g(⊥) once more when the
@@ -21,7 +21,7 @@ import (
 	"smoothproc/internal/solver"
 )
 
-// checkEvalCounts asserts the invariant on a pruned search of p:
+// checkEvalCounts asserts the invariant on a search of p:
 // GApplies = LimitChecks, and the f book of checkFReads.
 func checkEvalCounts(t *testing.T, what string, p solver.Problem, res solver.Result) {
 	t.Helper()
@@ -32,18 +32,15 @@ func checkEvalCounts(t *testing.T, what string, p solver.Problem, res solver.Res
 	checkFReads(t, what, p, st)
 }
 
-// checkFReads asserts the f book on a pruned search or walk of p:
+// checkFReads asserts the f book on a search or walk of p:
 // FApplies + FHits = LimitChecks + EdgesChecked − Thm1AutoEdges (+1 when
 // the induction-base check ran). It is all Sample's walks keep: each
 // walk re-reads g(⊥), so their g applications fall short of their limit
 // checks whenever the base check supplied it.
 func checkFReads(t *testing.T, what string, p solver.Problem, st solver.SearchStats) {
 	t.Helper()
-	if !p.Prune {
-		t.Fatalf("%s: the invariant is stated for pruned searches", what)
-	}
 	want := int64(st.LimitChecks + st.EdgesChecked - st.Thm1AutoEdges)
-	if p.Thm1 && !p.D.F.Omega {
+	if p.D.Thm1Eligible() {
 		want++ // the induction-base check reads f(⊥)
 	}
 	if got := st.Eval.FApplies + st.Eval.FHits; got != want {

@@ -107,6 +107,36 @@ func (c Conformance) capped(set map[string]trace.Trace) map[string]trace.Trace {
 	return out
 }
 
+// denotational returns the visible projections, up to the caps, of the
+// description's finite smooth solutions and of its §3.3 tree nodes. A
+// search stopped before its bounds has classified only a prefix of the
+// tree, and comparing that would report a false mismatch, so a stop is
+// an error wrapping the context's error, or solver.ErrBudget. In a
+// search that ran to its bounds, every node that is not a solution,
+// frontier node or dead leaf has a son, so the tree's nodes are the
+// prefixes of those three lists.
+func (c Conformance) denotational(ctx context.Context) (sols, nodes map[string]trace.Trace, err error) {
+	res := solver.Enumerate(ctx, c.Problem)
+	switch {
+	case res.Canceled:
+		return nil, nil, fmt.Errorf("check: %s: search stopped: %w", c.Name, ctx.Err())
+	case res.Truncated:
+		return nil, nil, fmt.Errorf("check: %s: search stopped: %w", c.Name, solver.ErrBudget)
+	}
+	sols, nodes = map[string]trace.Trace{}, map[string]trace.Trace{}
+	for _, t := range res.Solutions {
+		sols[t.String()] = t
+	}
+	for _, ts := range [][]trace.Trace{res.Solutions, res.Frontier, res.DeadLeaves} {
+		for _, t := range ts {
+			for _, u := range t.Prefixes() {
+				nodes[u.String()] = u
+			}
+		}
+	}
+	return c.capped(sols), c.capped(nodes), nil
+}
+
 // OperationalQuiescent returns the visible projections of the network's
 // quiescent traces, up to the caps.
 func (c Conformance) OperationalQuiescent() map[string]trace.Trace {
@@ -114,22 +144,22 @@ func (c Conformance) OperationalQuiescent() map[string]trace.Trace {
 }
 
 // DenotationalSolutions returns the visible projections of the
-// description's finite smooth solutions, up to the caps.
-func (c Conformance) DenotationalSolutions(ctx context.Context) map[string]trace.Trace {
-	res := solver.Enumerate(ctx, c.Problem)
-	set := map[string]trace.Trace{}
-	for _, s := range res.Solutions {
-		set[s.String()] = s
-	}
-	return c.capped(set)
+// description's finite smooth solutions, up to the caps. It fails when
+// the search stops before its bounds.
+func (c Conformance) DenotationalSolutions(ctx context.Context) (map[string]trace.Trace, error) {
+	sols, _, err := c.denotational(ctx)
+	return sols, err
 }
 
 // CheckQuiescent verifies set equality of the two sides — the paper's
 // "the set of smooth solutions ... is the set of process traces", for
 // the finite traces within the caps.
 func (c Conformance) CheckQuiescent(ctx context.Context) error {
+	den, err := c.DenotationalSolutions(ctx)
+	if err != nil {
+		return err
+	}
 	op := c.OperationalQuiescent()
-	den := c.DenotationalSolutions(ctx)
 	var missingDen, missingOp []string
 	for k := range op {
 		if _, ok := den[k]; !ok {
@@ -157,15 +187,11 @@ func (c Conformance) CheckQuiescent(ctx context.Context) error {
 // right comparison for processes with no finite quiescent trace (Ticks,
 // FairRandomSeq, the seeded Figure 1 loop).
 func (c Conformance) CheckHistories(ctx context.Context) error {
-	op := c.capped(netsim.Histories(c.Spec, c.MaxDecisions, c.Opts))
-	res := solver.Enumerate(ctx, c.Problem)
-	den := map[string]trace.Trace{}
-	for _, n := range res.Visited {
-		p := c.project(n)
-		if p.Len() <= c.LenCap {
-			den[p.String()] = p
-		}
+	_, den, err := c.denotational(ctx)
+	if err != nil {
+		return err
 	}
+	op := c.capped(netsim.Histories(c.Spec, c.MaxDecisions, c.Opts))
 	var missingDen, missingOp []string
 	for k := range op {
 		if _, ok := den[k]; !ok {
@@ -200,6 +226,9 @@ func RandomRunsAreSmooth(ctx context.Context, c Conformance, seeds []int64, limi
 		if run.Err != nil {
 			return fmt.Errorf("check: %s: seed %d: %w", c.Name, seed, run.Err)
 		}
+		if run.Reason == netsim.StopCanceled {
+			return fmt.Errorf("check: %s: seed %d: run stopped: %w", c.Name, seed, ctx.Err())
+		}
 		if c.Visible == nil {
 			// Direct: feed the run through the incremental monitor —
 			// every step must be a smooth edge, and a quiescent stop
@@ -223,7 +252,10 @@ func RandomRunsAreSmooth(ctx context.Context, c Conformance, seeds []int64, limi
 			continue
 		}
 		if denOnce == nil {
-			denOnce = c.DenotationalSolutions(ctx)
+			var err error
+			if denOnce, err = c.DenotationalSolutions(ctx); err != nil {
+				return err
+			}
 		}
 		if _, ok := denOnce[p.String()]; !ok {
 			return fmt.Errorf("check: %s: seed %d: quiescent run %s matches no projected smooth solution", c.Name, seed, p)
@@ -239,22 +271,17 @@ func RandomRunsAreSmooth(ctx context.Context, c Conformance, seeds []int64, limi
 // must be tree nodes — but the converse is not required, so a
 // deterministic implementation may refine a nondeterministic spec.
 func (c Conformance) CheckRefines(ctx context.Context) error {
-	den := c.DenotationalSolutions(ctx)
-	for _, tr := range c.capped(netsim.QuiescentTraces(c.Spec, c.MaxDecisions, c.Opts)) {
+	den, nodes, err := c.denotational(ctx)
+	if err != nil {
+		return err
+	}
+	for _, tr := range c.OperationalQuiescent() {
 		if _, ok := den[tr.String()]; !ok {
 			return fmt.Errorf("check: %s: quiescent behaviour %s outside the specification", c.Name, tr)
 		}
 	}
-	res := solver.Enumerate(ctx, c.Problem)
-	nodes := map[string]bool{}
-	for _, n := range res.Visited {
-		p := c.project(n)
-		if p.Len() <= c.LenCap {
-			nodes[p.String()] = true
-		}
-	}
 	for _, h := range c.capped(netsim.Histories(c.Spec, c.MaxDecisions, c.Opts)) {
-		if !nodes[h.String()] {
+		if _, ok := nodes[h.String()]; !ok {
 			return fmt.Errorf("check: %s: history %s outside the specification's tree", c.Name, h)
 		}
 	}
@@ -265,7 +292,11 @@ func (c Conformance) CheckRefines(ctx context.Context) error {
 // a time: every denotational solution (projected, capped) must be
 // realisable as a quiescent trace by some schedule.
 func SolutionsAreRealizable(ctx context.Context, c Conformance) error {
-	for _, target := range sortedTraces(c.DenotationalSolutions(ctx)) {
+	den, err := c.DenotationalSolutions(ctx)
+	if err != nil {
+		return err
+	}
+	for _, target := range sortedTraces(den) {
 		r := netsim.Realize(c.Spec, target, c.Opts)
 		if !r.Found {
 			suffix := ""

@@ -2,8 +2,10 @@ package check
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"smoothproc/internal/desc"
 	"smoothproc/internal/fn"
@@ -218,5 +220,47 @@ func TestConformanceWithAuxChannels(t *testing.T) {
 	}
 	if err := SolutionsAreRealizable(context.Background(), c); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestChecksReportCancellation: a check whose denotational search stops
+// before its bounds has compared only part of the tree, so it must
+// report the stop — wrapping the context's error, or solver.ErrBudget
+// when the node budget ran out — never a mismatch or a pass.
+func TestChecksReportCancellation(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	checks := map[string]func(context.Context, Conformance) error{
+		"quiescent": func(ctx context.Context, c Conformance) error { return c.CheckQuiescent(ctx) },
+		"histories": func(ctx context.Context, c Conformance) error { return c.CheckHistories(ctx) },
+		"refines":   func(ctx context.Context, c Conformance) error { return c.CheckRefines(ctx) },
+		"random-runs": func(ctx context.Context, c Conformance) error {
+			return RandomRunsAreSmooth(ctx, c, []int64{1, 2, 3}, netsim.Limits{})
+		},
+		"realizable": func(ctx context.Context, c Conformance) error { return SolutionsAreRealizable(ctx, c) },
+	}
+	for name, check := range checks {
+		for _, tc := range []struct {
+			stop string
+			ctx  context.Context
+			want error
+		}{
+			{"canceled", canceled, context.Canceled},
+			{"deadline", expired, context.DeadlineExceeded},
+		} {
+			if err := check(tc.ctx, copyConformance()); !errors.Is(err, tc.want) {
+				t.Errorf("%s under a %s context: err = %v, want one wrapping %v", name, tc.stop, err, tc.want)
+			}
+		}
+		if name == "random-runs" {
+			continue // searches only for networks with auxiliary channels
+		}
+		c := copyConformance()
+		c.Problem.MaxNodes = 2
+		if err := check(context.Background(), c); !errors.Is(err, solver.ErrBudget) {
+			t.Errorf("%s with a 2-node budget: err = %v, want one wrapping solver.ErrBudget", name, err)
+		}
 	}
 }

@@ -14,13 +14,17 @@ import (
 const maxFuzzFanout = 64
 
 // solveBudgeted runs a short-budget enumeration of prog with or without
-// bytecode evaluation. The budget keeps hostile fuzz inputs cheap while
+// bytecode evaluation: without, both sides are made opaque, which is
+// exactly what a side that does not lower looks like, so the search
+// interprets them. The budget keeps hostile fuzz inputs cheap while
 // still exercising every opcode the program lowers to.
 func solveBudgeted(prog *Program, compiled bool) solver.Result {
 	p := prog.Problem()
 	p.MaxDepth = min(p.MaxDepth, 3)
 	p.MaxNodes = 200
-	p.Compiled = compiled
+	if !compiled {
+		p.D.F.IR, p.D.G.IR = nil, nil
+	}
 	return solver.Enumerate(context.Background(), p)
 }
 
@@ -33,8 +37,8 @@ func diffFingerprint(res solver.Result) (keys []string, nodes int, stats solver.
 
 // FuzzCompiledVsInterpreted holds descvm bytecode evaluation equal to
 // the interpreter over arbitrary eqlang programs: any input that
-// compiles is solved twice under a short budget — Compiled off (the
-// oracle) and on — and the results must be byte-identical. Run with
+// compiles is solved twice under a short budget — on the interpreter
+// (the oracle) and on bytecode — and the results must be byte-identical. Run with
 // `go test -fuzz=FuzzCompiledVsInterpreted` for continuous fuzzing; the
 // shared corpus runs on every plain `go test` and in the CI
 // differential job.
@@ -55,6 +59,9 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 			t.Skip("alphabet too wide for the differential budget")
 		}
 		interp := solveBudgeted(prog, false)
+		if interp.Stats.CompiledEval {
+			t.Fatal("interpreter leg ran on bytecode")
+		}
 		comp := solveBudgeted(prog, true)
 		ik, in, is := diffFingerprint(interp)
 		ck, cn, cs := diffFingerprint(comp)

@@ -137,7 +137,11 @@ func e2() Experiment {
 			if err := check.SolutionsAreRealizable(ctx, c); err != nil {
 				return "", err
 			}
-			n := len(c.DenotationalSolutions(ctx))
+			den, err := c.DenotationalSolutions(ctx)
+			if err != nil {
+				return "", err
+			}
+			n := len(den)
 			return fmt.Sprintf("%d quiescent traces = %d smooth solutions; all realizable", n, n), nil
 		},
 	}
@@ -299,7 +303,10 @@ func e8() Experiment {
 				LenCap:       3,
 				MaxDecisions: 6,
 			}
-			den := c.DenotationalSolutions(ctx)
+			den, err := c.DenotationalSolutions(ctx)
+			if err != nil {
+				return "", err
+			}
 			if len(den) != 2 {
 				return "", fmt.Errorf("%d solutions", len(den))
 			}
@@ -598,23 +605,15 @@ func e16() Experiment {
 				trace.E("b", value.Int(0)), trace.E("c", value.Int(1)),
 				trace.E("d", value.Int(0)), trace.E("d", value.Int(1)),
 			}
-			count, agree := 0, 0
-			var sweep func(tr trace.Trace, depth int)
-			sweep = func(tr trace.Trace, depth int) {
+			count := 0
+			if err := sweep(events, 4, func(tr trace.Trace) error {
 				count++
-				if (d.IsSmoothFinite(tr) == nil) == (d.IsSmoothFiniteThm1(tr) == nil) {
-					agree++
+				if (d.IsSmoothFinite(tr) == nil) != (d.IsSmoothFiniteThm1(tr) == nil) {
+					return fmt.Errorf("the prefix condition and the full check disagree on %s", tr)
 				}
-				if depth == 0 {
-					return
-				}
-				for _, e := range events {
-					sweep(tr.Append(e), depth-1)
-				}
-			}
-			sweep(trace.Empty, 4)
-			if agree != count {
-				return "", fmt.Errorf("%d/%d disagreements", count-agree, count)
+				return nil
+			}); err != nil {
+				return "", err
 			}
 			return fmt.Sprintf("full agreement on all %d traces to depth 4", count), nil
 		},
@@ -633,23 +632,10 @@ func e17() Experiment {
 				trace.E("d", value.Int(0)), trace.E("d", value.Int(1)),
 			}
 			count := 0
-			var sweep func(tr trace.Trace, depth int) error
-			sweep = func(tr trace.Trace, depth int) error {
+			if err := sweep(events, 3, func(tr trace.Trace) error {
 				count++
-				if err := desc.CheckSublemma(net, tr); err != nil {
-					return err
-				}
-				if depth == 0 {
-					return nil
-				}
-				for _, e := range events {
-					if err := sweep(tr.Append(e), depth-1); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			if err := sweep(trace.Empty, 3); err != nil {
+				return desc.CheckSublemma(net, tr)
+			}); err != nil {
 				return "", err
 			}
 			return fmt.Sprintf("sublemma verified on %d traces of the Fig 3 network", count), nil
@@ -786,22 +772,57 @@ func e21() Experiment {
 		Artefact: "§3.3 tree",
 		Claim:    "pruned and unpruned searches agree; pruning shrinks the tree",
 		Run: func(ctx context.Context) (string, error) {
-			c := fig2Conformance()
-			pruned := c.Problem
-			pruned.MaxDepth = 4
-			unpruned := pruned
-			unpruned.Prune = false
-			rp, ru := solver.Enumerate(ctx, pruned), solver.Enumerate(ctx, unpruned)
-			if strings.Join(rp.SolutionKeys(), "|") != strings.Join(ru.SolutionKeys(), "|") {
+			p := fig2Conformance().Problem
+			p.MaxDepth = 4
+			rp := solver.Enumerate(ctx, p)
+			// The unpruned tree is every trace up to the depth bound, and
+			// its solutions are the traces §3.2's definition accepts.
+			var events []trace.Event
+			for _, ch := range p.Channels {
+				for _, m := range p.Alphabet[ch] {
+					events = append(events, trace.E(ch, m))
+				}
+			}
+			var traces int
+			var smooth []string
+			if err := sweep(events, p.MaxDepth, func(t trace.Trace) error {
+				traces++
+				if p.D.IsSmoothFinite(t) == nil {
+					smooth = append(smooth, t.String())
+				}
+				return ctx.Err()
+			}); err != nil {
+				return "", err
+			}
+			sort.Strings(smooth)
+			if strings.Join(rp.SolutionKeys(), "|") != strings.Join(smooth, "|") {
 				return "", errors.New("solution sets differ")
 			}
-			if ru.Nodes <= rp.Nodes {
-				return "", fmt.Errorf("pruned %d vs unpruned %d nodes", rp.Nodes, ru.Nodes)
+			if traces <= rp.Nodes {
+				return "", fmt.Errorf("pruned %d vs unpruned %d nodes", rp.Nodes, traces)
 			}
 			return fmt.Sprintf("identical solutions; %d vs %d nodes (%.1fx reduction)",
-				rp.Nodes, ru.Nodes, float64(ru.Nodes)/float64(rp.Nodes)), nil
+				rp.Nodes, traces, float64(traces)/float64(rp.Nodes)), nil
 		},
 	}
+}
+
+// sweep calls visit on every trace over events up to the depth bound,
+// in preorder, and stops at visit's first error.
+func sweep(events []trace.Event, depth int, visit func(trace.Trace) error) error {
+	var walk func(tr trace.Trace, depth int) error
+	walk = func(tr trace.Trace, depth int) error {
+		if err := visit(tr); err != nil || depth == 0 {
+			return err
+		}
+		for _, e := range events {
+			if err := walk(tr.Append(e), depth-1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return walk(trace.Empty, depth)
 }
 
 func e22() Experiment {
@@ -851,7 +872,11 @@ func e23() Experiment {
 			if err := c.CheckQuiescent(ctx); err != nil {
 				return "", err
 			}
-			if n := len(c.DenotationalSolutions(ctx)); n != 2 {
+			den, err := c.DenotationalSolutions(ctx)
+			if err != nil {
+				return "", err
+			}
+			if n := len(den); n != 2 {
 				return "", fmt.Errorf("projected solutions: %d", n)
 			}
 			return "traces exactly {ε, (b,0)} via the auxiliary random bit; aux-free impossibility argued in the tests", nil

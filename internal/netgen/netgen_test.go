@@ -54,7 +54,11 @@ func TestGeneratedSolutionsRealizable(t *testing.T) {
 	}
 	for seed := int64(0); seed < 8; seed++ {
 		g := MustGenerate(seed, Config{MaxFeedLen: 1, MaxStages: 1, NoFork: true})
-		for _, target := range g.Conf.DenotationalSolutions(context.Background()) {
+		den, err := g.Conf.DenotationalSolutions(context.Background())
+		if err != nil {
+			t.Fatalf("seed %d (%s): %v", seed, g.Shape, err)
+		}
+		for _, target := range den {
 			r := netsim.Realize(g.Conf.Spec, target, g.Conf.Opts)
 			if !r.Found {
 				t.Errorf("seed %d (%s): solution %s not realizable (exhausted=%v)", seed, g.Shape, target, r.Exhausted)

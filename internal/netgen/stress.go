@@ -128,10 +128,7 @@ func Stress(seed int64, cfg StressConfig) (*StressInstance, error) {
 	}, nil
 }
 
-// Solve runs the instance through the solver with the setting large
-// searches want: no visited-node retention.
+// Solve runs the instance through the solver.
 func (s *StressInstance) Solve(ctx context.Context) solver.Result {
-	p := s.Prog.Problem()
-	p.CollectVisited = false
-	return solver.Enumerate(ctx, p)
+	return solver.Enumerate(ctx, s.Prog.Problem())
 }

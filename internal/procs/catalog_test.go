@@ -57,8 +57,8 @@ func TestTicksHistories(t *testing.T) {
 	if got := c.OperationalQuiescent(); len(got) != 0 {
 		t.Errorf("ticks quiesced operationally: %v", got)
 	}
-	if got := c.DenotationalSolutions(context.Background()); len(got) != 0 {
-		t.Errorf("ticks has finite smooth solutions: %v", got)
+	if got, err := c.DenotationalSolutions(context.Background()); err != nil || len(got) != 0 {
+		t.Errorf("ticks has finite smooth solutions: %v (err %v)", got, err)
 	}
 }
 
@@ -102,7 +102,10 @@ func TestRandomBitConformance(t *testing.T) {
 	if err := c.CheckQuiescent(context.Background()); err != nil {
 		t.Error(err)
 	}
-	den := c.DenotationalSolutions(context.Background())
+	den, err := c.DenotationalSolutions(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(den) != 2 {
 		t.Errorf("random bit solutions: %d, want 2 (T and F)", len(den))
 	}

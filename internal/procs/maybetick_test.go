@@ -34,7 +34,10 @@ func TestMaybeTickConformance(t *testing.T) {
 	if err := c.CheckQuiescent(context.Background()); err != nil {
 		t.Error(err)
 	}
-	den := c.DenotationalSolutions(context.Background())
+	den, err := c.DenotationalSolutions(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(den) != 2 {
 		t.Fatalf("projected solutions: %d, want 2 (ε and (b,0))", len(den))
 	}

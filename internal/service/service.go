@@ -560,13 +560,11 @@ func (s *Server) timeout(req SolveRequest) time.Duration {
 }
 
 // solve runs one from-scratch search, streaming its solutions to
-// onSolution when that is non-nil (the stream endpoint). No endpoint
-// returns the visited-node list, so the search never keeps it.
-// wireResult is shared with the session endpoints, whose searches run
-// inside a session.
+// onSolution when that is non-nil (the stream endpoint). wireResult is
+// shared with the session endpoints, whose searches run inside a
+// session.
 func (s *Server) solve(ctx context.Context, prog *eqlang.Program, p SolveParams, onSolution func(trace.Trace)) *SolveResult {
 	problem := prog.Problem()
-	problem.CollectVisited = false
 	problem.MaxDepth = p.Depth
 	problem.MaxNodes = p.MaxNodes
 	problem.OnSolution = onSolution

@@ -36,9 +36,6 @@ func (s *Server) sessionFor(ctx context.Context, hash string, spec compiledSpec,
 		return e, true
 	}
 	p := spec.prog.Problem()
-	// Sessions retain their state between solves, so never pin the
-	// visited-node list; the wire result does not carry it anyway.
-	p.CollectVisited = false
 	// A persisted session (same spec) resumes exactly where the previous
 	// process stopped: the decoder verifies the checkpoint's content
 	// address and rebuilds the frontier with the f its sons carry.

@@ -62,8 +62,7 @@ func (s *Session) Encode() (Blob, error) {
 }
 
 // Decode rebuilds a session from its meta blob. p and sys must be
-// rebuilt from the same spec the session was created with (the solver
-// codec verifies the search flags). fetch loads the checkpoint blob by
+// rebuilt from the same spec the session was created with. fetch loads the checkpoint blob by
 // its reference; it is only called for sessions that had solved, and its
 // payload is verified against the reference before decoding.
 func Decode(meta []byte, p solver.Problem, sys desc.System, fetch func(ref string) ([]byte, error)) (*Session, error) {

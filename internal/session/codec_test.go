@@ -204,9 +204,7 @@ func FuzzSessionDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	newSession := func() *Session {
-		p := prog.Problem()
-		p.CollectVisited = false
-		return New("dfm", p, prog.System)
+		return New("dfm", prog.Problem(), prog.System)
 	}
 	for _, o := range []*Options{{Depth: 2}, {Depth: 3, MaxNodes: 6}, nil} {
 		s := newSession()
@@ -222,10 +220,8 @@ func FuzzSessionDecode(f *testing.F) {
 		f.Add(b.Meta, b.Checkpoint)
 	}
 	f.Fuzz(func(t *testing.T, meta, checkpoint []byte) {
-		p := prog.Problem()
-		p.CollectVisited = false
 		fetch := func(string) ([]byte, error) { return checkpoint, nil }
-		s, err := Decode(meta, p, prog.System, fetch)
+		s, err := Decode(meta, prog.Problem(), prog.System, fetch)
 		if err != nil {
 			return // fail-closed
 		}

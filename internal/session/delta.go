@@ -59,8 +59,6 @@ func (s *Session) DeltaCheck(ctx context.Context, d DeltaResult) (DeltaCheckRepo
 		}
 	}
 	fp := solver.NewProblem(d.System.Combined(), alph, depth)
-	fp.Compiled = base.Compiled
-	fp.CollectVisited = false
 
 	fresh := solver.Enumerate(ctx, fp)
 	if fresh.Truncated {

@@ -123,8 +123,6 @@ func TestRaceConcurrentEncodeDuringResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := prog.Problem()
-	p.CollectVisited = false
-
 	s := New("dfm", p, prog.System)
 	if _, _, err := s.Solve(ctx, Options{Depth: 1}); err != nil {
 		t.Fatal(err)

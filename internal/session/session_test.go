@@ -29,9 +29,7 @@ func dfmSession(t *testing.T) *Session {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := prog.Problem()
-	p.CollectVisited = false
-	return New("dfm", p, prog.System)
+	return New("dfm", prog.Problem(), prog.System)
 }
 
 func keys(ts []trace.Trace) []string {
@@ -105,7 +103,6 @@ func coldProblem(t *testing.T, depth int) solver.Problem {
 	}
 	p := prog.Problem()
 	p.MaxDepth = depth
-	p.CollectVisited = false
 	return p
 }
 

@@ -24,7 +24,6 @@ func TestPrunedCandidatesAllocateNothing(t *testing.T) {
 			msgs[i] = value.Int(int64(i))
 		}
 		p := NewProblem(d, map[string][]value.Value{"a": msgs}, depth)
-		p.CollectVisited = false
 		res := Enumerate(context.Background(), p)
 		if !res.Stats.CompiledEval || res.Stats.SubtreesPruned != size || res.Nodes != 1 {
 			t.Fatalf("size %d, depth %d: compiled %v, %d pruned, %d nodes; want bytecode, %d pruned, 1 node",

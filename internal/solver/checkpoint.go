@@ -126,9 +126,6 @@ func (cp *Checkpoint) Resume(ctx context.Context, o ResumeOpts) (Result, error) 
 		base.Nodes--
 		st.Visited--
 		st.Skipped--
-		if cp.s.p.CollectVisited && len(base.Visited) > 0 {
-			base.Visited = base.Visited[:len(base.Visited)-1]
-		}
 		base.Truncated = false
 		base.Canceled = false
 	}
@@ -180,7 +177,6 @@ func cloneResult(r Result) Result {
 	out.Solutions = append([]trace.Trace(nil), r.Solutions...)
 	out.Frontier = append([]trace.Trace(nil), r.Frontier...)
 	out.DeadLeaves = append([]trace.Trace(nil), r.DeadLeaves...)
-	out.Visited = append([]trace.Trace(nil), r.Visited...)
 	out.Stats.Levels = append([]LevelStats(nil), r.Stats.Levels...)
 	return out
 }

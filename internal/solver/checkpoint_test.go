@@ -24,7 +24,6 @@ func expectResultsEqual(t *testing.T, what string, got, want Result) {
 		{"solutions", got.Solutions, want.Solutions},
 		{"frontier", got.Frontier, want.Frontier},
 		{"dead leaves", got.DeadLeaves, want.DeadLeaves},
-		{"visited", got.Visited, want.Visited},
 	} {
 		if len(s.got) != len(s.want) {
 			t.Errorf("%s: %s: %d traces, want %d", what, s.name, len(s.got), len(s.want))

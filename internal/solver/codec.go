@@ -6,14 +6,15 @@
 // fingerprint (evaluation hit/miss counters included) and all. The blob
 // rides on the trace codec: every retained trace is a reference into
 // one shared node pool, so the prefix sharing between solutions,
-// frontier sons and visited lists costs one spine on disk, exactly as
-// in memory.
+// frontier nodes, their sons and pending nodes costs one spine on disk,
+// exactly as in memory.
 //
 // What is NOT serialized: the Problem's function values (the description
 // sides and callbacks). DecodeCheckpoint takes a caller-supplied Problem
-// — rebuilt from the stored spec source — and verifies the stored search
-// flags against it, overriding only the bounds the blob carries. The
-// search machinery is rebuilt by re-running newSearch (the Theorem 1
+// — rebuilt from the stored spec source — and overrides only the bounds
+// the blob carries; the search derives its evaluators and its Theorem 1
+// fast path from that description, as the capture did. The search
+// machinery is rebuilt by re-running newSearch (the Theorem 1
 // induction base check re-evaluates both sides at ⊥, as a live capture's
 // constructor did); the counters come from the encoded Result alone.
 package solver
@@ -29,7 +30,7 @@ import (
 )
 
 // checkpointVersion guards the body layout; bump on any change.
-const checkpointVersion = 4
+const checkpointVersion = 5
 
 // Encode serializes the checkpoint into one self-verifying blob (see the
 // trace codec for the integrity story). The checkpoint is not locked:
@@ -42,15 +43,10 @@ func (cp *Checkpoint) Encode() ([]byte, error) {
 	e := trace.NewEncoder()
 	e.Uvarint(checkpointVersion)
 
-	// Search configuration: bounds are restored from the blob, flags are
-	// verified against the decoder's Problem.
+	// The bounds are restored from the blob.
 	p := cp.s.p
 	e.Varint(int64(p.MaxDepth))
 	e.Varint(int64(p.MaxNodes))
-	e.Bool(p.Prune)
-	e.Bool(p.CollectVisited)
-	e.Bool(p.Thm1)
-	e.Bool(p.Compiled)
 
 	encodeResult(e, cp.done)
 
@@ -66,10 +62,9 @@ func (cp *Checkpoint) Encode() ([]byte, error) {
 }
 
 // DecodeCheckpoint rebuilds a checkpoint from Encode's blob. p must be
-// the same problem the capture ran (sides rebuilt from the same spec,
-// same Prune/Thm1/Compiled/CollectVisited configuration — the stored
-// flags are verified); the blob's captured bounds override
-// p.MaxDepth/p.MaxNodes. All corruption failures wrap trace.ErrCorrupt.
+// the same problem the capture ran (sides rebuilt from the same spec);
+// the blob's captured bounds override p.MaxDepth/p.MaxNodes. All
+// corruption failures wrap trace.ErrCorrupt.
 func DecodeCheckpoint(data []byte, p Problem) (*Checkpoint, error) {
 	d, err := trace.NewDecoder(data)
 	if err != nil {
@@ -97,17 +92,6 @@ func decodeCheckpoint(d *trace.Decoder, p Problem) (*Checkpoint, error) {
 	maxNodes, err := d.Varint()
 	if err != nil {
 		return nil, err
-	}
-	var flags [4]bool
-	for i := range flags {
-		if flags[i], err = d.Bool(); err != nil {
-			return nil, err
-		}
-	}
-	if flags[0] != p.Prune || flags[1] != p.CollectVisited || flags[2] != p.Thm1 || flags[3] != p.Compiled {
-		return nil, fmt.Errorf("checkpoint was captured with prune=%t visited=%t thm1=%t compiled=%t, caller passed prune=%t visited=%t thm1=%t compiled=%t",
-			flags[0], flags[1], flags[2], flags[3],
-			p.Prune, p.CollectVisited, p.Thm1, p.Compiled)
 	}
 	p.MaxDepth = int(maxDepth)
 	p.MaxNodes = int(maxNodes)
@@ -202,7 +186,6 @@ func encodeResult(e *trace.Encoder, r Result) {
 	encodeTraces(e, r.Solutions)
 	encodeTraces(e, r.Frontier)
 	encodeTraces(e, r.DeadLeaves)
-	encodeTraces(e, r.Visited)
 	e.Varint(int64(r.Nodes))
 	e.Bool(r.Truncated)
 	e.Bool(r.Canceled)
@@ -219,9 +202,6 @@ func decodeResult(d *trace.Decoder) (Result, error) {
 		return r, err
 	}
 	if r.DeadLeaves, err = decodeTraces(d); err != nil {
-		return r, err
-	}
-	if r.Visited, err = decodeTraces(d); err != nil {
 		return r, err
 	}
 	nodes, err := d.Varint()

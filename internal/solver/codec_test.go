@@ -120,29 +120,10 @@ func TestCheckpointCodecTruncated(t *testing.T) {
 	expectResultsEqual(t, "truncated decode + final resume vs cold", res, cold)
 }
 
-// TestCheckpointCodecFlagMismatch: decoding under a differently
-// configured problem must fail loudly, not produce drifting results.
-func TestCheckpointCodecFlagMismatch(t *testing.T) {
-	_, cp := EnumerateCapture(context.Background(), dfmProblem(2))
-	blob, err := cp.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := dfmProblem(2)
-	p.Compiled = !p.Compiled
-	if _, err := DecodeCheckpoint(blob, p); err == nil {
-		t.Fatal("decode under mismatched Compiled succeeded")
-	}
-	p = dfmProblem(2)
-	p.Prune = false
-	if _, err := DecodeCheckpoint(blob, p); err == nil {
-		t.Fatal("decode under mismatched Prune succeeded")
-	}
-}
-
 // TestCheckpointCodecRejectsOldVersion: a blob of an earlier layout
-// (version 3 still carried the stats' worker count) fails decode as
-// corrupt, so smoothd counts a store error and starts the session cold.
+// (version 4 still carried four search flags and the visited-node list)
+// fails decode as corrupt, so smoothd counts a store error and starts
+// the session cold.
 func TestCheckpointCodecRejectsOldVersion(t *testing.T) {
 	e := trace.NewEncoder()
 	e.Uvarint(checkpointVersion - 1)
@@ -169,10 +150,8 @@ func TestCheckpointCodecCorrupt(t *testing.T) {
 		if err != nil {
 			continue // fail-closed is the expected outcome
 		}
-		// The flip decoded: the checkpoint must still be usable (flag
-		// bytes and similar can only flip to other valid states that the
-		// flag-mismatch check rejects, so reaching here means structure
-		// survived). A resume must not panic.
+		// The flip decoded: structure survived, so the checkpoint must
+		// still be usable. A resume must not panic.
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
@@ -217,8 +196,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := DecodeCheckpoint(data, dfmProblem(2))
 		if err != nil {
-			// Fail-closed: corrupt-sentinel or config-mismatch errors,
-			// never a panic (a panic fails the fuzz run on its own).
+			// Fail-closed: corrupt-sentinel errors, never a panic (a
+			// panic fails the fuzz run on its own).
 			return
 		}
 		res := dec.Result()

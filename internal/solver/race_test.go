@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"smoothproc/internal/trace"
 )
 
 // Concurrent-search suite. A search runs on the goroutine that calls
@@ -23,9 +25,12 @@ import (
 // repo-level BENCH_solver.json fingerprint.
 func raceFingerprint(res Result) string {
 	var b strings.Builder
-	for _, t := range res.Visited {
-		b.WriteString(t.String())
-		b.WriteByte('\n')
+	for _, ts := range [][]trace.Trace{res.Solutions, res.Frontier, res.DeadLeaves} {
+		for _, t := range ts {
+			b.WriteString(t.String())
+			b.WriteByte('\n')
+		}
+		b.WriteString("--\n")
 	}
 	st := res.Stats.Deterministic()
 	fmt.Fprintf(&b, "nodes=%d sol=%s frontier=%d dead=%d closed=%d interior=%d skipped=%d\n",
@@ -35,6 +40,14 @@ func raceFingerprint(res Result) string {
 	fmt.Fprintf(&b, "fapplies=%d gapplies=%d fhits=%d ghits=%d\n",
 		st.Eval.FApplies, st.Eval.GApplies, st.Eval.FHits, st.Eval.GHits)
 	return b.String()
+}
+
+// interpreted returns p with both sides opaque, which is exactly what a
+// side that does not lower looks like: the search runs the interpreter,
+// the oracle the bytecode is held to.
+func interpreted(p Problem) Problem {
+	p.D.F.IR, p.D.G.IR = nil, nil
+	return p
 }
 
 // each runs f(0), …, f(n-1): at once, one goroutine each, when par is
@@ -108,10 +121,8 @@ func TestParallelFingerprintUnderRace(t *testing.T) {
 	for name, p := range map[string]Problem{"dfm-6": dfmProblem(6), "dfm-7": dfmProblem(7)} {
 		t.Run(name, func(t *testing.T) {
 			want := raceFingerprint(Enumerate(context.Background(), p))
-			interp := p
-			interp.Compiled = false
 			var searches []func() Result
-			for _, q := range []Problem{p, interp} {
+			for _, q := range []Problem{p, interpreted(p)} {
 				searches = append(searches,
 					func() Result { return Enumerate(context.Background(), q) },
 					func() Result { return Enumerate(context.Background(), q) },
@@ -121,6 +132,11 @@ func TestParallelFingerprintUnderRace(t *testing.T) {
 			for i, res := range concurrently(searches...) {
 				if got := raceFingerprint(res); got != want {
 					t.Errorf("search %d: fingerprint diverged from a lone search:\n--- got ---\n%s--- want ---\n%s", i, got, want)
+				}
+				// The first half runs on bytecode, the second on the
+				// interpreter.
+				if compiled := i < len(searches)/2; res.Stats.CompiledEval != compiled {
+					t.Errorf("search %d: CompiledEval = %v, want %v", i, res.Stats.CompiledEval, compiled)
 				}
 			}
 		})
@@ -148,9 +164,7 @@ func TestParallelTruncationFingerprintUnderRace(t *testing.T) {
 	}
 	var searches []func() Result
 	var wants []string
-	for _, compiled := range []bool{true, false} {
-		q := cut
-		q.Compiled = compiled
+	for _, q := range []Problem{cut, interpreted(cut)} {
 		searches = append(searches,
 			func() Result { return Enumerate(ctx, q) },
 			func() Result { return Enumerate(ctx, q) },
@@ -160,6 +174,10 @@ func TestParallelTruncationFingerprintUnderRace(t *testing.T) {
 	for i, res := range concurrently(searches...) {
 		if got := raceFingerprint(res); got != wants[i] {
 			t.Errorf("search %d: fingerprint diverged:\n--- got ---\n%s--- want ---\n%s", i, got, wants[i])
+		}
+		// The first half runs on bytecode, the second on the interpreter.
+		if compiled := i < len(searches)/2; res.Stats.CompiledEval != compiled {
+			t.Errorf("search %d: CompiledEval = %v, want %v", i, res.Stats.CompiledEval, compiled)
 		}
 	}
 }
@@ -180,17 +198,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestParallelIsDeterministic: searches running at once visit the tree
-// in the one canonical order (the fingerprint holds Visited in order).
+// in the one canonical order (the fingerprint holds the result lists in
+// order).
 func TestParallelIsDeterministic(t *testing.T) {
 	expectConcurrentMatch(t, dfmProblem(5), 4)
-}
-
-// TestParallelUnprunedAblation: the unpruned ablation, whose limit
-// checks re-check smoothness from the description, shares it safely.
-func TestParallelUnprunedAblation(t *testing.T) {
-	p := dfmProblem(4)
-	p.Prune = false
-	expectConcurrentMatch(t, p, 4)
 }
 
 // TestParallelNodeBudget: each of several budgeted searches running at

@@ -75,7 +75,6 @@ walks:
 				res.Canceled = true
 				break walks
 			}
-			s.st.LimitChecks++
 			gu, ok := s.limit(cur)
 			if ok {
 				res.Solutions[cur.t.String()] = cur.t
@@ -94,6 +93,7 @@ walks:
 			}
 		}
 	}
+	res.Stats.CompiledEval = s.fsess != nil && s.gsess != nil
 	res.Stats.Elapsed = time.Since(start)
 	return res
 }

@@ -10,30 +10,51 @@ import (
 	"smoothproc/internal/value"
 )
 
+// fig4Problem is the eliminated Brock–Ackermann description of §2.4,
+// even(c) ⟵ ⟨0 2⟩, odd(c) ⟵ fBA(c): its equations hold for c = 0 1 2
+// and c = 0 2 1, and only 0 2 1 is smooth.
+func fig4Problem(depth int) Problem {
+	d := desc.Combine("fig4",
+		desc.MustNew("eq1", fn.OnChan(fn.Even, "c"), fn.ConstTraceFn(seq.OfInts(0, 2))),
+		desc.MustNew("eq2", fn.OnChan(fn.Odd, "c"), fn.OnChan(fn.FBA, "c")),
+	)
+	return NewProblem(d, map[string][]value.Value{"c": value.Ints(0, 1, 2)}, depth)
+}
+
 func TestSampleFindsOnlySolutions(t *testing.T) {
-	p := dfmProblem(4)
-	s := Sample(context.Background(), p, SampleOpts{Seed: 1, Walks: 64})
-	if len(s.Solutions) == 0 {
-		t.Fatal("sampler found nothing")
-	}
-	for _, tr := range s.Solutions {
-		if err := p.D.IsSmoothFinite(tr); err != nil {
-			t.Errorf("sampled non-solution %s: %v", tr, err)
-		}
-	}
-	// Soundness against the exhaustive set.
-	full := Enumerate(context.Background(), p)
-	for k := range s.Solutions {
-		found := false
-		for _, sol := range full.Solutions {
-			if sol.String() == k {
-				found = true
-				break
+	for _, tc := range []struct {
+		name  string
+		p     Problem
+		seeds []int64
+		walks int
+	}{
+		{"dfm", dfmProblem(4), []int64{1}, 64},
+		{"fig4", fig4Problem(3), []int64{1, 2, 3, 4, 5}, 200},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := tc.p
+			full := Enumerate(context.Background(), p)
+			for _, seed := range tc.seeds {
+				s := Sample(context.Background(), p, SampleOpts{Seed: seed, Walks: tc.walks})
+				if len(s.Solutions) == 0 {
+					t.Fatalf("seed %d: sampler found nothing", seed)
+				}
+				for _, tr := range s.Solutions {
+					if err := p.D.IsSmoothFinite(tr); err != nil {
+						t.Errorf("seed %d: sampled non-solution %s: %v", seed, tr, err)
+					}
+					if tr.Channel("c").Equal(seq.OfInts(0, 1, 2)) {
+						t.Errorf("seed %d: sampled the anomaly c = 0 1 2: %s", seed, tr)
+					}
+				}
+				// Soundness against the exhaustive set.
+				for k, tr := range s.Solutions {
+					if !full.Contains(tr) {
+						t.Errorf("seed %d: sampled solution %s not in the exhaustive set", seed, k)
+					}
+				}
 			}
-		}
-		if !found {
-			t.Errorf("sampled solution %s not in the exhaustive set", k)
-		}
+		})
 	}
 }
 

@@ -26,7 +26,10 @@ import (
 )
 
 // Problem is a description together with the finite branching data the
-// tree search needs.
+// tree search needs. The search derives everything else from the
+// description: it evaluates every side that lowers on descvm bytecode
+// and the rest on the interpreter, and it takes the Theorem 1 fast path
+// exactly when desc.Description.Thm1Eligible holds.
 type Problem struct {
 	// D is the (usually combined) description whose smooth solutions are
 	// sought.
@@ -41,55 +44,33 @@ type Problem struct {
 	// MaxNodes bounds the total number of tree nodes expanded; 0 means
 	// no bound beyond MaxDepth.
 	MaxNodes int
-	// Prune disables the f(v) ⊑ g(u) edge filter when false — only used
-	// by the pruning ablation (experiment E21); real searches always
-	// prune. With pruning off, every one-step extension is a son and
-	// smoothness is re-checked from scratch on candidate solutions.
-	Prune bool
-	// CollectVisited controls whether Result.Visited is populated.
-	// NewProblem turns it on (the compatible default); large
-	// service-driven searches turn it off so the result stops pinning
-	// every node of the explored tree. All counters (Result.Nodes,
-	// Stats.Visited) are maintained either way.
-	CollectVisited bool
-	// Thm1 enables the Theorem 1 fast path for independent descriptions
-	// (supp(f) ∩ supp(g) = ∅, the theorem's hypothesis). For a candidate
-	// edge u → u·e with e outside supp(f), f(u·e) = f(u) ⊑ g(u) already
-	// holds — every admitted node satisfies f ⊑ g by induction along its
-	// admitting edge and monotonicity of g — so the son is admitted with
-	// zero evaluations. The admitted tree is identical; only the work
-	// changes. NewProblem sets this from desc.Description.Thm1Eligible
-	// (independent sides, and a left side whose finite approximation is
-	// support-determined); the search additionally verifies the
-	// induction base f(⊥) ⊑ g(⊥) before trusting the shortcut (see
-	// newSearch).
-	Thm1 bool
-	// Compiled lowers the description's sides to descvm bytecode for the
-	// search's evaluations; the search runs the shared programs through
-	// VM sessions of its own. NewProblem sets it:
-	// bytecode is the production evaluator. Observably transparent: all
-	// counters and every result are byte-identical to interpreted
-	// evaluation — the root differential suite enforces this across all
-	// shipped specs — so false only selects the interpreter, the
-	// differential oracle. Sides that cannot lower (opaque combinators)
-	// silently keep the interpreter.
-	Compiled bool
 	// OnSolution, when non-nil, is invoked for each smooth solution as the
 	// search commits it, in canonical BFS order, on the goroutine that
 	// called the search. The callback runs on the search's critical path
 	// and must not block; buffer and hand off instead. The streaming
 	// service endpoint is the intended consumer.
 	OnSolution func(trace.Trace)
+
+	// Compiled is ignored: every side that lowers runs on bytecode.
+	//
+	// Deprecated: kept only for the benchmark module's callers until its
+	// next change (ROADMAP item 8).
+	Compiled bool
+	// CollectVisited is ignored: a search keeps no list of visited nodes.
+	//
+	// Deprecated: kept only for the benchmark module's callers until its
+	// next change (ROADMAP item 8).
+	CollectVisited bool
 }
 
-// NewProblem builds a pruned problem with sane defaults.
+// NewProblem builds a problem whose channels are the alphabet's, sorted.
 func NewProblem(d desc.Description, alphabet map[string][]value.Value, maxDepth int) Problem {
 	chans := make([]string, 0, len(alphabet))
 	for c := range alphabet {
 		chans = append(chans, c)
 	}
 	sort.Strings(chans)
-	return Problem{D: d, Channels: chans, Alphabet: alphabet, MaxDepth: maxDepth, Prune: true, CollectVisited: true, Thm1: d.Thm1Eligible(), Compiled: true}
+	return Problem{D: d, Channels: chans, Alphabet: alphabet, MaxDepth: maxDepth}
 }
 
 // Result reports a bounded exploration of the smooth-solution tree.
@@ -106,11 +87,6 @@ type Result struct {
 	// equations do not hold. (For a well-formed process description these
 	// are nonquiescent histories whose extensions all left the alphabet.)
 	DeadLeaves []trace.Trace
-	// Visited lists every tree node reached, in BFS order; the root ⊥ is
-	// always first. Every communication history of the described process
-	// is a visited node (within the bounds). Empty when the problem opts
-	// out via CollectVisited = false; Nodes and Stats.Visited still count.
-	Visited []trace.Trace
 	// Nodes is the number of tree nodes visited.
 	Nodes int
 	// Truncated reports that the search stopped early — either MaxNodes
@@ -153,10 +129,10 @@ type node struct {
 // cached bytecode.
 type search struct {
 	p Problem
-	// fsess and gsess evaluate the two sides' bytecode when p.Compiled
-	// and the side lowers; nil selects the interpreter for that side.
-	// They live as long as the search, so a checkpoint's later legs find
-	// their VM frames warm.
+	// fsess and gsess evaluate the two sides' bytecode when the side
+	// lowers; nil selects the interpreter for that side. They live as
+	// long as the search, so a checkpoint's later legs find their VM
+	// frames warm.
 	fsess, gsess *descvm.Session
 	// st is where the running walk counts every limit check, edge and
 	// evaluation: run points it at its leg's Result.Stats and clears it
@@ -168,10 +144,10 @@ type search struct {
 	// precomputed: expansion appends the same few events to thousands of
 	// nodes, so each is hashed once per search (trace.AppendPrehashed).
 	cands []candSet
-	// thm1 is true when the Theorem 1 fast path is active: the problem
-	// requested it (independent supports) and the induction base
-	// f(⊥) ⊑ g(⊥) holds. Candidates on channels outside fsupp are then
-	// admitted without evaluation (see Problem.Thm1).
+	// thm1 is true when the Theorem 1 fast path is active: the
+	// description is eligible and the induction base f(⊥) ⊑ g(⊥) holds
+	// (see newSearch). Candidates on channels outside supp(f) are then
+	// admitted without evaluation.
 	thm1 bool
 	// f0 and g0 are f(⊥) and g(⊥) when the induction-base check computed
 	// them (nil otherwise): the root's limit check reads them instead of
@@ -180,7 +156,6 @@ type search struct {
 	// fanout is the total alphabet size across channels — the exact
 	// capacity an expanding node's son list can need.
 	fanout int
-	fsupp  trace.ChanSet
 	// sonBuf is the reusable son-slot buffer for expansions below the
 	// depth bound: capacity fanout, so expand never reallocates, and the
 	// consumer copies the sons into its queue before the next expand
@@ -199,17 +174,25 @@ type candSet struct {
 	auto bool
 }
 
-// newSearch builds the search state and runs the Theorem 1
-// induction-base check when the problem asks for the fast path.
+// newSearch builds the search state: a VM session for each side that
+// lowers, and the Theorem 1 fast path when the description is eligible
+// and its induction base holds.
+//
+// The fast path is Theorem 1 applied to the son rule. For independent
+// sides (supp(f) ∩ supp(g) = ∅) and a candidate edge u → u·e with e
+// outside supp(f), f(u·e) = f(u) ⊑ g(u) already holds: every admitted
+// node satisfies f ⊑ g by induction along its admitting edge and
+// monotonicity of g. So the son is admitted with zero evaluations; the
+// admitted tree is identical, only the work changes. An
+// ω-approximation left side is not eligible, because its output grows
+// with raw trace length.
 func newSearch(p Problem) *search {
 	s := &search{p: p, cands: make([]candSet, 0, len(p.Channels))}
-	if p.Compiled {
-		if prog, ok := descvm.Compile(p.D.F); ok {
-			s.fsess = prog.NewSession()
-		}
-		if prog, ok := descvm.Compile(p.D.G); ok {
-			s.gsess = prog.NewSession()
-		}
+	if prog, ok := descvm.Compile(p.D.F); ok {
+		s.fsess = prog.NewSession()
+	}
+	if prog, ok := descvm.Compile(p.D.G); ok {
+		s.gsess = prog.NewSession()
 	}
 	for _, c := range p.Channels {
 		es := make([]trace.Event, len(p.Alphabet[c]))
@@ -222,12 +205,10 @@ func newSearch(p Problem) *search {
 		s.fanout += len(es)
 	}
 	s.sonBuf = make([]node, 0, s.fanout)
-	if p.Thm1 && p.Prune && !p.D.F.Omega {
+	if p.D.Thm1Eligible() {
 		// Induction base for the fast path's invariant. If it fails, the
 		// root has no sons at all (f(⊥) ⊑ f(v) ⊑ g(⊥) for any admitted
-		// v), so falling back to the full edge check costs nothing. The
-		// F.Omega re-check guards callers that set Thm1 by hand on an
-		// ω-approximation left side, for which auto-admit is unsound.
+		// v), so falling back to the full edge check costs nothing.
 		// The two applications are not counted here, and their time is
 		// dropped: the search that starts at ⊥ counts them (countBase),
 		// and a decoded checkpoint, which runs this check again, carries
@@ -238,10 +219,9 @@ func newSearch(p Problem) *search {
 		s.f0 = keep(s.fsess, apply(p.D.F, s.fsess, root, nil, nil, &untimed))
 		s.g0 = keep(s.gsess, apply(p.D.G, s.gsess, root, nil, nil, &untimed))
 		s.thm1 = s.f0.Leq(s.g0)
-		s.fsupp = p.D.F.Support
 		if s.thm1 {
 			for i := range s.cands {
-				s.cands[i].auto = !s.fsupp.Has(s.cands[i].ch)
+				s.cands[i].auto = !p.D.F.Support.Has(s.cands[i].ch)
 			}
 		}
 	}
@@ -380,12 +360,10 @@ func (s *search) run(ctx context.Context, res *Result, queue []node, cp *Checkpo
 		canceled := ctx.Err() != nil
 		if canceled || (p.MaxNodes > 0 && res.Nodes >= p.MaxNodes) {
 			// The first node past the stopping point is visited but
-			// skipped: counted in Nodes and Visited, never classified.
+			// skipped: counted in Nodes and Stats.Visited, never
+			// classified.
 			res.Truncated, res.Canceled = true, canceled
 			res.Nodes++
-			if p.CollectVisited {
-				res.Visited = append(res.Visited, queue[0].t)
-			}
 			st.Visited++
 			st.Skipped++
 			if cp != nil {
@@ -411,7 +389,7 @@ func (s *search) run(ctx context.Context, res *Result, queue []node, cp *Checkpo
 // queue must take (none at the depth bound).
 func (s *search) step(res *Result, cp *Checkpoint, cur node) []node {
 	u := cur.t
-	gu, solution := s.classify(cur)
+	gu, solution := s.limit(cur)
 	var sons []node
 	var hasSon bool
 	switch {
@@ -426,9 +404,6 @@ func (s *search) step(res *Result, cp *Checkpoint, cur node) []node {
 
 	st := s.st
 	res.Nodes++
-	if s.p.CollectVisited {
-		res.Visited = append(res.Visited, u)
-	}
 	st.Visited++
 	lvl := st.level(u.Len())
 	lvl.Nodes++
@@ -461,12 +436,15 @@ func (s *search) step(res *Result, cp *Checkpoint, cur node) []node {
 }
 
 // limit evaluates the limit condition f = g at n and returns g of it,
-// which the node's expansion reads again. f comes from n when its
+// which the node's expansion reads again. Every node reached is
+// reachable only through smooth edges, so the limit condition alone
+// decides whether it is a smooth solution. f comes from n when its
 // parent's edge check carried it, and the root takes both sides from
 // the induction-base check when that ran; each such read counts as a
 // hit. Applied values are views: f(n) dies here, and g(n) lives through
 // n's expansion, which evaluates only f, on the other session.
 func (s *search) limit(n node) (fn.Tuple, bool) {
+	s.st.LimitChecks++
 	fu := n.f
 	if fu != nil {
 		s.st.Eval.FHits++
@@ -481,21 +459,6 @@ func (s *search) limit(n node) (fn.Tuple, bool) {
 		gu = s.g(n.t)
 	}
 	return gu, fu.Equal(gu)
-}
-
-// classify decides the limit condition at a node, with the full
-// smoothness re-check the unpruned ablation requires, and returns g of
-// the node for its expansion.
-func (s *search) classify(n node) (fn.Tuple, bool) {
-	s.st.LimitChecks++
-	gu, isSolution := s.limit(n)
-	if isSolution && !s.p.Prune {
-		// With pruning, every node is reachable only through smooth
-		// edges, so the limit condition alone decides; without it,
-		// re-check the full smoothness condition.
-		isSolution = s.p.D.IsSmoothFinite(n.t) == nil
-	}
-	return gu, isSolution
 }
 
 // expand generates the smooth sons of u, given gu = g(u) from u's limit
@@ -526,21 +489,19 @@ func (s *search) expand(u trace.Trace, gu fn.Tuple, dst []node) []node {
 		for i := range c.es {
 			var v node
 			st.EdgesChecked++
-			if s.p.Prune {
-				if auto {
-					st.Thm1AutoEdges++
-				} else {
-					if !guRead {
-						st.Eval.GHits++
-						guRead = true
-					}
-					if v.f = s.f(u, &c.es[i], &v.t); !v.f.Leq(gu) {
-						st.SubtreesPruned++
-						lvl.Pruned++
-						continue
-					}
-					v.f = keep(s.fsess, v.f)
+			if auto {
+				st.Thm1AutoEdges++
+			} else {
+				if !guRead {
+					st.Eval.GHits++
+					guRead = true
 				}
+				if v.f = s.f(u, &c.es[i], &v.t); !v.f.Leq(gu) {
+					st.SubtreesPruned++
+					lvl.Pruned++
+					continue
+				}
+				v.f = keep(s.fsess, v.f)
 			}
 			st.EdgesKept++
 			if v.t.IsEmpty() {
@@ -665,7 +626,7 @@ func CheckInduction(ctx context.Context, p Problem, phi func(trace.Trace) bool) 
 		// anywhere in the walk take precedence, matching the rule's
 		// reading (an unsound conclusion only matters once the premises
 		// are discharged).
-		gu, solution := s.classify(n)
+		gu, solution := s.limit(n)
 		if unsound == nil && solution && !phi(u) {
 			unsound = fmt.Errorf("solver: induction rule unsound?! φ fails on smooth solution %s", u)
 		}

@@ -3,6 +3,8 @@ package solver
 import (
 	"context"
 	"errors"
+	"reflect"
+	"sort"
 	"testing"
 
 	"smoothproc/internal/desc"
@@ -133,25 +135,45 @@ func TestMaxNodesTruncates(t *testing.T) {
 	}
 }
 
-// TestPruningAblation (experiment E21) compares the pruned and unpruned
-// searches: identical solution sets, with the unpruned tree visiting far
-// more nodes.
-func TestPruningAblation(t *testing.T) {
-	pruned := dfmProblem(4)
-	unpruned := dfmProblem(4)
-	unpruned.Prune = false
-	rp, ru := Enumerate(context.Background(), pruned), Enumerate(context.Background(), unpruned)
-	pk, uk := rp.SolutionKeys(), ru.SolutionKeys()
-	if len(pk) != len(uk) {
-		t.Fatalf("pruned %d vs unpruned %d solutions", len(pk), len(uk))
-	}
-	for i := range pk {
-		if pk[i] != uk[i] {
-			t.Errorf("solution sets differ at %d: %s vs %s", i, pk[i], uk[i])
+// eachTrace calls visit on every trace over p's alphabet up to
+// p.MaxDepth: the §3.3 tree with no edge filter.
+func eachTrace(p Problem, visit func(trace.Trace)) {
+	var walk func(u trace.Trace)
+	walk = func(u trace.Trace) {
+		visit(u)
+		if u.Len() == p.MaxDepth {
+			return
+		}
+		for _, c := range p.Channels {
+			for _, m := range p.Alphabet[c] {
+				walk(u.Append(trace.E(c, m)))
+			}
 		}
 	}
-	if ru.Nodes <= rp.Nodes {
-		t.Errorf("pruning should shrink the tree: pruned %d, unpruned %d", rp.Nodes, ru.Nodes)
+	walk(trace.Empty)
+}
+
+// TestPruningAblation (experiment E21) compares the pruned search with
+// the unpruned tree — every trace up to the depth bound, a solution
+// where §3.2's definition (IsSmoothFinite) holds: identical solution
+// sets, with the unpruned tree far larger.
+func TestPruningAblation(t *testing.T) {
+	p := dfmProblem(4)
+	rp := Enumerate(context.Background(), p)
+	var traces int
+	var uk []string
+	eachTrace(p, func(tr trace.Trace) {
+		traces++
+		if p.D.IsSmoothFinite(tr) == nil {
+			uk = append(uk, tr.String())
+		}
+	})
+	sort.Strings(uk)
+	if pk := rp.SolutionKeys(); !reflect.DeepEqual(pk, uk) {
+		t.Errorf("solution sets differ: pruned %v, unpruned %v", pk, uk)
+	}
+	if traces <= rp.Nodes {
+		t.Errorf("pruning should shrink the tree: pruned %d, unpruned %d", rp.Nodes, traces)
 	}
 }
 
@@ -204,14 +226,11 @@ func TestNewProblemSortsChannels(t *testing.T) {
 	if p.Channels[0] != "a" || p.Channels[1] != "m" || p.Channels[2] != "z" {
 		t.Errorf("channels not sorted: %v", p.Channels)
 	}
-	if !p.Prune {
-		t.Error("NewProblem should default to pruning")
-	}
 }
 
 // TestTheorem4Degeneration checks the Section 3.3 remark that the tree
 // for id ⟵ h degenerates to Kleene's chain: for the deterministic
-// description b ⟵ ⟨7 8⟩ the visited nodes form a single path.
+// description b ⟵ ⟨7 8⟩ the tree is a single path.
 func TestTheorem4Degeneration(t *testing.T) {
 	d := desc.MustNew("det", fn.ChanFn("b"), fn.ConstTraceFn(seq.OfInts(7, 8)))
 	p := NewProblem(d, map[string][]value.Value{"b": value.Ints(0, 7, 8, 9)}, 4)
@@ -225,41 +244,11 @@ func TestTheorem4Degeneration(t *testing.T) {
 	if res.Nodes != 3 {
 		t.Errorf("visited %d nodes, want the 3-node chain ⊥ → ⟨7⟩ → ⟨7 8⟩", res.Nodes)
 	}
-	// Visited nodes are exactly the Kleene iterates.
-	for i, n := range res.Visited {
-		if n.Len() != i {
-			t.Errorf("node %d has length %d", i, n.Len())
-		}
-	}
-}
-
-// TestCollectVisitedOptOut checks that turning CollectVisited off drops
-// only the Visited list — every other field of the result, including
-// the deterministic counters, is unchanged.
-func TestCollectVisitedOptOut(t *testing.T) {
-	ctx := context.Background()
-	on := dfmProblem(4)
-	off := dfmProblem(4)
-	off.CollectVisited = false
-	resOn, resOff := Enumerate(ctx, on), Enumerate(ctx, off)
-	if len(resOff.Visited) != 0 {
-		t.Fatalf("opt-out still collected %d visited nodes", len(resOff.Visited))
-	}
-	if len(resOn.Visited) != resOn.Nodes || resOn.Nodes == 0 {
-		t.Fatalf("default should collect all %d nodes, got %d", resOn.Nodes, len(resOn.Visited))
-	}
-	if resOff.Nodes != resOn.Nodes || resOff.Stats.Visited != resOn.Stats.Visited ||
-		resOff.Stats.EdgesChecked != resOn.Stats.EdgesChecked ||
-		resOff.Stats.EdgesKept != resOn.Stats.EdgesKept {
-		t.Error("counters changed under opt-out")
-	}
-	kOn, kOff := resOn.SolutionKeys(), resOff.SolutionKeys()
-	if len(kOn) != len(kOff) {
-		t.Fatal("solutions changed under opt-out")
-	}
-	for i := range kOn {
-		if kOn[i] != kOff[i] {
-			t.Errorf("solution %d differs: %s vs %s", i, kOn[i], kOff[i])
+	// At most one node per level: the nodes are exactly the Kleene
+	// iterates.
+	for _, l := range res.Stats.Levels {
+		if l.Nodes > 1 {
+			t.Errorf("level %d holds %d nodes, want at most 1", l.Depth, l.Nodes)
 		}
 	}
 }

@@ -56,8 +56,9 @@ type SearchStats struct {
 	RetainedSons int `json:"retained_sons,omitempty"`
 
 	// Thm1FastPath records that the search ran with the Theorem 1 fast
-	// path active: the description's supports are independent and the
-	// induction base f(⊥) ⊑ g(⊥) held (see Problem.Thm1).
+	// path active: the description is eligible (independent supports, a
+	// left side that is not an ω-approximation) and the induction base
+	// f(⊥) ⊑ g(⊥) held.
 	Thm1FastPath bool `json:"thm1_fast_path,omitempty"`
 	// Thm1AutoEdges counts candidates the fast path admitted without any
 	// evaluation; each is also counted in EdgesChecked and in EdgesKept
@@ -66,10 +67,10 @@ type SearchStats struct {
 	Thm1AutoEdges int `json:"thm1_auto_edges,omitempty"`
 
 	// CompiledEval records that both description sides ran on descvm
-	// bytecode (Problem.Compiled requested and both sides lowered). Run
-	// configuration, not a search observable: every other deterministic
-	// counter is equal with the flag on or off, which is what the
-	// compiled-vs-interpreted differential suite asserts.
+	// bytecode (both lowered). Run configuration, not a search
+	// observable: every other deterministic counter is equal with the
+	// flag on or off, which is what the compiled-vs-interpreted
+	// differential suite asserts.
 	CompiledEval bool `json:"compiled_eval,omitempty"`
 
 	// Levels holds per-depth stats, indexed by trace length.

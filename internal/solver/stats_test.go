@@ -8,6 +8,7 @@ import (
 	"smoothproc/internal/desc"
 	"smoothproc/internal/fn"
 	"smoothproc/internal/seq"
+	"smoothproc/internal/trace"
 	"smoothproc/internal/value"
 )
 
@@ -100,9 +101,6 @@ func TestParallelBudgetExact(t *testing.T) {
 		if res.Nodes != budget+1 {
 			t.Errorf("budget %d: visited %d nodes, want %d", budget, res.Nodes, budget+1)
 		}
-		if len(res.Visited) != budget+1 {
-			t.Errorf("budget %d: |Visited| = %d, want %d", budget, len(res.Visited), budget+1)
-		}
 		if res.Stats.Skipped != 1 {
 			t.Errorf("budget %d: skipped %d, want 1", budget, res.Stats.Skipped)
 		}
@@ -112,9 +110,9 @@ func TestParallelBudgetExact(t *testing.T) {
 	}
 }
 
-// TestParallelBudgetPrefix: the nodes a truncated search visits are a
-// prefix of the untruncated search's canonical BFS order — the
-// classified ones and the final skipped one alike — with a full and a
+// TestParallelBudgetPrefix: the nodes a truncated search classifies are
+// a prefix of the untruncated search's canonical BFS order, so each of
+// its result lists is a prefix of the full search's — with a full and a
 // truncated search of one Problem running at once.
 func TestParallelBudgetPrefix(t *testing.T) {
 	pFull := dfmProblem(4)
@@ -127,9 +125,19 @@ func TestParallelBudgetPrefix(t *testing.T) {
 	if cut.Nodes != 7 {
 		t.Fatalf("visited %d, want 7 (6 classified + 1 skipped)", cut.Nodes)
 	}
-	for i, v := range cut.Visited {
-		if !v.Equal(full.Visited[i]) {
-			t.Errorf("visited[%d] = %s, want %s", i, v, full.Visited[i])
+	for name, pair := range map[string][2][]trace.Trace{
+		"solutions":   {cut.Solutions, full.Solutions},
+		"frontier":    {cut.Frontier, full.Frontier},
+		"dead leaves": {cut.DeadLeaves, full.DeadLeaves},
+	} {
+		if len(pair[0]) > len(pair[1]) {
+			t.Errorf("%s: %d after the cut, %d in the full search", name, len(pair[0]), len(pair[1]))
+			continue
+		}
+		for i, v := range pair[0] {
+			if !v.Equal(pair[1][i]) {
+				t.Errorf("%s[%d] = %s, want %s", name, i, v, pair[1][i])
+			}
 		}
 	}
 }
@@ -137,8 +145,8 @@ func TestParallelBudgetPrefix(t *testing.T) {
 // TestParallelBudgetMatchesSequential: with MaxNodes landing exactly
 // mid-level and one off on each side, searches of differently budgeted
 // copies of one Problem running at once each account their truncation —
-// Nodes, Truncated, Skipped, role counts and the Visited prefix — as a
-// lone search does.
+// Nodes, Truncated, Skipped, role counts and the classified prefix — as
+// a lone search does.
 func TestParallelBudgetMatchesSequential(t *testing.T) {
 	// dfm-6's levels are 1, 2, 3, 5, ... nodes wide; budget 8 stops
 	// mid-level-4, and 7/9 sit one node to each side of that cut.

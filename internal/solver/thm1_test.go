@@ -7,6 +7,7 @@ import (
 	"smoothproc/internal/desc"
 	"smoothproc/internal/fn"
 	"smoothproc/internal/seq"
+	"smoothproc/internal/trace"
 	"smoothproc/internal/value"
 )
 
@@ -21,12 +22,24 @@ func bufferProblem(depth int) Problem {
 	}, depth)
 }
 
+// fullEdgeCheck returns p with f's declared support widened by g's. A
+// declared support may over-approximate, so the description is the
+// same, but its sides are no longer independent: the search checks
+// every edge.
+func fullEdgeCheck(p Problem) Problem {
+	p.D.F.Support = p.D.F.Support.Union(p.D.G.Support)
+	return p
+}
+
+// TestNewProblemSetsThm1: the search derives the fast path from the
+// description alone.
 func TestNewProblemSetsThm1(t *testing.T) {
-	if p := bufferProblem(3); !p.Thm1 {
-		t.Error("independent description did not enable Thm1")
+	ctx := context.Background()
+	if res := Enumerate(ctx, bufferProblem(3)); !res.Stats.Thm1FastPath {
+		t.Error("independent description did not take the Theorem 1 path")
 	}
-	if p := dfmProblem(3); p.Thm1 {
-		t.Error("dependent description enabled Thm1")
+	if res := Enumerate(ctx, dfmProblem(3)); res.Stats.Thm1FastPath {
+		t.Error("dependent description took the Theorem 1 path")
 	}
 }
 
@@ -36,8 +49,7 @@ func TestNewProblemSetsThm1(t *testing.T) {
 func TestThm1FastPathEquivalence(t *testing.T) {
 	ctx := context.Background()
 	fast := bufferProblem(4)
-	slow := fast
-	slow.Thm1 = false
+	slow := fullEdgeCheck(fast)
 
 	rf := Enumerate(ctx, fast)
 	rs := Enumerate(ctx, slow)
@@ -69,9 +81,15 @@ func TestThm1FastPathEquivalence(t *testing.T) {
 			t.Errorf("%s differ: fast %d, slow %d", name, pair[0], pair[1])
 		}
 	}
-	for i := range rf.Visited {
-		if !rf.Visited[i].Equal(rs.Visited[i]) {
-			t.Fatalf("visit order diverges at %d: %s vs %s", i, rf.Visited[i], rs.Visited[i])
+	for name, pair := range map[string][2][]trace.Trace{
+		"solutions": {rf.Solutions, rs.Solutions},
+		"frontier":  {rf.Frontier, rs.Frontier},
+		"dead":      {rf.DeadLeaves, rs.DeadLeaves},
+	} {
+		for i := 0; i < min(len(pair[0]), len(pair[1])); i++ {
+			if !pair[0][i].Equal(pair[1][i]) {
+				t.Fatalf("%s diverge at %d: %s vs %s", name, i, pair[0][i], pair[1][i])
+			}
 		}
 	}
 
@@ -100,8 +118,8 @@ func TestThm1ParallelMatches(t *testing.T) {
 
 // TestThm1OmegaIneligible: an ω-approximation left side declares an
 // empty support but grows with raw trace length, so f(u·e) = f(u) fails
-// and auto-admit would be unsound — NewProblem must not enable the fast
-// path, and a caller forcing it is overruled by the search.
+// and auto-admit would be unsound — the search must not take the fast
+// path.
 func TestThm1OmegaIneligible(t *testing.T) {
 	d := desc.MustNew("omega-lhs",
 		fn.OmegaConstFn("trues", seq.Of(value.T)),
@@ -113,10 +131,6 @@ func TestThm1OmegaIneligible(t *testing.T) {
 		t.Fatal("ω left side reported Thm1-eligible")
 	}
 	p := NewProblem(d, map[string][]value.Value{"b": {value.T}}, 3)
-	if p.Thm1 {
-		t.Error("NewProblem enabled Thm1 for an ω left side")
-	}
-	p.Thm1 = true // hostile caller
 	res := Enumerate(context.Background(), p)
 	if res.Stats.Thm1FastPath || res.Stats.Thm1AutoEdges != 0 {
 		t.Errorf("search took the fast path on an ω left side: %+v", res.Stats)
@@ -129,8 +143,8 @@ func TestThm1OmegaIneligible(t *testing.T) {
 func TestThm1BaseFailure(t *testing.T) {
 	d := desc.MustNew("owe", fn.ConstTraceFn(seq.OfInts(0)), fn.ChanFn("b"))
 	p := NewProblem(d, map[string][]value.Value{"b": value.Ints(0)}, 3)
-	if !p.Thm1 {
-		t.Fatal("independent description did not request Thm1")
+	if !p.D.Thm1Eligible() {
+		t.Fatal("setup: independent description should be Thm1-eligible")
 	}
 	res := Enumerate(context.Background(), p)
 	if res.Stats.Thm1FastPath {
@@ -145,7 +159,9 @@ func TestThm1BaseFailure(t *testing.T) {
 // check on the same independent system (delta recorded in DESIGN.md).
 func benchmarkBuffer(b *testing.B, thm1 bool) {
 	p := bufferProblem(5)
-	p.Thm1 = thm1
+	if !thm1 {
+		p = fullEdgeCheck(p)
+	}
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -29,8 +29,8 @@
 //	           admissible.
 //
 // Everything here is an over-approximation of the *pruned* search — the
-// semantics Enumerate implements; the Prune=false ablation visits every
-// extension and is deliberately out of scope. The root plan-soundness
+// semantics Enumerate implements; the unpruned tree of experiment E21,
+// every extension up to the depth bound, is deliberately out of scope. The root plan-soundness
 // suite holds Plan.Nodes(d) ≥ the solver's actual node count (and
 // MinNodes(d) ≤ it) on every shipped spec.
 package specplan

@@ -492,8 +492,8 @@ func (p *probe) support(tf fn.TraceFn) string {
 // vetTheorem1 classifies each description — and the combined system the
 // solver actually searches — by Theorem 1's hypothesis supp(f) ∩
 // supp(g) = ∅. Independent descriptions admit the prefix-only
-// smoothness characterization, which the solver exploits (see
-// solver.Problem.Thm1).
+// smoothness characterization, which the solver exploits whenever the
+// combined description is desc.Description.Thm1Eligible.
 func vetTheorem1(f *eqlang.File, p *eqlang.Program) []Diagnostic {
 	var ds []Diagnostic
 	for i, d := range p.System.Descs {

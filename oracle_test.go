@@ -4,7 +4,10 @@
 // evaluator, memo, Theorem 1 fast path or interned candidates. The
 // production search must agree with it on every shipped and generated
 // spec: the same solution, frontier and dead-leaf sets and the same
-// node count.
+// node count. Where the full tree is small enough, a brute-force leg
+// also holds the search to §3.2's definition itself: every trace up to
+// the depth bound is a smooth solution iff IsSmoothFinite accepts it,
+// and a tree node iff IsTreeNode does.
 package smoothproc_test
 
 import (
@@ -74,6 +77,46 @@ func treeOf(res solver.Result) oracleTree {
 	return oracleTree{res.Nodes, keys(res.Solutions), keys(res.Frontier), keys(res.DeadLeaves)}
 }
 
+// maxBruteTraces bounds the brute-force leg: a spec whose full tree has
+// more traces is checked against the §3.3 oracle only.
+const maxBruteTraces = 200_000
+
+// fullTreeSize returns Σₖ Aᵏ for k up to p.MaxDepth, A the fanout — the
+// number of traces over p's alphabet up to the depth bound — or
+// limit+1 once the sum passes limit.
+func fullTreeSize(p solver.Problem, limit int) int {
+	fanout := 0
+	for _, c := range p.Channels {
+		fanout += len(p.Alphabet[c])
+	}
+	total, level := 0, 1
+	for k := 0; k <= p.MaxDepth; k++ {
+		if total += level; total > limit {
+			return limit + 1
+		}
+		level *= fanout
+	}
+	return total
+}
+
+// eachTrace calls visit on every trace over p's alphabet up to
+// p.MaxDepth: the §3.3 tree with no edge filter.
+func eachTrace(p solver.Problem, visit func(trace.Trace)) {
+	var walk func(u trace.Trace)
+	walk = func(u trace.Trace) {
+		visit(u)
+		if u.Len() == p.MaxDepth {
+			return
+		}
+		for _, c := range p.Channels {
+			for _, m := range p.Alphabet[c] {
+				walk(u.Append(trace.E(c, m)))
+			}
+		}
+	}
+	walk(trace.Empty)
+}
+
 func TestSearchMatchesOracleAcrossSpecs(t *testing.T) {
 	var paths []string
 	for _, pattern := range []string{"specs/*.eq", "specs/generated/*.eq"} {
@@ -104,6 +147,26 @@ func TestSearchMatchesOracleAcrossSpecs(t *testing.T) {
 			}
 			if got := treeOf(res); !reflect.DeepEqual(got, want) {
 				t.Errorf("search disagrees with the §3.3 oracle:\n got %+v\nwant %+v", got, want)
+			}
+			if fullTreeSize(p, maxBruteTraces) > maxBruteTraces {
+				t.Logf("full tree over %d traces: brute-force leg skipped", maxBruteTraces)
+				return
+			}
+			smooth, nodes := []string{}, 0
+			eachTrace(p, func(u trace.Trace) {
+				if p.D.IsSmoothFinite(u) == nil {
+					smooth = append(smooth, u.String())
+				}
+				if solver.IsTreeNode(p.D, u) {
+					nodes++
+				}
+			})
+			sort.Strings(smooth)
+			if got := res.SolutionKeys(); !reflect.DeepEqual(got, smooth) {
+				t.Errorf("solutions disagree with §3.2's definition:\n got %v\nwant %v", got, smooth)
+			}
+			if res.Nodes != nodes {
+				t.Errorf("search visited %d nodes; %d traces are tree nodes by definition", res.Nodes, nodes)
 			}
 		})
 	}

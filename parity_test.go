@@ -74,7 +74,6 @@ func TestParallelParityAcrossSpecs(t *testing.T) {
 				compareTraceSlices(t, what+" solutions", res.Solutions, lone.Solutions)
 				compareTraceSlices(t, what+" frontier", res.Frontier, lone.Frontier)
 				compareTraceSlices(t, what+" dead leaves", res.DeadLeaves, lone.DeadLeaves)
-				compareTraceSlices(t, what+" visited", res.Visited, lone.Visited)
 			}
 		})
 	}

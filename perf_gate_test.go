@@ -65,7 +65,7 @@ func measure(name string, bench func(b *testing.B)) perfEntry {
 // solverWorkloads are the enumerate benchmarks the gate tracks — the
 // two specs with the deepest trees among the shipped examples, each
 // interpreted and compiled (the descvm acceptance workloads). Every leg
-// but enumerate runs on bytecode, the default.
+// but enumerate runs on bytecode, as every side that lowers does.
 func solverWorkloads(t *testing.T) map[string]func(b *testing.B) {
 	t.Helper()
 	out := map[string]func(b *testing.B){}
@@ -78,26 +78,25 @@ func solverWorkloads(t *testing.T) map[string]func(b *testing.B) {
 		if err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}
-		// enumerate is the interpreter leg: bytecode is the default, so
-		// the problem opts out explicitly to keep measuring what its
-		// baseline recorded.
+		// enumerate is the interpreter leg: both sides are made opaque,
+		// so the search interprets them as it would sides that do not
+		// lower.
 		out[spec+"/enumerate"] = func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				p := prog.Problem()
-				p.Compiled = false
-				res := solver.Enumerate(context.Background(), p)
+				res := solver.Enumerate(context.Background(), interpreted(prog.Problem()))
 				if len(res.Solutions) == 0 && len(res.Frontier) == 0 {
 					b.Fatal("search found nothing")
+				}
+				if res.Stats.CompiledEval {
+					b.Fatal("interpreter workload ran on bytecode")
 				}
 			}
 		}
 		out[spec+"/enumerate-compiled"] = func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				p := prog.Problem()
-				p.Compiled = true
-				res := solver.Enumerate(context.Background(), p)
+				res := solver.Enumerate(context.Background(), prog.Problem())
 				if len(res.Solutions) == 0 && len(res.Frontier) == 0 {
 					b.Fatal("search found nothing")
 				}

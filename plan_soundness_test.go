@@ -51,7 +51,6 @@ func TestPlanSoundnessAcrossSpecs(t *testing.T) {
 				p := prog.Problem()
 				p.MaxDepth = depth
 				p.MaxNodes = 0
-				p.CollectVisited = false
 				actual := uint64(solver.Enumerate(context.Background(), p).Nodes)
 				if actual > hi {
 					t.Errorf("depth %d: search visited %d nodes, plan bound is %d — the upper bound is unsound",
