@@ -65,14 +65,15 @@ func TestCorpusStressEndToEnd(t *testing.T) {
 // whole-search memo would fill and start re-applying, f and g are still
 // never applied twice to one node. The same solve is held to the
 // search's allocation budget: edge checks run on VM views and a pruned
-// candidate is never built, so what a node costs is its own trace, the
-// kept f it carries and its share of the queue and result slices — at
-// most maxAllocsPerNode objects.
+// candidate is never built, so what a node costs is its own trace
+// (carved from the search's slab), the kept f it carries and its share
+// of the queue's blocks and the result slices — at most maxAllocsPerNode
+// objects and maxBytesPerNode bytes.
 func TestCorpusStressEvalCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus stress is the scheduled CI leg")
 	}
-	const maxAllocsPerNode = 2
+	const maxAllocsPerNode, maxBytesPerNode = 1, 200
 	s, err := netgen.Stress(0, netgen.StressConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -89,5 +90,9 @@ func TestCorpusStressEvalCounts(t *testing.T) {
 	if perNode > maxAllocsPerNode {
 		t.Errorf("%s: %.2f allocations per node, want at most %d", s.Name, perNode, maxAllocsPerNode)
 	}
-	t.Logf("%s: %d nodes, %.2f allocations per node", s.Name, res.Nodes, perNode)
+	bytesPerNode := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Nodes)
+	if bytesPerNode > maxBytesPerNode {
+		t.Errorf("%s: %.0f bytes per node, want at most %d", s.Name, bytesPerNode, maxBytesPerNode)
+	}
+	t.Logf("%s: %d nodes, %.2f allocations and %.0f bytes per node", s.Name, res.Nodes, perNode, bytesPerNode)
 }

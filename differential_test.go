@@ -18,8 +18,11 @@ import (
 	"sort"
 	"testing"
 
+	"smoothproc/internal/desc"
 	"smoothproc/internal/eqlang"
+	"smoothproc/internal/procs"
 	"smoothproc/internal/solver"
+	"smoothproc/internal/value"
 )
 
 // interpreted returns p with both sides opaque, which is exactly what a
@@ -113,4 +116,59 @@ func sampleKeys(r solver.SampleResult) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// TestComposedNetworksRunOnBytecode: desc.Compose projects each side
+// onto its component's incident channels, which leaves what a side
+// reads unchanged, so a network of components that lower lowers too.
+// The Figure 3, 4 and 7 networks must run on bytecode and match the
+// interpreter on solutions, node count and every deterministic counter.
+func TestComposedNetworksRunOnBytecode(t *testing.T) {
+	fig7 := procs.Fig7Network()
+	feedC := procs.ConstFeeder("envC", "c", value.Int(10))
+	feedD := procs.ConstFeeder("envD", "d", value.Int(20))
+	fig7.Net.Components = append(fig7.Net.Components, feedC.Comp, feedD.Comp)
+	p10, p20 := value.Pair(value.Int(0), value.Int(10)), value.Pair(value.Int(1), value.Int(20))
+	for _, tc := range []struct {
+		net      desc.Network
+		alphabet map[string][]value.Value
+		depth    int
+	}{
+		{procs.Fig3Network().Net, map[string][]value.Value{
+			"b": value.Ints(0, 2), "c": value.Ints(1, 3), "d": value.IntRange(0, 3),
+		}, 8},
+		{procs.Fig4Network().Net, map[string][]value.Value{
+			"b": value.Ints(1, 2, 3), "c": value.IntRange(0, 3),
+		}, 5},
+		{fig7.Net, map[string][]value.Value{
+			"c": value.Ints(10), "d": value.Ints(20), "c'": {p10}, "d'": {p20},
+			"b": {p10, p20}, "e": value.Ints(10, 20),
+		}, 8},
+	} {
+		t.Run(tc.net.Name, func(t *testing.T) {
+			d, err := desc.Compose(tc.net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := solver.NewProblem(d, tc.alphabet, tc.depth)
+			res := solver.Enumerate(context.Background(), p)
+			if !res.Stats.CompiledEval {
+				t.Fatal("composed network did not run on bytecode")
+			}
+			oracle := solver.Enumerate(context.Background(), interpreted(p))
+			if oracle.Stats.CompiledEval {
+				t.Fatal("oracle run reports compiled evaluation")
+			}
+			if g, w := res.SolutionKeys(), oracle.SolutionKeys(); !reflect.DeepEqual(g, w) {
+				t.Errorf("solutions %v, want %v", g, w)
+			}
+			if res.Nodes != oracle.Nodes || res.Fingerprint() != oracle.Fingerprint() {
+				t.Errorf("%d nodes (fingerprint %#x), want %d (%#x)", res.Nodes, res.Fingerprint(), oracle.Nodes, oracle.Fingerprint())
+			}
+			if g, w := res.Stats.Deterministic(), oracle.Stats.Deterministic(); !reflect.DeepEqual(g, w) {
+				t.Errorf("SearchStats diverged:\n got %+v\nwant %+v", g, w)
+			}
+			t.Logf("%d nodes, %d solutions", res.Nodes, len(res.Solutions))
+		})
+	}
 }

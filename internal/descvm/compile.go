@@ -30,9 +30,10 @@ var progCacheSize atomic.Int64
 
 // Compile lowers f to a bytecode program. ok is false when the function
 // carries no IR — it was built from an opaque combinator (fn.OnChans,
-// fn.ProjectArg, fn.SubstChan) and can only be interpreted. Everything
-// the eqlang surface language expresses compiles. Results are cached by
-// IR identity, so compiling the same description again is a map lookup.
+// fn.SubstChan, an fn.ProjectArg that changes what its argument reads)
+// and can only be interpreted. Everything the eqlang surface language
+// expresses compiles. Results are cached by IR identity, so compiling
+// the same description again is a map lookup.
 func Compile(f fn.TraceFn) (*Prog, bool) {
 	if f.IR == nil {
 		return nil, false

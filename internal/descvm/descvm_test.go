@@ -129,14 +129,17 @@ func TestCSE(t *testing.T) {
 }
 
 // TestCompileRefusesOpaque: combinators wrapping whole-trace closures
-// carry no IR and must be refused, including transitively.
+// carry no IR and must be refused, including transitively. A projection
+// is opaque when it changes what its argument reads: a channel outside
+// the projection, or an ω constant's raw trace length.
 func TestCompileRefusesOpaque(t *testing.T) {
 	opaque := fn.OnChans("sum", []string{"a", "b"}, 0, func(args []seq.Seq) seq.Seq {
 		return args[0]
 	})
 	for _, f := range []fn.TraceFn{
 		opaque,
-		fn.ProjectArg(fn.ChanFn("a"), trace.NewChanSet("a")),
+		fn.ProjectArg(fn.ChanFn("a"), trace.NewChanSet("b")),
+		fn.ProjectArg(fn.OmegaConstFn("trues", seq.OfBools(true)), trace.NewChanSet("a")),
 		fn.Pair(fn.ChanFn("a"), opaque),
 		fn.ApplySeq(fn.Even, opaque),
 	} {

@@ -19,9 +19,10 @@ import (
 // suite) hold the two implementations equal on every input.
 //
 // Lowering is best-effort by design: combinators wrapping opaque Go
-// closures over whole traces (OnChans, ProjectArg, SubstChan) leave IR
-// nil, and consumers fall back to the interpreted Apply. Everything the
-// eqlang surface language can express is lowerable.
+// closures over whole traces (OnChans, SubstChan, and ProjectArg unless
+// its argument reads only projected channels) leave IR nil, and
+// consumers fall back to the interpreted Apply. Everything the eqlang
+// surface language can express is lowerable.
 
 // IRKind discriminates TraceIR nodes. Each kind mirrors exactly one
 // combinator constructor of this package.

@@ -246,14 +246,42 @@ func Pair(fns ...TraceFn) TraceFn {
 // Because every TraceFn reads only channel histories, precomposing with a
 // projection that contains f's support leaves it unchanged; this is used
 // to enforce the dc constraint of Theorem 2.
+//
+// The result keeps f's IR when that IR reads t only through channels in
+// l, whose histories projection leaves alone. An IR that reads a channel
+// outside l, or whose ω node reads the raw length |t| that projection
+// shortens, would compute something else, so the result is then opaque.
 func ProjectArg(f TraceFn, l trace.ChanSet) TraceFn {
+	var ir *TraceIR
+	if f.IR != nil && readsOnly(f.IR, l) {
+		ir = f.IR
+	}
 	return TraceFn{
 		Name:    f.Name + "∘π",
 		Out:     f.Out,
 		Support: l,
 		Growth:  f.Growth,
 		Apply:   func(t trace.Trace) Tuple { return f.Apply(t.Project(l)) },
+		IR:      ir,
 	}
+}
+
+// readsOnly reports whether ir reads its trace only through the
+// histories of channels in l: every IRChan leaf names one, and no
+// IROmega node reads the trace's length.
+func readsOnly(ir *TraceIR, l trace.ChanSet) bool {
+	switch ir.Kind {
+	case IRChan:
+		return l.Has(ir.Chan)
+	case IROmega:
+		return false
+	}
+	for _, a := range ir.Args {
+		if !readsOnly(a, l) {
+			return false
+		}
+	}
+	return true
 }
 
 // IndependentOf reports whether f's declared support avoids all the given

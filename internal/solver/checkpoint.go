@@ -137,14 +137,15 @@ func (cp *Checkpoint) Resume(ctx context.Context, o ResumeOpts) (Result, error) 
 	// at this point: the pending remainder first (BFS level order puts
 	// every pending node before any frontier son), then the retained
 	// frontier's sons in commit order.
-	queue := append([]node(nil), cp.pending...)
+	var q queue
+	q.push(cp.pending...)
 	if deepen {
 		st.Interior += st.Frontier
 		st.Frontier = 0
 		st.RetainedSons = 0
 		base.Frontier = base.Frontier[:0]
 		for _, fe := range cp.frontier {
-			queue = append(queue, fe.sons...)
+			q.push(fe.sons...)
 		}
 		cp.frontier = cp.frontier[:0]
 	}
@@ -158,7 +159,7 @@ func (cp *Checkpoint) Resume(ctx context.Context, o ResumeOpts) (Result, error) 
 		capCp = nil
 	}
 	res := base
-	cp.s.run(ctx, &res, queue, capCp)
+	cp.s.run(ctx, &res, &q, capCp)
 	cp.resumes++
 	if o.Final {
 		cp.finaled = true

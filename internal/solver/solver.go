@@ -121,6 +121,99 @@ type node struct {
 	f fn.Tuple
 }
 
+// Queue blocks: the first holds queueFirst nodes, each next one twice
+// its predecessor, up to queueMax.
+const (
+	queueFirst = 8
+	queueMax   = 256
+)
+
+// queue is the BFS work list, a FIFO of node blocks. A slice that pops
+// its front and appends at its back loses the front's capacity, so it
+// re-allocates and copies the live queue every time it fills and
+// allocates several times its peak. Blocks never move: a search
+// allocates about its peak queue, and a tiny search one small block. pop
+// clears the slot it reads, so a carried f dies when its node is
+// visited, and the head's last full-size block is kept for the tail's
+// next one.
+type queue struct {
+	head, tail *queueBlock
+	pos        int         // the head's next slot to pop
+	size       int         // the tail's size
+	spare      *queueBlock // a consumed full-size block, empty
+}
+
+// queueBlock is one block of a queue: its filled slots, in a slice
+// whose capacity is the block's size.
+type queueBlock struct {
+	nodes []node
+	next  *queueBlock
+}
+
+// push appends ns to the back of the queue.
+func (q *queue) push(ns ...node) {
+	for _, n := range ns {
+		if q.tail == nil || len(q.tail.nodes) == cap(q.tail.nodes) {
+			q.grow()
+		}
+		q.tail.nodes = append(q.tail.nodes, n)
+	}
+}
+
+// grow links a new tail block: the spare if there is one, which fits,
+// since only full-size blocks are kept and new blocks are full-size by
+// the time one has been consumed, or else a fresh block.
+func (q *queue) grow() {
+	q.size = min(max(2*q.size, queueFirst), queueMax)
+	b := q.spare
+	if b == nil {
+		b = &queueBlock{nodes: make([]node, 0, q.size)}
+	}
+	q.spare = nil
+	if q.tail == nil {
+		q.head = b
+	} else {
+		q.tail.next = b
+	}
+	q.tail = b
+}
+
+// empty reports whether the queue holds no node. Only the tail may be
+// short of full, so the head is empty only when it is also the tail.
+func (q *queue) empty() bool { return q.head == nil || q.pos == len(q.head.nodes) }
+
+// pop removes and returns the front node; it reports false when the
+// queue is empty.
+func (q *queue) pop() (node, bool) {
+	if q.empty() {
+		return node{}, false
+	}
+	h := q.head
+	n := h.nodes[q.pos]
+	h.nodes[q.pos] = node{}
+	q.pos++
+	if q.pos == cap(h.nodes) {
+		q.head, q.pos = h.next, 0
+		if q.head == nil {
+			q.tail = nil
+		}
+		if cap(h.nodes) == queueMax {
+			h.nodes, h.next = h.nodes[:0], nil
+			q.spare = h
+		}
+	}
+	return n, true
+}
+
+// drain pops every queued node, in order.
+func (q *queue) drain() []node {
+	var out []node
+	for n, ok := q.pop(); ok; n, ok = q.pop() {
+		out = append(out, n)
+	}
+	return out
+}
+
 // search carries the machinery of one tree exploration: the problem,
 // a VM session per side, the stats it counts into, and the interned
 // candidate events — one Event per (channel, message) built up front,
@@ -161,6 +254,14 @@ type search struct {
 	// consumer copies the sons into its queue before the next expand
 	// reuses the slots.
 	sonBuf []node
+	// slab holds the trace nodes of admitted sons. Every tree node
+	// stays reachable from the Result — a leaf is a solution, a dead
+	// leaf or a frontier node, and every interior node lies on a leaf's
+	// spine — so a block pins nothing that allocating each node on its
+	// own would have freed, bar its last block's unused tail. Sample and
+	// CheckInduction keep less, but a block of at most 128 nodes carved
+	// in visit order dies with its neighbours.
+	slab trace.Slab
 }
 
 // candSet is one channel's interned candidate events and their hashes.
@@ -323,7 +424,9 @@ func enumerate(ctx context.Context, p Problem, capture bool) (Result, *Checkpoin
 	}
 	var res Result
 	s.countBase(&res.Stats)
-	s.run(ctx, &res, []node{s.rootNode()}, cp)
+	var q queue
+	q.push(s.rootNode())
+	s.run(ctx, &res, &q, cp)
 	if cp != nil {
 		cp.done = res
 	}
@@ -333,7 +436,7 @@ func enumerate(ctx context.Context, p Problem, capture bool) (Result, *Checkpoin
 // run is the one BFS core, shared by Enumerate and the checkpoint
 // capture/resume paths. It folds classifications into res, which may
 // arrive pre-loaded with an already-classified prefix (a resumed
-// search); queue seeds the work list in canonical BFS order.
+// search); q holds the work list in canonical BFS order.
 //
 // Each step visits the head of the queue and commits it (step): the
 // node is counted, classified and its sons appended to the queue. The
@@ -344,19 +447,19 @@ func enumerate(ctx context.Context, p Problem, capture bool) (Result, *Checkpoin
 // A nil cp selects the plain semantics above. A non-nil cp selects
 // capture semantics: depth-bound nodes are fully expanded (instead of
 // probed with hasSon) and their admitted sons retained in cp as the
-// resume frontier, and a truncated run records its unclassified queue
-// remainder as cp.pending. Classification of every node is identical in
+// resume frontier, and a truncated run drains its unclassified queue
+// remainder into cp.pending. Classification of every node is identical in
 // both modes — a bound node is Frontier iff it has at least one son —
 // only the bound-level edge accounting differs (expand visits every
 // candidate where hasSon stops at the first witness, and never counts
 // FrontierWitnesses). See Checkpoint for how that difference is reported.
-func (s *search) run(ctx context.Context, res *Result, queue []node, cp *Checkpoint) {
+func (s *search) run(ctx context.Context, res *Result, q *queue, cp *Checkpoint) {
 	p := s.p
 	st := &res.Stats
 	s.st = st
 	begin := time.Now()
 	st.Thm1FastPath = s.thm1
-	for len(queue) > 0 {
+	for !q.empty() {
 		canceled := ctx.Err() != nil
 		if canceled || (p.MaxNodes > 0 && res.Nodes >= p.MaxNodes) {
 			// The first node past the stopping point is visited but
@@ -367,11 +470,12 @@ func (s *search) run(ctx context.Context, res *Result, queue []node, cp *Checkpo
 			st.Visited++
 			st.Skipped++
 			if cp != nil {
-				cp.pending = append([]node(nil), queue...)
+				cp.pending = q.drain()
 			}
 			break
 		}
-		queue = append(queue[1:], s.step(res, cp, queue[0])...)
+		cur, _ := q.pop()
+		q.push(s.step(res, cp, cur)...)
 	}
 	s.st = nil
 	st.CompiledEval = s.fsess != nil && s.gsess != nil
@@ -505,7 +609,7 @@ func (s *search) expand(u trace.Trace, gu fn.Tuple, dst []node) []node {
 			}
 			st.EdgesKept++
 			if v.t.IsEmpty() {
-				v.t = u.AppendPrehashed(c.es[i], c.hs[i])
+				v.t = s.slab.AppendPrehashed(u, c.es[i], c.hs[i])
 			}
 			if sons == nil {
 				sons = make([]node, 0, s.fanout)
@@ -606,13 +710,12 @@ func CheckInduction(ctx context.Context, p Problem, phi func(trace.Trace) bool) 
 	}
 	s := newSearch(p)
 	s.st = new(SearchStats) // the walk's counts are not reported
-	queue := []node{s.rootNode()}
+	var q queue
+	q.push(s.rootNode())
 	nodes := 0
 	var unsound error
-	for len(queue) > 0 {
-		n := queue[0]
+	for n, ok := q.pop(); ok; n, ok = q.pop() {
 		u := n.t
-		queue = queue[1:]
 		nodes++
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("solver: induction check stopped: %w", err)
@@ -637,7 +740,7 @@ func CheckInduction(ctx context.Context, p Problem, phi func(trace.Trace) bool) 
 			if err := p.D.InductionPremise(phi, u, v.t); err != nil {
 				return err
 			}
-			queue = append(queue, v)
+			q.push(v)
 		}
 	}
 	return unsound

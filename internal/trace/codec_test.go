@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 
 	"smoothproc/internal/value"
@@ -250,4 +251,92 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			t.Fatalf("raw decode error %v does not wrap ErrCorrupt", err)
 		}
 	})
+}
+
+// parentBlobPath holds a blob written by the encoder before Value's
+// representation changed; see TestDecodesParentBlob.
+const parentBlobPath = "testdata/parent.spt"
+
+// parentBlobValues are value.TestHash64Golden's values: every kind,
+// nested pairs and symbols that go through the string table.
+func parentBlobValues() []value.Value {
+	return []value.Value{
+		value.Int(0), value.Int(-7), value.Int(1 << 40), value.T, value.F,
+		value.Sym("chaos"), value.Sym("x_1"),
+		value.Pair(value.Int(0), value.Int(10)),
+		value.Pair(value.Sym("a"), value.Pair(value.T, value.Int(-3))),
+	}
+}
+
+// parentBlobTrace appends parentBlobValues in turn on channels c0, c1
+// and c2.
+func parentBlobTrace() Trace {
+	t := Empty
+	for i, v := range parentBlobValues() {
+		t = t.Append(E(fmt.Sprintf("c%d", i%3), v))
+	}
+	return t
+}
+
+// encodeParentBlob writes every prefix of parentBlobTrace, then each
+// value on its own.
+func encodeParentBlob() []byte {
+	e := NewEncoder()
+	for _, p := range parentBlobTrace().Prefixes() {
+		e.Trace(p)
+	}
+	for _, v := range parentBlobValues() {
+		e.Value(v)
+	}
+	return e.Bytes()
+}
+
+// TestDecodesParentBlob pins the codec and the key chain across builds:
+// a blob the earlier encoder wrote must decode to the same events and
+// keys, and encoding the same data now must give the same bytes. Every
+// stored checkpoint, result and session blob depends on both. Set
+// SMOOTHPROC_UPDATE_GOLDEN=1 to rewrite the blob, which is only right
+// for a deliberate format change that also retires every stored blob.
+func TestDecodesParentBlob(t *testing.T) {
+	if os.Getenv("SMOOTHPROC_UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(parentBlobPath, encodeParentBlob(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blob, err := os.ReadFile(parentBlobPath)
+	if err != nil {
+		t.Fatalf("missing golden %s: %v", parentBlobPath, err)
+	}
+	want := parentBlobTrace()
+	if got := uint64(want.Key()); got != 0x324c06d9d4808c9b {
+		t.Errorf("full trace key = %#016x, want 0x324c06d9d4808c9b", got)
+	}
+	d, err := NewDecoder(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n, p := range want.Prefixes() {
+		got, err := d.Trace()
+		if err != nil {
+			t.Fatalf("prefix %d: %v", n, err)
+		}
+		if got.Key() != p.Key() || !got.Equal(p) || got.String() != p.String() {
+			t.Errorf("prefix %d decoded to %s (key %#x), want %s (key %#x)", n, got, uint64(got.Key()), p, uint64(p.Key()))
+		}
+	}
+	for i, v := range parentBlobValues() {
+		got, err := d.Value()
+		if err != nil {
+			t.Fatalf("value %d: %v", i, err)
+		}
+		if !got.Equal(v) || got.Hash64() != v.Hash64() {
+			t.Errorf("value %d decoded to %s, want %s", i, got, v)
+		}
+	}
+	if err := d.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeParentBlob(), blob) {
+		t.Error("re-encoding the blob's data gave different bytes")
+	}
 }

@@ -201,11 +201,48 @@ func (t Trace) Append(e Event) Trace {
 // appends the same few events to thousands of nodes — hash each event
 // once per search instead of once per appended node.
 func (t Trace) AppendPrehashed(e Event, eh uint64) Trace {
+	c := t.cell(e, eh)
+	return Trace{end: &c}
+}
+
+// cell returns the spine node that extends t by e, whose Hash64 is eh.
+func (t Trace) cell(e Event, eh uint64) node {
 	h, n := emptyHash, 1
 	if t.end != nil {
 		h, n = t.end.hash, t.end.n+1
 	}
-	return Trace{end: &node{parent: t.end, ev: e, n: n, hash: value.HashMix(h, eh)}}
+	return node{parent: t.end, ev: e, n: n, hash: value.HashMix(h, eh)}
+}
+
+// Slab blocks: the first holds slabFirst nodes, each next one twice its
+// predecessor, up to slabMax.
+const (
+	slabFirst = 8
+	slabMax   = 128
+)
+
+// Slab carves spine nodes from blocks instead of allocating each on its
+// own. A block stays allocated while any of its nodes is reachable, so a
+// Slab suits a caller whose nodes all live about as long as each other:
+// the Section 3.3 search, whose every tree node stays reachable from its
+// result, gives each search one. The zero Slab is ready to use; it is
+// not safe for concurrent use.
+type Slab struct {
+	free []node // the current block's unused tail
+	size int    // the current block's size
+}
+
+// AppendPrehashed is Trace.AppendPrehashed with the new node carved from
+// the slab.
+func (s *Slab) AppendPrehashed(t Trace, e Event, eh uint64) Trace {
+	if len(s.free) == 0 {
+		s.size = min(max(2*s.size, slabFirst), slabMax)
+		s.free = make([]node, s.size)
+	}
+	c := &s.free[0]
+	s.free = s.free[1:]
+	*c = t.cell(e, eh)
+	return Trace{end: c}
 }
 
 // Concat returns t followed by u.

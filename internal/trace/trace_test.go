@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"smoothproc/internal/seq"
 	"smoothproc/internal/value"
@@ -188,6 +189,48 @@ func TestChannelAllocatesOnlyItsResult(t *testing.T) {
 	}
 	if got := tr.Channel("c"); !got.Equal(seq.OfInts(1, 3)) || cap(got) != 2 {
 		t.Errorf("Channel(c) = %s with cap %d, want ⟨1 3⟩ with cap 2", got, cap(got))
+	}
+}
+
+// TestNodeLayout pins a spine node at 64 bytes: a parent pointer, a
+// 40-byte event (a channel name and a three-word Value), the length and
+// the rolling hash. Every admitted son of a search costs one.
+func TestNodeLayout(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got != 64 {
+		t.Errorf("unsafe.Sizeof(node{}) = %d, want 64", got)
+	}
+	if got := unsafe.Sizeof(Event{}); got != 40 {
+		t.Errorf("unsafe.Sizeof(Event{}) = %d, want 40", got)
+	}
+}
+
+// TestSlabMatchesAppend: a slab-carved trace is the trace Append builds,
+// key included, and it shares its parent's spine; blocks grow from
+// slabFirst nodes to slabMax, one allocation each.
+func TestSlabMatchesAppend(t *testing.T) {
+	var s Slab
+	plain, carved := Empty, Empty
+	for i := 0; i < 3*slabMax; i++ {
+		e := ev([]string{"a", "b"}[i%2], int64(i))
+		prev := carved
+		plain, carved = plain.Append(e), s.AppendPrehashed(carved, e, e.Hash64())
+		if carved.Key() != plain.Key() || !carved.Equal(plain) {
+			t.Fatalf("after %d appends: slab gave %s, Append %s", i+1, carved, plain)
+		}
+		if carved.Take(i).end != prev.end {
+			t.Fatalf("after %d appends: slab node does not share its parent's spine", i+1)
+		}
+	}
+	var fresh Slab
+	e := ev("a", 1)
+	// 8 + 16 + 32 + 64 + 128 + 128 nodes take six blocks.
+	if n := testing.AllocsPerRun(1, func() {
+		fresh = Slab{}
+		for i := 0; i < 376; i++ {
+			fresh.AppendPrehashed(Empty, e, e.Hash64())
+		}
+	}); n != 6 {
+		t.Errorf("376 slab appends: %v allocs, want 6", n)
 	}
 }
 

@@ -43,20 +43,38 @@ func (k Kind) String() string {
 
 // Value is an immutable message datum. The zero Value is not valid; use
 // one of the constructors. Values are compared with Equal/Compare, never
-// with ==, because pairs hold pointers.
+// with ==: symbols and pairs live behind a pointer, so == would compare
+// addresses, and the leading zero-size func field makes it a compile
+// error.
+//
+// The layout is three words: the kind, an integer payload (an int, or a
+// bool as 0 or 1) and a pointer that is nil for ints and bools. Every
+// trace event, carried f tuple and VM frame history holds Values, and
+// almost all of them are ints, bools or pairs, so the one pointer word
+// is what the garbage collector scans, and a pair is one allocation.
 type Value struct {
-	kind     Kind
-	i        int64
-	b        bool
+	_    [0]func() // first, so it adds no padding
+	kind Kind
+	i    int64
+	x    *ext
+}
+
+// ext is the out-of-line payload of a symbol (s) or a pair (fst, snd).
+type ext struct {
 	s        string
-	fst, snd *Value
+	fst, snd Value
 }
 
 // Int returns an integer message.
 func Int(n int64) Value { return Value{kind: KindInt, i: n} }
 
 // Bool returns a boolean message (the paper's T / F).
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, i: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // T is the paper's "tick" / true bit.
 var T = Bool(true)
@@ -66,14 +84,11 @@ var F = Bool(false)
 
 // Sym returns a symbolic message, used for uninterpreted alphabets
 // (e.g. the CHAOS example of Section 4.1).
-func Sym(s string) Value { return Value{kind: KindSym, s: s} }
+func Sym(s string) Value { return Value{kind: KindSym, x: &ext{s: s}} }
 
 // Pair returns a pair message, e.g. the tagged values (0, n) and (1, n)
 // of the fair-merge network (Section 4.10, Figure 7).
-func Pair(a, b Value) Value {
-	fst, snd := a, b
-	return Value{kind: KindPair, fst: &fst, snd: &snd}
-}
+func Pair(a, b Value) Value { return Value{kind: KindPair, x: &ext{fst: a, snd: b}} }
 
 // Kind reports the variant of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -104,7 +119,7 @@ func (v Value) AsBool() (bool, bool) {
 	if v.kind != KindBool {
 		return false, false
 	}
-	return v.b, true
+	return v.i != 0, true
 }
 
 // AsSym returns the symbol payload. It reports false if v is not a symbol.
@@ -112,7 +127,7 @@ func (v Value) AsSym() (string, bool) {
 	if v.kind != KindSym {
 		return "", false
 	}
-	return v.s, true
+	return v.x.s, true
 }
 
 // AsPair returns the components of a pair. It reports false if v is not
@@ -121,7 +136,7 @@ func (v Value) AsPair() (Value, Value, bool) {
 	if v.kind != KindPair {
 		return Value{}, Value{}, false
 	}
-	return *v.fst, *v.snd, true
+	return v.x.fst, v.x.snd, true
 }
 
 // First returns the first component of a pair and panics otherwise.
@@ -143,10 +158,10 @@ func (v Value) Second() Value {
 }
 
 // IsTrue reports whether v is the boolean T.
-func (v Value) IsTrue() bool { return v.kind == KindBool && v.b }
+func (v Value) IsTrue() bool { return v.kind == KindBool && v.i != 0 }
 
 // IsFalse reports whether v is the boolean F.
-func (v Value) IsFalse() bool { return v.kind == KindBool && !v.b }
+func (v Value) IsFalse() bool { return v.kind == KindBool && v.i == 0 }
 
 // IsEvenInt reports whether v is an even integer (the dfm input alphabet
 // on channel b, Section 2.2).
@@ -174,7 +189,8 @@ func (v Value) Compare(w Value) int {
 		return int(v.kind) - int(w.kind)
 	}
 	switch v.kind {
-	case KindInt:
+	case KindInt, KindBool:
+		// F < T, as 0 < 1.
 		switch {
 		case v.i < w.i:
 			return -1
@@ -183,22 +199,13 @@ func (v Value) Compare(w Value) int {
 		default:
 			return 0
 		}
-	case KindBool:
-		switch {
-		case v.b == w.b:
-			return 0
-		case !v.b:
-			return -1
-		default:
-			return 1
-		}
 	case KindSym:
-		return strings.Compare(v.s, w.s)
+		return strings.Compare(v.x.s, w.x.s)
 	case KindPair:
-		if c := v.fst.Compare(*w.fst); c != 0 {
+		if c := v.x.fst.Compare(w.x.fst); c != 0 {
 			return c
 		}
-		return v.snd.Compare(*w.snd)
+		return v.x.snd.Compare(w.x.snd)
 	default:
 		return 0
 	}
@@ -211,14 +218,14 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindBool:
-		if v.b {
+		if v.i != 0 {
 			return "T"
 		}
 		return "F"
 	case KindSym:
-		return v.s
+		return v.x.s
 	case KindPair:
-		return "(" + v.fst.String() + "," + v.snd.String() + ")"
+		return "(" + v.x.fst.String() + "," + v.x.snd.String() + ")"
 	default:
 		return "<invalid>"
 	}
@@ -232,17 +239,17 @@ func (v Value) AppendTo(b []byte) []byte {
 	case KindInt:
 		return strconv.AppendInt(b, v.i, 10)
 	case KindBool:
-		if v.b {
+		if v.i != 0 {
 			return append(b, 'T')
 		}
 		return append(b, 'F')
 	case KindSym:
-		return append(b, v.s...)
+		return append(b, v.x.s...)
 	case KindPair:
 		b = append(b, '(')
-		b = v.fst.AppendTo(b)
+		b = v.x.fst.AppendTo(b)
 		b = append(b, ',')
-		b = v.snd.AppendTo(b)
+		b = v.x.snd.AppendTo(b)
 		return append(b, ')')
 	default:
 		return append(b, "<invalid>"...)
@@ -285,18 +292,13 @@ func HashString(h uint64, s string) uint64 {
 // It backs the O(1) (hash, length) keys of package trace.
 func (v Value) Hash64() uint64 {
 	switch v.kind {
-	case KindInt:
+	case KindInt, KindBool:
+		// A bool's payload is 0 or 1, the word it has always hashed.
 		return hashMix(uint64(v.kind), uint64(v.i))
-	case KindBool:
-		var b uint64
-		if v.b {
-			b = 1
-		}
-		return hashMix(uint64(v.kind), b)
 	case KindSym:
-		return HashString(uint64(v.kind), v.s)
+		return HashString(uint64(v.kind), v.x.s)
 	case KindPair:
-		return hashMix(uint64(v.kind), hashMix(v.fst.Hash64(), v.snd.Hash64()))
+		return hashMix(uint64(v.kind), hashMix(v.x.fst.Hash64(), v.x.snd.Hash64()))
 	default:
 		return hashMix(0, 0)
 	}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestConstructorsAndKinds(t *testing.T) {
@@ -305,4 +306,69 @@ func ExampleParse() {
 	v, _ := Parse("(0,5)")
 	fmt.Println(v.First(), v.Second())
 	// Output: 0 5
+}
+
+// goldenValues are the values whose Hash64 and String the golden test
+// pins: every kind, a negative and a wide int, symbols with digits and
+// an underscore, and nested pairs.
+func goldenValues() []Value {
+	return []Value{
+		Int(0), Int(-7), Int(1 << 40), T, F, Sym("chaos"), Sym("x_1"),
+		Pair(Int(0), Int(10)), Pair(Sym("a"), Pair(T, Int(-3))),
+	}
+}
+
+// TestHash64Golden pins Hash64 and String bit for bit. Trace keys are
+// Hash64 chains, every stored checkpoint, result and session blob
+// carries them, and decode fails when a recomputed key differs, so a
+// change of representation must leave these numbers alone.
+func TestHash64Golden(t *testing.T) {
+	want := []struct {
+		str  string
+		hash uint64
+	}{
+		{"0", 0x910a2dec89025cc1},
+		{"-7", 0xe8f938e3d92c0f81},
+		{"1099511627776", 0x6d65027660c4cdc5},
+		{"T", 0x1d0b14e4db018fed},
+		{"F", 0x975835de1c9756ce},
+		{"chaos", 0x721b5feb04fe4789},
+		{"x_1", 0x2c50436ecc910cef},
+		{"(0,10)", 0x0ce097e2aa6d2409},
+		{"(a,(T,-3))", 0x2ee15cef683ffc6c},
+	}
+	for i, v := range goldenValues() {
+		if got := v.String(); got != want[i].str {
+			t.Errorf("value %d: String() = %q, want %q", i, got, want[i].str)
+		}
+		if got := v.Hash64(); got != want[i].hash {
+			t.Errorf("%s: Hash64() = %#016x, want %#016x", v, got, want[i].hash)
+		}
+	}
+}
+
+// TestLayout pins the three-word layout: every trace event, carried f
+// tuple and VM frame history holds Values, so a word more is a word more
+// per node of every search. Ints and bools allocate nothing; a symbol or
+// a pair allocates its one out-of-line payload.
+func TestLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 24", got)
+	}
+	a, b := Int(1), Sym("b")
+	sink := make([]Value, 1)
+	for _, tt := range []struct {
+		name string
+		want float64
+		mk   func() Value
+	}{
+		{"Int", 0, func() Value { return Int(7) }},
+		{"Bool", 0, func() Value { return Bool(true) }},
+		{"Sym", 1, func() Value { return Sym("chaos") }},
+		{"Pair", 1, func() Value { return Pair(a, b) }},
+	} {
+		if got := testing.AllocsPerRun(100, func() { sink[0] = tt.mk() }); got != tt.want {
+			t.Errorf("%s: %.1f allocs, want %.0f", tt.name, got, tt.want)
+		}
+	}
 }
