@@ -8,8 +8,8 @@
 //
 // The analyzers enforce conventions the compiler cannot — ctxflow
 // (contexts are threaded, never minted in library code), atomiccount
-// (search/metrics counters only via their accessors), tracealias (no
-// in-place mutation or aliasing append on shared traces). Findings are
+// (search/metrics counters only via their accessors), concdoc,
+// compileok and storecheck (see `smoothlint -list`). Findings are
 // suppressed case by case with `//smoothlint:allow <analyzer> <reason>`
 // on or above the offending line. Exit status is 1 when findings
 // remain, 2 on usage or load errors.

@@ -73,7 +73,7 @@ func (d Diagnostic) String() string {
 
 // All returns the repository's analyzer set in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{CtxFlow, AtomicCount, TraceAlias, ConcDoc, CompileOK, StoreCheck}
+	return []*Analyzer{CtxFlow, AtomicCount, ConcDoc, CompileOK, StoreCheck}
 }
 
 // Run applies the analyzers to every package and returns the surviving

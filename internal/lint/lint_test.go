@@ -171,51 +171,6 @@ func read(st solver.SearchStats) int {
 	}
 }
 
-func TestTraceAlias(t *testing.T) {
-	src := `package fake
-
-import (
-	"smoothproc/internal/trace"
-	"smoothproc/internal/value"
-)
-
-func e() trace.Event { return trace.E("c", value.Value{}) }
-
-// Identity comparisons and identity-keyed maps are findings.
-func bad(t, u trace.Trace) bool {
-	seen := map[trace.Trace]bool{}
-	seen[t] = t == u
-	if t != trace.Empty {
-		return seen[u]
-	}
-	return t == u
-}
-
-// Structural equality, the ⊥ test and hashed/string keys are fine.
-func good(t, u trace.Trace) bool {
-	byKey := map[trace.Key]trace.Trace{t.Key(): t}
-	byStr := map[string]trace.Trace{u.String(): u}
-	_, _ = byKey, byStr
-	return t.Equal(u) || t.IsEmpty()
-}
-
-// Comparable Keys and Events are out of scope.
-func unrelated(a, b trace.Key, x, y trace.Event) bool {
-	return a == b && x.Equal(y)
-}
-`
-	diags := checkSrc(t, "smoothproc/internal/fake", src, TraceAlias)
-	if len(diags) != 4 {
-		t.Fatalf("got %d findings, want 4: %v", len(diags), messages(diags))
-	}
-	wantLines := []int{12, 13, 14, 17}
-	for i, d := range diags {
-		if d.Pos.Line != wantLines[i] {
-			t.Errorf("finding %d at line %d, want %d (%s)", i, d.Pos.Line, wantLines[i], d.Message)
-		}
-	}
-}
-
 func TestSuppressionRequiresAnalyzerName(t *testing.T) {
 	src := `package fake
 
@@ -229,7 +184,7 @@ func b() {
 	_ = context.Background()
 }
 
-func c() { _ = context.Background() //smoothlint:allow tracealias wrong analyzer
+func c() { _ = context.Background() //smoothlint:allow atomiccount wrong analyzer
 }
 `
 	diags := checkSrc(t, "smoothproc/internal/fake", src, CtxFlow)

@@ -3,12 +3,20 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
+
+	"smoothproc/internal/eqlang"
+	"smoothproc/internal/session"
+	"smoothproc/internal/store"
 )
 
 // postJSONTenant is postJSON with an X-Smoothproc-Tenant header.
@@ -392,5 +400,88 @@ func TestSessionSurvivesCacheEviction(t *testing.T) {
 	}
 	if r := metricValue(t, ts.URL, "sessions", "restored from store"); r < 1 {
 		t.Errorf("restored from store = %d, want ≥ 1 (cache cap forces eviction)", r)
+	}
+}
+
+// TestUndecodableSessionStartsCold plants persisted session state that
+// cannot be decoded and opens the session over HTTP. In one case the
+// meta record names a checkpoint the version 5 codec wrote; in the other
+// the checkpoint bytes do not hash to the meta's reference. Either way
+// the leg must answer cold, the store section's error count must rise by
+// one, and the state the leg persists must decode.
+func TestUndecodableSessionStartsCold(t *testing.T) {
+	ctx := context.Background()
+	src, err := os.ReadFile(filepath.Join("..", "..", "specs", "kahn-buffer.eq"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v5, err := os.ReadFile(filepath.Join("..", "solver", "testdata", "kahn-buffer-d4-v5.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := eqlang.CompileSource(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash := specHash(string(src))
+
+	// A real depth-2 leg supplies a meta record to plant.
+	live := session.New(hash, prog.Problem(), prog.System)
+	if _, _, err := live.Solve(ctx, session.Options{Depth: 2}); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := live.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(v5)
+	v5Ref := hex.EncodeToString(sum[:])
+	flipped := bytes.Clone(blob.Checkpoint)
+	flipped[len(flipped)/2] ^= 0xff
+
+	for _, tc := range []struct {
+		name string
+		meta []byte
+		ref  string
+		data []byte
+	}{
+		{"v5 checkpoint", bytes.Replace(blob.Meta, []byte(blob.CheckpointRef), []byte(v5Ref), 1), v5Ref, v5},
+		{"bytes off their reference", blob.Meta, blob.CheckpointRef, flipped},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, ts := newTestServer(t, Config{Workers: 1})
+			if err := srv.store.Put(ctx, store.KindCheckpoint, store.Key(tc.ref), tc.data); err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.store.Put(ctx, store.KindSession, store.Key(hash), tc.meta); err != nil {
+				t.Fatal(err)
+			}
+			before := metricValue(t, ts.URL, "store", "errors")
+			resp, body := postJSON(t, ts.URL+"/v1/sessions", SessionRequest{Source: string(src), Depth: 4})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("session create: status %d: %s", resp.StatusCode, body)
+			}
+			leg := decode[SessionView](t, body)
+			if leg.Outcome != "cold" {
+				t.Errorf("outcome = %q, want cold", leg.Outcome)
+			}
+			if got := metricValue(t, ts.URL, "store", "errors"); got != before+1 {
+				t.Errorf("store errors %d → %d, want one more", before, got)
+			}
+
+			meta, err := srv.store.Get(ctx, store.KindSession, store.Key(hash))
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored, err := session.Decode(meta, prog.Problem(), prog.System, func(ref string) ([]byte, error) {
+				return srv.store.Get(ctx, store.KindCheckpoint, store.Key(ref))
+			})
+			if err != nil {
+				t.Fatalf("the persisted leg does not decode: %v", err)
+			}
+			if restored.Depth() != 4 || restored.Nodes() != leg.Nodes {
+				t.Errorf("persisted leg: depth %d nodes %d, want 4 and %d", restored.Depth(), restored.Nodes(), leg.Nodes)
+			}
+		})
 	}
 }

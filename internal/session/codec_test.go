@@ -11,7 +11,7 @@ import (
 	"testing"
 
 	"smoothproc/internal/eqlang"
-	"smoothproc/internal/trace"
+	"smoothproc/internal/solver"
 )
 
 // fetchFrom builds a fetcher over an in-memory ref→blob map — the shape
@@ -133,15 +133,20 @@ func TestSessionCodecCorrupt(t *testing.T) {
 	if err == nil {
 		t.Fatal("decode accepted a checkpoint that does not hash to its reference")
 	}
-	if !errors.Is(err, trace.ErrCorrupt) {
-		t.Fatalf("hash-mismatch error %v does not wrap trace.ErrCorrupt", err)
+	if !errors.Is(err, solver.ErrCorrupt) {
+		t.Fatalf("hash-mismatch error %v does not wrap solver.ErrCorrupt", err)
 	}
 
 	// Meta corruption never panics; every truncation fails closed.
 	for n := 0; n < len(b.Meta); n++ {
-		if _, err := Decode(b.Meta[:n], coldProblem(t, 2), live.System(), fetchFrom(nil)); err == nil {
-			t.Fatalf("decoding %d/%d meta bytes succeeded", n, len(b.Meta))
+		if _, err := Decode(b.Meta[:n], coldProblem(t, 2), live.System(), fetchFrom(nil)); !errors.Is(err, solver.ErrCorrupt) {
+			t.Fatalf("decoding %d/%d meta bytes: err = %v, want one wrapping solver.ErrCorrupt", n, len(b.Meta), err)
 		}
+	}
+	// So does a meta record of another version.
+	old := bytes.Replace(b.Meta, []byte(`"version":2`), []byte(`"version":1`), 1)
+	if _, err := Decode(old, coldProblem(t, 2), live.System(), fetchFrom(nil)); !errors.Is(err, solver.ErrCorrupt) {
+		t.Fatalf("version-1 meta: err = %v, want one wrapping solver.ErrCorrupt", err)
 	}
 
 	// Missing checkpoint blob is a load error, not a zero session.
@@ -169,9 +174,6 @@ func TestSessionCodecDeterministic(t *testing.T) {
 	if !bytes.Equal(b1.Meta, b2.Meta) || !bytes.Equal(b1.Checkpoint, b2.Checkpoint) {
 		t.Fatal("re-encoding the session changed a blob")
 	}
-	if k, err := MetaKey(b1.Meta); err != nil || k != "dfm" {
-		t.Fatalf("MetaKey = %q, %v", k, err)
-	}
 	// Delta-solves still work on a decoded session (the System flows
 	// through untouched).
 	dec, err := Decode(b1.Meta, coldProblem(t, 3), s.System(), fetchFrom(map[string][]byte{b1.CheckpointRef: b1.Checkpoint}))
@@ -192,22 +194,26 @@ func TestSessionCodecDeterministic(t *testing.T) {
 }
 
 // FuzzSessionDecode throws a meta blob and a fetched checkpoint at
-// Decode: any outcome but a panic is acceptable. A session that decodes
-// must answer its accessors and deepen one level under a small node
-// budget — resuming from whatever frontier and carried f the checkpoint
-// holds — without panicking. Seeds: a depth-bound session, a
-// budget-truncated one and an unsolved one.
+// Decode, for the Fig. 2 network and for Kahn's buffer: any outcome but
+// a panic is acceptable. A session that decodes must answer its
+// accessors and deepen one level under a small node budget — resuming
+// from whatever frontier the checkpoint's replay rebuilt, with the f its
+// sons carry recomputed — without panicking. Seeds: a depth-bound session, a budget-truncated
+// one, an unsolved one, and a session of the buffer, a Theorem 1
+// description whose auto-admitted sons carry no f.
 func FuzzSessionDecode(f *testing.F) {
 	ctx := context.Background()
-	prog, err := eqlang.CompileSource(dfmSrc)
-	if err != nil {
-		f.Fatal(err)
+	var progs []*eqlang.Program
+	for _, src := range []string{dfmSrc, bufferSrc} {
+		prog, err := eqlang.CompileSource(src)
+		if err != nil {
+			f.Fatal(err)
+		}
+		progs = append(progs, prog)
 	}
-	newSession := func() *Session {
-		return New("dfm", prog.Problem(), prog.System)
-	}
-	for _, o := range []*Options{{Depth: 2}, {Depth: 3, MaxNodes: 6}, nil} {
-		s := newSession()
+	for i, o := range []*Options{{Depth: 2}, {Depth: 3, MaxNodes: 6}, nil, {Depth: 2}} {
+		prog := progs[i/3]
+		s := New("seed", prog.Problem(), prog.System)
 		if o != nil {
 			if _, _, err := s.Solve(ctx, *o); err != nil {
 				f.Fatal(err)
@@ -221,15 +227,17 @@ func FuzzSessionDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, meta, checkpoint []byte) {
 		fetch := func(string) ([]byte, error) { return checkpoint, nil }
-		s, err := Decode(meta, prog.Problem(), prog.System, fetch)
-		if err != nil {
-			return // fail-closed
+		for _, prog := range progs {
+			s, err := Decode(meta, prog.Problem(), prog.System, fetch)
+			if err != nil {
+				continue // fail-closed
+			}
+			_, _, _ = s.Depth(), s.Nodes(), s.FrontierSize()
+			_, _ = s.Result()
+			if d, n := s.Depth(), s.Nodes(); d < 0 || d > 8 || n < 0 || n > 1<<20 {
+				continue // bounds no solve of these fixtures should run to
+			}
+			_, _, _ = s.Solve(ctx, Options{Depth: s.Depth() + 1, MaxNodes: s.Nodes() + 64})
 		}
-		_, _, _ = s.Depth(), s.Nodes(), s.FrontierSize()
-		_, _ = s.Result()
-		if d, n := s.Depth(), s.Nodes(); d < 0 || d > 8 || n < 0 || n > 1<<20 {
-			return // bounds no solve of this fixture should run to
-		}
-		_, _, _ = s.Solve(ctx, Options{Depth: s.Depth() + 1, MaxNodes: s.Nodes() + 64})
 	})
 }

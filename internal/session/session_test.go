@@ -23,6 +23,16 @@ desc b <- [0]
 desc c <- [1]
 `
 
+// bufferSrc is Kahn's unbounded buffer (specs/kahn-buffer.eq): its sides
+// are independent, so the search auto-admits every input event
+// (Theorem 1) and those sons carry no f.
+const bufferSrc = `
+alphabet a = {0, 1}
+alphabet e = {0, 1}
+depth 4
+desc e <- a
+`
+
 func dfmSession(t *testing.T) *Session {
 	t.Helper()
 	prog, err := eqlang.CompileSource(dfmSrc)

@@ -447,8 +447,9 @@ func enumerate(ctx context.Context, p Problem, capture bool) (Result, *Checkpoin
 // A nil cp selects the plain semantics above. A non-nil cp selects
 // capture semantics: depth-bound nodes are fully expanded (instead of
 // probed with hasSon) and their admitted sons retained in cp as the
-// resume frontier, and a truncated run drains its unclassified queue
-// remainder into cp.pending. Classification of every node is identical in
+// resume frontier, every committed node's shape record is appended to
+// cp's, and a truncated run drains its unclassified queue remainder into
+// cp.pending. Classification of every node is identical in
 // both modes — a bound node is Frontier iff it has at least one son —
 // only the bound-level edge accounting differs (expand visits every
 // candidate where hasSon stops at the first witness, and never counts
@@ -489,8 +490,8 @@ func (s *search) run(ctx context.Context, res *Result, q *queue, cp *Checkpoint)
 // otherwise; g(cur) goes from the limit check to the expansion. The
 // commit folds the node into the result in canonical order — node and
 // level counts, solution (streamed through OnSolution), role, and in
-// capture mode the retained frontier — and step returns the sons the
-// queue must take (none at the depth bound).
+// capture mode the node's shape record and the retained frontier — and
+// step returns the sons the queue must take (none at the depth bound).
 func (s *search) step(res *Result, cp *Checkpoint, cur node) []node {
 	u := cur.t
 	gu, solution := s.limit(cur)
@@ -507,6 +508,9 @@ func (s *search) step(res *Result, cp *Checkpoint, cur node) []node {
 	hasSon = hasSon || len(sons) > 0
 
 	st := s.st
+	if cp != nil {
+		cp.tree = s.appendRecord(cp.tree, solution, sons)
+	}
 	res.Nodes++
 	st.Visited++
 	lvl := st.level(u.Len())

@@ -66,8 +66,11 @@ const emptyHash uint64 = 0xcbf29ce484222325
 // empty trace). Traces are immutable persistent values: extending one
 // never copies or invalidates another, so they may be shared freely
 // across solver nodes, checkpoints and histories. Compare traces with
-// Equal/Leq, never with ==.
+// Equal/Leq: the leading zero-size field makes == on a Trace, and a map
+// keyed by one, a compile error, since == would compare spine identity,
+// not events. Key a map by Trace.Key() or String() instead.
 type Trace struct {
+	_   [0]func()
 	end *node // nil for ⊥
 }
 

@@ -204,6 +204,20 @@ func TestNodeLayout(t *testing.T) {
 	}
 }
 
+// TestNotComparable pins the guards that make == a compile error: a
+// Trace, an Event and a Value each lead with a zero-size [0]func()
+// field, so none of them is comparable, and a Trace stays 8 bytes.
+func TestNotComparable(t *testing.T) {
+	for _, v := range []any{Trace{}, Event{}, value.Value{}} {
+		if reflect.TypeOf(v).Comparable() {
+			t.Errorf("%T is comparable: == on it compiles", v)
+		}
+	}
+	if got := unsafe.Sizeof(Trace{}); got != 8 {
+		t.Errorf("unsafe.Sizeof(Trace{}) = %d, want 8", got)
+	}
+}
+
 // TestSlabMatchesAppend: a slab-carved trace is the trace Append builds,
 // key included, and it shares its parent's spine; blocks grow from
 // slabFirst nodes to slabMax, one allocation each.
