@@ -132,7 +132,25 @@ func (s *Session) ViewSon(u trace.Trace, e trace.Event) fn.Tuple {
 // (stable registers) are immutable and stay shared, exactly as the
 // interpreter's ConstTraceFn shares its k. v must be a view this
 // session returned and its next call has not yet invalidated.
-func (s *Session) Keep(v fn.Tuple) fn.Tuple {
+func (s *Session) Keep(v fn.Tuple) fn.Tuple { return s.KeepIn(v, nil) }
+
+// Arena holds the chunks KeepIn carves kept values from. The zero Arena
+// is ready to use.
+type Arena struct {
+	comps []seq.Seq
+	vals  []value.Value
+}
+
+// arenaChunk caps the length of an Arena's chunks, which double from
+// the first value's size.
+const arenaChunk = 1024
+
+// KeepIn is Keep with the copy carved from a's chunks when a is non-nil,
+// for a caller that keeps many values at once (a decoded checkpoint
+// recomputing the f its queued nodes carry): it pays one allocation per
+// chunk instead of two per value, and a chunk stays allocated while any
+// value carved from it is reachable.
+func (s *Session) KeepIn(v fn.Tuple, a *Arena) fn.Tuple {
 	p := s.p
 	total := 0
 	for i, r := range p.outs {
@@ -140,8 +158,16 @@ func (s *Session) Keep(v fn.Tuple) fn.Tuple {
 			total += len(v[i])
 		}
 	}
-	out := make(fn.Tuple, len(v))
-	backing := make([]value.Value, total)
+	var out fn.Tuple
+	var backing []value.Value
+	if a == nil {
+		out, backing = make(fn.Tuple, len(v)), make([]value.Value, total)
+	} else {
+		a.comps, a.vals = reserve(a.comps, len(v)), reserve(a.vals, total)
+		c, n := len(a.comps), len(a.vals)
+		a.comps, a.vals = a.comps[:c+len(v)], a.vals[:n+total]
+		out, backing = a.comps[c:c+len(v):c+len(v)], a.vals[n:n+total:n+total]
+	}
 	o := 0
 	for i, r := range p.outs {
 		c := v[i]
@@ -155,6 +181,16 @@ func (s *Session) Keep(v fn.Tuple) fn.Tuple {
 		o += len(c)
 	}
 	return out
+}
+
+// reserve returns chunk if it has room for need more elements, and a
+// fresh chunk otherwise. It never returns nil, so a kept value with no
+// components is an empty Tuple, as Keep's is, not a nil one.
+func reserve[T any](chunk []T, need int) []T {
+	if chunk != nil && cap(chunk)-len(chunk) >= need {
+		return chunk
+	}
+	return make([]T, 0, max(need, min(2*cap(chunk), arenaChunk)))
 }
 
 // rebase returns a frame whose base is parent (of length n; n < 0 means

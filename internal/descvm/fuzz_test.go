@@ -83,10 +83,11 @@ func fuzzTrace(bs []byte) trace.Trace {
 // twice more — the session-frame hit, adopt and reload paths all fire,
 // the same access pattern the solver's limit checks and expand produce.
 // The high nibbles of the event bytes pick how each evaluation runs:
-// View, ViewSon on the trace's parent and last event, Eval, or Keep of
-// a View. A view is held to Apply at its call, since the session's next
-// call may overwrite it; an owned result is held to Apply again after
-// every later call, so a Keep that leaves anything aliased shows.
+// View, ViewSon on the trace's parent and last event, Eval, Keep of a
+// View, or KeepIn of a View into one shared Arena. A view is held to
+// Apply at its call, since the session's next call may overwrite it; an
+// owned result is held to Apply again after every later call, so a Keep
+// or KeepIn that leaves anything aliased shows.
 func FuzzEvalMatchesInterpreter(f *testing.F) {
 	f.Add([]byte{0, 4}, []byte{0, 0, 1, 3})
 	f.Add([]byte{1, 7, 3, 9}, []byte{1, 3, 1, 4, 2, 0})
@@ -94,6 +95,7 @@ func FuzzEvalMatchesInterpreter(f *testing.F) {
 	f.Add([]byte{2}, []byte{})
 	f.Add([]byte{0, 11, 4, 9, 3}, []byte{0x10, 0x21, 0x30, 0x03, 0x12, 0x34, 0x20, 0x01})
 	f.Add([]byte{0}, []byte{0x30, 0x10, 0x20, 0x30, 0x11, 0x22})
+	f.Add([]byte{1, 7, 3, 9}, []byte{0x41, 0x43, 0x11, 0x44, 0x42, 0x40})
 	f.Fuzz(func(t *testing.T, ops, events []byte) {
 		if len(ops) > 32 {
 			t.Skip("function too deep for the differential budget")
@@ -109,11 +111,12 @@ func FuzzEvalMatchesInterpreter(f *testing.F) {
 			got, want fn.Tuple
 		}
 		var kept []owned
+		var arena Arena
 		calls := 0
 		eval := func(tr trace.Trace) {
 			mode := 0
 			if len(events) > 0 {
-				mode = int(events[calls%len(events)]>>4) % 4
+				mode = int(events[calls%len(events)]>>4) % 5
 			}
 			calls++
 			want := tf.Apply(tr)
@@ -126,6 +129,9 @@ func FuzzEvalMatchesInterpreter(f *testing.F) {
 				kept = append(kept, owned{tr, got, want})
 			case mode == 3:
 				got = s.Keep(s.View(tr))
+				kept = append(kept, owned{tr, got, want})
+			case mode == 4:
+				got = s.KeepIn(s.View(tr), &arena)
 				kept = append(kept, owned{tr, got, want})
 			default:
 				got = s.View(tr)
