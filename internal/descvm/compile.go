@@ -3,7 +3,6 @@ package descvm
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"smoothproc/internal/fn"
 	"smoothproc/internal/seq"
@@ -17,16 +16,18 @@ import (
 // description — the service's steady state, benchmark loops — from
 // re-lowering per search. Sound because Progs are immutable: every
 // goroutine evaluates one through a Session of its own.
-var progCache sync.Map // *fn.TraceIR → *Prog
+var progCache = struct {
+	sync.Mutex
+	m map[*fn.TraceIR]*Prog
+}{m: map[*fn.TraceIR]*Prog{}}
 
-// progCacheLimit bounds progCache. Long-lived processes hold a handful
-// of programs, but fuzzers and property tests construct thousands of
-// throwaway descriptions whose IR pointers die immediately; past the
-// limit Compile stops inserting and hands back uncached programs, so
-// the cache cannot anchor unbounded garbage.
+// progCacheLimit bounds progCache. A long-lived process compiles every
+// description it serves, and fuzzers and property tests construct
+// thousands of throwaway descriptions whose IR pointers die
+// immediately. When the cache reaches the limit, Compile empties it and
+// refills it with what is compiled next, so it cannot anchor unbounded
+// garbage and the descriptions in current use are cached again.
 const progCacheLimit = 1024
-
-var progCacheSize atomic.Int64
 
 // Compile lowers f to a bytecode program. ok is false when the function
 // carries no IR — it was built from an opaque combinator (fn.OnChans,
@@ -38,11 +39,13 @@ func Compile(f fn.TraceFn) (*Prog, bool) {
 	if f.IR == nil {
 		return nil, false
 	}
-	if p, ok := progCache.Load(f.IR); ok {
-		return p.(*Prog), true
+	progCache.Lock()
+	p, ok := progCache.m[f.IR]
+	progCache.Unlock()
+	if ok {
+		return p, true
 	}
-	p, ok := compile(f)
-	if !ok {
+	if p, ok = compile(f); !ok {
 		return nil, false
 	}
 	if verifyOnCompile() {
@@ -53,16 +56,18 @@ func Compile(f fn.TraceFn) (*Prog, bool) {
 			panic(err)
 		}
 	}
-	if progCacheSize.Load() >= progCacheLimit {
-		return p, true
-	}
+	progCache.Lock()
+	defer progCache.Unlock()
 	// Concurrent compiles of the same IR may race here; either Prog is
-	// correct, and LoadOrStore makes every caller agree on one.
-	got, loaded := progCache.LoadOrStore(f.IR, p)
-	if !loaded {
-		progCacheSize.Add(1)
+	// correct, and the first one stored is the one every caller gets.
+	if got, ok := progCache.m[f.IR]; ok {
+		return got, true
 	}
-	return got.(*Prog), true
+	if len(progCache.m) >= progCacheLimit {
+		clear(progCache.m)
+	}
+	progCache.m[f.IR] = p
+	return p, true
 }
 
 func compile(f fn.TraceFn) (*Prog, bool) {

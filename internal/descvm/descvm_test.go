@@ -277,3 +277,34 @@ func TestNewSessionAllocs(t *testing.T) {
 		t.Fatalf("NewSession allocates %.0f objects, want ≤ 4", got)
 	}
 }
+
+// TestCompileCachesPastLimit: once progCacheLimit descriptions have been
+// compiled, a description compiled for the first time is still cached,
+// so compiling it again returns the same program, and the cache never
+// holds more than the limit.
+func TestCompileCachesPastLimit(t *testing.T) {
+	cacheLen := func() int {
+		progCache.Lock()
+		defer progCache.Unlock()
+		return len(progCache.m)
+	}
+	for i := 0; i <= progCacheLimit; i++ {
+		if _, ok := Compile(fn.ChanFn("a")); !ok {
+			t.Fatal("a channel read did not compile")
+		}
+		if n := cacheLen(); n > progCacheLimit {
+			t.Fatalf("cache holds %d programs, over the %d limit", n, progCacheLimit)
+		}
+	}
+	f := buildComposite()
+	first, ok := Compile(f)
+	if !ok {
+		t.Fatal("composite did not compile")
+	}
+	if again, _ := Compile(f); again != first {
+		t.Error("a description compiled past the limit was not cached")
+	}
+	if n := cacheLen(); n > progCacheLimit {
+		t.Errorf("cache holds %d programs, over the %d limit", n, progCacheLimit)
+	}
+}

@@ -120,6 +120,9 @@ func TestParseErrors(t *testing.T) {
 		"bad depth":          "depth x\n",
 		"concat non-literal": "alphabet d = {0}\ndesc d <- d ; d\n",
 		"empty range":        "alphabet d = ints 5 .. 2\n",
+		"range too wide":     "alphabet d = ints 0 .. 65536\n",
+		"range of int64":     "alphabet d = ints 0 .. 9223372036854775807\n",
+		"range that wraps":   "alphabet d = ints -9223372036854775808 .. 9223372036854775807\n",
 		"empty braces":       "alphabet d = {}\n",
 		"bad alphabet":       "alphabet d = 5\n",
 		"dangling paren":     "desc (d <- d\n",

@@ -6,6 +6,11 @@ import (
 	"smoothproc/internal/value"
 )
 
+// maxRangeValues bounds an `ints lo .. hi` alphabet, which the
+// compiler materializes value by value: every value is a candidate event
+// at every tree node, so a wider range only exhausts memory.
+const maxRangeValues = 1 << 16
+
 // AST node kinds. The tree is deliberately small: everything the paper's
 // examples need and nothing more. Every node carries its 1-based source
 // position (Line, Col) for error messages and specvet diagnostics.
@@ -262,6 +267,9 @@ func (p *parser) parseAlphabet() (AlphabetStmt, error) {
 		hiN, _ := strconv.ParseInt(hi.text, 10, 64)
 		if hiN < loN {
 			return stmt, errt(hi, "empty range %d..%d", loN, hiN)
+		}
+		if uint64(hiN)-uint64(loN) >= maxRangeValues {
+			return stmt, errt(hi, "range %d..%d has more than %d values", loN, hiN, maxRangeValues)
 		}
 		stmt.Values = value.IntRange(loN, hiN)
 	case p.at(tokLBrace):

@@ -106,8 +106,10 @@ type SolveRequest struct {
 	// Wait blocks the request until the job finishes instead of
 	// returning 202 with a job to poll.
 	Wait bool `json:"wait,omitempty"`
-	// NoCache skips the result-cache lookup (the result is still
-	// stored). Load generators use this to measure real searches.
+	// NoCache skips the result-cache lookup and persists nothing: the
+	// caller will not read this answer back, so it is neither cached nor
+	// written to the store. Load generators use this to measure real
+	// searches.
 	NoCache bool `json:"no_cache,omitempty"`
 }
 

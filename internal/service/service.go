@@ -246,11 +246,10 @@ const maxBodyBytes = 1 << 20
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	// An encode error here means the connection is gone; there is no one
-	// left to tell.
-	_ = enc.Encode(v)
+	// Compact: every client decodes the body, and smoothctl prints its
+	// own text. An encode error here means the connection is gone; there
+	// is no one left to tell.
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -592,7 +591,7 @@ func wireResult(res solver.Result, start time.Time) *SolveResult {
 		Nodes:      res.Nodes,
 		Truncated:  res.Truncated,
 		Canceled:   res.Canceled,
-		Stats:      res.Stats.Report().Deterministic(),
+		Stats:      res.Stats.DeterministicReport(),
 		ElapsedMs:  float64(time.Since(start).Microseconds()) / 1000,
 	}
 }
@@ -644,7 +643,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		AdmitNs:  time.Since(admitStart).Nanoseconds(),
 		Run: func(ctx context.Context) (*SolveResult, error) {
 			res := s.solve(ctx, prog, p, nil)
-			if !res.Truncated && !res.Canceled {
+			if !req.NoCache && !res.Truncated && !res.Canceled {
 				s.saveResult(key, *res)
 			}
 			return res, nil

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -466,8 +467,59 @@ func TestQueueFullShedsLoad(t *testing.T) {
 	srv.Shutdown(ctx)
 }
 
+// TestNoCachePersistsNothing: a no_cache solve and a no_cache stream
+// run real searches but leave the result cache and the store's result
+// kind untouched, so the next plain solve of the spec searches again
+// and only the one after it is a cache hit.
+func TestNoCachePersistsNothing(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Source: fig4, Wait: true, NoCache: true})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("no_cache solve: status %d: %s", resp.StatusCode, body)
+	}
+	if job := decode[JobView](t, body); job.State != JobDone || job.Result.Cached {
+		t.Fatalf("no_cache solve: %+v", job)
+	}
+	js, err := json.Marshal(SolveRequest{Source: fig4, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := http.Post(ts.URL+"/v1/solve/stream", "application/json", bytes.NewReader(js))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	if stream.StatusCode != http.StatusOK {
+		t.Fatalf("no_cache stream: status %d", stream.StatusCode)
+	}
+	// Drain the stream: its job has finished once "done" arrives.
+	br := bufio.NewReader(stream.Body)
+	for readSSE(t, br).name != "done" {
+	}
+	if n := metricValue(t, ts.URL, "store", "result puts"); n != 0 {
+		t.Errorf("no_cache solve and stream made %d result puts, want 0", n)
+	}
+	if n := srv.results.Len(); n != 0 {
+		t.Errorf("no_cache solve and stream left %d result cache entries, want 0", n)
+	}
+	for i, want := range []bool{false, true} {
+		resp, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{Source: fig4, Wait: true})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("plain solve %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		if got := decode[JobView](t, body).Result.Cached; got != want {
+			t.Errorf("plain solve %d: cached %v, want %v", i, got, want)
+		}
+	}
+	if n := metricValue(t, ts.URL, "store", "result puts"); n != 1 {
+		t.Errorf("plain solves made %d result puts, want 1", n)
+	}
+}
+
 // TestGracefulShutdownDrains submits real work and shuts down with a
 // generous deadline: the in-flight search must complete, not be killed.
+// The first request is a plain solve, so the drained job warms the
+// result cache (a no_cache solve persists nothing).
 func TestGracefulShutdownDrains(t *testing.T) {
 	srv, err := New(Config{Workers: 1})
 	if err != nil {
@@ -475,7 +527,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Source: fig4, NoCache: true})
+	resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Source: fig4})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}

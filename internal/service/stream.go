@@ -65,7 +65,8 @@ func sseEvent(w http.ResponseWriter, event string, data any) error {
 // open — and closes with a "done" event carrying the full JobView,
 // byte-identical in result content to a plain solve. Streamed solves
 // bypass the result cache on the way in (a cache hit has nothing to
-// stream) but still warm it for later plain solves.
+// stream) but still warm it for later plain solves, unless no_cache
+// says nobody will read the answer back.
 func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
 	admitStart := time.Now()
@@ -105,7 +106,7 @@ func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 		AdmitNs:  time.Since(admitStart).Nanoseconds(),
 		Run: func(ctx context.Context) (*SolveResult, error) {
 			out := s.solve(ctx, prog, p, buf.push)
-			if !out.Truncated && !out.Canceled {
+			if !req.NoCache && !out.Truncated && !out.Canceled {
 				s.saveResult(key, *out)
 			}
 			return out, nil

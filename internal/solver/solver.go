@@ -672,11 +672,14 @@ func (r Result) Contains(t trace.Trace) bool {
 
 // SolutionKeys returns the canonical strings of all solutions, sorted —
 // convenient for table-driven tests. These are the human-readable
-// renderings (Trace.String), not the (hash, length) trace keys.
+// renderings (Trace.String), not the (hash, length) trace keys. Every
+// solution renders through one reused buffer.
 func (r Result) SolutionKeys() []string {
 	keys := make([]string, len(r.Solutions))
+	var b []byte
 	for i, s := range r.Solutions {
-		keys[i] = s.String()
+		b = s.AppendString(b[:0])
+		keys[i] = string(b)
 	}
 	sort.Strings(keys)
 	return keys

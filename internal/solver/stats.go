@@ -174,10 +174,51 @@ func (s SearchStats) CheckInvariants(truncated bool) error {
 }
 
 // Report renders the stats in the repository's stable stats format (see
-// package report). Deterministic counters come first; the timing section
-// is wall-clock and varies run to run.
+// package report): the deterministic sections of DeterministicReport,
+// with the levels section kept even when empty, and then the timing
+// section, which is wall-clock and varies run to run.
 func (s SearchStats) Report() report.Stats {
-	search := report.Section{Name: "search"}
+	r := s.render(true)
+	timing := report.Section{Name: "timing", Items: make([]report.Item, 0, 3)}
+	timing.Add("search elapsed", int64(s.Elapsed), "ns")
+	timing.Add("f evaluation", s.Eval.FNanos, "ns")
+	timing.Add("g evaluation", s.Eval.GNanos, "ns")
+	r.Sections = append(r.Sections, timing)
+	return r
+}
+
+// DeterministicReport equals Report().Deterministic(), rendered without
+// the timing section it would drop: search, pruning, memo, and levels
+// when non-empty. smoothd sends it with every solve.
+func (s SearchStats) DeterministicReport() report.Stats { return s.render(false) }
+
+// levelNames holds the levels section's item names for the depths a
+// served search reaches (smoothd caps depth at 12 by default), formatted
+// once.
+var levelNames = func() (t [16][3]string) {
+	for d := range t {
+		t[d] = formatLevelNames(d)
+	}
+	return t
+}()
+
+func formatLevelNames(d int) [3]string {
+	return [3]string{fmt.Sprintf("level %d nodes", d), fmt.Sprintf("level %d solutions", d), fmt.Sprintf("level %d pruned", d)}
+}
+
+// levelItemNames returns the levels section's item names for depth d.
+func levelItemNames(d int) [3]string {
+	if d < len(levelNames) {
+		return levelNames[d]
+	}
+	return formatLevelNames(d)
+}
+
+// render builds the deterministic sections, each at its final size.
+// withEmptyLevels keeps a levels section that has no items, as Report
+// always has, and leaves room for the timing section.
+func (s SearchStats) render(withEmptyLevels bool) report.Stats {
+	search := report.Section{Name: "search", Items: make([]report.Item, 0, 8)}
 	search.AddInt("nodes visited", s.Visited)
 	search.AddInt("interior nodes", s.Interior)
 	search.AddInt("frontier nodes", s.Frontier)
@@ -187,7 +228,7 @@ func (s SearchStats) Report() report.Stats {
 	search.AddInt("smooth solutions", s.Solutions)
 	search.AddInt("limit checks", s.LimitChecks)
 
-	pruning := report.Section{Name: "pruning"}
+	pruning := report.Section{Name: "pruning", Items: make([]report.Item, 0, 6)}
 	pruning.AddInt("edges checked", s.EdgesChecked)
 	pruning.AddInt("edges kept", s.EdgesKept)
 	pruning.AddInt("subtrees pruned", s.SubtreesPruned)
@@ -199,7 +240,7 @@ func (s SearchStats) Report() report.Stats {
 		pruning.AddInt("retained sons", s.RetainedSons)
 	}
 
-	memo := report.Section{Name: "memo"}
+	memo := report.Section{Name: "memo", Items: make([]report.Item, 0, 5)}
 	memo.Add("cache hits", s.Eval.CacheHits(), "")
 	memo.Add("cache misses", s.Eval.CacheMisses(), "")
 	memo.Add("f applications", s.Eval.FApplies, "")
@@ -209,19 +250,23 @@ func (s SearchStats) Report() report.Stats {
 		memo.AddInt("compiled eval", 1)
 	}
 
-	levels := report.Section{Name: "levels"}
-	for _, l := range s.Levels {
-		levels.AddInt(fmt.Sprintf("level %d nodes", l.Depth), l.Nodes)
-		levels.AddInt(fmt.Sprintf("level %d solutions", l.Depth), l.Solutions)
-		levels.AddInt(fmt.Sprintf("level %d pruned", l.Depth), l.Pruned)
+	r := report.Stats{Sections: make([]report.Section, 0, 5)}
+	r.Sections = append(r.Sections, search, pruning, memo)
+	if len(s.Levels) == 0 {
+		if withEmptyLevels {
+			r.Sections = append(r.Sections, report.Section{Name: "levels"})
+		}
+		return r
 	}
-
-	timing := report.Section{Name: "timing"}
-	timing.Add("search elapsed", int64(s.Elapsed), "ns")
-	timing.Add("f evaluation", s.Eval.FNanos, "ns")
-	timing.Add("g evaluation", s.Eval.GNanos, "ns")
-
-	return report.Stats{Sections: []report.Section{search, pruning, memo, levels, timing}}
+	levels := report.Section{Name: "levels", Items: make([]report.Item, 0, 3*len(s.Levels))}
+	for _, l := range s.Levels {
+		names := levelItemNames(l.Depth)
+		levels.AddInt(names[0], l.Nodes)
+		levels.AddInt(names[1], l.Solutions)
+		levels.AddInt(names[2], l.Pruned)
+	}
+	r.Sections = append(r.Sections, levels)
+	return r
 }
 
 // Deterministic returns a copy with every timing- and

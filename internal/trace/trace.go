@@ -350,11 +350,22 @@ func (e Event) AppendKey(b []byte) []byte {
 
 // AppendKey appends the bracketless event rendering of t — the body of
 // String between ⟨ and ⟩ — to b and returns the extended slice.
-func (t Trace) AppendKey(b []byte) []byte {
-	for _, e := range t.Events() {
-		b = e.AppendKey(b)
+func (t Trace) AppendKey(b []byte) []byte { return appendSpine(b, t.end) }
+
+// appendSpine renders the events ending at c, oldest first, recursing
+// to the root instead of copying the spine out.
+func appendSpine(b []byte, c *node) []byte {
+	if c == nil {
+		return b
 	}
-	return b
+	return c.ev.AppendKey(appendSpine(b, c.parent))
+}
+
+// AppendString appends String's rendering of t to b and returns the
+// extended slice, so a caller rendering many traces reuses one buffer.
+func (t Trace) AppendString(b []byte) []byte {
+	b = append(b, "⟨"...)
+	return append(t.AppendKey(b), "⟩"...)
 }
 
 // String renders the trace in the paper's notation, e.g.
@@ -362,11 +373,7 @@ func (t Trace) AppendKey(b []byte) []byte {
 // distinct traces render distinctly, so it doubles as the human-readable
 // deduplication key (solution sets, golden files).
 func (t Trace) String() string {
-	b := make([]byte, 0, 6+12*t.Len())
-	b = append(b, "⟨"...)
-	b = t.AppendKey(b)
-	b = append(b, "⟩"...)
-	return string(b)
+	return string(t.AppendString(make([]byte, 0, 6+12*t.Len())))
 }
 
 // Key is a compact map key for a trace: the incrementally maintained

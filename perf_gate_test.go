@@ -3,11 +3,12 @@
 // testing.Benchmark (best of three) and compared against the perf
 // section of BENCH_solver.json and against BENCH_trace.json and
 // BENCH_store.json; a >10% regression in allocs/op, or in time/op
-// outside the codec legs that only same-run ratios time (ratioTimed),
+// outside the legs that only same-run ratios time (ratioTimed),
 // fails the build, and so does a same-run ratio over its bar (compiled
-// kahn-buffer, resume vs cold, checkpoint encode and decode vs
-// capture). Without the env var the gate skips — timing on developer
-// machines is not a signal.
+// kahn-buffer, resume vs cold, a no-cache solve through smoothd's
+// handler vs its search, checkpoint encode and decode vs capture).
+// Without the env var the gate skips — timing on developer machines is
+// not a signal.
 //
 // Regenerate the baselines on a quiet machine with:
 //
@@ -15,14 +16,18 @@
 package smoothproc_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"smoothproc/internal/eqlang"
 	"smoothproc/internal/netgen"
+	"smoothproc/internal/service"
 	"smoothproc/internal/solver"
 	"smoothproc/internal/specvet"
 	"smoothproc/internal/store"
@@ -178,6 +183,57 @@ func solverWorkloads(t *testing.T) map[string]func(b *testing.B) {
 				if !res.Canceled {
 					b.Fatal("first-solution cancel did not stop the search")
 				}
+			}
+		}
+	}
+	// service/solve-nocache is the kahn-buffer solve above served
+	// through smoothd's handler in process: request decode, admission,
+	// the scheduler's queue and worker, the search, and the JSON
+	// response. Each run starts its own server, so the jobs it retains
+	// burden no other workload, and uploads the spec off the clock. The
+	// request body is encoded once, and every response lands in one
+	// reused buffer, as it would in net/http's pooled connection writer.
+	// Measured in the same rounds as enumerate-compiled, it shows what a
+	// small solve costs outside its search.
+	kahnSrc, err := os.ReadFile(filepath.Join("specs", "kahn-buffer.eq"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	upload, err := json.Marshal(service.SpecRequest{Source: string(kahnSrc)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["service/solve-nocache"] = func(b *testing.B) {
+		srv, err := service.New(service.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Shutdown(context.Background())
+		var resp bytes.Buffer
+		post := func(path string, body []byte) *httptest.ResponseRecorder {
+			req, err := http.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+			if err != nil {
+				b.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			resp.Reset()
+			rec.Body = &resp
+			srv.Handler().ServeHTTP(rec, req)
+			return rec
+		}
+		var info service.SpecInfo
+		if rec := post("/v1/specs", upload); rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &info) != nil {
+			b.Fatalf("kahn-buffer upload: status %d: %s", rec.Code, rec.Body)
+		}
+		solveReq, err := json.Marshal(service.SolveRequest{SpecHash: info.Hash, NoCache: true, Wait: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if rec := post("/v1/solve", solveReq); rec.Code != http.StatusOK {
+				b.Fatalf("no-cache solve: status %d: %s", rec.Code, rec.Body)
 			}
 		}
 	}
@@ -362,10 +418,11 @@ func storeWorkloads(t *testing.T) map[string]func(b *testing.B) {
 	return out
 }
 
-// ratioTimed names the workloads whose time/op only the same-run codec
-// bars in TestPerfGate bound: their baselines record allocs/op and
-// bytes/op, and no time.
+// ratioTimed names the workloads whose time/op only the same-run bars
+// in TestPerfGate bound (the handler and codec bars): their baselines
+// record allocs/op and bytes/op, and no time.
 var ratioTimed = map[string]bool{
+	"service/solve-nocache":    true,
 	"codec/checkpoint-capture": true,
 	"codec/checkpoint-encode":  true,
 	"codec/checkpoint-decode":  true,
@@ -399,6 +456,7 @@ func TestPerfGate(t *testing.T) {
 	solverGot := measure([]string{
 		"kahn-buffer.eq/enumerate",
 		"kahn-buffer.eq/enumerate-compiled",
+		"service/solve-nocache",
 		"fig4-brock-ackermann.eq/enumerate",
 		"fig4-brock-ackermann.eq/enumerate-compiled",
 		"kahn-buffer.eq/resume-deepen",
@@ -441,17 +499,18 @@ func TestPerfGate(t *testing.T) {
 		}
 	}
 
+	solverByName := map[string]perfEntry{}
+	for _, g := range solverGot {
+		solverByName[g.Name] = g
+	}
+
 	// The incremental-solve acceptance bar, also absolute: resuming a
 	// depth-4 capture to depth 6 classifies only the new nodes, so it can
 	// never cost more than the same depth-6 search run cold (5% noise
 	// allowance). A resume slower than a cold solve means the retained
 	// frontier stopped paying for itself.
 	{
-		byName := map[string]perfEntry{}
-		for _, g := range solverGot {
-			byName[g.Name] = g
-		}
-		resume, cold := byName["kahn-buffer.eq/resume-deepen"], byName["kahn-buffer.eq/enumerate-d6"]
+		resume, cold := solverByName["kahn-buffer.eq/resume-deepen"], solverByName["kahn-buffer.eq/enumerate-d6"]
 		if resume.Name != "" && cold.Name != "" {
 			if resume.NsPerOp > cold.NsPerOp*1.05 {
 				t.Errorf("resume-deepen: %.0fns/op is slower than the %.0fns cold depth-6 solve — resuming must skip the classified prefix",
@@ -460,6 +519,18 @@ func TestPerfGate(t *testing.T) {
 				t.Logf("resume-deepen: %.0fns/op vs %.0fns cold (%.2fx)",
 					resume.NsPerOp, cold.NsPerOp, cold.NsPerOp/resume.NsPerOp)
 			}
+		}
+	}
+
+	// The handler bar, a same-run ratio: a no-cache kahn-buffer solve
+	// through smoothd's handler may cost at most 2.5x the same search
+	// run alone. ROADMAP item 9's target is 2x.
+	{
+		search, handler := solverByName["kahn-buffer.eq/enumerate-compiled"].NsPerOp, solverByName["service/solve-nocache"].NsPerOp
+		if handler > 2.5*search {
+			t.Errorf("service/solve-nocache: %.0fns/op is %.2fx the %.0fns search, over the 2.50x bar", handler, handler/search, search)
+		} else {
+			t.Logf("service/solve-nocache: %.0fns/op, %.2fx the %.0fns search (bar 2.50x)", handler, handler/search, search)
 		}
 	}
 
