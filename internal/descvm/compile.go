@@ -90,7 +90,56 @@ func compile(f fn.TraceFn) (*Prog, bool) {
 		len(p.outs) == 1 && p.outs[0] == p.code[0].dst {
 		p.soloChan = int(p.code[0].a)
 	}
+	p.reach()
 	return p, true
+}
+
+// reach sets every instruction's need mask from the program's data
+// flow. A forward pass gives each register the channels it reads: a
+// channel load its own, an ω constant every channel (its approximation
+// grows with any event, one off the table too), a table constant none,
+// and any other instruction the union of its operands'. A backward pass
+// then hands each instruction's set on to its operands, so an
+// instruction ends up needed by every channel that an output in whose
+// cone it lies reads — a superset of what the instruction itself reads,
+// since the compiler emits no instruction outside every output's cone.
+// An output register's need thus holds every channel that reaches its
+// component, and exactly those unless the register also feeds another
+// output. A program with more channels than the mask has bits is needed
+// whole by every event.
+func (p *Prog) reach() {
+	code := p.code
+	if len(p.chans) > otherChan {
+		for i := range code {
+			code[i].need = allChans
+		}
+		return
+	}
+	for i := range code {
+		ins := &code[i]
+		switch ins.op {
+		case opChan:
+			ins.need = chanBit(int(ins.a))
+		case opOmega:
+			ins.need = allChans
+		}
+		switch ins.op.operands() {
+		case 2:
+			ins.need = code[ins.b].need | code[ins.c].need
+		case 1:
+			ins.need = code[ins.b].need
+		}
+	}
+	for i := len(code) - 1; i >= 0; i-- {
+		ins := code[i]
+		switch ins.op.operands() {
+		case 2:
+			code[ins.c].need |= ins.need
+			fallthrough
+		case 1:
+			code[ins.b].need |= ins.need
+		}
+	}
 }
 
 // compiler carries the value-numbering state of one Compile call.

@@ -13,8 +13,8 @@ import (
 
 // checkAgainstInterpreter compiles f and compares one Session's Eval
 // against Apply on every given trace, in order — the order matters,
-// because it drives the frames' base caches through their hit, adopt and
-// reload paths.
+// because it moves the session's frame to parents, sons, siblings and
+// cousins.
 func checkAgainstInterpreter(t *testing.T, f fn.TraceFn, traces []trace.Trace) {
 	t.Helper()
 	p, ok := Compile(f)
@@ -234,10 +234,9 @@ func TestOmegaTracksRawLength(t *testing.T) {
 
 // TestSessionMatchesInterpreter drives one Session through the
 // breadth-first search's access pattern — each node's limit-check
-// evaluation, then a burst over its sons, level by level — so both
-// frames adopt, swap and reload, and holds every result to the
-// interpreter: the frames are carved from shared arrays and must still
-// never see each other's state.
+// evaluation, then a burst over its sons, level by level — so its frame
+// moves to siblings and cousins through their common ancestors, and
+// holds every result to the interpreter.
 func TestSessionMatchesInterpreter(t *testing.T) {
 	f := buildComposite()
 	p, ok := Compile(f)
@@ -266,8 +265,8 @@ func TestSessionMatchesInterpreter(t *testing.T) {
 	}
 }
 
-// TestNewSessionAllocs pins a session's set-up cost: the session and
-// its two frames are one block, and each kind of frame slice one array.
+// TestNewSessionAllocs pins a session's set-up cost: the session holds
+// its frame, and each kind of frame slice is one array.
 func TestNewSessionAllocs(t *testing.T) {
 	p, ok := Compile(buildComposite())
 	if !ok {

@@ -9,72 +9,47 @@ import (
 
 // frame is the mutable state of one evaluation: the register file, the
 // per-register scratch buffers the specialized opcodes write through,
-// and the incrementally maintained channel histories of a cached base
-// trace. Frames belong to a Session, so a goroutine repeatedly
-// evaluating neighbours of the same parent — the breadth-first search's
-// access pattern — finds its frame warm and extends the histories in
-// O(1) instead of re-walking the trace spine.
+// and the channel histories of its base trace. A frame starts at ⊥ with
+// empty histories and moves from base to base through their common
+// spine ancestor (see frame.rebase), so a goroutine evaluating
+// neighbours in the §3.3 tree — the breadth-first search's access
+// pattern — pays a push or a pop per step instead of a walk of the
+// whole trace.
 type frame struct {
 	regs     []seq.Seq
 	scratch  [][]value.Value
 	chanVals [][]value.Value // per channel-table index, history of base(+push)
-	events   []trace.Event   // reusable buffer for full spine loads
-
-	base      trace.Trace // the trace whose histories chanVals holds
-	baseValid bool
+	base     trace.Trace     // the trace whose histories chanVals holds
 }
 
-// load rebuilds the frame's channel histories for base: one walk of the
-// spine, distributing events to per-channel buffers.
-func (p *Prog) load(fr *frame, base trace.Trace) {
-	for i := range fr.chanVals {
-		fr.chanVals[i] = fr.chanVals[i][:0]
-	}
-	fr.events = base.AppendEvents(fr.events[:0])
-	for _, e := range fr.events {
-		if ci := p.chanIdx(e.Ch); ci >= 0 {
-			fr.chanVals[ci] = append(fr.chanVals[ci], e.Val)
-		}
-	}
-	fr.base = base
-	fr.baseValid = true
-}
-
-// Session is a single-goroutine evaluation handle owning two dedicated
-// frames, and the only way to run a Prog: goroutines sharing one Prog
-// each evaluate through a Session of their own. A search evaluating one
-// side thousands of times keeps both frames' base caches for its whole
-// run. Two frames because the breadth-first search alternates between
-// two bases per node: the limit check evaluates at the node (base = its
-// parent's level) and the expansion evaluates the node's sons (base =
-// the node); with a single frame each alternation would re-walk a
-// spine, with two both bases stay warm. Not safe for concurrent use.
+// Session is a single-goroutine evaluation handle owning one frame, and
+// the only way to run a Prog: goroutines sharing one Prog each evaluate
+// through a Session of their own. A search evaluating one side
+// thousands of times keeps the frame for its whole run. Not safe for
+// concurrent use.
 type Session struct {
-	p        *Prog
-	fr, prev *frame // most- and second-most-recently used
-	// view is the Tuple header every View and ViewSon returns, its
-	// components rewritten by each call.
+	p  *Prog
+	fr frame
+	// view is the Tuple header every View, ViewSon and SonLeq returns,
+	// its components rewritten by each call.
 	view fn.Tuple
 }
 
 // NewSession returns a fresh single-goroutine handle for p. The
-// session and both frames are one allocation, and each kind of frame
-// slice is carved from one backing array shared by the two frames — the
-// register array also holds the view header — so a session costs four
-// allocations.
+// register array also holds the view header, so a session costs four
+// allocations: itself and its frame's three slices.
 func (p *Prog) NewSession() *Session {
-	blk := new(struct {
-		s        Session
-		fr, prev frame
-	})
 	n, c, k := p.nregs, len(p.chans), len(p.outs)
-	regs := make([]seq.Seq, 2*n+k)
-	scratch := make([][]value.Value, 2*n)
-	chanVals := make([][]value.Value, 2*c)
-	blk.fr = frame{regs: regs[:n:n], scratch: scratch[:n:n], chanVals: chanVals[:c:c]}
-	blk.prev = frame{regs: regs[n : 2*n : 2*n], scratch: scratch[n:], chanVals: chanVals[c:]}
-	blk.s = Session{p: p, fr: &blk.fr, prev: &blk.prev, view: fn.Tuple(regs[2*n:])}
-	return &blk.s
+	regs := make([]seq.Seq, n+k)
+	return &Session{
+		p: p,
+		fr: frame{
+			regs:     regs[:n:n],
+			scratch:  make([][]value.Value, n),
+			chanVals: make([][]value.Value, c),
+		},
+		view: fn.Tuple(regs[n:]),
+	}
 }
 
 // Eval applies the compiled function to t, returning a Tuple the caller
@@ -82,22 +57,21 @@ func (p *Prog) NewSession() *Session {
 func (s *Session) Eval(t trace.Trace) fn.Tuple { return s.Keep(s.View(t)) }
 
 // View applies the compiled function to t and returns a view: a Tuple
-// whose components may alias the session's frames and scratch buffers,
-// valid only until the session's next View, ViewSon or Eval. A caller
-// that compares the value and drops it — the search's edge and limit
-// checks — pays no allocation; one that retains it copies it with Keep.
+// whose components may alias the session's frame and scratch buffers,
+// valid only until the session's next call. A caller that compares the
+// value and drops it — the search's limit check — pays no allocation;
+// one that retains it copies it with Keep.
 func (s *Session) View(t trace.Trace) fn.Tuple {
 	if n := t.Len(); n > 0 {
 		return s.ViewSon(t.Take(n-1), t.Last())
 	}
-	s.p.exec(s.rebase(trace.Empty, -1), 0, s.view)
-	return s.view
+	s.p.exec(s.fr.rebase(s.p, trace.Empty), 0, 0, false)
+	return s.output()
 }
 
-// ViewSon is View(u·e) without building u·e: the session rebases a
-// frame onto u, pushes e, runs the program and pops e again. The
-// search's edge check f(u·e) ⊑ g(u) thus allocates nothing, and the
-// trace node for u·e is built only for a son the check admits.
+// ViewSon is View(u·e) without building u·e: the session rebases its
+// frame onto u, pushes e, runs the program and pops e again, so the
+// trace node for u·e is built only for a son the caller admits.
 //
 // A single-channel projection skips the push and the dispatch: its
 // answer is the cached history, extended by e when e lands on the
@@ -105,8 +79,8 @@ func (s *Session) View(t trace.Trace) fn.Tuple {
 // the view still sees it until the next call reuses the slot.
 func (s *Session) ViewSon(u trace.Trace, e trace.Event) fn.Tuple {
 	n := u.Len()
-	fr := s.rebase(u, n)
 	p := s.p
+	fr := s.fr.rebase(p, u)
 	ci := p.chanIdx(e.Ch)
 	if p.soloChan >= 0 {
 		hist := fr.chanVals[p.soloChan]
@@ -117,14 +91,83 @@ func (s *Session) ViewSon(u trace.Trace, e trace.Event) fn.Tuple {
 		s.view[0] = seq.Seq(hist)
 		return s.view
 	}
+	fr.push(ci, e)
+	p.exec(fr, n+1, 0, false)
+	fr.pop(ci)
+	return s.output()
+}
+
+// SonLeq is the §3.3 edge check f(u·e) ⊑ bound for a node u whose own
+// value is below the bound, f(u) ⊑ bound: the caller's precondition,
+// under which its verdict is ViewSon(u, e).Leq(bound). An event changes
+// only the components whose cones read its channel, and every other
+// component of f(u·e) is f(u)'s, below the bound already. So SonLeq
+// pushes e on the frame based at u, runs only the instructions e's
+// channel needs, and compares only the components they compute. An ω
+// component, whose approximation grows with every event, is reached by
+// all, including an event on a channel the program does not read.
+//
+// With full set, an admitted son's view is completed by running the
+// remaining instructions, in program order after the reached ones, and
+// returned as ViewSon would return it; otherwise the view is nil. A
+// single-channel projection keeps ViewSon's fast path.
+func (s *Session) SonLeq(u trace.Trace, e trace.Event, bound fn.Tuple, full bool) (fn.Tuple, bool) {
+	p := s.p
+	if p.soloChan >= 0 {
+		v := s.ViewSon(u, e)
+		ok := v.Leq(bound)
+		if !ok || !full {
+			v = nil
+		}
+		return v, ok
+	}
+	if len(bound) != len(p.outs) {
+		return nil, false // tuples of different widths are never ordered
+	}
+	n := u.Len()
+	fr := s.fr.rebase(p, u)
+	ci := p.chanIdx(e.Ch)
+	bit := chanBit(ci)
+	fr.push(ci, e)
+	p.exec(fr, n+1, bit, true)
+	ok := true
+	for i, r := range p.outs {
+		if p.code[r].need&bit != 0 && !fr.regs[r].Leq(bound[i]) {
+			ok = false
+			break
+		}
+	}
+	var v fn.Tuple
+	if ok && full {
+		p.exec(fr, n+1, bit, false)
+		v = s.output()
+	}
+	fr.pop(ci)
+	return v, ok
+}
+
+// output points the view's components at the frame's output registers,
+// and returns the view.
+func (s *Session) output() fn.Tuple {
+	for i, r := range s.p.outs {
+		s.view[i] = s.fr.regs[r]
+	}
+	return s.view
+}
+
+// push appends e's value to the history of channel-table index ci, and
+// pop removes the last value of that history again; both ignore a
+// channel outside the table (ci < 0).
+func (fr *frame) push(ci int, e trace.Event) {
 	if ci >= 0 {
 		fr.chanVals[ci] = append(fr.chanVals[ci], e.Val)
 	}
-	p.exec(fr, n+1, s.view)
+}
+
+func (fr *frame) pop(ci int) {
 	if ci >= 0 {
 		fr.chanVals[ci] = fr.chanVals[ci][:len(fr.chanVals[ci])-1]
 	}
-	return s.view
 }
 
 // Keep copies a view into a Tuple the caller owns: the non-stable
@@ -193,87 +236,54 @@ func reserve[T any](chunk []T, need int) []T {
 	return make([]T, 0, max(need, min(2*cap(chunk), arenaChunk)))
 }
 
-// rebase returns a frame whose base is parent (of length n; n < 0 means
-// parent is ⊥ and the input itself is ⊥), promoting it to most recently
-// used.
-//
-// The frame caches key on the input's parent: a full spine walk happens
-// only when the parent changes, so evaluating all sons u·e of one node,
-// or sibling nodes u1, u2 of one parent in BFS order, costs one walk per
-// parent group plus an O(1) push/pop per evaluation.
-//
-// The search's bases drift by O(1) edits — a node's expansion base
-// extends its limit-check base by one event, and consecutive nodes of
-// one level are spine siblings — so before paying a full load the
-// session tries to adopt the new base by an O(1) push/pop on a frame it
-// already has. prev is tried first for adoption: in the steady BFS
-// rhythm fr holds the parent-level base the very next evaluation needs
-// again, and morphing prev instead keeps it parked there.
-func (s *Session) rebase(parent trace.Trace, n int) *frame {
-	switch {
-	case s.fr.matches(parent, n):
-	case s.prev.matches(parent, n), s.prev.adopt(s.p, parent, n):
-		s.fr, s.prev = s.prev, s.fr
-	case s.fr.adopt(s.p, parent, n):
-	default:
-		s.fr, s.prev = s.prev, s.fr
-		s.p.load(s.fr, parent)
+// rebase moves the frame to base u, through the common spine ancestor
+// of its base and u, and returns it: it pops its base's events down to
+// that ancestor, truncating their channels' histories, and pushes u's
+// events past it, oldest first. The search's bases drift by O(1) edits
+// — a node's expansion base extends its limit-check base by one event,
+// and consecutive nodes of one level are spine siblings — so a step
+// costs a push or a pop, and a move to a cousin costs the walk to the
+// common ancestor, not a reload of the whole trace. Traces on separate
+// spines share only ⊥, so a move between content-equal copies walks
+// both whole: a full reload, and still correct.
+func (fr *frame) rebase(p *Prog, u trace.Trace) *frame {
+	from, to := fr.base, u
+	for !from.Same(to) {
+		if from.Len() >= to.Len() {
+			fr.pop(p.chanIdx(from.Last().Ch))
+			from = from.Take(from.Len() - 1)
+		} else {
+			to = to.Take(to.Len() - 1)
+		}
 	}
-	return s.fr
+	fr.pushPast(p, u, to.Len())
+	fr.base = u
+	return fr
 }
 
-// matches reports whether the frame's cached base is parent (whose
-// length the caller supplies as n; n < 0 means parent is ⊥).
-func (fr *frame) matches(parent trace.Trace, n int) bool {
-	if n < 0 {
-		n = 0
+// pushPast pushes the events of u past its length-n prefix, oldest
+// first.
+func (fr *frame) pushPast(p *Prog, u trace.Trace, n int) {
+	if u.Len() > n {
+		fr.pushPast(p, u.Take(u.Len()-1), n)
+		e := u.Last()
+		fr.push(p.chanIdx(e.Ch), e)
 	}
-	return fr.baseValid && fr.base.Len() == n && parent.Equal(fr.base)
 }
 
-// adopt rebases the frame onto parent when an O(1) edit gets it there:
-// parent extends the base by one event, or is its spine sibling (same
-// parent, different last event). The prefix comparisons are pointer
-// hits on shared spines, so a failed adopt is cheap too. n is parent's
-// length as in matches.
-func (fr *frame) adopt(p *Prog, parent trace.Trace, n int) bool {
-	if !fr.baseValid || n <= 0 {
-		return false
-	}
-	bn := fr.base.Len()
-	switch bn {
-	case n - 1:
-		if !parent.Take(n - 1).Equal(fr.base) {
-			return false
-		}
-	case n:
-		if !parent.Take(n - 1).Equal(fr.base.Take(n - 1)) {
-			return false
-		}
-		old := fr.base.Last()
-		if ci := p.chanIdx(old.Ch); ci >= 0 {
-			vs := fr.chanVals[ci]
-			fr.chanVals[ci] = vs[:len(vs)-1]
-		}
-	default:
-		return false
-	}
-	e := parent.Last()
-	if ci := p.chanIdx(e.Ch); ci >= 0 {
-		fr.chanVals[ci] = append(fr.chanVals[ci], e.Val)
-	}
-	fr.base = parent
-	return true
-}
-
-// exec runs the instruction sequence against the frame's loaded
-// histories and points out's components at the output registers: out is
-// the session's view header, so nothing is copied or allocated here
-// (Keep copies). rawLen is the unprojected input length |t|, which
-// opOmega's approximation depth depends on (fn.OmegaConstFn semantics).
-func (p *Prog) exec(fr *frame, rawLen int, out fn.Tuple) {
+// exec runs instructions against the frame's histories: those whose
+// need mask meets sel when in is set, and those whose mask misses it
+// otherwise — every instruction for the empty sel and in unset. Results
+// stay in the frame's registers and scratch buffers, so nothing is
+// copied or allocated here (Keep copies). rawLen is the unprojected
+// input length |t|, which opOmega's approximation depth depends on
+// (fn.OmegaConstFn semantics).
+func (p *Prog) exec(fr *frame, rawLen int, sel chanMask, in bool) {
 	regs := fr.regs
 	for _, ins := range p.code {
+		if (ins.need&sel != 0) != in {
+			continue
+		}
 		switch ins.op {
 		case opChan:
 			regs[ins.dst] = seq.Seq(fr.chanVals[ins.a])
@@ -345,9 +355,5 @@ func (p *Prog) exec(fr *frame, rawLen int, out fn.Tuple) {
 		case opBiCall:
 			regs[ins.dst] = p.bifns[ins.a].Apply(regs[ins.b], regs[ins.c])
 		}
-	}
-
-	for i, r := range p.outs {
-		out[i] = regs[r]
 	}
 }

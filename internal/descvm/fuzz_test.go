@@ -79,15 +79,20 @@ func fuzzTrace(bs []byte) trace.Trace {
 // FuzzEvalMatchesInterpreter holds the VM equal to the direct IR walk:
 // for any bytecode-lowerable function and any trace, every evaluation
 // must return exactly fn.TraceFn.Apply. Each prefix is evaluated
-// root-to-leaf, each followed by a burst of sons, then the full trace
-// twice more — the session-frame hit, adopt and reload paths all fire,
-// the same access pattern the solver's limit checks and expand produce.
-// The high nibbles of the event bytes pick how each evaluation runs:
-// View, ViewSon on the trace's parent and last event, Eval, Keep of a
-// View, or KeepIn of a View into one shared Arena. A view is held to
-// Apply at its call, since the session's next call may overwrite it; an
-// owned result is held to Apply again after every later call, so a Keep
-// or KeepIn that leaves anything aliased shows.
+// root-to-leaf, each followed by a burst of sons — the access pattern
+// the solver's limit checks and expand produce — and then the session
+// jumps between ancestors, descendants, a cousin, an unrelated trace and
+// content-equal copies built on a separate spine, so every walk through
+// a common ancestor runs, down to ⊥. The high nibbles of the event bytes
+// pick how each evaluation runs: View, ViewSon on the trace's parent and
+// last event, Eval, Keep of a View, KeepIn of a View into one shared
+// Arena, or the sliced edge check SonLeq, with or without the full
+// view. A view is held to Apply at its call, since the session's next
+// call may overwrite it; an owned result is held to Apply again after
+// every later call, so a Keep or KeepIn that leaves anything aliased
+// shows. The edge check gets a bound above f of the parent — each
+// component f(u)'s, f(u·e)'s, or f(u)'s extended by a value — and its
+// verdict must be f(u·e) ⊑ bound, its full view f(u·e).
 func FuzzEvalMatchesInterpreter(f *testing.F) {
 	f.Add([]byte{0, 4}, []byte{0, 0, 1, 3})
 	f.Add([]byte{1, 7, 3, 9}, []byte{1, 3, 1, 4, 2, 0})
@@ -96,6 +101,8 @@ func FuzzEvalMatchesInterpreter(f *testing.F) {
 	f.Add([]byte{0, 11, 4, 9, 3}, []byte{0x10, 0x21, 0x30, 0x03, 0x12, 0x34, 0x20, 0x01})
 	f.Add([]byte{0}, []byte{0x30, 0x10, 0x20, 0x30, 0x11, 0x22})
 	f.Add([]byte{1, 7, 3, 9}, []byte{0x41, 0x43, 0x11, 0x44, 0x42, 0x40})
+	f.Add([]byte{0, 1, 4, 3, 9, 5}, []byte{0x51, 0x63, 0x50, 0x64, 0x52, 0x61, 0x55, 0x66})
+	f.Add([]byte{1, 0, 6, 3, 2}, []byte{0x53, 0x51, 0x60, 0x57, 0x65, 0x52, 0x54})
 	f.Fuzz(func(t *testing.T, ops, events []byte) {
 		if len(ops) > 32 {
 			t.Skip("function too deep for the differential budget")
@@ -113,11 +120,14 @@ func FuzzEvalMatchesInterpreter(f *testing.F) {
 		var kept []owned
 		var arena Arena
 		calls := 0
-		eval := func(tr trace.Trace) {
-			mode := 0
-			if len(events) > 0 {
-				mode = int(events[calls%len(events)]>>4) % 5
+		pick := func(k int) int {
+			if len(events) == 0 {
+				return 0
 			}
+			return int(events[k%len(events)] >> 4)
+		}
+		eval := func(tr trace.Trace) {
+			mode := pick(calls) % 7
 			calls++
 			want := tf.Apply(tr)
 			var got fn.Tuple
@@ -133,6 +143,37 @@ func FuzzEvalMatchesInterpreter(f *testing.F) {
 			case mode == 4:
 				got = s.KeepIn(s.View(tr), &arena)
 				kept = append(kept, owned{tr, got, want})
+			case mode >= 5 && tr.Len() > 0:
+				u := tr.Take(tr.Len() - 1)
+				fu := tf.Apply(u)
+				bound := make(fn.Tuple, len(fu))
+				for i := range bound {
+					switch pick(calls+i) % 3 {
+					case 1:
+						if fu[i].Leq(want[i]) {
+							bound[i] = want[i]
+							continue
+						}
+						bound[i] = fu[i]
+					case 2:
+						bound[i] = append(append(seq.Seq(nil), fu[i]...), value.Int(1))
+					default:
+						bound[i] = fu[i]
+					}
+				}
+				full := mode == 6
+				v, ok := s.SonLeq(u, tr.Last(), bound, full)
+				if wantOK := want.Leq(bound); ok != wantOK {
+					t.Fatalf("%s: call %d: edge check %s ⊑ %v says %v, want %v\n%s",
+						tf.Name, calls, tr, bound, ok, wantOK, p.Disasm())
+				}
+				if !ok || !full {
+					if v != nil {
+						t.Fatalf("%s: call %d: edge check returned a view %v it did not complete", tf.Name, calls, v)
+					}
+					return
+				}
+				got = v
 			default:
 				got = s.View(tr)
 			}
@@ -154,6 +195,17 @@ func FuzzEvalMatchesInterpreter(f *testing.F) {
 		}
 		eval(u)
 		eval(u)
+		copied := trace.FromEvents(u.Events())
+		half := u.Take(u.Len() / 2)
+		jumps := []trace.Trace{
+			u, copied, half, copied.Take(u.Len() / 2), trace.Empty,
+			u.Append(sons[0]).Append(sons[2]),
+			half.Append(sons[3]).Append(sons[1]),
+			fuzzTrace(ops),
+		}
+		for k := range events {
+			eval(jumps[int(events[k])%len(jumps)])
+		}
 		for _, k := range kept {
 			if !k.got.Equal(k.want) {
 				t.Fatalf("%s: owned result for %s changed by later calls:\n got %v\nwant %v",

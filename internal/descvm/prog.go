@@ -9,9 +9,10 @@
 // executed by a small VM, with three structural wins the interpreter
 // cannot have:
 //
-//   - one spine walk per parent group: a Session's frames cache the
-//     channel histories of a base trace and extend them in O(1) for each
-//     sibling or son evaluated next — exactly the access pattern of the
+//   - a frame that moves instead of reloading: a Session's frame holds
+//     the channel histories of a base trace and moves to the next base
+//     through their common spine ancestor, in O(1) for each sibling or
+//     son evaluated next — exactly the access pattern of the
 //     breadth-first search, where one g(u) application feeds every son
 //     u·e — instead of re-walking the trace per channel per evaluation;
 //   - common-subexpression elimination: a channel history or a lowered
@@ -25,7 +26,8 @@
 //     into an owned Tuple (one backing array plus the Tuple header),
 //     and Eval is View followed by Keep. Session.ViewSon evaluates a
 //     son u·e by one push on the frame based at u, without building
-//     u·e — the §3.3 edge check as a frame step.
+//     u·e, and Session.SonLeq is the §3.3 edge check as a frame step:
+//     it runs and compares only the components the son's event reaches.
 //
 // A Session is the one way to run a program. Compiled and interpreted
 // evaluation are observably identical — the differential suites (this
@@ -78,18 +80,55 @@ var opNames = map[op]string{
 	opPrepend: "prepend", opZip: "zip", opSeqCall: "call", opBiCall: "call2",
 }
 
+// operands returns how many source registers (b, then c) an op reads.
+func (o op) operands() int {
+	switch o {
+	case opFilter, opMap, opTakeWhile, opPrepend, opSeqCall:
+		return 1
+	case opZip, opBiCall:
+		return 2
+	}
+	return 0
+}
+
 // instr is one register instruction: dst receives the result; a selects
-// the operand table entry; b and c name source registers.
+// the operand table entry; b and c name source registers. Instruction i
+// writes register i.
 type instr struct {
-	op           op
+	op op
+	// need is the set of channels whose events the edge check must run
+	// this instruction for: those reaching an output whose cone holds it
+	// (see Prog.reach).
+	need         chanMask
 	dst, a, b, c uint16
+}
+
+// chanMask is a set of channel-table indices, one bit each, with bit
+// otherChan standing for every channel outside the table. One byte
+// fills the padding after an instr's op, so the mask costs a program no
+// memory; a program reading more channels than it has bits for runs
+// whole for every event (see Prog.reach).
+type chanMask uint8
+
+const (
+	otherChan = 7
+	allChans  = ^chanMask(0)
+)
+
+// chanBit returns the mask bit of channel-table index ci, where ci < 0
+// is a channel outside the table.
+func chanBit(ci int) chanMask {
+	if ci < 0 || ci >= otherChan {
+		return 1 << otherChan
+	}
+	return 1 << ci
 }
 
 // Prog is a compiled description function: a flat instruction sequence
 // over virtual registers, with operand tables for channels, constants
 // and the Go closures of the lowered primitives. A Prog is immutable
 // after Compile, so goroutines may share one: all mutable evaluation
-// state lives in the frames of a Session (eval.go), one per goroutine,
+// state lives in the frame of a Session (eval.go), one per goroutine,
 // never in the Prog.
 type Prog struct {
 	code   []instr
@@ -150,11 +189,10 @@ func (p *Prog) Disasm() string {
 		if p.names[i] != "" {
 			fmt.Fprintf(&b, " %s", p.names[i])
 		}
-		switch ins.op {
-		case opChan, opConst, opOmega:
-		case opFilter, opMap, opTakeWhile, opPrepend, opSeqCall:
+		switch ins.op.operands() {
+		case 1:
 			fmt.Fprintf(&b, " r%d", ins.b)
-		case opZip, opBiCall:
+		case 2:
 			fmt.Fprintf(&b, " r%d r%d", ins.b, ins.c)
 		}
 		b.WriteString("\n")

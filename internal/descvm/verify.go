@@ -9,7 +9,8 @@ import (
 // Verify statically checks a compiled program's well-formedness: every
 // opcode is known, every operand-table index is in bounds for its
 // opcode, every source register is defined before it is read, every
-// register is written exactly once, every output register is written
+// register is written exactly once, by the instruction of its own
+// index, every output register is written
 // and in range, constant-stability marks sit only on constant loads,
 // and the soloChan fast-path claim matches the program shape.
 //
@@ -42,6 +43,11 @@ func Verify(p *Prog) error {
 		}
 		if written[ins.dst] {
 			return fmt.Errorf("descvm: verify: instr %d rewrites r%d", i, ins.dst)
+		}
+		if int(ins.dst) != i {
+			// The edge check's need masks are read per output register
+			// as the mask of the instruction of that index.
+			return fmt.Errorf("descvm: verify: instr %d writes r%d, not r%d", i, ins.dst, i)
 		}
 		readsB, readsC := false, false
 		var table string

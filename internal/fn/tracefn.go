@@ -296,60 +296,6 @@ func (f TraceFn) IndependentOf(chans ...string) bool {
 	return true
 }
 
-// CheckTraceFnMonotone verifies f(u) ⊑ f(v) along the prefix chain of
-// every sample trace (u ranging over all prefixes of v). Prefix chains
-// are the only ascending chains that matter in the trace cpo.
-func CheckTraceFnMonotone(f TraceFn, samples []trace.Trace) error {
-	for _, t := range samples {
-		whole := f.Apply(t)
-		prev := f.Apply(trace.Empty)
-		if len(prev) != f.Out {
-			return fmt.Errorf("fn: %s declares Out=%d but returned width %d", f.Name, f.Out, len(prev))
-		}
-		for n := 1; n <= t.Len(); n++ {
-			cur := f.Apply(t.Take(n))
-			if !prev.Leq(cur) {
-				return fmt.Errorf("fn: %s not monotone on prefixes of %s at length %d", f.Name, t, n)
-			}
-			prev = cur
-		}
-		if !prev.Equal(whole) {
-			return fmt.Errorf("fn: %s: chain lub mismatch on %s", f.Name, t)
-		}
-	}
-	return nil
-}
-
-// CheckTraceFnSupport verifies the declared support: f(t) must equal
-// f(t.Project(Support)) on every sample. For ω-approximations (Omega
-// set) the projection legitimately shortens the approximation, so only
-// compatibility f(t↾Support) ⊑ f(t) is required.
-func CheckTraceFnSupport(f TraceFn, samples []trace.Trace) error {
-	for _, t := range samples {
-		whole, onSupport := f.Apply(t), f.Apply(t.Project(f.Support))
-		if f.Omega {
-			if !onSupport.Leq(whole) {
-				return fmt.Errorf("fn: %s (ω) output on support projection of %s is not an approximation of the full output", f.Name, t)
-			}
-			continue
-		}
-		if !whole.Equal(onSupport) {
-			return fmt.Errorf("fn: %s reads outside its declared support %v on %s", f.Name, f.Support.Names(), t)
-		}
-	}
-	return nil
-}
-
-// CheckTraceFnGrowth verifies the declared growth bound on the samples.
-func CheckTraceFnGrowth(f TraceFn, samples []trace.Trace) error {
-	for _, t := range samples {
-		if err := CheckOutputGrowth(f, t, f.Apply(t)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // CheckOutputGrowth verifies the declared growth bound on one output,
 // out = f.Apply(t), for callers that already hold it.
 func CheckOutputGrowth(f TraceFn, t trace.Trace, out Tuple) error {

@@ -21,23 +21,24 @@ type DeltaCheckReport struct {
 	// solution (the Theorem 5 image).
 	Matched int
 	// BeyondHorizon counts fresh solutions whose Theorem 6 witness is
-	// longer than the session's depth bound: real solutions of the
+	// longer than the delta's depth bound: real solutions of the
 	// eliminated system whose originals lie beyond the session's horizon,
 	// the one legitimate way projected ⊊ fresh.
 	BeyondHorizon int
 }
 
 // DeltaCheck is the differential guard on Delta: it solves the
-// eliminated system fresh at the session's depth and verifies that
-// checkpoint and result reuse cannot have changed Solutions —
+// eliminated system fresh at the depth the delta was taken at (the
+// session may have deepened since) and verifies that checkpoint and
+// result reuse cannot have changed Solutions —
 //
 //   - Theorem 5 direction: every projected session solution is a fresh
 //     solution of the eliminated system;
 //   - Theorem 6 direction: every fresh solution not in the projection
 //     lifts, by the theorem's explicit chain construction, to a smooth
-//     solution of the original system that is longer than the session's
-//     depth bound (witnesses within the bound would mean the session
-//     missed a solution).
+//     solution of the original system that is longer than that depth
+//     bound (witnesses within the bound would mean the session missed a
+//     solution).
 //
 // Any violation is returned as an error; a nil error certifies the
 // delta-solve's Solutions against the from-scratch answer.
@@ -47,7 +48,7 @@ func (s *Session) DeltaCheck(ctx context.Context, d DeltaResult) (DeltaCheckRepo
 		s.mu.Unlock()
 		return DeltaCheckReport{}, fmt.Errorf("session: delta check before the first solve")
 	}
-	depth := s.cp.MaxDepth()
+	depth := d.Depth
 	base := s.p
 	orig := s.sys
 	s.mu.Unlock()
@@ -84,7 +85,7 @@ func (s *Session) DeltaCheck(ctx context.Context, d DeltaResult) (DeltaCheckRepo
 			return rep, fmt.Errorf("session: fresh solution %s of %s does not lift (Theorem 6): %w", sc, d.System.Name, err)
 		}
 		if w.Len() <= depth {
-			return rep, fmt.Errorf("session: fresh solution %s lifts to %s within the session depth %d, yet the session's projection misses it — the delta reuse is unsound", sc, w, depth)
+			return rep, fmt.Errorf("session: fresh solution %s lifts to %s within the delta's depth %d, yet the session's projection misses it — the delta reuse is unsound", sc, w, depth)
 		}
 		rep.BeyondHorizon++
 	}

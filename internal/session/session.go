@@ -233,6 +233,10 @@ type DeltaResult struct {
 	// FromNodes is the session's commit pointer at delta time — the
 	// search work the projection reused instead of redoing.
 	FromNodes int
+	// Depth is the session's depth bound at delta time, the bound of the
+	// solutions projected: DeltaCheck solves the eliminated system to it,
+	// since the session may have deepened since.
+	Depth int
 }
 
 // Delta answers a Theorem 5/6 variable elimination from retained state:
@@ -270,6 +274,7 @@ func (s *Session) Delta(idx int, b string) (DeltaResult, error) {
 		Solutions: projected,
 		Distinct:  len(projected),
 		FromNodes: s.cp.Nodes(),
+		Depth:     s.cp.MaxDepth(),
 	}, nil
 }
 

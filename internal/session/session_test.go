@@ -206,6 +206,23 @@ func TestSessionDelta(t *testing.T) {
 	if rep.FreshNodes == 0 {
 		t.Fatal("delta check reports an empty fresh solve")
 	}
+	// A session deepening between a delta and its check does not
+	// invalidate the delta: the check solves to the depth the projection
+	// was taken at.
+	shallow := dfmSession(t)
+	if _, _, err := shallow.Solve(ctx, Options{Depth: 1}); err != nil {
+		t.Fatal(err)
+	}
+	d1, err := shallow.Delta(2, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := shallow.Solve(ctx, Options{Depth: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := shallow.DeltaCheck(ctx, d1); err != nil {
+		t.Fatalf("delta check after deepening: %v", err)
+	}
 
 	// A non-defining index must be rejected by the elimination conditions.
 	if _, err := s.Delta(0, "d"); err == nil {

@@ -60,24 +60,15 @@ var ErrCorrupt = errors.New("solver: corrupt checkpoint")
 
 // appendRecord appends a committed node's shape record to b: its son
 // count and solution bit in one varint, then each son's flat candidate
-// index. expand admits sons in candidate order, so one pass over the
-// candidates finds every index.
-func (s *search) appendRecord(b []byte, solution bool, sons []node) []byte {
+// index, as expand recorded them.
+func appendRecord(b []byte, solution bool, sons []int) []byte {
 	head := uint64(len(sons)) << 1
 	if solution {
 		head |= 1
 	}
 	b = binary.AppendUvarint(b, head)
-	flat := 0
-	for ci := range s.cands {
-		c := &s.cands[ci]
-		for i := 0; i < len(c.es) && len(sons) > 0; i++ {
-			if e := sons[0].t.Last(); e.Ch == c.ch && e.Val.Equal(c.es[i].Val) {
-				b = binary.AppendUvarint(b, uint64(flat+i))
-				sons = sons[1:]
-			}
-		}
-		flat += len(c.es)
+	for _, i := range sons {
+		b = binary.AppendUvarint(b, uint64(i))
 	}
 	return b
 }
@@ -232,20 +223,26 @@ func (cp *Checkpoint) replay(r *reader, n int, claimed SearchStats) (Result, err
 	cp.frontier = make([]frontierEntry, 0, size(claimed.Frontier, n))
 	// retained holds every frontier node's sons, each node's a window.
 	retained := make([]node, 0, size(claimed.RetainedSons, len(r.b)))
+	// Every replayed node but ⊥ is a son: the committed ones, the
+	// retained ones and the pending ones. Their trace nodes come from
+	// one block, which keeps decode well under the capture's cost.
+	s.slab.Reserve(size(claimed.Visited+claimed.RetainedSons, len(r.b)))
+	// order is the BFS work list: ⊥, then every son a record queues, in
+	// the order they are built; next is the node the next record commits.
+	order := make([]trace.Trace, 1, size(claimed.Visited, len(r.b))+1)
+	next := 0
 	st := &res.Stats
-	var q queue
-	q.push(node{t: root})
 	for ; n > 0; n-- {
 		head := r.uvarint()
-		cur, ok := q.pop()
 		if r.err != nil {
 			return res, r.err
 		}
-		if !ok || head>>1 > uint64(s.fanout) {
+		if next == len(order) || head>>1 > uint64(s.fanout) {
 			return res, fmt.Errorf("record %d (head %#x) past the tree or its fan-out %d: %w", st.Visited, head, s.fanout, ErrCorrupt)
 		}
 		sons, solution := int(head>>1), head&1 == 1
-		u := cur.t
+		u := order[next]
+		next++
 		frontier := u.Len() >= s.p.MaxDepth
 		first := len(retained)
 		for k, prev := 0, -1; k < sons; k++ {
@@ -262,7 +259,7 @@ func (cp *Checkpoint) replay(r *reader, n int, claimed SearchStats) (Result, err
 			if frontier {
 				retained = append(retained, node{t: v})
 			} else {
-				q.push(node{t: v})
+				order = append(order, v)
 			}
 		}
 		st.Visited++
@@ -285,7 +282,9 @@ func (cp *Checkpoint) replay(r *reader, n int, claimed SearchStats) (Result, err
 			st.RetainedSons += sons
 		}
 	}
-	cp.pending = q.drain()
+	for _, t := range order[next:] {
+		cp.pending = append(cp.pending, node{t: t})
+	}
 	return res, nil
 }
 

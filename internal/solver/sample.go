@@ -75,14 +75,14 @@ walks:
 				res.Canceled = true
 				break walks
 			}
-			gu, ok := s.limit(cur)
+			gu, ok, below := s.limit(cur)
 			if ok {
 				res.Solutions[cur.t.String()] = cur.t
 			}
 			if depth >= opts.MaxDepth {
 				break
 			}
-			sons := s.expand(cur.t, gu, s.sonBuf[:0])
+			sons := s.expand(cur.t, gu, below, s.sonBuf[:0])
 			if len(sons) == 0 {
 				break
 			}

@@ -225,7 +225,7 @@ type search struct {
 	// fsess and gsess evaluate the two sides' bytecode when the side
 	// lowers; nil selects the interpreter for that side. They live as
 	// long as the search, so a checkpoint's later legs find their VM
-	// frames warm.
+	// frames where the last leg left them.
 	fsess, gsess *descvm.Session
 	// st is where the running walk counts every limit check, edge and
 	// evaluation: run points it at its leg's Result.Stats and clears it
@@ -254,6 +254,17 @@ type search struct {
 	// consumer copies the sons into its queue before the next expand
 	// reuses the slots.
 	sonBuf []node
+	// kept is the chunk a capture carves its depth-bound nodes' sons
+	// from, which the resume frontier retains: each node's sons are a
+	// capacity-clipped window of it, and a full chunk is left to the
+	// windows already carved and replaced by one twice its size, up to
+	// keptMax.
+	kept []node
+	// sonIdx holds the flat candidate indices (over Channels × Alphabet)
+	// of the sons the last expand admitted, in order, for the shape
+	// record a capture leg commits. It stays nil, and expand records
+	// nothing, until a capture leg runs.
+	sonIdx []int
 	// slab holds the trace nodes of admitted sons. Every tree node
 	// stays reachable from the Result — a leaf is a solution, a dead
 	// leaf or a frontier node, and every interior node lies on a leaf's
@@ -391,6 +402,24 @@ func (s *search) g(u trace.Trace) fn.Tuple {
 	return apply(s.p.D.G, s.gsess, u, nil, nil, &s.st.Eval.GNanos)
 }
 
+// edge is the §3.3 edge check f(u·e) ⊑ g(u), given gu = g(u), counted
+// as one application of f. It returns the verdict and, when full is set
+// and the son is admitted, f(u·e) as apply returns it; son is as for
+// apply. below reports f(u) ⊑ g(u): at such a node a side on bytecode
+// takes the sliced check (descvm.Session.SonLeq), which evaluates and
+// compares only the components e's channel reaches. Every other
+// component of f(u·e) is f(u)'s, so the verdict is the full check's.
+// Elsewhere — at ⊥ when the induction base fails, below a g that is not
+// monotone, and on the interpreter — the whole of f(u·e) is compared.
+func (s *search) edge(u trace.Trace, e *trace.Event, gu fn.Tuple, below, full bool, son *trace.Trace) (fn.Tuple, bool) {
+	if s.fsess == nil || !below {
+		v := s.f(u, e, son)
+		return v, v.Leq(gu)
+	}
+	s.st.Eval.FApplies++
+	return s.fsess.SonLeq(u, *e, gu, full)
+}
+
 // Enumerate explores the Section 3.3 tree breadth-first to the problem's
 // bounds and classifies every visited node. Each node's f and g are
 // applied at most once: f(v) when its parent's edge check admits it,
@@ -460,6 +489,9 @@ func (s *search) run(ctx context.Context, res *Result, q *queue, cp *Checkpoint)
 	s.st = st
 	begin := time.Now()
 	st.Thm1FastPath = s.thm1
+	if cp != nil && s.sonIdx == nil {
+		s.sonIdx = make([]int, 0, s.fanout)
+	}
 	for !q.empty() {
 		canceled := ctx.Err() != nil
 		if canceled || (p.MaxNodes > 0 && res.Nodes >= p.MaxNodes) {
@@ -485,31 +517,32 @@ func (s *search) run(ctx context.Context, res *Result, q *queue, cp *Checkpoint)
 
 // step visits one node and commits it. The visit decides the limit
 // condition and whether the node has a son — expanding it below the
-// depth bound (into sonBuf) or, in capture mode, at the bound (into
-// fresh slots the resume frontier retains), and probing with hasSon
-// otherwise; g(cur) goes from the limit check to the expansion. The
-// commit folds the node into the result in canonical order — node and
-// level counts, solution (streamed through OnSolution), role, and in
-// capture mode the node's shape record and the retained frontier — and
-// step returns the sons the queue must take (none at the depth bound).
+// depth bound (into sonBuf) or, in capture mode, at the bound (into a
+// window of the kept chunk, which the resume frontier retains), and
+// probing with hasSon otherwise; g(cur) and whether f(cur) ⊑ g(cur) go
+// from the limit check to the expansion. The commit folds the node into
+// the result in canonical order — node and level counts, solution
+// (streamed through OnSolution), role, and in capture mode the node's
+// shape record and the retained frontier — and step returns the sons
+// the queue must take (none at the depth bound).
 func (s *search) step(res *Result, cp *Checkpoint, cur node) []node {
 	u := cur.t
-	gu, solution := s.limit(cur)
+	gu, solution, below := s.limit(cur)
 	var sons []node
 	var hasSon bool
 	switch {
 	case u.Len() < s.p.MaxDepth:
-		sons = s.expand(u, gu, s.sonBuf[:0])
+		sons = s.expand(u, gu, below, s.sonBuf[:0])
 	case cp != nil:
-		sons = s.expand(u, gu, nil)
+		sons = s.expandKept(u, gu, below)
 	default:
-		hasSon = s.hasSon(u, gu)
+		hasSon = s.hasSon(u, gu, below)
 	}
 	hasSon = hasSon || len(sons) > 0
 
 	st := s.st
 	if cp != nil {
-		cp.tree = s.appendRecord(cp.tree, solution, sons)
+		cp.tree = appendRecord(cp.tree, solution, s.sonIdx)
 	}
 	res.Nodes++
 	st.Visited++
@@ -544,14 +577,21 @@ func (s *search) step(res *Result, cp *Checkpoint, cur node) []node {
 }
 
 // limit evaluates the limit condition f = g at n and returns g of it,
-// which the node's expansion reads again. Every node reached is
-// reachable only through smooth edges, so the limit condition alone
-// decides whether it is a smooth solution. f comes from n when its
-// parent's edge check carried it, and the root takes both sides from
-// the induction-base check when that ran; each such read counts as a
-// hit. Applied values are views: f(n) dies here, and g(n) lives through
-// n's expansion, which evaluates only f, on the other session.
-func (s *search) limit(n node) (fn.Tuple, bool) {
+// which the node's expansion reads again, together with whether
+// f(n) ⊑ g(n), which licenses the sliced edge check at n's sons (see
+// edge). Every node reached is reachable only through smooth edges, so
+// the limit condition alone decides whether it is a smooth solution. f
+// comes from n when its parent's edge check carried it, and the root
+// takes both sides from the induction-base check when that ran; each
+// such read counts as a hit. Applied values are views: f(n) dies here,
+// and g(n) lives through n's expansion, which evaluates only f, on the
+// other session.
+//
+// With a monotone g, f ⊑ g fails only at ⊥, when the induction base
+// does: an admitted son v of u has f(v) ⊑ g(u) ⊑ g(v). Testing it per
+// node keeps the tree exact below a g that is not monotone too, and
+// costs nothing at a solution, where f = g.
+func (s *search) limit(n node) (gu fn.Tuple, solution, below bool) {
 	s.st.LimitChecks++
 	fu := n.f
 	if fu != nil {
@@ -559,15 +599,35 @@ func (s *search) limit(n node) (fn.Tuple, bool) {
 	} else {
 		fu = s.f(n.t, nil, nil)
 	}
-	var gu fn.Tuple
 	if n.t.Len() == 0 && s.g0 != nil {
 		s.st.Eval.GHits++
 		gu = s.g0
 	} else {
 		gu = s.g(n.t)
 	}
-	return gu, fu.Equal(gu)
+	solution = fu.Equal(gu)
+	return gu, solution, solution || fu.Leq(gu)
 }
+
+// expandKept is expand for a capture's depth-bound node, whose sons the
+// resume frontier retains: it appends them to the kept chunk, first
+// starting a fresh chunk when fewer than fanout slots are left, and
+// returns them as a window of the chunk whose capacity is clipped to
+// its length.
+func (s *search) expandKept(u trace.Trace, gu fn.Tuple, below bool) []node {
+	if cap(s.kept)-len(s.kept) < s.fanout {
+		s.kept = make([]node, 0, max(s.fanout, min(2*cap(s.kept), keptMax)))
+	}
+	n := len(s.kept)
+	s.kept = s.expand(u, gu, below, s.kept)
+	return s.kept[n:len(s.kept):len(s.kept)]
+}
+
+// keptMax caps the size of the kept chunks, which double from the
+// fan-out: a capture's unused chunk tail stays retained with its
+// frontier, so the cap bounds that waste to a few KB, about what a
+// slice of fanout slots per frontier node wastes on a small capture.
+const keptMax = 64
 
 // expand generates the smooth sons of u, given gu = g(u) from u's limit
 // check: g is never re-applied here, and the check's reuse of it is
@@ -579,14 +639,18 @@ func (s *search) limit(n node) (fn.Tuple, bool) {
 // of the unpruned tree cut before any of it is built, so on bytecode it
 // allocates nothing.
 //
-// dst, when non-nil, supplies the son slots (the search's reusable
-// buffer); callers that retain the returned slice past the next expand —
-// a capture's resume frontier — must pass nil.
-func (s *search) expand(u trace.Trace, gu fn.Tuple, dst []node) []node {
+// below reports f(u) ⊑ g(u), from the limit check: it licenses the
+// sliced edge check (see edge). expand appends the sons to dst, which
+// must have room for fanout more — the search's reusable buffer, or the
+// kept chunk for sons a capture retains (see expandKept) — and returns
+// it.
+func (s *search) expand(u trace.Trace, gu fn.Tuple, below bool, dst []node) []node {
 	st := s.st
 	sons := dst
+	s.sonIdx = s.sonIdx[:0]
 	lvl := st.level(u.Len() + 1)
 	guRead := false
+	flat := 0
 	for ci := range s.cands {
 		// Fast path (Theorem 1): a channel outside supp(f) means
 		// f(u·e) = f(u), and f(u) ⊑ g(u) holds at every admitted node, so
@@ -604,22 +668,24 @@ func (s *search) expand(u trace.Trace, gu fn.Tuple, dst []node) []node {
 					st.Eval.GHits++
 					guRead = true
 				}
-				if v.f = s.f(u, &c.es[i], &v.t); !v.f.Leq(gu) {
+				f, ok := s.edge(u, &c.es[i], gu, below, true, &v.t)
+				if !ok {
 					st.SubtreesPruned++
 					lvl.Pruned++
 					continue
 				}
-				v.f = keep(s.fsess, v.f)
+				v.f = keep(s.fsess, f)
 			}
 			st.EdgesKept++
 			if v.t.IsEmpty() {
 				v.t = s.slab.AppendPrehashed(u, c.es[i], c.hs[i])
 			}
-			if sons == nil {
-				sons = make([]node, 0, s.fanout)
-			}
 			sons = append(sons, v)
+			if s.sonIdx != nil {
+				s.sonIdx = append(s.sonIdx, flat+i)
+			}
 		}
+		flat += len(c.es)
 	}
 	return sons
 }
@@ -630,7 +696,7 @@ func (s *search) expand(u trace.Trace, gu fn.Tuple, dst []node) []node {
 // counted separately since it is never enqueued, so hasSon builds no
 // candidate's trace. A Theorem-1 auto-admitted candidate is an
 // immediate witness.
-func (s *search) hasSon(u trace.Trace, gu fn.Tuple) bool {
+func (s *search) hasSon(u trace.Trace, gu fn.Tuple, below bool) bool {
 	st := s.st
 	lvl := st.level(u.Len() + 1)
 	guRead := false
@@ -649,7 +715,7 @@ func (s *search) hasSon(u trace.Trace, gu fn.Tuple) bool {
 				guRead = true
 			}
 			var v trace.Trace
-			if s.f(u, &c.es[i], &v).Leq(gu) {
+			if _, ok := s.edge(u, &c.es[i], gu, below, false, &v); ok {
 				st.FrontierWitnesses++
 				return true
 			}
@@ -736,14 +802,14 @@ func CheckInduction(ctx context.Context, p Problem, phi func(trace.Trace) bool) 
 		// anywhere in the walk take precedence, matching the rule's
 		// reading (an unsound conclusion only matters once the premises
 		// are discharged).
-		gu, solution := s.limit(n)
+		gu, solution, below := s.limit(n)
 		if unsound == nil && solution && !phi(u) {
 			unsound = fmt.Errorf("solver: induction rule unsound?! φ fails on smooth solution %s", u)
 		}
 		if u.Len() >= p.MaxDepth {
 			continue
 		}
-		for _, v := range s.expand(u, gu, s.sonBuf[:0]) {
+		for _, v := range s.expand(u, gu, below, s.sonBuf[:0]) {
 			if err := p.D.InductionPremise(phi, u, v.t); err != nil {
 				return err
 			}

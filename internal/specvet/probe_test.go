@@ -86,12 +86,15 @@ func refContracts(f *eqlang.File, p *eqlang.Program, samples []trace.Trace) []Di
 					Hint:    "the declared support feeds Theorem 1 and elimination checks; fix the combinator's Support",
 				})
 			}
-			if err := fn.CheckTraceFnGrowth(s.tf, samples); err != nil {
-				ds = append(ds, Diagnostic{
-					Rule: "growth-bound", Severity: SevError,
-					Line: stmt.Line, Col: stmt.Col,
-					Message: fmt.Sprintf("%s: %s side: %v", d.Name, s.name, err),
-				})
+			for _, tr := range samples {
+				if err := fn.CheckOutputGrowth(s.tf, tr, s.tf.Apply(tr)); err != nil {
+					ds = append(ds, Diagnostic{
+						Rule: "growth-bound", Severity: SevError,
+						Line: stmt.Line, Col: stmt.Col,
+						Message: fmt.Sprintf("%s: %s side: %v", d.Name, s.name, err),
+					})
+					break
+				}
 			}
 		}
 	}

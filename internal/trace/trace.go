@@ -129,25 +129,6 @@ func (t Trace) Events() []Event {
 	return out
 }
 
-// AppendEvents appends the events of t in order to dst and returns the
-// extended slice — the buffer-reusing variant of Events for hot paths
-// (the descvm frame loader) that would otherwise allocate a fresh slice
-// per spine walk.
-func (t Trace) AppendEvents(dst []Event) []Event {
-	base, n := len(dst), t.Len()
-	if cap(dst) < base+n {
-		grown := make([]Event, base+n)
-		copy(grown, dst)
-		dst = grown
-	} else {
-		dst = dst[:base+n]
-	}
-	for c := t.end; c != nil; c = c.parent {
-		dst[base+c.n-1] = c.ev
-	}
-	return dst
-}
-
 // spineEqual reports whether the traces ending at a and b (of equal
 // length) are event-wise equal. Shared structure short-circuits: the walk
 // stops at the first common spine node, so comparing a trace against one
@@ -161,6 +142,11 @@ func spineEqual(a, b *node) bool {
 	}
 	return true
 }
+
+// Same reports whether t and u end at the same spine node: O(1), and
+// the test a walk to two traces' common ancestor stops at. Equal traces
+// built on separate spines are not Same.
+func (t Trace) Same(u Trace) bool { return t.end == u.end }
 
 // Equal reports event-wise equality.
 func (t Trace) Equal(u Trace) bool {
@@ -233,6 +219,15 @@ const (
 type Slab struct {
 	free []node // the current block's unused tail
 	size int    // the current block's size
+}
+
+// Reserve gives the slab room for n more nodes in one block, for a
+// caller that knows how many it will append: one allocation where
+// blocks of at most slabMax nodes would take many.
+func (s *Slab) Reserve(n int) {
+	if n > len(s.free) {
+		s.free = make([]node, n)
+	}
 }
 
 // AppendPrehashed is Trace.AppendPrehashed with the new node carved from

@@ -5,8 +5,9 @@
 // BENCH_store.json; a >10% regression in allocs/op, or in time/op
 // outside the legs that only same-run ratios time (ratioTimed),
 // fails the build, and so does a same-run ratio over its bar (compiled
-// kahn-buffer, resume vs cold, a no-cache solve through smoothd's
-// handler vs its search, checkpoint encode and decode vs capture).
+// kahn-buffer, compiled vs interpreted dfm-0, resume vs cold, a
+// no-cache solve through smoothd's handler vs its search, checkpoint
+// encode and decode vs capture).
 // Without the env var the gate skips — timing on developer machines is
 // not a signal.
 //
@@ -79,13 +80,14 @@ func measure(names []string, w map[string]func(b *testing.B)) []perfEntry {
 }
 
 // solverWorkloads are the enumerate benchmarks the gate tracks — the
-// two specs with the deepest trees among the shipped examples, each
-// interpreted and compiled (the descvm acceptance workloads). Every leg
-// but enumerate runs on bytecode, as every side that lowers does.
+// two specs with the deepest trees among the shipped examples, and the
+// generated dfm instance whose edge checks are the search's main cost,
+// each interpreted and compiled (the descvm acceptance workloads). Every
+// leg but enumerate runs on bytecode, as every side that lowers does.
 func solverWorkloads(t *testing.T) map[string]func(b *testing.B) {
 	t.Helper()
 	out := map[string]func(b *testing.B){}
-	for _, spec := range []string{"kahn-buffer.eq", "fig4-brock-ackermann.eq"} {
+	for _, spec := range []string{"kahn-buffer.eq", "fig4-brock-ackermann.eq", "generated/dfm-0.eq"} {
 		src, err := os.ReadFile(filepath.Join("specs", spec))
 		if err != nil {
 			t.Fatal(err)
@@ -419,13 +421,15 @@ func storeWorkloads(t *testing.T) map[string]func(b *testing.B) {
 }
 
 // ratioTimed names the workloads whose time/op only the same-run bars
-// in TestPerfGate bound (the handler and codec bars): their baselines
-// record allocs/op and bytes/op, and no time.
+// in TestPerfGate bound (the dfm-0, handler and codec bars): their
+// baselines record allocs/op and bytes/op, and no time.
 var ratioTimed = map[string]bool{
-	"service/solve-nocache":    true,
-	"codec/checkpoint-capture": true,
-	"codec/checkpoint-encode":  true,
-	"codec/checkpoint-decode":  true,
+	"generated/dfm-0.eq/enumerate":          true,
+	"generated/dfm-0.eq/enumerate-compiled": true,
+	"service/solve-nocache":                 true,
+	"codec/checkpoint-capture":              true,
+	"codec/checkpoint-encode":               true,
+	"codec/checkpoint-decode":               true,
 }
 
 // gate compares one measured workload against its baseline.
@@ -459,6 +463,8 @@ func TestPerfGate(t *testing.T) {
 		"service/solve-nocache",
 		"fig4-brock-ackermann.eq/enumerate",
 		"fig4-brock-ackermann.eq/enumerate-compiled",
+		"generated/dfm-0.eq/enumerate",
+		"generated/dfm-0.eq/enumerate-compiled",
 		"kahn-buffer.eq/resume-deepen",
 		"kahn-buffer.eq/enumerate-d6",
 		"kahn-buffer.eq/stream-first-solution",
@@ -531,6 +537,20 @@ func TestPerfGate(t *testing.T) {
 			t.Errorf("service/solve-nocache: %.0fns/op is %.2fx the %.0fns search, over the 2.50x bar", handler, handler/search, search)
 		} else {
 			t.Logf("service/solve-nocache: %.0fns/op, %.2fx the %.0fns search (bar 2.50x)", handler, handler/search, search)
+		}
+	}
+
+	// The edge-check bar, a same-run ratio: on bytecode, a dfm-0 search
+	// — nine candidate events per node, each reaching one or two of five
+	// components — may cost at most 0.14x the interpreted search. Its
+	// sliced edge check evaluates and compares only what an event
+	// reaches, where the interpreter applies the whole left side.
+	{
+		interp, compiled := solverByName["generated/dfm-0.eq/enumerate"].NsPerOp, solverByName["generated/dfm-0.eq/enumerate-compiled"].NsPerOp
+		if compiled > 0.14*interp {
+			t.Errorf("generated/dfm-0.eq/enumerate-compiled: %.0fns/op is %.3fx the %.0fns interpreted search, over the 0.14x bar", compiled, compiled/interp, interp)
+		} else {
+			t.Logf("generated/dfm-0.eq/enumerate-compiled: %.0fns/op, %.3fx the %.0fns interpreted search (bar 0.14x)", compiled, compiled/interp, interp)
 		}
 	}
 
