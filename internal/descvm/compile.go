@@ -16,10 +16,15 @@ import (
 // description — the service's steady state, benchmark loops — from
 // re-lowering per search. Sound because Progs are immutable: every
 // goroutine evaluates one through a Session of its own.
+//
+// The map is sized for progCacheLimit entries up front. Emptying a map
+// keeps its table, so a map grown on demand would grow once per process,
+// about 72 KB of tables, and charge that to whichever calls happened to
+// fill it first.
 var progCache = struct {
 	sync.Mutex
 	m map[*fn.TraceIR]*Prog
-}{m: map[*fn.TraceIR]*Prog{}}
+}{m: make(map[*fn.TraceIR]*Prog, progCacheLimit)}
 
 // progCacheLimit bounds progCache. A long-lived process compiles every
 // description it serves, and fuzzers and property tests construct

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"smoothproc/internal/desc"
+	"smoothproc/internal/descvm"
 	"smoothproc/internal/eqlang"
 	"smoothproc/internal/fn"
 	"smoothproc/internal/netgen"
@@ -146,11 +147,41 @@ func liars() []fn.TraceFn {
 	}
 }
 
-// liarSystem puts each liar on the left of one description, an honest
-// reader of y on the right.
-func liarSystem() (*eqlang.File, *eqlang.Program) {
+// irLiars are five sides that lower to bytecode and break their
+// declared contracts, over channels x and y: each is built by lowering
+// combinators, and then its Support, Growth or Omega is overwritten.
+func irLiars() []fn.TraceFn {
+	nothing := fn.ChanFn("x")
+	nothing.Name, nothing.Support = "ir-reads-x-declares-nothing", trace.NewChanSet()
+	wrong := fn.ChanFn("x")
+	wrong.Name, wrong.Support = "ir-reads-x-declares-y", trace.NewChanSet("y")
+	// Its second component reads y outside the support, and prepends
+	// one element too many for growth 0.
+	width2 := fn.Pair(fn.ChanFn("x"), fn.ApplySeq(fn.PrependFn(value.Int(0)), fn.ChanFn("y")))
+	width2.Name, width2.Support, width2.Growth = "ir-width-2", trace.NewChanSet("x"), 0
+	// An ω-approximation overlaid by x's history, declaring the empty
+	// support of a constant. The overlay is an opaque closure, which the
+	// VM calls: lowering combinators are monotone, and a monotone side
+	// cannot break the ω check.
+	overlay := fn.BiSeqFn{Name: "overlay", Apply: func(a, b seq.Seq) seq.Seq {
+		if b.Len() >= a.Len() {
+			return b
+		}
+		return b.Concat(a.Drop(b.Len()))
+	}}
+	omega := fn.ApplyBi(overlay, fn.OmegaConstFn("zeros", seq.OfInts(0)), fn.ChanFn("x"))
+	omega.Name, omega.Support = "ir-omega", trace.NewChanSet()
+	// An ω-approximation that declares itself exact.
+	exact := fn.OmegaConstFn("ir-omega-declared-exact", seq.OfInts(0))
+	exact.Omega = false
+	return []fn.TraceFn{nothing, wrong, width2, omega, exact}
+}
+
+// liarSystem puts each of the given liars on the left of one
+// description, an honest reader of y on the right.
+func liarSystem(ls []fn.TraceFn) (*eqlang.File, *eqlang.Program) {
 	var ds []desc.Description
-	for _, l := range liars() {
+	for _, l := range ls {
 		ds = append(ds, desc.Description{Name: l.Name, F: l, G: fn.ChanFn("y")})
 	}
 	return liarProgram(map[string][]value.Value{"x": value.Ints(0, 1), "y": value.Ints(0, 1, 2)}, ds...)
@@ -188,9 +219,10 @@ func checkProbe(t *testing.T, name string, f *eqlang.File, p *eqlang.Program, de
 	}
 }
 
-// TestProbeMatchesDefinition holds the one-application probe to the
-// project-and-apply definition on every shipped spec, a check-tier
-// draw and four liars, across caps and depths.
+// TestProbeMatchesDefinition holds the probe, which runs every side
+// that lowers on bytecode, to the interpreted project-and-apply
+// definition on every shipped and generated spec, a check-tier draw,
+// four opaque liars and five that lower, across caps and depths.
 func TestProbeMatchesDefinition(t *testing.T) {
 	type spec struct {
 		name string
@@ -209,9 +241,13 @@ func TestProbeMatchesDefinition(t *testing.T) {
 		}
 		specs = append(specs, spec{name, f, p})
 	}
-	files, err := filepath.Glob(filepath.Join("..", "..", "specs", "*.eq"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no specs found: %v", err)
+	var files []string
+	for _, pattern := range []string{"*.eq", filepath.Join("generated", "*.eq")} {
+		matched, err := filepath.Glob(filepath.Join("..", "..", "specs", pattern))
+		if err != nil || len(matched) == 0 {
+			t.Fatalf("no specs match %s: %v", pattern, err)
+		}
+		files = append(files, matched...)
 	}
 	sort.Strings(files)
 	for _, file := range files {
@@ -228,8 +264,14 @@ func TestProbeMatchesDefinition(t *testing.T) {
 	for _, in := range ins {
 		add(in.Name, in.Source)
 	}
-	f, p := liarSystem()
-	specs = append(specs, spec{"liars", f, p})
+	for _, l := range irLiars() {
+		if _, ok := descvm.Compile(l); !ok {
+			t.Fatalf("%s does not lower", l.Name)
+		}
+	}
+	f, p := liarSystem(liars())
+	irf, irp := liarSystem(irLiars())
+	specs = append(specs, spec{"liars", f, p}, spec{"ir-liars", irf, irp})
 
 	for _, s := range specs {
 		// Pairs that list as many samples list the same ones.
@@ -247,48 +289,91 @@ func TestProbeMatchesDefinition(t *testing.T) {
 	if got := vetDeclaredContracts(f, p, newProbe(p.Alphabet, probeDepth, maxProbeTraces)); len(got) != 5 {
 		t.Errorf("liars: %d findings, want a support-mismatch from each and a growth-bound from width-2:\n%v", len(got), got)
 	}
+	if got := vetDeclaredContracts(irf, irp, newProbe(irp.Alphabet, probeDepth, maxProbeTraces)); len(got) != 6 {
+		t.Errorf("ir-liars: %d findings, want a support-mismatch from each and a growth-bound from ir-width-2:\n%v", len(got), got)
+	}
 }
 
-// TestVetAppliesEachSideOncePerProbe: the contract check applies each
-// side of each description once per probe trace, not three times.
-func TestVetAppliesEachSideOncePerProbe(t *testing.T) {
+// TestContractProbeReachesInterpreterOnlyForOpaqueSides: every side of
+// fairmerge.eq lowers, so the contract check runs them on bytecode and
+// never applies one through the interpreter. Stripped of their IR, the
+// same sides take the fallback loop, which applies each once per probe
+// trace and once more per change of support projection.
+func TestContractProbeReachesInterpreterOnlyForOpaqueSides(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("..", "..", "specs", "fairmerge.eq"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := eqlang.Parse(string(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := eqlang.Compile(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.System.Descs) < 2 {
-		t.Fatalf("want a multi-description spec, got %d descriptions", len(p.System.Descs))
-	}
-	counts := make([]int, 2*len(p.System.Descs))
-	count := func(tf *fn.TraceFn, n *int) {
-		apply := tf.Apply
-		tf.Apply = func(t trace.Trace) fn.Tuple {
-			*n++
-			return apply(t)
+	sideNames := [2]string{"left", "right"}
+	// counted compiles a fresh copy of the spec whose sides count their
+	// interpreted applications, and are stripped of their IR if opaque
+	// is set.
+	counted := func(t *testing.T, opaque bool) (*eqlang.File, *eqlang.Program, []int) {
+		f, err := eqlang.Parse(string(src))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for i := range p.System.Descs {
-		count(&p.System.Descs[i].F, &counts[2*i])
-		count(&p.System.Descs[i].G, &counts[2*i+1])
-	}
-	pr := newProbe(p.Alphabet, probeDepth, maxProbeTraces)
-	if ds := vetDeclaredContracts(f, p, pr); len(ds) != 0 {
-		t.Fatalf("shipped spec breaks a declared contract: %v", ds)
-	}
-	for i, n := range counts {
-		if n != len(pr.traces) {
-			t.Errorf("description %d %s side: %d applications over %d probe traces, want one each",
-				i/2, [2]string{"left", "right"}[i%2], n, len(pr.traces))
+		p, err := eqlang.Compile(f)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(p.System.Descs) < 2 {
+			t.Fatalf("want a multi-description spec, got %d descriptions", len(p.System.Descs))
+		}
+		counts := make([]int, 2*len(p.System.Descs))
+		for i := range p.System.Descs {
+			for s, tf := range []*fn.TraceFn{&p.System.Descs[i].F, &p.System.Descs[i].G} {
+				if _, ok := descvm.Compile(*tf); !ok {
+					t.Fatalf("description %d %s side does not lower", i, sideNames[s])
+				}
+				if opaque {
+					tf.IR = nil
+				}
+				apply, n := tf.Apply, &counts[2*i+s]
+				tf.Apply = func(t trace.Trace) fn.Tuple {
+					*n++
+					return apply(t)
+				}
+			}
+		}
+		return f, p, counts
 	}
+	vet := func(t *testing.T, f *eqlang.File, p *eqlang.Program) *probe {
+		pr := newProbe(p.Alphabet, probeDepth, maxProbeTraces)
+		if ds := vetDeclaredContracts(f, p, pr); len(ds) != 0 {
+			t.Fatalf("shipped spec breaks a declared contract: %v", ds)
+		}
+		return pr
+	}
+
+	t.Run("lowered", func(t *testing.T) {
+		f, p, counts := counted(t, false)
+		vet(t, f, p)
+		for i, n := range counts {
+			if n != 0 {
+				t.Errorf("description %d %s side: %d interpreted applications, want none", i/2, sideNames[i%2], n)
+			}
+		}
+	})
+	t.Run("opaque", func(t *testing.T) {
+		f, p, counts := counted(t, true)
+		pr := vet(t, f, p)
+		for i, d := range p.System.Descs {
+			for s, tf := range [2]fn.TraceFn{d.F, d.G} {
+				pr.project(tf.Support)
+				changes, last := 0, -1
+				for _, j := range pr.proj {
+					if j != last {
+						changes, last = changes+1, j
+					}
+				}
+				if n, want := counts[2*i+s], len(pr.traces)+changes; n != want {
+					t.Errorf("description %d %s side: %d applications over %d probe traces and %d changes of projection, want %d",
+						i, sideNames[s], n, len(pr.traces), changes, want)
+				}
+			}
+		}
+	})
 }
 
 // TestContractFindingsLeftBeforeRight: when both sides of a description
@@ -323,12 +408,19 @@ func TestContractFindingsLeftBeforeRight(t *testing.T) {
 // channel's value count (1–4), the depth (0–4), two bytes of cap
 // (1–300), the declared support's channel mask, the mask of channels
 // the liar reads, and a flags byte (bit 0 ω, bits 1–2 padding, bits 3–4
-// declared growth).
+// declared growth, bit 5 lowered). An opaque liar concatenates the
+// histories it reads and appends its padding; a lowered one, built from
+// lowering combinators so that the probe runs it on bytecode, pairs the
+// histories it reads (an ω constant after them when ω is set), prepends
+// its padding to the first and then overwrites its declared support,
+// growth and ω flag.
 func FuzzProbeProjections(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 3, 1, 43, 1, 3, 0})        // 2×2 events, depth 3, all 85 samples: reads b outside {a}
 	f.Add([]byte{2, 2, 0, 1, 4, 0, 99, 2, 2, 0})     // 6 events, depth 4 cut at 100: honest reader of b
 	f.Add([]byte{1, 3, 1, 2, 0, 20, 2, 3, 1})        // depth 2 cut at 21: ω liar reading a and b, declaring {b}
 	f.Add([]byte{3, 0, 1, 2, 3, 3, 1, 0, 15, 5, 12}) // 10 events, depth 3 cut at 257: two pads over growth 1
+	f.Add([]byte{1, 1, 1, 3, 1, 43, 1, 3, 32})       // the first seed's lie, lowered
+	f.Add([]byte{1, 1, 2, 3, 1, 43, 2, 3, 45})       // lowered ω, declaring {b}, two pads over growth 1
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pos := 0
 		next := func() int {
@@ -362,7 +454,7 @@ func FuzzProbeProjections(f *testing.F) {
 		flags := next()
 		pad := flags >> 1 & 3
 		liar := fn.TraceFn{
-			Name: "liar", Out: 1, Support: support, Growth: flags >> 3 & 3, Omega: flags&1 != 0,
+			Out: 1,
 			Apply: func(t trace.Trace) fn.Tuple {
 				var out seq.Seq
 				for _, ch := range chans {
@@ -376,6 +468,28 @@ func FuzzProbeProjections(f *testing.F) {
 				return fn.Tuple{out}
 			},
 		}
+		if flags&32 != 0 {
+			var parts []fn.TraceFn
+			for _, ch := range chans {
+				if reads[ch] {
+					parts = append(parts, fn.ChanFn(ch))
+				}
+			}
+			if flags&1 != 0 {
+				parts = append(parts, fn.OmegaConstFn("nines", seq.OfInts(9)))
+			}
+			if len(parts) == 0 {
+				parts = append(parts, fn.ConstTraceFn(seq.Empty))
+			}
+			if pad > 0 {
+				parts[0] = fn.ApplySeq(fn.PrependFn(seq.Repeat(seq.OfInts(9), pad)...), parts[0])
+			}
+			liar = fn.Pair(parts...)
+			if _, ok := descvm.Compile(liar); !ok {
+				t.Fatal("lowered liar does not lower")
+			}
+		}
+		liar.Name, liar.Support, liar.Growth, liar.Omega = "liar", support, flags>>3&3, flags&1 != 0
 		file, p := liarProgram(alphabet, desc.Description{Name: "d", F: liar, G: fn.ChanFn(chans[0])})
 		checkProbe(t, "fuzz", file, p, depth, max, refProbeTraces(alphabet, depth, max))
 	})

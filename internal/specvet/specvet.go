@@ -28,6 +28,7 @@ import (
 	"strings"
 
 	"smoothproc/internal/desc"
+	"smoothproc/internal/descvm"
 	"smoothproc/internal/eqlang"
 	"smoothproc/internal/fn"
 	"smoothproc/internal/specplan"
@@ -364,9 +365,10 @@ func hasLinearFixpoint(vals []value.Value, a, b int64) bool {
 // argument, so equality would false-positive; a side actually reading a
 // channel outside its support disagrees in content, which ⊑ catches.
 //
-// Each side is applied once per sample: the projection of a sample onto
-// the side's support is itself a sample (see probe.project), so both
-// checks read outputs the probe already holds.
+// A side that lowers runs on the descvm bytecode the search compiles for
+// it, so the contract checked is the one the search relies on: one
+// session views every sample, and another the sample's support
+// projection, which is itself a sample (see probe.project).
 func vetDeclaredContracts(f *eqlang.File, p *eqlang.Program, pr *probe) []Diagnostic {
 	var ds []Diagnostic
 	for i, d := range p.System.Descs {
@@ -405,30 +407,39 @@ func vetDeclaredContracts(f *eqlang.File, p *eqlang.Program, pr *probe) []Diagno
 type probe struct {
 	traces []trace.Trace
 	events []trace.Event
-	// out and proj hold one side's outputs and support projections,
-	// reused from side to side.
-	out  []fn.Tuple
+	// proj holds one side's support projections, reused from side to
+	// side.
 	proj []int
 }
 
 // newProbe lists the samples breadth-first up to the given depth,
-// capped at max traces.
+// capped at max traces. Their spine nodes come from one slab block,
+// and each event is hashed once.
 func newProbe(alphabet map[string][]value.Value, depth, max int) *probe {
-	p := &probe{traces: make([]trace.Trace, 1, max)}
+	p := &probe{}
 	for _, c := range sortedKeys(alphabet) {
 		for _, v := range alphabet[c] {
 			p.events = append(p.events, trace.E(c, v))
 		}
 	}
-	for k, n := 1, len(p.events); k < max && n > 0; k++ {
-		parent := p.traces[(k-1)/n]
-		if parent.Len() == depth {
-			break
-		}
-		p.traces = append(p.traces, parent.Append(p.events[(k-1)%n]))
+	n := len(p.events)
+	count := 1
+	for d, level := 0, 1; d < depth && count < max && n > 0; d++ {
+		level = min(level*n, max)
+		count = min(count+level, max)
 	}
-	p.out = make([]fn.Tuple, len(p.traces))
-	p.proj = make([]int, len(p.traces))
+	hashes := make([]uint64, n)
+	for e, ev := range p.events {
+		hashes[e] = ev.Hash64()
+	}
+	var slab trace.Slab
+	slab.Reserve(count - 1)
+	p.traces = make([]trace.Trace, 1, count)
+	for k := 1; k < count; k++ {
+		e := (k - 1) % n
+		p.traces = append(p.traces, slab.AppendPrehashed(p.traces[(k-1)/n], p.events[e], hashes[e]))
+	}
+	p.proj = make([]int, count)
 	return p
 }
 
@@ -449,51 +460,69 @@ func (p *probe) project(s trace.ChanSet) {
 	}
 }
 
-// check applies tf once to every sample and returns a description of
-// the first support violation ("" if the side honors its declaration on
-// all samples) and the first growth-bound violation.
+// check runs tf on every sample and returns a description of the first
+// support violation ("" if the side honors its declaration on all
+// samples) and the first growth-bound violation. A side that lowers runs
+// on two descvm sessions: one views the samples in order, the other the
+// support projection of each, and views it again only when the
+// projection changes from the previous sample's. The two views are
+// compared in place, and the growth check reads the first, so nothing is
+// copied. A side that does not lower takes the same loop through
+// tf.Apply.
 func (p *probe) check(tf fn.TraceFn) (string, error) {
-	for k, t := range p.traces {
-		p.out[k] = tf.Apply(t)
+	view, viewProj := tf.Apply, tf.Apply
+	if prog, ok := descvm.Compile(tf); ok {
+		view, viewProj = prog.NewSession().View, prog.NewSession().View
 	}
 	p.project(tf.Support)
-	msg := p.support(tf)
+	var msg string
+	var err error
+	var onSupp fn.Tuple
+	last := -1
 	for k, t := range p.traces {
-		if err := fn.CheckOutputGrowth(tf, t, p.out[k]); err != nil {
-			return msg, err
+		whole := view(t)
+		if err == nil {
+			err = fn.CheckOutputGrowth(tf, t, whole)
+		}
+		if msg == "" {
+			j := p.proj[k]
+			if j != last {
+				onSupp, last = viewProj(p.traces[j]), j
+			}
+			msg = supportViolation(tf, t, p.traces[j], whole, onSupp)
+		}
+		if msg != "" && err != nil {
+			break
 		}
 	}
-	return msg, nil
+	return msg, err
 }
 
-// support compares each sample's output with its support projection's,
-// as check stored them. Exact functions must be invariant under
+// supportViolation compares tf's output on sample t with its output on
+// t's support projection proj. Exact functions must be invariant under
 // projection to their support; ω-approximations (fn.TraceFn.Omega)
 // legitimately shorten under projection, so only compatibility is
 // required of them.
-func (p *probe) support(tf fn.TraceFn) string {
-	for k, t := range p.traces {
-		proj := p.traces[p.proj[k]]
-		whole, onSupp := p.out[k], p.out[p.proj[k]]
-		if tf.Omega {
-			if !onSupp.Leq(whole) {
-				return fmt.Sprintf("ω-approximation on support projection %s does not approximate the output on %s", proj, t)
-			}
-			continue
+func supportViolation(tf fn.TraceFn, t, proj trace.Trace, whole, onSupp fn.Tuple) string {
+	if tf.Omega {
+		if !onSupp.Leq(whole) {
+			return fmt.Sprintf("ω-approximation on support projection %s does not approximate the output on %s", proj, t)
 		}
-		if !whole.Equal(onSupp) {
-			return fmt.Sprintf("output on %s differs from the output on its support projection %s (declared support %v)",
-				t, proj, tf.Support.Names())
-		}
+		return ""
+	}
+	if !whole.Equal(onSupp) {
+		return fmt.Sprintf("output on %s differs from the output on its support projection %s (declared support %v)",
+			t, proj, tf.Support.Names())
 	}
 	return ""
 }
 
 // vetTheorem1 classifies each description — and the combined system the
-// solver actually searches — by Theorem 1's hypothesis supp(f) ∩
-// supp(g) = ∅. Independent descriptions admit the prefix-only
-// smoothness characterization, which the solver exploits whenever the
-// combined description is desc.Description.Thm1Eligible.
+// solver actually searches, the program's memoized Problem().D — by
+// Theorem 1's hypothesis supp(f) ∩ supp(g) = ∅. Independent
+// descriptions admit the prefix-only smoothness characterization, which
+// the solver exploits whenever the combined description is
+// desc.Description.Thm1Eligible.
 func vetTheorem1(f *eqlang.File, p *eqlang.Program) []Diagnostic {
 	var ds []Diagnostic
 	for i, d := range p.System.Descs {
@@ -508,7 +537,7 @@ func vetTheorem1(f *eqlang.File, p *eqlang.Program) []Diagnostic {
 				d.Name, d.F.Support.Names(), d.G.Support.Names()),
 		})
 	}
-	if combined := p.System.Combined(); combined.Independent() {
+	if combined := p.Problem().D; combined.Independent() {
 		first := f.Descs[0]
 		msg := "combined system: supports are disjoint — the solver takes the Theorem 1 fast path"
 		if !combined.Thm1Eligible() {
