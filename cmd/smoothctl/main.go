@@ -512,7 +512,7 @@ func cmdStore(args []string, stdout, stderr io.Writer) int {
 	sub, rest := args[0], args[1:]
 	fs := newFlagSet("store "+sub, stderr)
 	addr := fs.String("addr", "127.0.0.1:8080", "smoothd address")
-	kind := fs.String("kind", "", "blob kind to list: spec, result, checkpoint or session")
+	kind := fs.String("kind", "", "blob kind to list: spec, result or session")
 	maxBytes := fs.Int64("max-bytes", 0, "gc target: delete oldest blobs until at most this many bytes remain")
 	if fs.Parse(rest) != nil {
 		return 2

@@ -241,6 +241,8 @@ type DeltaRequest struct {
 	// Check additionally runs the differential guard: a fresh solve of
 	// the eliminated system, verified against the projection in both
 	// directions (Theorems 5 and 6). The response carries the account.
+	// The fresh solve is a scheduler job under the server's default job
+	// deadline; one that the deadline cuts short answers 409.
 	Check bool `json:"check,omitempty"`
 }
 

@@ -9,7 +9,7 @@ import (
 
 // LRU is a fixed-capacity least-recently-used cache, safe for concurrent
 // use. The service keeps three, all read-through caches in front of the
-// content-addressed store: compiled specs keyed by content hash (the
+// durable store: compiled specs keyed by content hash (the
 // compile-once/run-many split), solve results keyed by
 // (spec-hash, solve-params) so repeat queries skip the tree search
 // entirely, and live solve sessions. Hit and miss counts feed the

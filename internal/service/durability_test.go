@@ -3,9 +3,8 @@ package service
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -162,6 +161,10 @@ func TestRestartDurability(t *testing.T) {
 	resumed := decode[SessionView](t, body)
 	if resumed.Outcome != "resumed" {
 		t.Errorf("post-restart resume outcome = %q, want resumed", resumed.Outcome)
+	}
+	// The spec came back from the store, so nothing wrote it again.
+	if puts := metricValue(t, ts2.URL, "store", "spec puts"); puts != 0 {
+		t.Errorf("post-restart spec puts = %d, want 0", puts)
 	}
 
 	_, tsCtl := newTestServer(t, Config{Workers: 2})
@@ -403,19 +406,17 @@ func TestSessionSurvivesCacheEviction(t *testing.T) {
 	}
 }
 
-// TestUndecodableSessionStartsCold plants persisted session state that
-// cannot be decoded and opens the session over HTTP. In one case the
-// meta record names a checkpoint the version 5 codec wrote; in the other
-// the checkpoint bytes do not hash to the meta's reference. Either way
-// the leg must answer cold, the store section's error count must rise by
-// one, and the state the leg persists must decode.
+// TestUndecodableSessionStartsCold plants a session record that cannot
+// be decoded and opens the session over HTTP: a JSON meta record of
+// version 2, the layout before a session was one record; a record with
+// one shape byte flipped; a truncated record; and the record of another
+// spec, the same buffer under another hash, planted under this spec's
+// hash, whose checkpoint alone would decode. Each time the leg must
+// answer cold, the store section's error count must rise by one, and
+// the record the leg persists must decode.
 func TestUndecodableSessionStartsCold(t *testing.T) {
 	ctx := context.Background()
 	src, err := os.ReadFile(filepath.Join("..", "..", "specs", "kahn-buffer.eq"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v5, err := os.ReadFile(filepath.Join("..", "solver", "testdata", "kahn-buffer-d4-v5.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,35 +426,44 @@ func TestUndecodableSessionStartsCold(t *testing.T) {
 	}
 	hash := specHash(string(src))
 
-	// A real depth-2 leg supplies a meta record to plant.
-	live := session.New(hash, prog.Problem(), prog.System)
-	if _, _, err := live.Solve(ctx, session.Options{Depth: 2}); err != nil {
-		t.Fatal(err)
+	// Real depth-2 legs supply the records to plant.
+	record := func(key string) []byte {
+		t.Helper()
+		live := session.New(key, prog.Problem(), prog.System)
+		if _, _, err := live.Solve(ctx, session.Options{Depth: 2}); err != nil {
+			t.Fatal(err)
+		}
+		data, err := live.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
-	blob, err := live.Encode()
-	if err != nil {
-		t.Fatal(err)
+	own := record(hash)
+	// A checkpoint ends with its check value, a uvarint, whose bytes but
+	// the last have the high bit set; the byte before it is the last of
+	// the shape records.
+	flipped := bytes.Clone(own)
+	i := len(flipped) - 2
+	for flipped[i]&0x80 != 0 {
+		i--
 	}
-	sum := sha256.Sum256(v5)
-	v5Ref := hex.EncodeToString(sum[:])
-	flipped := bytes.Clone(blob.Checkpoint)
-	flipped[len(flipped)/2] ^= 0xff
+	flipped[i] ^= 1
+	v2 := fmt.Sprintf(`{"version":2,"key":%q,"max_depth":2,"max_nodes":500000,"solves":1,"resumes":0,"replays":0,"checkpoint":%q}`,
+		hash, store.KeyOf(own))
 
 	for _, tc := range []struct {
-		name string
-		meta []byte
-		ref  string
-		data []byte
+		name   string
+		record []byte
 	}{
-		{"v5 checkpoint", bytes.Replace(blob.Meta, []byte(blob.CheckpointRef), []byte(v5Ref), 1), v5Ref, v5},
-		{"bytes off their reference", blob.Meta, blob.CheckpointRef, flipped},
+		{"v2 meta", []byte(v2)},
+		{"flipped shape byte", flipped},
+		{"truncated record", own[:len(own)/2]},
+		{"record of another spec", record(specHash(string(src) + "# the same buffer under another hash\n"))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, ts := newTestServer(t, Config{Workers: 1})
-			if err := srv.store.Put(ctx, store.KindCheckpoint, store.Key(tc.ref), tc.data); err != nil {
-				t.Fatal(err)
-			}
-			if err := srv.store.Put(ctx, store.KindSession, store.Key(hash), tc.meta); err != nil {
+			if err := srv.store.Put(ctx, store.KindSession, store.Key(hash), tc.record); err != nil {
 				t.Fatal(err)
 			}
 			before := metricValue(t, ts.URL, "store", "errors")
@@ -469,13 +479,11 @@ func TestUndecodableSessionStartsCold(t *testing.T) {
 				t.Errorf("store errors %d → %d, want one more", before, got)
 			}
 
-			meta, err := srv.store.Get(ctx, store.KindSession, store.Key(hash))
+			data, err := srv.store.Get(ctx, store.KindSession, store.Key(hash))
 			if err != nil {
 				t.Fatal(err)
 			}
-			restored, err := session.Decode(meta, prog.Problem(), prog.System, func(ref string) ([]byte, error) {
-				return srv.store.Get(ctx, store.KindCheckpoint, store.Key(ref))
-			})
+			restored, err := session.Decode(data, hash, prog.Problem(), prog.System)
 			if err != nil {
 				t.Fatalf("the persisted leg does not decode: %v", err)
 			}
@@ -483,5 +491,71 @@ func TestUndecodableSessionStartsCold(t *testing.T) {
 				t.Errorf("persisted leg: depth %d nodes %d, want 4 and %d", restored.Depth(), restored.Nodes(), leg.Nodes)
 			}
 		})
+	}
+}
+
+// TestSessionIsOneRecord: every leg of a session writes one store
+// object, its record under the spec hash, and a restart restores the
+// session from it alone, with the bounds of its latest leg and the
+// live session's counts.
+func TestSessionIsOneRecord(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 1, DataDir: dir}
+	srv1, ts1 := newTestServer(t, cfg)
+	var live SessionView
+	for i, req := range []SessionRequest{
+		{Source: fig4, Depth: 2, MaxNodes: 1_000},
+		{Depth: 4, MaxNodes: 5_000},
+	} {
+		url := ts1.URL + "/v1/sessions"
+		if i > 0 {
+			url += "/" + live.SpecHash + "/resume"
+		}
+		resp, body := postJSON(t, url, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("leg %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		live = decode[SessionView](t, body)
+		if puts := metricValue(t, ts1.URL, "store", "session puts"); puts != int64(i+1) {
+			t.Errorf("after leg %d: %d session puts, want %d", i, puts, i+1)
+		}
+	}
+	if live.Depth != 4 || live.Outcome != "resumed" {
+		t.Fatalf("live session: %+v", live)
+	}
+	ts1.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv1.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2 := newTestServer(t, cfg)
+	var got SessionView
+	if code := getJSON(t, ts2.URL+"/v1/sessions/"+live.SpecHash, &got); code != http.StatusOK {
+		t.Fatalf("restored session: status %d", code)
+	}
+	live.Outcome, live.Result = "", nil
+	if got != live {
+		t.Errorf("restored session %+v, live %+v", got, live)
+	}
+
+	var sv StoreView
+	if code := getJSON(t, ts2.URL+"/v1/store", &sv); code != http.StatusOK {
+		t.Fatalf("store stats: status %d", code)
+	}
+	var kinds []string
+	for _, kv := range sv.Kinds {
+		kinds = append(kinds, kv.Kind)
+	}
+	if !reflect.DeepEqual(kinds, []string{"spec", "result", "session"}) {
+		t.Errorf("store kinds %v, want [spec result session]", kinds)
+	}
+	var lv StoreListView
+	if code := getJSON(t, ts2.URL+"/v1/store/session", &lv); code != http.StatusOK {
+		t.Fatalf("session list: status %d", code)
+	}
+	if len(lv.Objects) != 1 || string(lv.Objects[0].Key) != live.SpecHash {
+		t.Errorf("session objects %+v, want one under %s", lv.Objects, live.SpecHash)
 	}
 }

@@ -11,8 +11,10 @@ import (
 	"time"
 )
 
-// FuzzHandlers sends random bodies to the four POST endpoints that take
-// a spec or a solve request, all on one server with small bounds. No
+// FuzzHandlers sends random bodies to every POST endpoint, all on one
+// server with small bounds: the four that take a spec or a solve
+// request, the resume and delta endpoints of a session created for the
+// fuzz spec (fig4, whose channel b is eliminable), and store GC. No
 // response may be a 5xx other than the load-shed 503, and every
 // application/json body must decode.
 func FuzzHandlers(f *testing.F) {
@@ -33,7 +35,9 @@ func FuzzHandlers(f *testing.F) {
 		srv.Shutdown(ctx)
 	})
 	h := srv.Handler()
-	paths := []string{"/v1/specs", "/v1/solve", "/v1/solve/stream", "/v1/sessions"}
+	hash := specHash(fig4)
+	paths := []string{"/v1/specs", "/v1/solve", "/v1/solve/stream", "/v1/sessions",
+		"/v1/sessions/" + hash + "/resume", "/v1/sessions/" + hash + "/delta", "/v1/store/gc"}
 	post := func(path, body string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
@@ -47,8 +51,10 @@ func FuzzHandlers(f *testing.F) {
 	if rec := post("/v1/specs", fmt.Sprintf(`{"source":%s}`, src)); rec.Code != http.StatusOK {
 		f.Fatalf("upload: status %d: %s", rec.Code, rec.Body)
 	}
-	hash := specHash(fig4)
-	for i := range paths {
+	if rec := post("/v1/sessions", fmt.Sprintf(`{"spec_hash":%q,"depth":2}`, hash)); rec.Code != http.StatusOK {
+		f.Fatalf("session create: status %d: %s", rec.Code, rec.Body)
+	}
+	for i := range paths[:4] {
 		f.Add(uint8(i), fmt.Sprintf(`{"source":%s}`, src))
 		f.Add(uint8(i), fmt.Sprintf(`{"spec_hash":%q,"wait":true}`, hash))
 		f.Add(uint8(i), fmt.Sprintf(`{"spec_hash":%q,"no_cache":true,"wait":true}`, hash))
@@ -58,6 +64,12 @@ func FuzzHandlers(f *testing.F) {
 	f.Add(uint8(0), `{"source":"alphabet a = {0}\ndesc a <- a\n"}`)
 	f.Add(uint8(0), `{"source":"alphabet a = ints 0 .. 9223372036854775807\ndesc a <- a\n"}`)
 	f.Add(uint8(1), `{"spec_hash":"0000","source":"x"}`)
+	f.Add(uint8(4), `{"depth":3}`)
+	f.Add(uint8(4), `{"depth":1}`)
+	f.Add(uint8(5), `{"channel":"b","check":true}`)
+	f.Add(uint8(5), `{"channel":"zz"}`)
+	f.Add(uint8(6), `{"max_bytes":-1}`)
+	f.Add(uint8(6), `{"max_bytes":0}`)
 
 	f.Fuzz(func(t *testing.T, endpoint uint8, body string) {
 		path := paths[int(endpoint)%len(paths)]

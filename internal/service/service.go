@@ -48,11 +48,11 @@ type Config struct {
 	// (defaults 30s and 2m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// DataDir roots the durable content-addressed store. When set,
-	// uploaded specs, finished solve results and session checkpoints
-	// survive restarts: the in-memory LRUs become read-through caches in
-	// front of the disk store. Empty means an in-memory store (caching
-	// and metrics behave identically; nothing survives the process).
+	// DataDir roots the durable store. When set, uploaded specs,
+	// finished solve results and sessions survive restarts: the
+	// in-memory LRUs become read-through caches in front of the disk
+	// store. Empty means an in-memory store (caching and metrics behave
+	// identically; nothing survives the process).
 	DataDir string
 	// Store overrides the backend directly (tests inject one); it takes
 	// precedence over DataDir.
@@ -132,7 +132,7 @@ type compiledSpec struct {
 
 // Server wires the store, the caches, the scheduler and the HTTP
 // surface together. The three LRUs are read-through caches over one
-// content-addressed store: a miss consults the store before declaring
+// durable store: a miss consults the store before declaring
 // the object unknown, and completed work is written through, so a
 // restart on the same -data-dir resumes with its specs, results and
 // sessions intact.
@@ -165,8 +165,8 @@ type Server struct {
 	sessionReplays metrics.Counter
 	deltaSolves    metrics.Counter
 	streamed       metrics.Counter
-	// Durable-layer traffic: sessions rebuilt from persisted checkpoints
-	// after a restart (or cache eviction), and store operations that
+	// Durable-layer traffic: sessions rebuilt from their records after a
+	// restart (or cache eviction), and store operations that
 	// failed (persistence is best-effort on the write path: a full disk
 	// degrades durability, not availability).
 	sessionRestores metrics.Counter
@@ -291,18 +291,26 @@ func (s *Server) compile(source string) (hash string, spec compiledSpec, cached 
 	}
 	spec = compiledSpec{prog: vr.Program, findings: vr.Findings, elims: vr.Eliminations, plan: vr.Plan}
 	s.specs.Put(hash, spec)
-	// Write the source through to the store: the hash stays resolvable
-	// across cache eviction and restarts (specs are tiny; findings and
-	// plan are recomputed on the way back in).
-	if err := s.store.Put(persistCtx, store.KindSpec, store.Key(hash), []byte(source)); err != nil {
-		s.storeErrors.Inc()
-	}
 	return hash, spec, false, nil
 }
 
+// upload compiles a source a client sent and, on a spec-cache miss,
+// writes it through to the store: the hash stays resolvable across
+// cache eviction and restarts (specs are tiny; findings and plan are
+// recomputed on the way back in).
+func (s *Server) upload(source string) (hash string, spec compiledSpec, cached bool, err error) {
+	hash, spec, cached, err = s.compile(source)
+	if err == nil && !cached {
+		if err := s.store.Put(persistCtx, store.KindSpec, store.Key(hash), []byte(source)); err != nil {
+			s.storeErrors.Inc()
+		}
+	}
+	return hash, spec, cached, err
+}
+
 // lookupSpec resolves a hash to its compiled spec: LRU first, then the
-// durable store (recompiling the persisted source). False means the
-// hash is genuinely unknown.
+// durable store (recompiling the persisted source, which is not written
+// back). False means the hash is genuinely unknown.
 func (s *Server) lookupSpec(ctx context.Context, hash string) (compiledSpec, bool) {
 	if spec, ok := s.specs.Get(hash); ok {
 		return spec, true
@@ -321,8 +329,8 @@ func (s *Server) lookupSpec(ctx context.Context, hash string) (compiledSpec, boo
 	return spec, true
 }
 
-// storeResultKey derives the result blob's content address from the
-// cache key: the SHA-256 of the canonical (spec, params) rendering. The
+// storeResultKey derives the result blob's store key from the cache
+// key: the SHA-256 of the canonical (spec, params) rendering. The
 // trailing w1 is the form results had when a worker count was part of
 // the key; keeping it keeps results stored at one worker addressable.
 func storeResultKey(k resultKey) store.Key {
@@ -386,7 +394,7 @@ func (s *Server) handleSpecs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("service: empty spec source"))
 		return
 	}
-	hash, spec, cached, err := s.compile(req.Source)
+	hash, spec, cached, err := s.upload(req.Source)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, compileErrorBody(err, req.Source))
 		return
@@ -424,7 +432,7 @@ func (s *Server) resolveSpec(w http.ResponseWriter, r *http.Request, source, spe
 		return "", compiledSpec{}, false
 	case source != "":
 		var err error
-		if hash, spec, _, err = s.compile(source); err != nil {
+		if hash, spec, _, err = s.upload(source); err != nil {
 			writeJSON(w, http.StatusBadRequest, compileErrorBody(err, source))
 			return "", compiledSpec{}, false
 		}
@@ -475,15 +483,26 @@ func (s *Server) traceOf(r *http.Request) string {
 	return hex.EncodeToString(b[:])
 }
 
-// writeSubmitError maps a Scheduler.Submit error to the wire: quota
-// rejections are structured 429s (per-tenant back-pressure), queue-full
-// and shutdown are 503s (server-wide), anything else a 500. Returns
-// false when err was nil.
-func writeSubmitError(w http.ResponseWriter, err error) bool {
+// submit schedules sub on the worker pool for request r. It fills in
+// what every job takes from its request: the tenant and the trace id
+// from r's headers, the admit span from admitStart (the handler's
+// entry) to now, and, given the spec's plan, the job's cost, the plan's
+// node floor at sub's depth. When the scheduler refuses the job, submit
+// writes the rejection and returns false: quota rejections are
+// structured 429s (per-tenant back-pressure), queue-full and shutdown
+// are 503s (server-wide), anything else a 500.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, admitStart time.Time, plan *specplan.Plan, sub Submission) (*Job, bool) {
+	sub.Tenant = tenantOf(r)
+	if plan != nil && sub.Params.Depth > 0 {
+		sub.Estimate = plan.MinNodes(sub.Params.Depth)
+	}
+	sub.TraceID = s.traceOf(r)
+	sub.AdmitNs = time.Since(admitStart).Nanoseconds()
+	job, err := s.sched.Submit(sub)
 	var qe *QuotaError
 	switch {
 	case err == nil:
-		return false
+		return job, true
 	case errors.As(err, &qe):
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests, ErrorBody{
@@ -498,21 +517,16 @@ func writeSubmitError(w http.ResponseWriter, err error) bool {
 	default:
 		writeError(w, http.StatusInternalServerError, err)
 	}
-	return true
+	return nil, false
 }
 
-// params normalizes a solve request against the server caps. The
-// request's worker count is ignored.
-func (s *Server) params(req SolveRequest, prog *eqlang.Program) SolveParams {
-	p := SolveParams{Depth: req.Depth, MaxNodes: req.MaxNodes, Workers: 1}
-	if p.Depth <= 0 {
-		p.Depth = prog.Depth
+// params clamps a request's bounds to the server caps: the depth to
+// MaxDepth, and a node budget of 0 or over MaxNodes to MaxNodes.
+func (s *Server) params(depth, maxNodes int) SolveParams {
+	if maxNodes <= 0 || maxNodes > s.cfg.MaxNodes {
+		maxNodes = s.cfg.MaxNodes
 	}
-	p.Depth = min(p.Depth, s.cfg.MaxDepth)
-	if p.MaxNodes <= 0 || p.MaxNodes > s.cfg.MaxNodes {
-		p.MaxNodes = s.cfg.MaxNodes
-	}
-	return p
+	return SolveParams{Depth: min(depth, s.cfg.MaxDepth), MaxNodes: maxNodes, Workers: 1}
 }
 
 // admit runs static admission control: a request whose *guaranteed*
@@ -550,27 +564,74 @@ func rejectOverBudget(w http.ResponseWriter, est *PlanEstimate) {
 	})
 }
 
-func (s *Server) timeout(req SolveRequest) time.Duration {
-	d := time.Duration(req.TimeoutMs) * time.Millisecond
+// timeout is a job's wall-clock bound: the request's timeout_ms, or the
+// server default when that is 0, capped at MaxTimeout.
+func (s *Server) timeout(ms int) time.Duration {
+	d := time.Duration(ms) * time.Millisecond
 	if d <= 0 {
 		d = s.cfg.DefaultTimeout
 	}
 	return min(d, s.cfg.MaxTimeout)
 }
 
-// solve runs one from-scratch search, streaming its solutions to
-// onSolution when that is non-nil (the stream endpoint). wireResult is
-// shared with the session endpoints, whose searches run inside a
-// session.
-func (s *Server) solve(ctx context.Context, prog *eqlang.Program, p SolveParams, onSolution func(trace.Trace)) *SolveResult {
-	problem := prog.Problem()
-	problem.MaxDepth = p.Depth
-	problem.MaxNodes = p.MaxNodes
-	problem.OnSolution = onSolution
-	start := time.Now()
-	res := solver.Enumerate(ctx, problem)
-	s.countSearch(res.Nodes, len(res.Solutions))
-	return wireResult(res, start)
+// solveCall is an admitted solve or stream request.
+type solveCall struct {
+	req  SolveRequest
+	hash string
+	spec compiledSpec
+	p    SolveParams
+}
+
+func (c *solveCall) key() resultKey { return resultKey{hash: c.hash, params: c.p} }
+
+// admitSolve is the front half of the solve and stream handlers: it
+// decodes the body, resolves the spec, normalizes the bounds (depth 0
+// is the spec's own) and runs admission control. When a step refuses,
+// it writes the response itself and returns false.
+func (s *Server) admitSolve(w http.ResponseWriter, r *http.Request) (c *solveCall, ok bool) {
+	c = new(solveCall)
+	if !decodeBody(w, r, &c.req) {
+		return nil, false
+	}
+	if c.hash, c.spec, ok = s.resolveSpec(w, r, c.req.Source, c.req.SpecHash); !ok {
+		return nil, false
+	}
+	depth := c.req.Depth
+	if depth <= 0 {
+		depth = c.spec.prog.Depth
+	}
+	c.p = s.params(depth, c.req.MaxNodes)
+	if est := s.admit(c.p, c.spec.plan); est != nil {
+		rejectOverBudget(w, est)
+		return nil, false
+	}
+	return c, true
+}
+
+// submitSolve schedules c's from-scratch search, streaming its
+// solutions to onSolution when that is non-nil (the stream endpoint).
+// A search that ran to its bounds is saved, unless no_cache says nobody
+// will read it back.
+func (s *Server) submitSolve(w http.ResponseWriter, r *http.Request, admitStart time.Time, c *solveCall, onSolution func(trace.Trace)) (*Job, bool) {
+	return s.submit(w, r, admitStart, c.spec.plan, Submission{
+		SpecHash: c.hash,
+		Params:   c.p,
+		Timeout:  s.timeout(c.req.TimeoutMs),
+		Run: func(ctx context.Context) (*SolveResult, error) {
+			problem := c.spec.prog.Problem()
+			problem.MaxDepth = c.p.Depth
+			problem.MaxNodes = c.p.MaxNodes
+			problem.OnSolution = onSolution
+			start := time.Now()
+			res := solver.Enumerate(ctx, problem)
+			s.countSearch(res.Nodes, len(res.Solutions))
+			out := wireResult(res, start)
+			if !c.req.NoCache && !out.Truncated && !out.Canceled {
+				s.saveResult(c.key(), *out)
+			}
+			return out, nil
+		},
+	})
 }
 
 // countSearch feeds the search counters. newNodes and newSolutions are
@@ -599,61 +660,28 @@ func wireResult(res solver.Result, start time.Time) *SolveResult {
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
 	admitStart := time.Now()
-	var req SolveRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-
-	hash, spec, ok := s.resolveSpec(w, r, req.Source, req.SpecHash)
+	c, ok := s.admitSolve(w, r)
 	if !ok {
 		return
 	}
-	prog := spec.prog
-
-	p := s.params(req, prog)
-	if est := s.admit(p, spec.plan); est != nil {
-		rejectOverBudget(w, est)
-		return
-	}
-	key := resultKey{hash: hash, params: p}
-	if !req.NoCache {
-		if cached, ok := s.cachedResult(r.Context(), key); ok {
+	if !c.req.NoCache {
+		if cached, ok := s.cachedResult(r.Context(), c.key()); ok {
 			cached.Cached = true
 			writeJSON(w, http.StatusOK, JobView{
 				State:    JobDone,
-				SpecHash: hash,
-				Params:   p,
+				SpecHash: c.hash,
+				Params:   c.p,
 				Result:   cached,
 			})
 			return
 		}
 	}
-
-	var estimate uint64
-	if spec.plan != nil {
-		estimate = spec.plan.MinNodes(p.Depth)
-	}
-	job, err := s.sched.Submit(Submission{
-		Tenant:   tenantOf(r),
-		SpecHash: hash,
-		Params:   p,
-		Timeout:  s.timeout(req),
-		Estimate: estimate,
-		TraceID:  s.traceOf(r),
-		AdmitNs:  time.Since(admitStart).Nanoseconds(),
-		Run: func(ctx context.Context) (*SolveResult, error) {
-			res := s.solve(ctx, prog, p, nil)
-			if !req.NoCache && !res.Truncated && !res.Canceled {
-				s.saveResult(key, *res)
-			}
-			return res, nil
-		},
-	})
-	if writeSubmitError(w, err) {
+	job, ok := s.submitSolve(w, r, admitStart, c, nil)
+	if !ok {
 		return
 	}
 
-	if req.Wait {
+	if c.req.Wait {
 		select {
 		case <-job.Done():
 			writeJSON(w, http.StatusOK, s.sched.View(job))

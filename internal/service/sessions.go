@@ -24,7 +24,7 @@ type sessionEntry struct {
 }
 
 // sessionFor returns the session for a compiled spec — live from the
-// cache, restored from the durable store's checkpoint, or (when create
+// cache, restored from its record in the durable store, or (when create
 // is set) fresh. Serialized so concurrent lookups converge on one
 // session (whose checkpoint they then share). The
 // returned entry is pinned against eviction; the caller must
@@ -37,12 +37,10 @@ func (s *Server) sessionFor(ctx context.Context, hash string, spec compiledSpec,
 	}
 	p := spec.prog.Problem()
 	// A persisted session (same spec) resumes exactly where the previous
-	// process stopped: the decoder verifies the checkpoint's content
-	// address and rebuilds the frontier with the f its sons carry.
-	if meta, err := s.store.Get(ctx, store.KindSession, store.Key(hash)); err == nil {
-		sess, err := session.Decode(meta, p, spec.prog.System, func(ref string) ([]byte, error) {
-			return s.store.Get(ctx, store.KindCheckpoint, store.Key(ref))
-		})
+	// process stopped: the decoder checks that the record is this
+	// session's and rebuilds the frontier with the f its sons carry.
+	if data, err := s.store.Get(ctx, store.KindSession, store.Key(hash)); err == nil {
+		sess, err := session.Decode(data, hash, p, spec.prog.System)
 		if err == nil {
 			e := &sessionEntry{sess: sess, elims: spec.elims, plan: spec.plan}
 			s.sessions.PutPinned(hash, e)
@@ -62,24 +60,15 @@ func (s *Server) sessionFor(ctx context.Context, hash string, spec compiledSpec,
 	return e, true
 }
 
-// persistSession writes a session's checkpoint and metadata through to
-// the store: first the checkpoint blob under its content address, then
-// the meta object naming that address — ordered so a crash between the
-// two leaves a resolvable (older) state, never a dangling reference.
-// Best-effort: a failed write degrades durability, not the response.
+// persistSession writes a session's record through to the store, one
+// object under the spec hash. Best-effort: a failed write degrades
+// durability, not the response.
 func (s *Server) persistSession(hash string, e *sessionEntry) {
-	blob, err := e.sess.Encode()
+	data, err := e.sess.Encode()
+	if err == nil {
+		err = s.store.Put(persistCtx, store.KindSession, store.Key(hash), data)
+	}
 	if err != nil {
-		s.storeErrors.Inc()
-		return
-	}
-	if blob.CheckpointRef != "" {
-		if err := s.store.Put(persistCtx, store.KindCheckpoint, store.Key(blob.CheckpointRef), blob.Checkpoint); err != nil {
-			s.storeErrors.Inc()
-			return
-		}
-	}
-	if err := s.store.Put(persistCtx, store.KindSession, store.Key(hash), blob.Meta); err != nil {
 		s.storeErrors.Inc()
 	}
 }
@@ -114,18 +103,6 @@ func sessionView(hash string, e *sessionEntry) SessionView {
 	}
 }
 
-// sessionParams clamps a session request's bounds like a solve's, except
-// that Depth 0 is kept (meaning "the session's current depth") instead
-// of defaulting to the spec's.
-func (s *Server) sessionParams(req SessionRequest) SolveParams {
-	p := SolveParams{Depth: req.Depth, MaxNodes: req.MaxNodes, Workers: 1}
-	p.Depth = min(p.Depth, s.cfg.MaxDepth)
-	if p.MaxNodes <= 0 || p.MaxNodes > s.cfg.MaxNodes {
-		p.MaxNodes = s.cfg.MaxNodes
-	}
-	return p
-}
-
 // runSession schedules one session leg on the worker pool, waits for it
 // and writes the SessionView response. admitStart is the handler's entry
 // time, so the job's admit span covers decode and the session lookup.
@@ -133,20 +110,12 @@ func (s *Server) sessionParams(req SessionRequest) SolveParams {
 // sound truncated result and the session stays resumable from the
 // retained queue.
 func (s *Server) runSession(w http.ResponseWriter, r *http.Request, hash string, e *sessionEntry, req SessionRequest, admitStart time.Time) {
-	p := s.sessionParams(req)
+	p := s.params(req.Depth, req.MaxNodes)
 	var outcome session.Outcome
-	var estimate uint64
-	if e.plan != nil && p.Depth > 0 {
-		estimate = e.plan.MinNodes(p.Depth)
-	}
-	job, err := s.sched.Submit(Submission{
-		Tenant:   tenantOf(r),
+	job, ok := s.submit(w, r, admitStart, e.plan, Submission{
 		SpecHash: hash,
 		Params:   p,
-		Timeout:  s.timeout(SolveRequest{TimeoutMs: req.TimeoutMs}),
-		Estimate: estimate,
-		TraceID:  s.traceOf(r),
-		AdmitNs:  time.Since(admitStart).Nanoseconds(),
+		Timeout:  s.timeout(req.TimeoutMs),
 		Run: func(ctx context.Context) (*SolveResult, error) {
 			start := time.Now()
 			// The prefix's nodes and solutions were counted by the legs that
@@ -177,7 +146,7 @@ func (s *Server) runSession(w http.ResponseWriter, r *http.Request, hash string,
 			return wire, nil
 		},
 	})
-	if writeSubmitError(w, err) {
+	if !ok {
 		return
 	}
 	// The caller's pin drops when the handler returns — which can be at
@@ -260,6 +229,7 @@ func (s *Server) handleSessionResume(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
+	admitStart := time.Now()
 	hash := r.PathValue("hash")
 	e, ok := s.liveSession(w, r, hash)
 	if !ok {
@@ -310,9 +280,37 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		view.Solutions = append(view.Solutions, t.String())
 	}
 	if req.Check {
-		rep, err := e.sess.DeltaCheck(r.Context(), d)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, fmt.Errorf("service: delta differential check failed: %w", err))
+		// The check's fresh solve is a search like any other: it runs on
+		// the worker pool under the default job deadline. The spec's plan
+		// prices the uneliminated system, so the job's cost is unknown.
+		var rep session.DeltaCheckReport
+		var checkErr error
+		job, ok := s.submit(w, r, admitStart, nil, Submission{
+			SpecHash: hash,
+			Params:   SolveParams{Depth: d.Depth, Workers: 1},
+			Timeout:  s.timeout(0),
+			Run: func(ctx context.Context) (*SolveResult, error) {
+				rep, checkErr = e.sess.DeltaCheck(ctx, d)
+				return nil, checkErr
+			},
+		})
+		if !ok {
+			return
+		}
+		select {
+		case <-job.Done():
+		case <-r.Context().Done():
+			return // nobody is left to read the check
+		}
+		if jv := s.sched.View(job); jv.State != JobDone {
+			// A reference that the deadline or a shutdown cut short
+			// conflicts with the request; a Theorem 5/6 violation is the
+			// server's own failure.
+			status := http.StatusConflict
+			if checkErr != nil && !errors.Is(checkErr, session.ErrTruncatedReference) {
+				status = http.StatusInternalServerError
+			}
+			writeError(w, status, fmt.Errorf("service: delta differential check failed: %s", jv.Error))
 			return
 		}
 		view.Check = &DeltaCheckView{

@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // dfm is the discriminated fair merge of Figure 2 — small enough to
@@ -131,10 +134,15 @@ func TestSessionDeltaEndpoint(t *testing.T) {
 	}
 	hash := decode[SessionView](t, body).SpecHash
 
-	// b is a feeder channel with a defining description: eliminable.
+	// b is a feeder channel with a defining description: eliminable. The
+	// check's fresh solve is one more scheduler job.
+	submitted := metricValue(t, ts.URL, "jobs", "submitted")
 	resp, body = postJSON(t, ts.URL+"/v1/sessions/"+hash+"/delta", DeltaRequest{Channel: "b", Check: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("delta b: status %d: %s", resp.StatusCode, body)
+	}
+	if got := metricValue(t, ts.URL, "jobs", "submitted"); got != submitted+1 {
+		t.Errorf("jobs submitted %d → %d across a checked delta, want one more", submitted, got)
 	}
 	dv := decode[DeltaView](t, body)
 	if dv.Channel != "b" || dv.Desc == "" || dv.FromNodes == 0 {
@@ -173,6 +181,32 @@ func TestSessionDeltaEndpoint(t *testing.T) {
 	resp, _ = postJSON(t, ts.URL+"/v1/sessions/no-such-hash/delta", DeltaRequest{Channel: "b"})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("delta on unknown session: want 404, got %d", resp.StatusCode)
+	}
+}
+
+// TestSessionDeltaCheckDeadline: the delta check's fresh solve runs
+// under the default job deadline, and a reference that deadline cuts
+// short answers 409, like the endpoint's other conflicts. The session's
+// own leg asks for a long deadline and finishes. The spec is the
+// implication network at depth 8, whose reference solve of the system
+// without d (4,097 nodes) outlasts a timer's latency.
+func TestSessionDeltaCheckDeadline(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "specs", "implication.eq"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Workers: 1, DefaultTimeout: time.Microsecond})
+	resp, body := postJSON(t, ts.URL+"/v1/sessions", SessionRequest{Source: string(src), Depth: 8, TimeoutMs: 60_000})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("session create: status %d: %s", resp.StatusCode, body)
+	}
+	sv := decode[SessionView](t, body)
+	if sv.Result == nil || sv.Result.Truncated {
+		t.Fatalf("session leg did not finish: %+v", sv.Result)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/sessions/"+sv.SpecHash+"/delta", DeltaRequest{Channel: "d", Check: true})
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("delta check past its deadline: want 409, got %d: %s", resp.StatusCode, body)
 	}
 }
 

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -70,56 +69,25 @@ func sseEvent(w http.ResponseWriter, event string, data any) error {
 func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
 	admitStart := time.Now()
-	var req SolveRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, errors.New("service: response writer cannot stream"))
 		return
 	}
-	hash, spec, ok := s.resolveSpec(w, r, req.Source, req.SpecHash)
+	c, ok := s.admitSolve(w, r)
 	if !ok {
 		return
 	}
-	prog := spec.prog
-	p := s.params(req, prog)
-	if est := s.admit(p, spec.plan); est != nil {
-		rejectOverBudget(w, est)
-		return
-	}
-
 	buf := newStreamBuf()
-	key := resultKey{hash: hash, params: p}
-	var estimate uint64
-	if spec.plan != nil {
-		estimate = spec.plan.MinNodes(p.Depth)
-	}
-	job, err := s.sched.Submit(Submission{
-		Tenant:   tenantOf(r),
-		SpecHash: hash,
-		Params:   p,
-		Timeout:  s.timeout(req),
-		Estimate: estimate,
-		TraceID:  s.traceOf(r),
-		AdmitNs:  time.Since(admitStart).Nanoseconds(),
-		Run: func(ctx context.Context) (*SolveResult, error) {
-			out := s.solve(ctx, prog, p, buf.push)
-			if !req.NoCache && !out.Truncated && !out.Canceled {
-				s.saveResult(key, *out)
-			}
-			return out, nil
-		},
-	})
-	if writeSubmitError(w, err) {
+	job, ok := s.submitSolve(w, r, admitStart, c, buf.push)
+	if !ok {
 		return
 	}
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	if sseEvent(w, "job", StreamJob{ID: job.id, SpecHash: hash, Params: p}) != nil {
+	if sseEvent(w, "job", StreamJob{ID: job.id, SpecHash: c.hash, Params: c.p}) != nil {
 		return
 	}
 	flusher.Flush()

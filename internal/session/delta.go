@@ -2,6 +2,7 @@ package session
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"smoothproc/internal/desc"
@@ -26,6 +27,11 @@ type DeltaCheckReport struct {
 	// the one legitimate way projected ⊊ fresh.
 	BeyondHorizon int
 }
+
+// ErrTruncatedReference is wrapped by DeltaCheck's error when its fresh
+// solve stopped short (a deadline or a cancellation): the check is
+// inconclusive, not failed.
+var ErrTruncatedReference = errors.New("delta check needs a complete reference")
 
 // DeltaCheck is the differential guard on Delta: it solves the
 // eliminated system fresh at the depth the delta was taken at (the
@@ -63,7 +69,7 @@ func (s *Session) DeltaCheck(ctx context.Context, d DeltaResult) (DeltaCheckRepo
 
 	fresh := solver.Enumerate(ctx, fp)
 	if fresh.Truncated {
-		return DeltaCheckReport{}, fmt.Errorf("session: fresh solve of %s was truncated; delta check needs a complete reference", d.System.Name)
+		return DeltaCheckReport{}, fmt.Errorf("session: fresh solve of %s was truncated: %w", d.System.Name, ErrTruncatedReference)
 	}
 
 	freshByKey := bucket(fresh.Solutions)

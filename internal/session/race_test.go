@@ -137,7 +137,7 @@ func TestRaceConcurrentEncodeDuringResume(t *testing.T) {
 	want := keys(refRes.Solutions)
 
 	var mu sync.Mutex
-	var blobs []Blob
+	var records [][]byte
 
 	var wg sync.WaitGroup
 	// Writers deepen the session toward depth 4 while encoders snapshot.
@@ -155,39 +155,37 @@ func TestRaceConcurrentEncodeDuringResume(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
-				b, err := s.Encode()
+				data, err := s.Encode()
 				if err != nil {
 					t.Errorf("encode under concurrent resume: %v", err)
 					return
 				}
 				mu.Lock()
-				blobs = append(blobs, b)
+				records = append(records, data)
 				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
 
-	for i, b := range blobs {
-		fetch := func(ref string) ([]byte, error) {
-			if ref != b.CheckpointRef {
-				t.Fatalf("blob %d: fetch of unknown ref %q (have %q)", i, ref, b.CheckpointRef)
-			}
-			return b.Checkpoint, nil
-		}
-		restored, err := Decode(b.Meta, p, prog.System, fetch)
+	for i, data := range records {
+		restored, err := Decode(data, "dfm", p, prog.System)
 		if err != nil {
-			t.Fatalf("blob %d does not decode: %v", i, err)
+			t.Fatalf("record %d does not decode: %v", i, err)
 		}
 		if d := restored.Depth(); d < 1 || d > 4 {
-			t.Fatalf("blob %d restored at impossible depth %d", i, d)
+			t.Fatalf("record %d restored at impossible depth %d", i, d)
+		}
+		// Three writers, each deepening once at most, and no replays.
+		if _, resumes, replays := restored.Counts(); resumes > 3 || replays != 0 {
+			t.Fatalf("record %d restored %d resumes and %d replays", i, resumes, replays)
 		}
 		res, _, err := restored.Solve(ctx, Options{Depth: 4})
 		if err != nil {
-			t.Fatalf("blob %d: deepen after restore: %v", i, err)
+			t.Fatalf("record %d: deepen after restore: %v", i, err)
 		}
 		if got := keys(res.Solutions); !equalStrings(got, want) {
-			t.Fatalf("blob %d: restored session diverged: %v, want %v", i, got, want)
+			t.Fatalf("record %d: restored session diverged: %v, want %v", i, got, want)
 		}
 	}
 }

@@ -70,21 +70,19 @@ func (o Outcome) String() string {
 	}
 }
 
-// Session is one resumable solve: a problem, its capture checkpoint and
-// the latest result. Safe for concurrent use: Solve calls serialize on
-// the session (the checkpoint is single-flight by design) and readers
-// see the latest completed leg.
+// Session is one resumable solve: a problem and its capture checkpoint,
+// which holds the latest result, the bounds and the resume count. Safe
+// for concurrent use: Solve calls serialize on the session (the
+// checkpoint is single-flight by design) and readers see the latest
+// completed leg.
 type Session struct {
 	mu  sync.Mutex
 	key string
 	sys desc.System
-	p   solver.Problem // bounds track the latest leg
-
-	cp  *solver.Checkpoint
-	res solver.Result
-
-	solves  int
-	resumes int
+	// p's bounds matter only before the first leg; after it, the
+	// checkpoint's are the session's.
+	p       solver.Problem
+	cp      *solver.Checkpoint
 	replays int
 }
 
@@ -117,11 +115,7 @@ func (s *Session) Solve(ctx context.Context, o Options) (solver.Result, Outcome,
 		p.MaxNodes = o.MaxNodes
 		p.OnSolution = o.OnSolution
 		res, cp := solver.EnumerateCapture(ctx, p)
-		p.OnSolution = nil
-		s.p = p
 		s.cp = cp
-		s.res = res
-		s.solves++
 		return res, Cold, nil
 	}
 
@@ -134,27 +128,20 @@ func (s *Session) Solve(ctx context.Context, o Options) (solver.Result, Outcome,
 			s.key, depth, s.cp.MaxDepth())
 	}
 
+	stored := s.cp.Result()
 	deepen := depth > s.cp.MaxDepth()
-	moreBudget := s.res.Truncated && (o.MaxNodes == 0 || o.MaxNodes > s.res.Nodes)
-	if !deepen && !moreBudget {
-		// The stored result covers the request: replay it, re-emitting the
-		// canonical solution stream for streaming clients.
-		if o.OnSolution != nil {
-			for _, t := range s.res.Solutions {
-				o.OnSolution(t)
-			}
-		}
-		s.solves++
-		s.replays++
-		return s.res, Replayed, nil
-	}
-
+	moreBudget := stored.Truncated && (o.MaxNodes == 0 || o.MaxNodes > stored.Nodes)
 	if o.OnSolution != nil {
-		// Replay the stored prefix; the resume emits only new solutions,
+		// Replay the stored prefix. A resume emits only new solutions,
 		// which in canonical BFS order all follow the stored ones.
-		for _, t := range s.res.Solutions {
+		for _, t := range stored.Solutions {
 			o.OnSolution(t)
 		}
+	}
+	if !deepen && !moreBudget {
+		// The stored result covers the request.
+		s.replays++
+		return stored, Replayed, nil
 	}
 	res, err := s.cp.Resume(ctx, solver.ResumeOpts{
 		MaxDepth:   depth,
@@ -164,9 +151,6 @@ func (s *Session) Solve(ctx context.Context, o Options) (solver.Result, Outcome,
 	if err != nil {
 		return solver.Result{}, 0, err
 	}
-	s.res = res
-	s.solves++
-	s.resumes++
 	return res, Resumed, nil
 }
 
@@ -175,7 +159,10 @@ func (s *Session) Solve(ctx context.Context, o Options) (solver.Result, Outcome,
 func (s *Session) Result() (res solver.Result, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.res, s.cp != nil
+	if s.cp == nil {
+		return solver.Result{}, false
+	}
+	return s.cp.Result(), true
 }
 
 // Depth returns the session's current depth bound.
@@ -208,11 +195,15 @@ func (s *Session) FrontierSize() int {
 	return s.cp.FrontierSize()
 }
 
-// Counts returns (solves, resumes, replays) so far.
+// Counts returns (solves, resumes, replays) so far: every leg after the
+// first resumed or replayed.
 func (s *Session) Counts() (solves, resumes, replays int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.solves, s.resumes, s.replays
+	if s.cp == nil {
+		return 0, 0, 0
+	}
+	return 1 + s.cp.Resumes() + s.replays, s.cp.Resumes(), s.replays
 }
 
 // System returns the pre-elimination system the session was built with.
@@ -258,7 +249,8 @@ func (s *Session) Delta(idx int, b string) (DeltaResult, error) {
 	if len(s.sys.Descs) == 0 {
 		return DeltaResult{}, errors.New("session: delta on a session without a system (built from a bare problem)")
 	}
-	if s.res.Truncated {
+	res := s.cp.Result()
+	if res.Truncated {
 		return DeltaResult{}, fmt.Errorf("session %s: delta on a truncated session would under-report solutions; raise the budget and resume first", s.key)
 	}
 	elim, err := desc.Eliminate(s.sys, idx, b)
@@ -266,7 +258,7 @@ func (s *Session) Delta(idx int, b string) (DeltaResult, error) {
 		return DeltaResult{}, err
 	}
 	keep := trace.NewChanSet(s.p.Channels...).Without(b)
-	projected := projectDedupe(s.res.Solutions, keep)
+	projected := projectDedupe(res.Solutions, keep)
 	return DeltaResult{
 		System:    elim,
 		Index:     idx,

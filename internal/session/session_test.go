@@ -2,6 +2,7 @@ package session
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -222,6 +223,12 @@ func TestSessionDelta(t *testing.T) {
 	}
 	if _, err := shallow.DeltaCheck(ctx, d1); err != nil {
 		t.Fatalf("delta check after deepening: %v", err)
+	}
+	// A fresh solve cut short is no verdict either way.
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := s.DeltaCheck(canceled, d); !errors.Is(err, ErrTruncatedReference) {
+		t.Fatalf("delta check under a canceled context: err = %v, want ErrTruncatedReference", err)
 	}
 
 	// A non-defining index must be rejected by the elimination conditions.

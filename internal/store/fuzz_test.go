@@ -21,8 +21,8 @@ func FuzzUnframe(f *testing.F) {
 	f.Add(uint8(0), uint8(1), spec)
 	f.Add(uint8(0), uint8(0x80), frame(KindSpec, spec))
 	f.Add(uint8(1), uint8(0x20), frame(KindSpec, spec))               // framed as another kind
-	f.Add(uint8(2), uint8(0x01), frame(KindCheckpoint, nil)[:40])     // truncated header
-	f.Add(uint8(3), uint8(0x04), append(frame(KindSession, spec), 0)) // one byte past the payload
+	f.Add(uint8(1), uint8(0x01), frame(KindResult, nil)[:40])         // truncated header
+	f.Add(uint8(2), uint8(0x04), append(frame(KindSession, spec), 0)) // one byte past the payload
 	f.Fuzz(func(t *testing.T, kindSel, mask uint8, data []byte) {
 		kinds := Kinds()
 		kind := kinds[int(kindSel)%len(kinds)]

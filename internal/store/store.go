@@ -1,16 +1,17 @@
-// Package store is smoothd's durable state layer: a content-addressed
-// blob store keyed by SHA-256 and namespaced by kind (spec, result,
-// checkpoint, session). The §3.3 reading: a spec is an equation system,
-// a checkpoint is a persisted chain element of its solution's
-// approximation chain, and a result is the chain's value at a bound —
-// all immutable values once computed, which is exactly what content
-// addressing wants. The service's LRUs become read-through caches in
-// front of one Store, so uploads and finished solves survive restarts.
+// Package store is smoothd's durable state layer: a blob store keyed by
+// SHA-256 digests and namespaced by kind (spec, result, session). The
+// §3.3 reading: a spec is an equation system, a session is a persisted
+// chain element of its solution's approximation chain, and a result is
+// the chain's value at a bound. The service derives every key from what
+// it names: a spec's hash, or the hash of a spec and the bounds of a
+// solve. The service's LRUs become read-through caches in front of one
+// Store, so uploads, finished solves and sessions survive restarts.
 //
 // Two backends ship: Memory (tests, and the default when smoothd runs
 // without -data-dir) and Disk. Both are safe for concurrent use. Disk
 // blobs carry an integrity header and are verified on every Get; a blob
-// that does not hash to its key fails closed with *CorruptError.
+// that does not match its header's SHA-256 fails closed with
+// *CorruptError.
 package store
 
 import (
@@ -24,7 +25,7 @@ import (
 )
 
 // Kind namespaces the store. Kinds are flat and closed: the service's
-// four object families.
+// three object families.
 type Kind string
 
 const (
@@ -34,31 +35,37 @@ const (
 	// KindResult holds finished solve results (JSON wire form), keyed by
 	// hash(spec hash + canonical solve params).
 	KindResult Kind = "result"
-	// KindCheckpoint holds encoded solver checkpoints, content-addressed.
-	KindCheckpoint Kind = "checkpoint"
-	// KindSession holds session meta blobs, keyed by the spec hash.
+	// KindSession holds session records (package session's codec), keyed
+	// by the spec hash.
 	KindSession Kind = "session"
 )
 
+// KindCheckpoint named the kind that held session checkpoints apart
+// from their sessions. It is not a valid kind: a session record holds
+// its checkpoint.
+//
+// Deprecated: kept only for the benchmark module until its next change
+// (ROADMAP item 8).
+const KindCheckpoint Kind = "checkpoint"
+
 // Kinds lists every namespace, in stable order.
-func Kinds() []Kind { return []Kind{KindSpec, KindResult, KindCheckpoint, KindSession} }
+func Kinds() []Kind { return []Kind{KindSpec, KindResult, KindSession} }
 
 // ValidKind reports whether k is one of the closed set.
 func ValidKind(k Kind) bool {
 	switch k {
-	case KindSpec, KindResult, KindCheckpoint, KindSession:
+	case KindSpec, KindResult, KindSession:
 		return true
 	}
 	return false
 }
 
-// Key is a lowercase 64-hex SHA-256 digest. Keys under KindCheckpoint
-// are the digest of the blob itself (true content addressing); other
-// kinds key by the identity the service derives (spec hash, spec
-// hash+params) so lookups precede content.
+// Key is a lowercase 64-hex SHA-256 digest of the identity the service
+// derives for an object (spec hash, spec hash+params), so lookups
+// precede content.
 type Key string
 
-// KeyOf returns the content key of data.
+// KeyOf returns the key of data: its SHA-256 digest.
 func KeyOf(data []byte) Key {
 	sum := sha256.Sum256(data)
 	return Key(hex.EncodeToString(sum[:]))
@@ -101,13 +108,11 @@ type Info struct {
 	ModTime time.Time `json:"mod_time"`
 }
 
-// Store is the content-addressed blob interface. Implementations must
-// be safe for concurrent use. Put is atomic: readers see the whole blob
-// or nothing. Writes to an existing (kind, key) are idempotent
-// overwrites — under content addressing the bytes are equal anyway.
+// Store is the blob interface. Implementations must be safe for
+// concurrent use. Put is atomic: readers see the whole blob or nothing.
+// A write to an existing (kind, key) overwrites it.
 type Store interface {
-	// Put stores data under (kind, key). The key must be Valid; callers
-	// that content-address pass KeyOf(data).
+	// Put stores data under (kind, key). The key must be Valid.
 	Put(ctx context.Context, kind Kind, key Key, data []byte) error
 	// Get returns the blob, ErrNotFound, or *CorruptError.
 	Get(ctx context.Context, kind Kind, key Key) ([]byte, error)

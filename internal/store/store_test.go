@@ -136,7 +136,7 @@ func TestDiskDurability(t *testing.T) {
 	}
 	data := []byte("survives restarts")
 	key := KeyOf(data)
-	if err := d1.Put(ctx, KindCheckpoint, key, data); err != nil {
+	if err := d1.Put(ctx, KindSession, key, data); err != nil {
 		t.Fatal(err)
 	}
 	if err := d1.Close(); err != nil {
@@ -147,7 +147,7 @@ func TestDiskDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := d2.Get(ctx, KindCheckpoint, key)
+	got, err := d2.Get(ctx, KindSession, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,10 +297,10 @@ func TestMeasuredCorrupt(t *testing.T) {
 	ctx := context.Background()
 	data := []byte("rot me")
 	key := KeyOf(data)
-	if err := m.Put(ctx, KindCheckpoint, key, data); err != nil {
+	if err := m.Put(ctx, KindSession, key, data); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "checkpoint", string(key[:2]), string(key))
+	path := filepath.Join(dir, "session", string(key[:2]), string(key))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -310,10 +310,10 @@ func TestMeasuredCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ce *CorruptError
-	if _, err := m.Get(ctx, KindCheckpoint, key); !errors.As(err, &ce) {
+	if _, err := m.Get(ctx, KindSession, key); !errors.As(err, &ce) {
 		t.Fatalf("got %v", err)
 	}
-	if st := m.KindStats(KindCheckpoint); st.Corrupt != 1 || st.Hits != 0 {
+	if st := m.KindStats(KindSession); st.Corrupt != 1 || st.Hits != 0 {
 		t.Fatalf("stats %+v", st)
 	}
 }

@@ -341,9 +341,9 @@ func benchName(op string, depth int) string {
 // storeWorkloads cover the durable-state hot paths: a capture-mode
 // solve of kahn-buffer at depth 8, and the checkpoint encode and decode
 // of that capture, whose same-run ratios to the capture TestPerfGate
-// bounds; and content-addressed put/get on the memory backend (the
-// read-through cache's miss path minus the disk) of the checkpoint of
-// kahn-buffer at its own depth.
+// bounds; and a session put and get on the memory backend (the
+// read-through cache's miss path minus the disk) whose payload is the
+// checkpoint of kahn-buffer at its own depth.
 func storeWorkloads(t *testing.T) map[string]func(b *testing.B) {
 	t.Helper()
 	out := map[string]func(b *testing.B){}
@@ -404,7 +404,7 @@ func storeWorkloads(t *testing.T) map[string]func(b *testing.B) {
 		s := store.NewMemory()
 		defer s.Close()
 		for i := 0; i < b.N; i++ {
-			if err := s.Put(context.Background(), store.KindCheckpoint, key, blob4); err != nil {
+			if err := s.Put(context.Background(), store.KindSession, key, blob4); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -413,11 +413,11 @@ func storeWorkloads(t *testing.T) map[string]func(b *testing.B) {
 		b.ReportAllocs()
 		s := store.NewMemory()
 		defer s.Close()
-		if err := s.Put(context.Background(), store.KindCheckpoint, key, blob4); err != nil {
+		if err := s.Put(context.Background(), store.KindSession, key, blob4); err != nil {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			if _, err := s.Get(context.Background(), store.KindCheckpoint, key); err != nil {
+			if _, err := s.Get(context.Background(), store.KindSession, key); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,8 +1,7 @@
 // Restart differential suite: the durable-store contract behind
 // smoothd's -data-dir. For every shipped spec, a solve session runs to
-// half depth, is encoded and pushed through a real disk store — the
-// checkpoint blob by content address, the session meta beside it — then
-// decoded back as a restarted process would do it. Both the surviving
+// half depth, is encoded and pushed through a real disk store as one
+// record, then decoded back as a restarted process would do it. Both the surviving
 // in-memory session and its restarted twin deepen to full depth, and
 // both must land on the cold full-depth fingerprint exactly: same
 // ordered solutions, same node count, same deterministic SearchStats.
@@ -12,6 +11,7 @@ package smoothproc_test
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -72,9 +72,9 @@ func TestRestartParityAcrossSpecs(t *testing.T) {
 				t.Fatalf("half-depth solve: %v", err)
 			}
 
-			// …and is persisted through a real disk store, checkpoint blob
-			// first, meta second — the service's crash-safe write order.
-			blob, err := live.Encode()
+			// …and is persisted through a real disk store, one record under
+			// the session's key…
+			record, err := live.Encode()
 			if err != nil {
 				t.Fatalf("encode: %v", err)
 			}
@@ -82,25 +82,18 @@ func TestRestartParityAcrossSpecs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if blob.CheckpointRef != "" {
-				if err := disk.Put(ctx, store.KindCheckpoint, store.Key(blob.CheckpointRef), blob.Checkpoint); err != nil {
-					t.Fatalf("persist checkpoint: %v", err)
-				}
-			}
-			metaKey := store.KeyOf([]byte(spec))
-			if err := disk.Put(ctx, store.KindSession, metaKey, blob.Meta); err != nil {
-				t.Fatalf("persist meta: %v", err)
+			key := store.KeyOf([]byte(spec))
+			if err := disk.Put(ctx, store.KindSession, key, record); err != nil {
+				t.Fatalf("persist: %v", err)
 			}
 
-			// Second life: read everything back through the store and
+			// Second life: read the record back through the store and
 			// rebuild the session the way a restarted smoothd does.
-			meta, err := disk.Get(ctx, store.KindSession, metaKey)
+			data, err := disk.Get(ctx, store.KindSession, key)
 			if err != nil {
-				t.Fatalf("reload meta: %v", err)
+				t.Fatalf("reload: %v", err)
 			}
-			restored, err := session.Decode(meta, prog.Problem(), prog.System, func(ref string) ([]byte, error) {
-				return disk.Get(ctx, store.KindCheckpoint, store.Key(ref))
-			})
+			restored, err := session.Decode(data, spec, prog.Problem(), prog.System)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
@@ -112,6 +105,9 @@ func TestRestartParityAcrossSpecs(t *testing.T) {
 			}
 			if got, want := restored.Nodes(), live.Nodes(); got != want {
 				t.Fatalf("restored commit pointer %d, live %d", got, want)
+			}
+			if got, want := fmt.Sprint(restored.Counts()), fmt.Sprint(live.Counts()); got != want {
+				t.Fatalf("restored counts %s, live %s", got, want)
 			}
 
 			// Both lives deepen to full depth; both must be the cold search.
