@@ -1,6 +1,6 @@
 // Command smoothctl is the client for smoothd. It uploads eqlang specs,
 // schedules solve jobs, polls their status, streams solutions, drives
-// resumable solve sessions, and load-tests a running daemon.
+// resumable solve sessions, and inspects the durable store.
 //
 // Usage:
 //
@@ -10,7 +10,6 @@
 //	smoothctl jobs   [-addr URL] [-trace] job-id...
 //	smoothctl delta  [-addr URL] (-hash H | file.eq) -channel NAME [-check]
 //	smoothctl store  (stats | ls -kind KIND | gc -max-bytes N) [-addr URL]
-//	smoothctl bench  [-addr URL] [-concurrency N] [-requests N] [-o BENCH_service.json] file.eq
 //
 // solve -stream reads the /v1/solve/stream server-sent event stream and
 // prints each smooth solution as the search classifies it. solve -resume
@@ -31,9 +30,7 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"smoothproc/internal/service"
@@ -62,8 +59,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return cmdDelta(rest, stdin, stdout, stderr)
 	case "store":
 		return cmdStore(rest, stdout, stderr)
-	case "bench":
-		return cmdBench(rest, stdout, stderr)
 	default:
 		fmt.Fprintf(stderr, "smoothctl: unknown command %q\n", cmd)
 		usage(stderr)
@@ -80,8 +75,7 @@ commands:
   status  show a job by id
   jobs    show jobs by id; -trace adds tenant, trace id and spans
   delta   answer a channel elimination from a solve session
-  store   inspect the durable store: stats, ls -kind, gc -max-bytes
-  bench   load-test the server and write BENCH_service.json`)
+  store   inspect the durable store: stats, ls -kind, gc -max-bytes`)
 }
 
 // client is a thin JSON-over-HTTP wrapper around one smoothd. When
@@ -600,159 +594,6 @@ func printJob(w io.Writer, job service.JobView) {
 	default:
 		fmt.Fprintf(w, "searched in %.1fms\n", r.ElapsedMs)
 	}
-}
-
-// BenchReport is the committed BENCH_service.json shape: one load-test
-// run of a smoothd instance.
-type BenchReport struct {
-	Spec        string  `json:"spec"`
-	SpecHash    string  `json:"spec_hash"`
-	Concurrency int     `json:"concurrency"`
-	Requests    int     `json:"requests"`
-	Errors      int     `json:"errors"`
-	ElapsedMs   float64 `json:"elapsed_ms"`
-	RPS         float64 `json:"rps"`
-	LatencyMs   struct {
-		Mean float64 `json:"mean"`
-		P50  float64 `json:"p50"`
-		P90  float64 `json:"p90"`
-		P99  float64 `json:"p99"`
-		Max  float64 `json:"max"`
-	} `json:"latency_ms"`
-	NodesTotal int      `json:"nodes_total"`
-	Solutions  []string `json:"solutions"`
-}
-
-func cmdBench(args []string, stdout, stderr io.Writer) int {
-	fs := newFlagSet("bench", stderr)
-	addr := fs.String("addr", "127.0.0.1:8080", "smoothd address")
-	concurrency := fs.Int("concurrency", 8, "simultaneous solve requests")
-	requests := fs.Int("requests", 64, "total solve requests")
-	out := fs.String("o", "", "also write the report as JSON to this file")
-	if fs.Parse(args) != nil {
-		return 2
-	}
-	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: smoothctl bench [-addr URL] [-concurrency N] [-requests N] [-o out.json] file.eq")
-		return 2
-	}
-	src, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintf(stderr, "smoothctl: %v\n", err)
-		return 1
-	}
-
-	c := newClient(*addr)
-	var info service.SpecInfo
-	if _, err := c.call("POST", "/v1/specs", service.SpecRequest{Source: string(src)}, &info); err != nil {
-		fmt.Fprintf(stderr, "smoothctl: bench upload: %v\n", err)
-		return 1
-	}
-
-	// Every request bypasses the result cache so the bench measures real
-	// searches, not cache reads.
-	req := service.SolveRequest{SpecHash: info.Hash, Wait: true, NoCache: true}
-	type sample struct {
-		latency time.Duration
-		nodes   int
-		sols    []string
-		err     error
-	}
-	samples := make([]sample, *requests)
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < max(*concurrency, 1); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				t0 := time.Now()
-				var job service.JobView
-				_, err := c.call("POST", "/v1/solve", req, &job)
-				s := sample{latency: time.Since(t0), err: err}
-				if err == nil && job.Result != nil {
-					s.nodes = job.Result.Nodes
-					s.sols = job.Result.Solutions
-					if job.State != service.JobDone {
-						s.err = fmt.Errorf("job state %s", job.State)
-					}
-				}
-				samples[i] = s
-			}
-		}()
-	}
-	t0 := time.Now()
-	for i := 0; i < *requests; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	elapsed := time.Since(t0)
-
-	rep := BenchReport{
-		Spec:        fs.Arg(0),
-		SpecHash:    info.Hash,
-		Concurrency: *concurrency,
-		Requests:    *requests,
-		ElapsedMs:   float64(elapsed.Microseconds()) / 1000,
-	}
-	var lats []time.Duration
-	var sum time.Duration
-	for _, s := range samples {
-		if s.err != nil {
-			rep.Errors++
-			continue
-		}
-		lats = append(lats, s.latency)
-		sum += s.latency
-		rep.NodesTotal += s.nodes
-		if rep.Solutions == nil {
-			rep.Solutions = s.sols
-		}
-	}
-	if len(lats) > 0 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-		rep.LatencyMs.Mean = ms(sum / time.Duration(len(lats)))
-		rep.LatencyMs.P50 = ms(percentile(lats, 50))
-		rep.LatencyMs.P90 = ms(percentile(lats, 90))
-		rep.LatencyMs.P99 = ms(percentile(lats, 99))
-		rep.LatencyMs.Max = ms(lats[len(lats)-1])
-		rep.RPS = float64(len(lats)) / elapsed.Seconds()
-	}
-
-	fmt.Fprintf(stdout, "bench: %d requests, concurrency %d, %d errors\n", rep.Requests, rep.Concurrency, rep.Errors)
-	fmt.Fprintf(stdout, "throughput: %.1f solves/s over %.1fms\n", rep.RPS, rep.ElapsedMs)
-	fmt.Fprintf(stdout, "latency ms: mean %.2f  p50 %.2f  p90 %.2f  p99 %.2f  max %.2f\n",
-		rep.LatencyMs.Mean, rep.LatencyMs.P50, rep.LatencyMs.P90, rep.LatencyMs.P99, rep.LatencyMs.Max)
-	fmt.Fprintf(stdout, "nodes searched: %d\n", rep.NodesTotal)
-
-	if *out != "" {
-		js, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(stderr, "smoothctl: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(*out, append(js, '\n'), 0o644); err != nil {
-			fmt.Fprintf(stderr, "smoothctl: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", *out)
-	}
-	if rep.Errors > 0 {
-		return 1
-	}
-	return 0
-}
-
-// percentile picks the pth percentile of sorted latencies by the
-// nearest-rank method.
-func percentile(sorted []time.Duration, p int) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := (p*len(sorted) + 99) / 100
-	return sorted[min(max(rank, 1), len(sorted))-1]
 }
 
 func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {

@@ -3,11 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -235,38 +235,44 @@ func TestUploadCompileErrorShowsLine(t *testing.T) {
 	}
 }
 
-func TestBenchWritesReport(t *testing.T) {
+// TestConcurrentNoCacheSolves: eight concurrent `solve -no-cache` runs
+// through one daemon each search for real, and all print the same
+// answer: the Brock–Ackermann solution and the same counts.
+func TestConcurrentNoCacheSolves(t *testing.T) {
 	addr := testDaemon(t)
 	spec := writeSpec(t, fig4)
-	out := filepath.Join(t.TempDir(), "BENCH_service.json")
-	code, stdout, errOut := runCtl(t, "",
-		"bench", "-addr", addr, "-concurrency", "4", "-requests", "12", "-o", out, spec)
-	if code != 0 {
-		t.Fatalf("bench exit %d: %s", code, errOut)
+	type ran struct {
+		code     int
+		out, err string
 	}
-	if !strings.Contains(stdout, "12 requests, concurrency 4, 0 errors") {
-		t.Errorf("bench summary: %q", stdout)
+	runs := make([]ran, 8)
+	var wg sync.WaitGroup
+	for i := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var stdout, stderr bytes.Buffer
+			code := run([]string{"solve", "-addr", addr, "-no-cache", spec}, strings.NewReader(""), &stdout, &stderr)
+			runs[i] = ran{code, stdout.String(), stderr.String()}
+		}()
 	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	// counts returns the "solutions: … nodes: N" line without its label.
+	counts := func(out string) string {
+		_, after, _ := strings.Cut(out, "solutions: ")
+		c, _, _ := strings.Cut(after, "\n")
+		return c
 	}
-	var rep BenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests != 12 || rep.Concurrency != 4 || rep.Errors != 0 {
-		t.Errorf("report counts: %+v", rep)
-	}
-	if rep.RPS <= 0 || rep.LatencyMs.P50 <= 0 || rep.LatencyMs.Max < rep.LatencyMs.P50 {
-		t.Errorf("report latency stats: %+v", rep.LatencyMs)
-	}
-	// no_cache forced every request to search for real.
-	if rep.NodesTotal == 0 || rep.NodesTotal%12 != 0 {
-		t.Errorf("nodes_total = %d, want 12 equal searches", rep.NodesTotal)
-	}
-	if len(rep.Solutions) != 1 || rep.Solutions[0] != fig4Solution {
-		t.Errorf("report solutions: %v", rep.Solutions)
+	for i, r := range runs {
+		if r.code != 0 {
+			t.Fatalf("solve %d exit %d: %s", i, r.code, r.err)
+		}
+		if !strings.Contains(r.out, "smooth solution: "+fig4Solution) || !strings.Contains(r.out, "searched in") {
+			t.Errorf("solve %d did not search its way to the solution: %q", i, r.out)
+		}
+		if c, c0 := counts(r.out), counts(runs[0].out); c == "" || c != c0 {
+			t.Errorf("solve %d counted %q, solve 0 %q", i, c, c0)
+		}
 	}
 }
 
@@ -282,22 +288,6 @@ func TestUsageAndErrors(t *testing.T) {
 	}
 	if code, _, errOut := runCtl(t, "", "status", "-addr", "127.0.0.1:1", "job-1"); code != 1 || errOut == "" {
 		t.Errorf("unreachable server exit = %d (%q), want 1", code, errOut)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	lats := []time.Duration{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	cases := []struct {
-		p    int
-		want time.Duration
-	}{{50, 5}, {90, 9}, {99, 10}, {100, 10}, {1, 1}}
-	for _, c := range cases {
-		if got := percentile(lats, c.p); got != c.want {
-			t.Errorf("percentile(%d) = %d, want %d", c.p, got, c.want)
-		}
-	}
-	if got := percentile(nil, 50); got != 0 {
-		t.Errorf("percentile(nil) = %d, want 0", got)
 	}
 }
 

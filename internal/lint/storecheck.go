@@ -29,7 +29,7 @@ const storePkgPath = "smoothproc/internal/store"
 // storeMethods is the Store interface surface (Close handled too: it
 // also returns an error worth keeping).
 var storeMethods = map[string]bool{
-	"Put": true, "Get": true, "Stat": true, "List": true, "Delete": true, "Close": true,
+	"Put": true, "Get": true, "List": true, "Delete": true, "Close": true,
 }
 
 func runStoreCheck(pass *Pass) error {

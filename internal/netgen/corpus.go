@@ -10,7 +10,6 @@ import (
 	"smoothproc/internal/eqlang"
 	"smoothproc/internal/netsim"
 	"smoothproc/internal/solver"
-	"smoothproc/internal/trace"
 )
 
 // Family is one topology grammar of the generated corpus.
@@ -74,9 +73,8 @@ type Instance struct {
 	Prog *eqlang.Program
 	// Spec is the operational network.
 	Spec netsim.Spec
-	// Visible, Mode, LenCap, MaxDecisions and Opts parameterize the
-	// conformance comparison (see check.Conformance).
-	Visible      trace.ChanSet
+	// Mode, LenCap, MaxDecisions and Opts parameterize the conformance
+	// comparison (see check.Conformance).
 	Mode         check.Mode
 	LenCap       int
 	MaxDecisions int
@@ -89,7 +87,6 @@ func (in *Instance) Conformance() check.Conformance {
 		Name:         in.Name,
 		Spec:         in.Spec,
 		Problem:      in.Prog.Problem(),
-		Visible:      in.Visible,
 		LenCap:       in.LenCap,
 		MaxDecisions: in.MaxDecisions,
 		Opts:         in.Opts,
@@ -149,7 +146,6 @@ func GenerateInstance(family string, seed int64) (*Instance, error) {
 		Source:       src,
 		Prog:         prog,
 		Spec:         netsim.Spec{Name: name, Procs: g.procs},
-		Visible:      g.visible(),
 		Mode:         g.mode,
 		LenCap:       g.lenCap,
 		MaxDecisions: g.maxDecisions,

@@ -7,7 +7,6 @@ import (
 
 	"smoothproc/internal/check"
 	"smoothproc/internal/netsim"
-	"smoothproc/internal/trace"
 	"smoothproc/internal/value"
 )
 
@@ -33,7 +32,6 @@ type genNet struct {
 
 	shape        []string
 	mode         check.Mode
-	hidden       []string // channels projected away before comparison
 	lenCap       int
 	maxDecisions int
 	opts         netsim.RealizeOpts
@@ -91,19 +89,6 @@ func (g *genNet) Source() string {
 		fmt.Fprintf(&b, "expect %s\n", e)
 	}
 	return b.String()
-}
-
-// visible is the comparison projection: everything except the hidden
-// channels, or nil (compare unprojected) when nothing is hidden.
-func (g *genNet) visible() trace.ChanSet {
-	if len(g.hidden) == 0 {
-		return nil
-	}
-	all := trace.ChanSet{}
-	for ch := range g.alpha {
-		all[ch] = true
-	}
-	return all.Without(g.hidden...)
 }
 
 // setLit renders an alphabet literal {v, w, ...}.

@@ -23,8 +23,7 @@ import (
 // stress tier (stress.go), which trades exhaustive checking for depth.
 
 // checkBudget is the per-instance cap on total stream length for
-// check-tier families (the analogue of Config.MaxTotalEvents for the
-// legacy linear shape).
+// check-tier families.
 const checkBudget = 10
 
 // stage appends one deterministic stage reading in and writing out,
@@ -60,9 +59,8 @@ func (g *genNet) stage(rng *rand.Rand, name, in, out string, inVals []value.Valu
 	}
 }
 
-// buildDFM is the corpus port of the legacy linear shape: two
-// disjoint-parity feeders into the Section 2.2 discriminated fair merge,
-// then a random chain of deterministic stages.
+// buildDFM is two disjoint-parity feeders into the Section 2.2
+// discriminated fair merge, then a random chain of deterministic stages.
 func buildDFM(rng *rand.Rand, g *genNet) error {
 	feedB := evens(rng, 1+rng.Intn(2))
 	feedC := odds(rng, 1+rng.Intn(2))

@@ -14,9 +14,9 @@ import (
 
 // StressConfig bounds the stress tier. Unlike the check-tier families,
 // stress instances are not exhaustively cross-checked — they exist to
-// drive the parallel solver, session capture/resume and smoothd
-// admission control at 10⁵–10⁶ search nodes, sizes the static planner
-// can predict but only the real search can verify.
+// drive the search, session capture/resume and smoothd admission
+// control at 10⁵–10⁶ search nodes, sizes the static planner can predict
+// but only the real search can verify.
 type StressConfig struct {
 	// TargetNodes is the lower bound on the predicted search tree
 	// (specplan's sound MinNodes bracket), default 100 000.

@@ -220,6 +220,11 @@ type SessionView struct {
 	Nodes    int `json:"nodes"`
 	Frontier int `json:"frontier"`
 	// Solves, Resumes and Replays count how the session has answered.
+	// Replays counts the legs answered from the stored result since this
+	// process loaded the session: a replay persists nothing, so the count
+	// starts again at 0 after a restart, or after the session cache
+	// evicts the session. Solves is the first leg plus the resumes and
+	// replays.
 	Solves  int `json:"solves"`
 	Resumes int `json:"resumes"`
 	Replays int `json:"replays"`

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -408,8 +410,9 @@ func TestSessionSurvivesCacheEviction(t *testing.T) {
 
 // TestUndecodableSessionStartsCold plants a session record that cannot
 // be decoded and opens the session over HTTP: a JSON meta record of
-// version 2, the layout before a session was one record; a record with
-// one shape byte flipped; a truncated record; and the record of another
+// version 2, the layout before a session was one record; a record of
+// version 3, whose header also held a replay count; a record with one
+// shape byte flipped; a truncated record; and the record of another
 // spec, the same buffer under another hash, planted under this spec's
 // hash, whose checkpoint alone would decode. Each time the leg must
 // answer cold, the store section's error count must rise by one, and
@@ -449,6 +452,11 @@ func TestUndecodableSessionStartsCold(t *testing.T) {
 		i--
 	}
 	flipped[i] ^= 1
+	// The header is the version, the key's length and the key: a
+	// version 3 record put a replay count between the key and the
+	// checkpoint.
+	cp := 1 + len(binary.AppendUvarint(nil, uint64(len(hash)))) + len(hash)
+	v3 := slices.Concat([]byte{3}, own[1:cp], []byte{0}, own[cp:])
 	v2 := fmt.Sprintf(`{"version":2,"key":%q,"max_depth":2,"max_nodes":500000,"solves":1,"resumes":0,"replays":0,"checkpoint":%q}`,
 		hash, store.KeyOf(own))
 
@@ -457,6 +465,7 @@ func TestUndecodableSessionStartsCold(t *testing.T) {
 		record []byte
 	}{
 		{"v2 meta", []byte(v2)},
+		{"v3 record", v3},
 		{"flipped shape byte", flipped},
 		{"truncated record", own[:len(own)/2]},
 		{"record of another spec", record(specHash(string(src) + "# the same buffer under another hash\n"))},
@@ -494,33 +503,42 @@ func TestUndecodableSessionStartsCold(t *testing.T) {
 	}
 }
 
-// TestSessionIsOneRecord: every leg of a session writes one store
-// object, its record under the spec hash, and a restart restores the
-// session from it alone, with the bounds of its latest leg and the
-// live session's counts.
+// TestSessionIsOneRecord: a cold or resumed leg of a session writes one
+// store object, its record under the spec hash, and a replayed leg
+// writes nothing. A restart restores the session from the record alone,
+// with the bounds of its latest leg and the live session's counts but
+// its replays, which the record does not hold.
 func TestSessionIsOneRecord(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Workers: 1, DataDir: dir}
 	srv1, ts1 := newTestServer(t, cfg)
 	var live SessionView
-	for i, req := range []SessionRequest{
-		{Source: fig4, Depth: 2, MaxNodes: 1_000},
-		{Depth: 4, MaxNodes: 5_000},
+	for i, leg := range []struct {
+		req     SessionRequest
+		outcome string
+		puts    int64
+	}{
+		{SessionRequest{Source: fig4, Depth: 2, MaxNodes: 1_000}, "cold", 1},
+		{SessionRequest{Depth: 4, MaxNodes: 5_000}, "resumed", 2},
+		{SessionRequest{Depth: 4, MaxNodes: 5_000}, "replayed", 2},
 	} {
 		url := ts1.URL + "/v1/sessions"
 		if i > 0 {
 			url += "/" + live.SpecHash + "/resume"
 		}
-		resp, body := postJSON(t, url, req)
+		resp, body := postJSON(t, url, leg.req)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("leg %d: status %d: %s", i, resp.StatusCode, body)
 		}
 		live = decode[SessionView](t, body)
-		if puts := metricValue(t, ts1.URL, "store", "session puts"); puts != int64(i+1) {
-			t.Errorf("after leg %d: %d session puts, want %d", i, puts, i+1)
+		if live.Outcome != leg.outcome {
+			t.Errorf("leg %d: outcome %q, want %q", i, live.Outcome, leg.outcome)
+		}
+		if puts := metricValue(t, ts1.URL, "store", "session puts"); puts != leg.puts {
+			t.Errorf("after leg %d: %d session puts, want %d", i, puts, leg.puts)
 		}
 	}
-	if live.Depth != 4 || live.Outcome != "resumed" {
+	if live.Depth != 4 || live.Solves != 3 || live.Replays != 1 {
 		t.Fatalf("live session: %+v", live)
 	}
 	ts1.Close()
@@ -536,6 +554,7 @@ func TestSessionIsOneRecord(t *testing.T) {
 		t.Fatalf("restored session: status %d", code)
 	}
 	live.Outcome, live.Result = "", nil
+	live.Solves, live.Replays = 2, 0
 	if got != live {
 		t.Errorf("restored session %+v, live %+v", got, live)
 	}

@@ -6,15 +6,20 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
+
+	"smoothproc/internal/store"
 )
 
 // FuzzHandlers sends random bodies to every POST endpoint, all on one
 // server with small bounds: the four that take a spec or a solve
 // request, the resume and delta endpoints of a session created for the
-// fuzz spec (fig4, whose channel b is eliminable), and store GC. No
+// fuzz spec (fig4, whose channel b is eliminable), and store GC. It also
+// sends the fuzzed string, path-escaped, as the parameter of the GET
+// endpoints /v1/jobs/{id}, /v1/sessions/{hash} and /v1/store/{kind}. No
 // response may be a 5xx other than the load-shed 503, and every
 // application/json body must decode.
 func FuzzHandlers(f *testing.F) {
@@ -38,11 +43,15 @@ func FuzzHandlers(f *testing.F) {
 	hash := specHash(fig4)
 	paths := []string{"/v1/specs", "/v1/solve", "/v1/solve/stream", "/v1/sessions",
 		"/v1/sessions/" + hash + "/resume", "/v1/sessions/" + hash + "/delta", "/v1/store/gc"}
-	post := func(path, body string) *httptest.ResponseRecorder {
+	// The GET endpoints follow the POST paths, so endpoint indices below
+	// len(paths) keep their meaning.
+	gets := []string{"/v1/jobs/", "/v1/sessions/", "/v1/store/"}
+	serve := func(method, path, body string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
 		return rec
 	}
+	post := func(path, body string) *httptest.ResponseRecorder { return serve(http.MethodPost, path, body) }
 
 	src, err := json.Marshal(fig4)
 	if err != nil {
@@ -53,6 +62,11 @@ func FuzzHandlers(f *testing.F) {
 	}
 	if rec := post("/v1/sessions", fmt.Sprintf(`{"spec_hash":%q,"depth":2}`, hash)); rec.Code != http.StatusOK {
 		f.Fatalf("session create: status %d: %s", rec.Code, rec.Body)
+	}
+	rec := post("/v1/solve", fmt.Sprintf(`{"spec_hash":%q,"wait":true}`, hash))
+	var job JobView
+	if err := json.Unmarshal(rec.Body.Bytes(), &job); err != nil || job.ID == "" {
+		f.Fatalf("solve: status %d: %s", rec.Code, rec.Body)
 	}
 	for i := range paths[:4] {
 		f.Add(uint8(i), fmt.Sprintf(`{"source":%s}`, src))
@@ -70,17 +84,29 @@ func FuzzHandlers(f *testing.F) {
 	f.Add(uint8(5), `{"channel":"zz"}`)
 	f.Add(uint8(6), `{"max_bytes":-1}`)
 	f.Add(uint8(6), `{"max_bytes":0}`)
+	f.Add(uint8(7), job.ID)
+	f.Add(uint8(8), hash)
+	for _, k := range store.Kinds() {
+		f.Add(uint8(9), string(k))
+	}
+	f.Add(uint8(9), "checkpoint")
+	f.Add(uint8(8), specHash(fig4+"# no spec behind this hash\n"))
 
 	f.Fuzz(func(t *testing.T, endpoint uint8, body string) {
-		path := paths[int(endpoint)%len(paths)]
-		rec := post(path, body)
+		method, path := http.MethodPost, ""
+		if i := int(endpoint) % (len(paths) + len(gets)); i < len(paths) {
+			path = paths[i]
+		} else {
+			method, path, body = http.MethodGet, gets[i-len(paths)]+url.PathEscape(body), ""
+		}
+		rec := serve(method, path, body)
 		if rec.Code >= 500 && (rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), ErrQueueFull.Error())) {
-			t.Fatalf("POST %s %q: status %d: %s", path, body, rec.Code, rec.Body)
+			t.Fatalf("%s %s %q: status %d: %s", method, path, body, rec.Code, rec.Body)
 		}
 		if rec.Header().Get("Content-Type") == "application/json" {
 			var v any
 			if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
-				t.Fatalf("POST %s %q: status %d body does not decode: %v: %s", path, body, rec.Code, err, rec.Body)
+				t.Fatalf("%s %s %q: status %d body does not decode: %v: %s", method, path, body, rec.Code, err, rec.Body)
 			}
 		}
 	})

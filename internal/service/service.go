@@ -126,7 +126,8 @@ type compiledSpec struct {
 	// endpoint is gated on them.
 	elims []specvet.ElimVerdict
 	// plan is the static search-cost analysis, computed once at upload.
-	// Admission control and worker auto-selection read it on every solve.
+	// Admission control and the scheduler's job cost read it on every
+	// solve.
 	plan *specplan.Plan
 }
 

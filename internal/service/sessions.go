@@ -141,8 +141,11 @@ func (s *Server) runSession(w http.ResponseWriter, r *http.Request, hash string,
 			// Checkpoint the advanced chain element while still on the
 			// worker, so legs whose client disconnected persist and count
 			// too. The persist is outside the leg's elapsed time, which is
-			// the search's alone.
-			s.persistSession(hash, e)
+			// the search's alone. A replay advanced nothing: the stored
+			// record already holds it.
+			if out != session.Replayed {
+				s.persistSession(hash, e)
+			}
 			return wire, nil
 		},
 	})

@@ -1,10 +1,11 @@
 // Session serialization. A session persists as one record: a short
-// header (the record version, the session key and the replay count)
-// followed by its checkpoint blob, unchanged, as the solver codec wrote
-// it. The checkpoint holds the rest of what a session is: its bounds,
-// its resume count and the shape of the §3.3 tree the search has
-// committed, under a check value. A session that has not solved has no
-// checkpoint, and so nothing to persist.
+// header (the record version and the session key) followed by its
+// checkpoint blob, unchanged, as the solver codec wrote it. The
+// checkpoint holds the rest of what a session is: its bounds, its resume
+// count and the shape of the §3.3 tree the search has committed, under a
+// check value. A replay changes none of that, so it has nothing to
+// persist, and its count is not in the record. A session that has not
+// solved has no checkpoint, and so nothing to persist either.
 //
 // Like the checkpoint codec, function values do not serialize: Decode
 // takes the Problem and System rebuilt from the stored spec source.
@@ -13,14 +14,13 @@ package session
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"smoothproc/internal/desc"
 	"smoothproc/internal/solver"
 )
 
 // sessionVersion guards the record layout; bump on any change.
-const sessionVersion = 3
+const sessionVersion = 4
 
 // Encode snapshots the session into its record. It takes the session
 // lock, so the record is one consistent leg, never half a resume. A
@@ -35,11 +35,10 @@ func (s *Session) Encode() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("session %s: %w", s.key, err)
 	}
-	b := make([]byte, 0, 3*binary.MaxVarintLen64+len(s.key)+len(cp))
+	b := make([]byte, 0, 2*binary.MaxVarintLen64+len(s.key)+len(cp))
 	b = binary.AppendUvarint(b, sessionVersion)
 	b = binary.AppendUvarint(b, uint64(len(s.key)))
 	b = append(b, s.key...)
-	b = binary.AppendUvarint(b, uint64(s.replays))
 	return append(b, cp...), nil
 }
 
@@ -62,14 +61,9 @@ func Decode(data []byte, key string, p solver.Problem, sys desc.System) (*Sessio
 	if got := string(data[:klen]); got != key {
 		return nil, fmt.Errorf("session %s: the record belongs to session %q: %w", key, got, solver.ErrCorrupt)
 	}
-	data = data[klen:]
-	replays, n := binary.Uvarint(data)
-	if n <= 0 || replays > math.MaxInt32 {
-		return nil, fmt.Errorf("session %s: bad replay count: %w", key, solver.ErrCorrupt)
-	}
-	cp, err := solver.DecodeCheckpoint(data[n:], p)
+	cp, err := solver.DecodeCheckpoint(data[klen:], p)
 	if err != nil {
 		return nil, fmt.Errorf("session %s: %w", key, err)
 	}
-	return &Session{key: key, sys: sys, p: p, cp: cp, replays: int(replays)}, nil
+	return &Session{key: key, sys: sys, p: p, cp: cp}, nil
 }

@@ -81,8 +81,11 @@ type Session struct {
 	sys desc.System
 	// p's bounds matter only before the first leg; after it, the
 	// checkpoint's are the session's.
-	p       solver.Problem
-	cp      *solver.Checkpoint
+	p  solver.Problem
+	cp *solver.Checkpoint
+	// replays counts the legs this value answered from its stored
+	// result. A replay persists nothing, so a decoded session starts
+	// at 0.
 	replays int
 }
 
@@ -195,8 +198,8 @@ func (s *Session) FrontierSize() int {
 	return s.cp.FrontierSize()
 }
 
-// Counts returns (solves, resumes, replays) so far: every leg after the
-// first resumed or replayed.
+// Counts returns (solves, resumes, replays): the resumes the checkpoint
+// holds, the replays this value answered, and the first leg plus both.
 func (s *Session) Counts() (solves, resumes, replays int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -151,23 +151,6 @@ func (d *Disk) Get(ctx context.Context, kind Kind, key Key) ([]byte, error) {
 	return unframe(kind, key, b)
 }
 
-// Stat implements Store.
-func (d *Disk) Stat(ctx context.Context, kind Kind, key Key) (Info, error) {
-	if err := check(ctx, kind, key); err != nil {
-		return Info{}, err
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	fi, err := os.Stat(d.path(kind, key))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return Info{}, ErrNotFound
-		}
-		return Info{}, fmt.Errorf("store: stat %s/%s: %w", kind, key, err)
-	}
-	return Info{Kind: kind, Key: key, Size: fi.Size() - headerSize(kind), ModTime: fi.ModTime()}, nil
-}
-
 // List implements Store.
 func (d *Disk) List(ctx context.Context, kind Kind) ([]Info, error) {
 	if err := ctx.Err(); err != nil {

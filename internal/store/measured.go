@@ -9,7 +9,7 @@ import (
 
 // Measured wraps a Store with per-kind counters for /metrics: puts,
 // gets, hits (found), misses (not found), corrupt reads, and payload
-// bytes in each direction. Stat/List/Close pass through uncounted —
+// bytes in each direction. List and Close pass through uncounted —
 // they are introspection, not traffic.
 type Measured struct {
 	inner Store
@@ -91,11 +91,6 @@ func (m *Measured) Get(ctx context.Context, kind Kind, key Key) ([]byte, error) 
 		}
 	}
 	return data, err
-}
-
-// Stat implements Store.
-func (m *Measured) Stat(ctx context.Context, kind Kind, key Key) (Info, error) {
-	return m.inner.Stat(ctx, kind, key)
 }
 
 // List implements Store.

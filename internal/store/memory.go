@@ -60,20 +60,6 @@ func (m *Memory) Get(ctx context.Context, kind Kind, key Key) ([]byte, error) {
 	return bytes.Clone(o.data), nil
 }
 
-// Stat implements Store.
-func (m *Memory) Stat(ctx context.Context, kind Kind, key Key) (Info, error) {
-	if err := check(ctx, kind, key); err != nil {
-		return Info{}, err
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	o, ok := m.kinds[kind][key]
-	if !ok {
-		return Info{}, ErrNotFound
-	}
-	return Info{Kind: kind, Key: key, Size: int64(len(o.data)), ModTime: o.mod}, nil
-}
-
 // List implements Store.
 func (m *Memory) List(ctx context.Context, kind Kind) ([]Info, error) {
 	if err := ctx.Err(); err != nil {

@@ -84,7 +84,7 @@ func (k Key) Valid() bool {
 	return true
 }
 
-// ErrNotFound is returned by Get/Stat/Delete for absent objects.
+// ErrNotFound is returned by Get and Delete for absent objects.
 var ErrNotFound = errors.New("store: object not found")
 
 // CorruptError reports a blob that failed integrity verification on
@@ -116,8 +116,6 @@ type Store interface {
 	Put(ctx context.Context, kind Kind, key Key, data []byte) error
 	// Get returns the blob, ErrNotFound, or *CorruptError.
 	Get(ctx context.Context, kind Kind, key Key) ([]byte, error)
-	// Stat returns the object's metadata without reading the payload.
-	Stat(ctx context.Context, kind Kind, key Key) (Info, error)
 	// List returns every object of the kind, sorted by key.
 	List(ctx context.Context, kind Kind) ([]Info, error)
 	// Delete removes the object; ErrNotFound if absent.

@@ -49,18 +49,11 @@ func TestStoreRoundTrip(t *testing.T) {
 			t.Fatalf("cross-kind get: %v, want ErrNotFound", err)
 		}
 
-		in, err := s.Stat(ctx, KindSpec, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if in.Size != int64(len(data)) || in.Kind != KindSpec || in.Key != key {
-			t.Fatalf("stat %+v", in)
-		}
 		infos, err := s.List(ctx, KindSpec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(infos) != 1 || infos[0].Key != key {
+		if len(infos) != 1 || infos[0].Key != key || infos[0].Kind != KindSpec || infos[0].Size != int64(len(data)) {
 			t.Fatalf("list %+v", infos)
 		}
 
