@@ -151,7 +151,7 @@ func BenchmarkFig4BrockAckermann(b *testing.B) {
 	b.Run("solve", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if n := len(solver.Enumerate(context.Background(), p).Solutions); n != 1 {
+			if n := solver.Enumerate(context.Background(), p).Solutions.Len(); n != 1 {
 				b.Fatalf("%d solutions", n)
 			}
 		}

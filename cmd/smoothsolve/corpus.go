@@ -155,7 +155,7 @@ func corpusStress(seed int64, target uint64, stdout, stderr io.Writer) int {
 	res := s.Solve(context.Background())
 	elapsed := time.Since(start).Round(time.Millisecond)
 	fmt.Fprintf(stdout, "solved %d node(s), %d solution(s), %v\n",
-		res.Nodes, len(res.Solutions), elapsed)
+		res.Nodes, res.Solutions.Len(), elapsed)
 	if uint64(res.Nodes) < s.PredictedMin || uint64(res.Nodes) > s.PredictedMax {
 		fmt.Fprintf(stderr, "smoothsolve corpus stress: %d nodes outside planner bracket [%d, %d]\n",
 			res.Nodes, s.PredictedMin, s.PredictedMax)

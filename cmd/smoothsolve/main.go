@@ -129,19 +129,19 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	res := solver.Enumerate(ctx, problem)
 	fmt.Fprintf(stdout, "explored %d tree node(s)%s\n", res.Nodes, truncNote(res))
-	fmt.Fprintf(stdout, "smooth solutions: %d\n", len(res.Solutions))
-	for _, s := range res.Solutions {
+	fmt.Fprintf(stdout, "smooth solutions: %d\n", res.Solutions.Len())
+	for _, s := range res.Solutions.Traces() {
 		fmt.Fprintf(stdout, "  %s\n", s)
 	}
 	if *showFrontier {
-		fmt.Fprintf(stdout, "frontier (depth-bound nodes with sons): %d\n", len(res.Frontier))
-		for _, s := range res.Frontier {
+		fmt.Fprintf(stdout, "frontier (depth-bound nodes with sons): %d\n", res.Frontier.Len())
+		for _, s := range res.Frontier.Traces() {
 			fmt.Fprintf(stdout, "  %s\n", s)
 		}
 	}
 	if *showDead {
-		fmt.Fprintf(stdout, "dead leaves: %d\n", len(res.DeadLeaves))
-		for _, s := range res.DeadLeaves {
+		fmt.Fprintf(stdout, "dead leaves: %d\n", res.DeadLeaves.Len())
+		for _, s := range res.DeadLeaves.Traces() {
 			fmt.Fprintf(stdout, "  %s\n", s)
 		}
 	}

@@ -53,9 +53,9 @@ func TestCorpusStressEndToEnd(t *testing.T) {
 	if outcome != session.Resumed {
 		t.Fatalf("deepening leg: outcome %v, want resumed", outcome)
 	}
-	if res.Nodes != cold.Nodes || len(res.Solutions) != len(cold.Solutions) {
+	if res.Nodes != cold.Nodes || res.Solutions.Len() != cold.Solutions.Len() {
 		t.Errorf("resumed session diverged from cold solve: %d nodes / %d solutions vs %d / %d",
-			res.Nodes, len(res.Solutions), cold.Nodes, len(cold.Solutions))
+			res.Nodes, res.Solutions.Len(), cold.Nodes, cold.Solutions.Len())
 	}
 }
 
@@ -64,35 +64,46 @@ func TestCorpusStressEndToEnd(t *testing.T) {
 // eval_invariant_test.go): far past the point where a bounded
 // whole-search memo would fill and start re-applying, f and g are still
 // never applied twice to one node. The same solve is held to the
-// search's allocation budget: edge checks run on VM views and a pruned
-// candidate is never built, so what a node costs is its own trace
-// (carved from the search's slab), the kept f it carries and its share
-// of the queue's blocks and the result slices — at most maxAllocsPerNode
-// objects and maxBytesPerNode bytes.
+// search's memory budget: edge checks run on VM views and a pruned
+// candidate is never built, so what a node costs is its 24-byte tree
+// record, the f it carries (carved from the search's arena) and its
+// share of the queue and of the result's ID lists — at most
+// maxAllocsPerNode objects and maxBytesPerNode bytes allocated, and at
+// most maxLiveBytesPerNode bytes still live after a collection with the
+// Result held.
 func TestCorpusStressEvalCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus stress is the scheduled CI leg")
 	}
-	const maxAllocsPerNode, maxBytesPerNode = 1, 200
+	const maxAllocsPerNode, maxBytesPerNode, maxLiveBytesPerNode = 0.2, 120, 40
 	s, err := netgen.Stress(0, netgen.StressConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
+	var before, after, held runtime.MemStats
+	runtime.GC()
 	runtime.ReadMemStats(&before)
 	res := s.Solve(context.Background())
 	runtime.ReadMemStats(&after)
+	runtime.GC()
+	runtime.ReadMemStats(&held)
 	if res.Nodes < 1_000_000 || res.Truncated {
 		t.Fatalf("%s (%s): %d nodes (truncated %v), want a complete search of >= 1e6", s.Name, s.Shape, res.Nodes, res.Truncated)
 	}
 	checkEvalCounts(t, s.Name, s.Prog.Problem(), res)
 	perNode := float64(after.Mallocs-before.Mallocs) / float64(res.Nodes)
 	if perNode > maxAllocsPerNode {
-		t.Errorf("%s: %.2f allocations per node, want at most %d", s.Name, perNode, maxAllocsPerNode)
+		t.Errorf("%s: %.2f allocations per node, want at most %.1f", s.Name, perNode, maxAllocsPerNode)
 	}
 	bytesPerNode := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Nodes)
 	if bytesPerNode > maxBytesPerNode {
 		t.Errorf("%s: %.0f bytes per node, want at most %d", s.Name, bytesPerNode, maxBytesPerNode)
 	}
-	t.Logf("%s: %d nodes, %.2f allocations and %.0f bytes per node", s.Name, res.Nodes, perNode, bytesPerNode)
+	livePerNode := (float64(held.HeapAlloc) - float64(before.HeapAlloc)) / float64(res.Nodes)
+	if livePerNode > maxLiveBytesPerNode {
+		t.Errorf("%s: %.0f bytes per node live with the result held, want at most %d", s.Name, livePerNode, maxLiveBytesPerNode)
+	}
+	runtime.KeepAlive(res)
+	t.Logf("%s: %d nodes, %.2f allocations, %.0f bytes allocated and %.0f bytes live per node",
+		s.Name, res.Nodes, perNode, bytesPerNode, livePerNode)
 }

@@ -89,9 +89,9 @@ func TestCompiledParityAcrossSpecs(t *testing.T) {
 			if got := res.Stats.Deterministic(); !reflect.DeepEqual(got, oracleStats) {
 				t.Errorf("SearchStats diverged:\n got %+v\nwant %+v", got, oracleStats)
 			}
-			compareTraceSlices(t, "solutions", res.Solutions, oracle.Solutions)
-			compareTraceSlices(t, "frontier", res.Frontier, oracle.Frontier)
-			compareTraceSlices(t, "dead leaves", res.DeadLeaves, oracle.DeadLeaves)
+			compareTraceSlices(t, "solutions", res.Solutions.Traces(), oracle.Solutions.Traces())
+			compareTraceSlices(t, "frontier", res.Frontier.Traces(), oracle.Frontier.Traces())
+			compareTraceSlices(t, "dead leaves", res.DeadLeaves.Traces(), oracle.DeadLeaves.Traces())
 
 			// Sample's walks revisit shared prefixes and re-read the
 			// induction-base check's f(⊥) and g(⊥) at every root, long
@@ -179,7 +179,7 @@ func TestComposedNetworksRunOnBytecode(t *testing.T) {
 			if g, w := res.Stats.Deterministic(), oracle.Stats.Deterministic(); !reflect.DeepEqual(g, w) {
 				t.Errorf("SearchStats diverged:\n got %+v\nwant %+v", g, w)
 			}
-			t.Logf("%d nodes, %d solutions", res.Nodes, len(res.Solutions))
+			t.Logf("%d nodes, %d solutions", res.Nodes, res.Solutions.Len())
 		})
 	}
 }

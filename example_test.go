@@ -87,7 +87,7 @@ expect solutions 2
 		panic(err)
 	}
 	res := smoothproc.Enumerate(context.Background(), prog.Problem())
-	fmt.Println(len(res.Solutions), prog.CheckExpects(res) == nil)
+	fmt.Println(res.Solutions.Len(), prog.CheckExpects(res) == nil)
 	// Output:
 	// 2 true
 }

@@ -63,8 +63,8 @@ func main() {
 		"c": smoothproc.Ints(0, 1, 2),
 	}, 4)
 	res := smoothproc.Enumerate(context.Background(), problem)
-	fmt.Printf("\ntree search over %d nodes found %d smooth solution(s):\n", res.Nodes, len(res.Solutions))
-	for _, s := range res.Solutions {
+	fmt.Printf("\ntree search over %d nodes found %d smooth solution(s):\n", res.Nodes, res.Solutions.Len())
+	for _, s := range res.Solutions.Traces() {
 		fmt.Printf("  %s\n", s)
 	}
 

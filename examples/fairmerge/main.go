@@ -34,9 +34,9 @@ func main() {
 		panic(err)
 	}
 	res := smoothproc.Enumerate(context.Background(), prog.Problem())
-	fmt.Printf("smooth solutions of the eliminated system (%d):\n", len(res.Solutions))
+	fmt.Printf("smooth solutions of the eliminated system (%d):\n", res.Solutions.Len())
 	outs := map[string]bool{}
-	for _, s := range res.Solutions {
+	for _, s := range res.Solutions.Traces() {
 		outs[s.Channel("e").String()] = true
 	}
 	for _, k := range sorted(outs) {

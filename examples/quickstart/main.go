@@ -35,8 +35,8 @@ func main() {
 		"d": smoothproc.Ints(0, 1),
 	}, 4)
 	result := smoothproc.Enumerate(context.Background(), problem)
-	fmt.Printf("smooth solutions (%d):\n", len(result.Solutions))
-	for _, s := range result.Solutions {
+	fmt.Printf("smooth solutions (%d):\n", result.Solutions.Len())
+	for _, s := range result.Solutions.Traces() {
 		fmt.Printf("  %s\n", s)
 	}
 
@@ -69,8 +69,8 @@ func main() {
 	// Exhaustively enumerate quiescent traces and compare with the
 	// smooth solutions — the paper's central theorem, mechanically.
 	quiescent := smoothproc.QuiescentTraces(spec, 20, smoothproc.RealizeOpts{})
-	match := len(quiescent) == len(result.Solutions)
-	for _, s := range result.Solutions {
+	match := len(quiescent) == result.Solutions.Len()
+	for _, s := range result.Solutions.Traces() {
 		if _, ok := quiescent[s.String()]; !ok {
 			match = false
 		}

@@ -124,10 +124,10 @@ func (c Conformance) denotational(ctx context.Context) (sols, nodes map[string]t
 		return nil, nil, fmt.Errorf("check: %s: search stopped: %w", c.Name, solver.ErrBudget)
 	}
 	sols, nodes = map[string]trace.Trace{}, map[string]trace.Trace{}
-	for _, t := range res.Solutions {
+	for _, t := range res.Solutions.Traces() {
 		sols[t.String()] = t
 	}
-	for _, ts := range [][]trace.Trace{res.Solutions, res.Frontier, res.DeadLeaves} {
+	for _, ts := range [][]trace.Trace{res.Solutions.Traces(), res.Frontier.Traces(), res.DeadLeaves.Traces()} {
 		for _, t := range ts {
 			for _, u := range t.Prefixes() {
 				nodes[u.String()] = u

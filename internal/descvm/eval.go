@@ -9,17 +9,22 @@ import (
 
 // frame is the mutable state of one evaluation: the register file, the
 // per-register scratch buffers the specialized opcodes write through,
-// and the channel histories of its base trace. A frame starts at ⊥ with
-// empty histories and moves from base to base through their common
-// spine ancestor (see frame.rebase), so a goroutine evaluating
-// neighbours in the §3.3 tree — the breadth-first search's access
-// pattern — pays a push or a pop per step instead of a walk of the
-// whole trace.
+// and the channel histories of its base, a node of a trace.Tree. A
+// frame starts at ⊥ with empty histories and moves from base to base
+// through their common ancestor in the tree (see frame.move), so a
+// goroutine evaluating neighbours in the §3.3 tree — the breadth-first
+// search's access pattern — pays a push or a pop per step instead of a
+// walk of the whole trace.
 type frame struct {
 	regs     []seq.Seq
 	scratch  [][]value.Value
 	chanVals [][]value.Value // per channel-table index, history of base(+push)
-	base     trace.Trace     // the trace whose histories chanVals holds
+	// tree and base are the node whose histories chanVals holds.
+	tree *trace.Tree
+	base trace.ID
+	// chanOf maps each event of tree's alphabet to its channel-table
+	// index (-1 off the table): looked up once per tree, not per event.
+	chanOf []int
 }
 
 // Session is a single-goroutine evaluation handle owning one frame, and
@@ -52,69 +57,68 @@ func (p *Prog) NewSession() *Session {
 	}
 }
 
-// Eval applies the compiled function to t, returning a Tuple the caller
-// owns (components never alias frame state).
-func (s *Session) Eval(t trace.Trace) fn.Tuple { return s.Keep(s.View(t)) }
-
-// View applies the compiled function to t and returns a view: a Tuple
-// whose components may alias the session's frame and scratch buffers,
-// valid only until the session's next call. A caller that compares the
-// value and drops it — the search's limit check — pays no allocation;
-// one that retains it copies it with Keep.
-func (s *Session) View(t trace.Trace) fn.Tuple {
-	if n := t.Len(); n > 0 {
-		return s.ViewSon(t.Take(n-1), t.Last())
+// View applies the compiled function to node u of tree t and returns a
+// view: a Tuple whose components may alias the session's frame and
+// scratch buffers, valid only until the session's next call. A caller
+// that compares the value and drops it — the search's limit check —
+// pays no allocation; one that retains it copies it with Keep. The
+// frame is left based at u's parent, where the evaluation of u's
+// siblings starts.
+func (s *Session) View(t *trace.Tree, u trace.ID) fn.Tuple {
+	if u != trace.Root {
+		parent, e := t.Edge(u)
+		return s.ViewSon(t, parent, e)
 	}
-	s.p.exec(s.fr.rebase(s.p, trace.Empty), 0, 0, false)
+	s.p.exec(s.fr.move(s.p, t, u), 0, 0, false)
 	return s.output()
 }
 
-// ViewSon is View(u·e) without building u·e: the session rebases its
-// frame onto u, pushes e, runs the program and pops e again, so the
-// trace node for u·e is built only for a son the caller admits.
+// ViewSon is View of the son of u by alphabet event e, without adding
+// that son to the tree: the session moves its frame to u, pushes e,
+// runs the program and pops e again, so the tree gets the son only if
+// the caller admits it.
 //
 // A single-channel projection skips the push and the dispatch: its
 // answer is the cached history, extended by e when e lands on the
 // channel — appended past the history's end and truncated off again, so
 // the view still sees it until the next call reuses the slot.
-func (s *Session) ViewSon(u trace.Trace, e trace.Event) fn.Tuple {
-	n := u.Len()
+func (s *Session) ViewSon(t *trace.Tree, u trace.ID, e int) fn.Tuple {
 	p := s.p
-	fr := s.fr.rebase(p, u)
-	ci := p.chanIdx(e.Ch)
+	fr := s.fr.move(p, t, u)
+	ci, v := fr.chanOf[e], t.Alphabet()[e].Val
 	if p.soloChan >= 0 {
 		hist := fr.chanVals[p.soloChan]
 		if ci == p.soloChan {
-			hist = append(hist, e.Val)
+			hist = append(hist, v)
 			fr.chanVals[p.soloChan] = hist[:len(hist)-1]
 		}
 		s.view[0] = seq.Seq(hist)
 		return s.view
 	}
-	fr.push(ci, e)
-	p.exec(fr, n+1, 0, false)
+	fr.push(ci, v)
+	p.exec(fr, t.Len(u)+1, 0, false)
 	fr.pop(ci)
 	return s.output()
 }
 
 // SonLeq is the §3.3 edge check f(u·e) ⊑ bound for a node u whose own
 // value is below the bound, f(u) ⊑ bound: the caller's precondition,
-// under which its verdict is ViewSon(u, e).Leq(bound). An event changes
-// only the components whose cones read its channel, and every other
-// component of f(u·e) is f(u)'s, below the bound already. So SonLeq
-// pushes e on the frame based at u, runs only the instructions e's
-// channel needs, and compares only the components they compute. An ω
-// component, whose approximation grows with every event, is reached by
+// under which its verdict is ViewSon(t, u, e).Leq(bound). An event
+// changes only the components whose cones read its channel, and every
+// other component of f(u·e) is f(u)'s, below the bound already. So
+// SonLeq pushes e on the frame based at u, runs only the instructions
+// e's channel needs, and compares only the components they compute. An
+// ω component, whose approximation grows with every event, is reached by
 // all, including an event on a channel the program does not read.
 //
 // With full set, an admitted son's view is completed by running the
 // remaining instructions, in program order after the reached ones, and
 // returned as ViewSon would return it; otherwise the view is nil. A
 // single-channel projection keeps ViewSon's fast path.
-func (s *Session) SonLeq(u trace.Trace, e trace.Event, bound fn.Tuple, full bool) (fn.Tuple, bool) {
+func (s *Session) SonLeq(t *trace.Tree, u trace.ID, e int, bound fn.Tuple, full bool) (fn.Tuple, bool) {
 	p := s.p
 	if p.soloChan >= 0 {
-		v := s.ViewSon(u, e)
+		v := s.ViewSon(t, u, e)
 		ok := v.Leq(bound)
 		if !ok || !full {
 			v = nil
@@ -124,11 +128,11 @@ func (s *Session) SonLeq(u trace.Trace, e trace.Event, bound fn.Tuple, full bool
 	if len(bound) != len(p.outs) {
 		return nil, false // tuples of different widths are never ordered
 	}
-	n := u.Len()
-	fr := s.fr.rebase(p, u)
-	ci := p.chanIdx(e.Ch)
+	fr := s.fr.move(p, t, u)
+	ci := fr.chanOf[e]
 	bit := chanBit(ci)
-	fr.push(ci, e)
+	n := t.Len(u)
+	fr.push(ci, t.Alphabet()[e].Val)
 	p.exec(fr, n+1, bit, true)
 	ok := true
 	for i, r := range p.outs {
@@ -155,12 +159,12 @@ func (s *Session) output() fn.Tuple {
 	return s.view
 }
 
-// push appends e's value to the history of channel-table index ci, and
-// pop removes the last value of that history again; both ignore a
-// channel outside the table (ci < 0).
-func (fr *frame) push(ci int, e trace.Event) {
+// push appends v to the history of channel-table index ci, and pop
+// removes the last value of that history again; both ignore a channel
+// outside the table (ci < 0).
+func (fr *frame) push(ci int, v value.Value) {
 	if ci >= 0 {
-		fr.chanVals[ci] = append(fr.chanVals[ci], e.Val)
+		fr.chanVals[ci] = append(fr.chanVals[ci], v)
 	}
 }
 
@@ -184,15 +188,18 @@ type Arena struct {
 	vals  []value.Value
 }
 
-// arenaChunk caps the length of an Arena's chunks, which double from
-// the first value's size.
-const arenaChunk = 1024
+// An Arena's chunks double from arenaFirst elements, or the first
+// value's size if that is larger, up to arenaChunk.
+const (
+	arenaFirst = 16
+	arenaChunk = 1024
+)
 
 // KeepIn is Keep with the copy carved from a's chunks when a is non-nil,
-// for a caller that keeps many values at once (a decoded checkpoint
-// recomputing the f its queued nodes carry): it pays one allocation per
-// chunk instead of two per value, and a chunk stays allocated while any
-// value carved from it is reachable.
+// for a caller that keeps many values at once (the search, keeping the
+// f each queued node carries): it pays one allocation per chunk instead
+// of two per value, and a chunk stays allocated while any value carved
+// from it is reachable.
 func (s *Session) KeepIn(v fn.Tuple, a *Arena) fn.Tuple {
 	p := s.p
 	total := 0
@@ -233,41 +240,72 @@ func reserve[T any](chunk []T, need int) []T {
 	if chunk != nil && cap(chunk)-len(chunk) >= need {
 		return chunk
 	}
-	return make([]T, 0, max(need, min(2*cap(chunk), arenaChunk)))
+	return make([]T, 0, max(need, min(max(2*cap(chunk), arenaFirst), arenaChunk)))
 }
 
-// rebase moves the frame to base u, through the common spine ancestor
-// of its base and u, and returns it: it pops its base's events down to
-// that ancestor, truncating their channels' histories, and pushes u's
-// events past it, oldest first. The search's bases drift by O(1) edits
-// — a node's expansion base extends its limit-check base by one event,
-// and consecutive nodes of one level are spine siblings — so a step
-// costs a push or a pop, and a move to a cousin costs the walk to the
-// common ancestor, not a reload of the whole trace. Traces on separate
-// spines share only ⊥, so a move between content-equal copies walks
-// both whole: a full reload, and still correct.
-func (fr *frame) rebase(p *Prog, u trace.Trace) *frame {
-	from, to := fr.base, u
-	for !from.Same(to) {
-		if from.Len() >= to.Len() {
-			fr.pop(p.chanIdx(from.Last().Ch))
-			from = from.Take(from.Len() - 1)
-		} else {
-			to = to.Take(to.Len() - 1)
+// move moves the frame to base u of tree t, through the common
+// ancestor of its base and u, and returns it: it pops its base's events
+// down to that ancestor, truncating their channels' histories, and
+// pushes u's events past it, oldest first. The search's bases drift by
+// O(1) edits — a node's expansion base extends its limit-check base by
+// one event, and consecutive nodes of one level are siblings — so a
+// step costs a push or a pop, and a move to a cousin costs the walk to
+// the common ancestor, not a reload of the whole trace. Content-equal
+// nodes at different IDs share only their common ancestor, so a move
+// between them walks both paths down to it. A move to another tree
+// first empties the frame to ⊥ and maps the new tree's alphabet onto
+// the channel table.
+func (fr *frame) move(p *Prog, t *trace.Tree, u trace.ID) *frame {
+	if t != fr.tree {
+		for i := range fr.chanVals {
+			fr.chanVals[i] = fr.chanVals[i][:0]
 		}
+		alpha := t.Alphabet()
+		if cap(fr.chanOf) < len(alpha) {
+			fr.chanOf = make([]int, len(alpha))
+		}
+		fr.chanOf = fr.chanOf[:len(alpha)]
+		for i, e := range alpha {
+			fr.chanOf[i] = p.chanIdx(e.Ch)
+		}
+		fr.tree, fr.base = t, trace.Root
 	}
-	fr.pushPast(p, u, to.Len())
+	if u == fr.base {
+		return fr
+	}
+	// Pop the base's events down to the common ancestor, counting the
+	// events of u's path below it, which are then pushed.
+	from, to := fr.base, u
+	df, dt := t.Len(from), t.Len(to)
+	for ; df > dt; df-- {
+		from = fr.popTo(t, from)
+	}
+	k := dt - df
+	for ; dt > df; dt-- {
+		to, _ = t.Edge(to)
+	}
+	for ; from != to; k++ {
+		from = fr.popTo(t, from)
+		to, _ = t.Edge(to)
+	}
+	fr.pushPath(t, u, k)
 	fr.base = u
 	return fr
 }
 
-// pushPast pushes the events of u past its length-n prefix, oldest
-// first.
-func (fr *frame) pushPast(p *Prog, u trace.Trace, n int) {
-	if u.Len() > n {
-		fr.pushPast(p, u.Take(u.Len()-1), n)
-		e := u.Last()
-		fr.push(p.chanIdx(e.Ch), e)
+// popTo pops node u's event and returns u's parent.
+func (fr *frame) popTo(t *trace.Tree, u trace.ID) trace.ID {
+	parent, e := t.Edge(u)
+	fr.pop(fr.chanOf[e])
+	return parent
+}
+
+// pushPath pushes the last k events of node u's path, oldest first.
+func (fr *frame) pushPath(t *trace.Tree, u trace.ID, k int) {
+	if k > 0 {
+		parent, e := t.Edge(u)
+		fr.pushPath(t, parent, k-1)
+		fr.push(fr.chanOf[e], t.Alphabet()[e].Val)
 	}
 }
 

@@ -64,35 +64,61 @@ func fuzzBuild(ops []byte) fn.TraceFn {
 	return fn.Pair(stack...)
 }
 
-// fuzzTrace decodes the remaining bytes as (channel, value) pairs,
-// including events on a channel no combinator reads.
+// fuzzChans and fuzzVals are the fuzz traces' channels and messages,
+// including a channel no combinator reads; fuzzAlphabet is every event
+// over them, channel-major, the alphabet of the fuzz trees.
+var (
+	fuzzChans    = []string{"a", "b", "x"}
+	fuzzVals     = []value.Value{value.Int(0), value.Int(1), value.Int(2), value.T, value.F}
+	fuzzAlphabet = func() []trace.Event {
+		var es []trace.Event
+		for _, c := range fuzzChans {
+			for _, v := range fuzzVals {
+				es = append(es, trace.E(c, v))
+			}
+		}
+		return es
+	}()
+)
+
+// fuzzEvents decodes bytes as (channel, value) pairs, as indices into
+// fuzzAlphabet, at most 12 of them.
+func fuzzEvents(bs []byte) []int {
+	var es []int
+	for i := 0; i+1 < len(bs) && len(es) < 12; i += 2 {
+		es = append(es, int(bs[i])%len(fuzzChans)*len(fuzzVals)+int(bs[i+1])%len(fuzzVals))
+	}
+	return es
+}
+
+// fuzzTrace is the trace of fuzzEvents(bs).
 func fuzzTrace(bs []byte) trace.Trace {
-	chans := []string{"a", "b", "x"}
-	vals := []value.Value{value.Int(0), value.Int(1), value.Int(2), value.T, value.F}
 	u := trace.Empty
-	for i := 0; i+1 < len(bs) && u.Len() < 12; i += 2 {
-		u = u.Append(trace.E(chans[int(bs[i])%len(chans)], vals[int(bs[i+1])%len(vals)]))
+	for _, e := range fuzzEvents(bs) {
+		u = u.Append(fuzzAlphabet[e])
 	}
 	return u
 }
 
 // FuzzEvalMatchesInterpreter holds the VM equal to the direct IR walk:
-// for any bytecode-lowerable function and any trace, every evaluation
-// must return exactly fn.TraceFn.Apply. Each prefix is evaluated
-// root-to-leaf, each followed by a burst of sons — the access pattern
-// the solver's limit checks and expand produce — and then the session
-// jumps between ancestors, descendants, a cousin, an unrelated trace and
-// content-equal copies built on a separate spine, so every walk through
-// a common ancestor runs, down to ⊥. The high nibbles of the event bytes
-// pick how each evaluation runs: View, ViewSon on the trace's parent and
-// last event, Eval, Keep of a View, KeepIn of a View into one shared
-// Arena, or the sliced edge check SonLeq, with or without the full
-// view. A view is held to Apply at its call, since the session's next
-// call may overwrite it; an owned result is held to Apply again after
-// every later call, so a Keep or KeepIn that leaves anything aliased
-// shows. The edge check gets a bound above f of the parent — each
-// component f(u)'s, f(u·e)'s, or f(u)'s extended by a value — and its
-// verdict must be f(u·e) ⊑ bound, its full view f(u·e).
+// for any bytecode-lowerable function and any node of a trace.Tree,
+// every evaluation must return exactly fn.TraceFn.Apply of the node's
+// trace. Each node of a fuzzed path is evaluated root-to-leaf, each
+// followed by a burst of its sons — the access pattern the solver's
+// limit checks and expand produce — and then the session jumps between
+// ancestors, descendants, cousins, an unrelated node, a content-equal
+// path at other IDs and the same path in another tree, so every walk
+// through a common ancestor runs, down to ⊥, and so does a move between
+// trees. The high nibbles of the event bytes pick how each evaluation
+// runs: View, ViewSon on the node's parent and last event, Eval, Keep
+// of a View, KeepIn of a View into one shared Arena, or the sliced edge
+// check SonLeq, with or without the full view. A view is held to Apply
+// at its call, since the session's next call may overwrite it; an owned
+// result is held to Apply again after every later call, so a Keep or
+// KeepIn that leaves anything aliased shows. The edge check gets a
+// bound above f of the parent — each component f(u)'s, f(u·e)'s, or
+// f(u)'s extended by a value — and its verdict must be f(u·e) ⊑ bound,
+// its full view f(u·e).
 func FuzzEvalMatchesInterpreter(f *testing.F) {
 	f.Add([]byte{0, 4}, []byte{0, 0, 1, 3})
 	f.Add([]byte{1, 7, 3, 9}, []byte{1, 3, 1, 4, 2, 0})
@@ -126,26 +152,28 @@ func FuzzEvalMatchesInterpreter(f *testing.F) {
 			}
 			return int(events[k%len(events)] >> 4)
 		}
-		eval := func(tr trace.Trace) {
+		eval := func(tree *trace.Tree, id trace.ID) {
 			mode := pick(calls) % 7
 			calls++
+			tr := tree.Trace(id)
 			want := tf.Apply(tr)
 			var got fn.Tuple
 			switch {
-			case mode == 1 && tr.Len() > 0:
-				got = s.ViewSon(tr.Take(tr.Len()-1), tr.Last())
+			case mode == 1 && id != trace.Root:
+				parent, e := tree.Edge(id)
+				got = s.ViewSon(tree, parent, e)
 			case mode == 2:
-				got = s.Eval(tr)
+				got = s.Keep(s.View(tree, id))
 				kept = append(kept, owned{tr, got, want})
 			case mode == 3:
-				got = s.Keep(s.View(tr))
+				got = s.Eval(tr)
 				kept = append(kept, owned{tr, got, want})
 			case mode == 4:
-				got = s.KeepIn(s.View(tr), &arena)
+				got = s.KeepIn(s.View(tree, id), &arena)
 				kept = append(kept, owned{tr, got, want})
-			case mode >= 5 && tr.Len() > 0:
-				u := tr.Take(tr.Len() - 1)
-				fu := tf.Apply(u)
+			case mode >= 5 && id != trace.Root:
+				parent, e := tree.Edge(id)
+				fu := tf.Apply(tree.Trace(parent))
 				bound := make(fn.Tuple, len(fu))
 				for i := range bound {
 					switch pick(calls+i) % 3 {
@@ -162,7 +190,7 @@ func FuzzEvalMatchesInterpreter(f *testing.F) {
 					}
 				}
 				full := mode == 6
-				v, ok := s.SonLeq(u, tr.Last(), bound, full)
+				v, ok := s.SonLeq(tree, parent, e, bound, full)
 				if wantOK := want.Leq(bound); ok != wantOK {
 					t.Fatalf("%s: call %d: edge check %s ⊑ %v says %v, want %v\n%s",
 						tf.Name, calls, tr, bound, ok, wantOK, p.Disasm())
@@ -175,36 +203,61 @@ func FuzzEvalMatchesInterpreter(f *testing.F) {
 				}
 				got = v
 			default:
-				got = s.View(tr)
+				got = s.View(tree, id)
 			}
 			if !got.Equal(want) {
 				t.Fatalf("%s: call %d (mode %d) on %s:\ncompiled    %v\ninterpreted %v\n%s",
 					tf.Name, calls, mode, tr, got, want, p.Disasm())
 			}
 		}
-		u := fuzzTrace(events)
-		sons := []trace.Event{
-			trace.E("a", value.Int(1)), trace.E("a", value.Int(2)),
-			trace.E("b", value.F), trace.E("x", value.Int(0)),
-		}
-		for _, pre := range u.Prefixes() {
-			eval(pre)
-			for _, e := range sons {
-				eval(pre.Append(e))
+		tree := trace.NewTree(fuzzAlphabet)
+		path := func(from trace.ID, es ...int) trace.ID {
+			for _, e := range es {
+				from = tree.Add(from, e)
 			}
+			return from
 		}
-		eval(u)
-		eval(u)
-		copied := trace.FromEvents(u.Events())
-		half := u.Take(u.Len() / 2)
-		jumps := []trace.Trace{
-			u, copied, half, copied.Take(u.Len() / 2), trace.Empty,
-			u.Append(sons[0]).Append(sons[2]),
-			half.Append(sons[3]).Append(sons[1]),
-			fuzzTrace(ops),
+		// The sons: (a,1), (a,2), (b,F) and (x,0).
+		sons := []int{1, 2, 9, 10}
+		es := fuzzEvents(events)
+		u := trace.Root
+		for i := 0; ; i++ {
+			eval(tree, u)
+			for _, e := range sons {
+				eval(tree, path(u, e))
+			}
+			if i == len(es) {
+				break
+			}
+			u = path(u, es[i])
+		}
+		eval(tree, u)
+		eval(tree, u)
+		half := u
+		for range len(es) - len(es)/2 {
+			half, _ = tree.Edge(half)
+		}
+		copied := path(trace.Root, es...)
+		copiedHalf := path(trace.Root, es[:len(es)/2]...)
+		other := trace.NewTree(fuzzAlphabet)
+		otherU := trace.Root
+		for _, e := range es {
+			otherU = other.Add(otherU, e)
+		}
+		type jump struct {
+			tree *trace.Tree
+			id   trace.ID
+		}
+		jumps := []jump{
+			{tree, u}, {tree, copied}, {tree, half}, {tree, copiedHalf}, {tree, trace.Root},
+			{tree, path(u, sons[0], sons[2])},
+			{tree, path(half, sons[3], sons[1])},
+			{tree, path(trace.Root, fuzzEvents(ops)...)},
+			{other, otherU},
 		}
 		for k := range events {
-			eval(jumps[int(events[k])%len(jumps)])
+			j := jumps[int(events[k])%len(jumps)]
+			eval(j.tree, j.id)
 		}
 		for _, k := range kept {
 			if !k.got.Equal(k.want) {

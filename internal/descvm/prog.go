@@ -10,11 +10,12 @@
 // cannot have:
 //
 //   - a frame that moves instead of reloading: a Session's frame holds
-//     the channel histories of a base trace and moves to the next base
-//     through their common spine ancestor, in O(1) for each sibling or
-//     son evaluated next — exactly the access pattern of the
+//     the channel histories of a node of a trace.Tree and moves to the
+//     next node through their common ancestor, in O(1) for each sibling
+//     or son evaluated next — exactly the access pattern of the
 //     breadth-first search, where one g(u) application feeds every son
-//     u·e — instead of re-walking the trace per channel per evaluation;
+//     u·e — instead of re-walking the trace per channel per evaluation,
+//     with each alphabet event's channel looked up once per tree;
 //   - common-subexpression elimination: a channel history or a lowered
 //     sub-function used by several equations of a system is computed
 //     once per evaluation, keyed on constructor identity (see fn.SeqLower);
@@ -23,11 +24,11 @@
 //     returns a view of the output registers in a header the session
 //     owns, so it allocates nothing. The view is valid until the
 //     session's next call; Session.Keep copies one that must outlive it
-//     into an owned Tuple (one backing array plus the Tuple header),
-//     and Eval is View followed by Keep. Session.ViewSon evaluates a
-//     son u·e by one push on the frame based at u, without building
-//     u·e, and Session.SonLeq is the §3.3 edge check as a frame step:
-//     it runs and compares only the components the son's event reaches.
+//     into an owned Tuple (one backing array plus the Tuple header).
+//     Session.ViewSon evaluates a son u·e by one push on the frame
+//     based at u, without adding u·e to the tree, and Session.SonLeq is
+//     the §3.3 edge check as a frame step: it runs and compares only
+//     the components the son's event reaches.
 //
 // A Session is the one way to run a program. Compiled and interpreted
 // evaluation are observably identical — the differential suites (this

@@ -33,7 +33,8 @@ func reached(t *testing.T, f fn.TraceFn, u trace.Trace, e trace.Event) []int {
 		}
 		bound := append(fn.Tuple(nil), want...)
 		bound[k] = seq.Of(value.Sym("unreached"))
-		if _, ok := p.NewSession().SonLeq(u, e, bound, false); !ok {
+		tr, id := descvm.TreeOf(u, e)
+		if _, ok := p.NewSession().SonLeq(tr, id, u.Len(), bound, false); !ok {
 			out = append(out, k)
 		}
 	}
@@ -48,8 +49,9 @@ func reached(t *testing.T, f fn.TraceFn, u trace.Trace, e trace.Event) []int {
 // program with more channels than the reach mask holds compares every
 // component, as the full check does. And a fresh session's frames start
 // at ⊥, so its first evaluation walks nothing there; a frame moves
-// through the common ancestor, and content-equal traces on separate
-// spines share only ⊥.
+// through the common ancestor in the tree, content-equal nodes at
+// different IDs share only theirs, and a move to another tree walks
+// down to ⊥ and up again.
 func TestEdgeReach(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("..", "..", "specs", "generated", "dfm-0.eq"))
 	if err != nil {
@@ -101,29 +103,49 @@ func TestEdgeReach(t *testing.T) {
 	if !ok {
 		t.Fatal("dfm-0 left side did not compile")
 	}
+	// One tree holds u's path, a sibling of u, and a second path with
+	// u's events at other IDs.
+	tr, uid := descvm.TreeOf(u, e("b", 4), e("d1", 10))
+	path := func(from trace.ID, evs ...int) trace.ID {
+		for _, k := range evs {
+			from = tr.Add(from, k)
+		}
+		return from
+	}
+	mid, _ := tr.Edge(uid)
+	for range 2 {
+		mid, _ = tr.Edge(mid)
+	}
+	parent, _ := tr.Edge(uid)
+	sibling := path(parent, u.Len()+1)
+	copied := path(trace.Root, 0, 1, 2, 3, 4)
+	other, oid := descvm.TreeOf(u)
 	s := p.NewSession()
-	if n := s.Steps(trace.Empty); n != 0 {
+	if n := s.Steps(tr, trace.Root); n != 0 {
 		t.Errorf("a fresh session walks %d steps to ⊥, want 0", n)
 	}
-	if n := s.Steps(u); n != u.Len() {
+	if n := s.Steps(tr, uid); n != u.Len() {
 		t.Errorf("a fresh session walks %d steps to %s, want %d pushes", n, u, u.Len())
 	}
 	son := u.Append(e("b", 4))
-	if got, want := s.View(son), dfm.Apply(son); !got.Equal(want) {
+	if got, want := s.ViewSon(tr, uid, u.Len()), dfm.Apply(son); !got.Equal(want) {
 		t.Fatalf("view of %s: %v, want %v", son, got, want)
 	}
-	sibling := u.Take(u.Len() - 1).Append(e("d1", 10))
 	for _, tc := range []struct {
-		to   trace.Trace
+		name string
+		to   trace.ID
 		want int
 	}{
-		{u, 0},
-		{u.Take(2), 3},
-		{sibling, 2},
-		{trace.FromEvents(u.Events()), 2 * u.Len()},
+		{"u", uid, 0},
+		{"its length-2 prefix", mid, 3},
+		{"its sibling", sibling, 2},
+		{"a content-equal copy", copied, 2 * u.Len()},
 	} {
-		if n := s.Steps(tc.to); n != tc.want {
-			t.Errorf("based at %s, a move to %s walks %d steps, want %d", u, tc.to, n, tc.want)
+		if n := s.Steps(tr, tc.to); n != tc.want {
+			t.Errorf("based at %s, a move to %s walks %d steps, want %d", u, tc.name, n, tc.want)
 		}
+	}
+	if n := s.Steps(other, oid); n != 2*u.Len() {
+		t.Errorf("based at %s, a move to its copy in another tree walks %d steps, want %d", u, n, 2*u.Len())
 	}
 }

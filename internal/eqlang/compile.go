@@ -148,8 +148,8 @@ func (p *Program) CheckExpects(res solver.Result) error {
 	for _, e := range p.Expects {
 		switch e.Kind {
 		case ExpectCount:
-			if len(res.Solutions) != e.N {
-				return fmt.Errorf("eqlang: line %d: expected %d solutions, found %d", e.Line, e.N, len(res.Solutions))
+			if res.Solutions.Len() != e.N {
+				return fmt.Errorf("eqlang: line %d: expected %d solutions, found %d", e.Line, e.N, res.Solutions.Len())
 			}
 		case ExpectSolution, ExpectNotSolution:
 			tr := traceOfLiteral(e.Trace)

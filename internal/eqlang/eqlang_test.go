@@ -175,10 +175,10 @@ func TestCompileFig4UniqueSolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := solver.Enumerate(context.Background(), p.Problem())
-	if len(res.Solutions) != 1 {
+	if res.Solutions.Len() != 1 {
 		t.Fatalf("solutions: %v", res.SolutionKeys())
 	}
-	if got := res.Solutions[0].Channel("c"); !got.Equal(seq.OfInts(0, 2, 1)) {
+	if got := res.Solutions.At(0).Channel("c"); !got.Equal(seq.OfInts(0, 2, 1)) {
 		t.Errorf("c = %s, want ⟨0 2 1⟩ (the Brock-Ackermann resolution)", got)
 	}
 }
@@ -189,10 +189,10 @@ func TestCompileDFM(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := solver.Enumerate(context.Background(), p.Problem())
-	if len(res.Solutions) == 0 {
+	if res.Solutions.Len() == 0 {
 		t.Fatal("no dfm solutions")
 	}
-	for _, s := range res.Solutions {
+	for _, s := range res.Solutions.Traces() {
 		if s.Channel("d").Len() != 2 {
 			t.Errorf("incomplete merge %s", s)
 		}
@@ -234,7 +234,7 @@ desc false(c) <- repeat [F]
 		t.Fatal(err)
 	}
 	res := solver.Enumerate(context.Background(), p.Problem())
-	if len(res.Solutions) != 0 {
+	if res.Solutions.Len() != 0 {
 		t.Errorf("fair-random has finite solutions: %v", res.SolutionKeys())
 	}
 	if res.Nodes < 31 {

@@ -258,8 +258,8 @@ func e6() Experiment {
 			p := solver.NewProblem(e.Comp.D, map[string][]value.Value{"b": value.Ints(1, 2)}, 3)
 			res := solver.Enumerate(ctx, p)
 			want := 1 + 2 + 4 + 8
-			if len(res.Solutions) != want {
-				return "", fmt.Errorf("%d solutions, want the full tree %d", len(res.Solutions), want)
+			if res.Solutions.Len() != want {
+				return "", fmt.Errorf("%d solutions, want the full tree %d", res.Solutions.Len(), want)
 			}
 			return fmt.Sprintf("all %d traces to depth 3 are smooth solutions", want), nil
 		},
@@ -275,8 +275,8 @@ func e7() Experiment {
 			e := procs.Ticks("ticks", "b")
 			p := solver.NewProblem(e.Comp.D, map[string][]value.Value{"b": {value.T, value.F}}, 6)
 			res := solver.Enumerate(ctx, p)
-			if len(res.Solutions) != 0 || len(res.Frontier) != 1 || res.Nodes != 7 {
-				return "", fmt.Errorf("solutions=%d frontier=%d nodes=%d", len(res.Solutions), len(res.Frontier), res.Nodes)
+			if res.Solutions.Len() != 0 || res.Frontier.Len() != 1 || res.Nodes != 7 {
+				return "", fmt.Errorf("solutions=%d frontier=%d nodes=%d", res.Solutions.Len(), res.Frontier.Len(), res.Nodes)
 			}
 			gen := trace.CycleGen("ticks", trace.Of(trace.E("b", value.T)))
 			if v := e.Comp.D.CheckOmega(gen, 24); !v.OmegaSolution() {
@@ -440,8 +440,8 @@ func e12() Experiment {
 			e := procs.FairRandomSeq("frs", "c")
 			p := solver.NewProblem(e.Comp.D, map[string][]value.Value{"c": {value.T, value.F}}, 4)
 			res := solver.Enumerate(ctx, p)
-			if len(res.Solutions) != 0 || res.Nodes != 31 {
-				return "", fmt.Errorf("solutions=%d nodes=%d", len(res.Solutions), res.Nodes)
+			if res.Solutions.Len() != 0 || res.Nodes != 31 {
+				return "", fmt.Errorf("solutions=%d nodes=%d", res.Solutions.Len(), res.Nodes)
 			}
 			alt := trace.CycleGen("alt", trace.Of(trace.E("c", value.T), trace.E("c", value.F)))
 			if v := e.Comp.D.CheckOmega(alt, 24); !v.OmegaSolution() {

@@ -57,7 +57,7 @@ func CheckTraceFnSupport(f TraceFn, samples []trace.Trace) error {
 // CheckTraceFnGrowth verifies the declared growth bound on the samples.
 func CheckTraceFnGrowth(f TraceFn, samples []trace.Trace) error {
 	for _, t := range samples {
-		if err := CheckOutputGrowth(f, t, f.Apply(t)); err != nil {
+		if err := CheckOutputGrowth(f, t.Len(), f.Apply(t), t.String); err != nil {
 			return err
 		}
 	}

@@ -297,11 +297,12 @@ func (f TraceFn) IndependentOf(chans ...string) bool {
 }
 
 // CheckOutputGrowth verifies the declared growth bound on one output,
-// out = f.Apply(t), for callers that already hold it.
-func CheckOutputGrowth(f TraceFn, t trace.Trace, out Tuple) error {
+// out = f.Apply(t) for an input t of length n, for callers that already
+// hold it. input renders t, and is called only for the error.
+func CheckOutputGrowth(f TraceFn, n int, out Tuple, input func() string) error {
 	for i, s := range out {
-		if s.Len() > t.Len()+f.Growth {
-			return fmt.Errorf("fn: %s component %d exceeds growth bound %d on %s", f.Name, i, f.Growth, t)
+		if s.Len() > n+f.Growth {
+			return fmt.Errorf("fn: %s component %d exceeds growth bound %d on %s", f.Name, i, f.Growth, input())
 		}
 	}
 	return nil

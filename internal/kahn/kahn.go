@@ -157,11 +157,11 @@ func CheckTheorem4Trace(ctx context.Context, c string, h fn.SeqFn, alphabet []va
 	}
 	p := solver.NewProblem(IdentityDescription(c, h), map[string][]value.Value{c: alphabet}, depth)
 	res := solver.Enumerate(ctx, p)
-	if len(res.Solutions) != 1 {
+	if res.Solutions.Len() != 1 {
 		return fmt.Errorf("kahn: Theorem 4 fails: %d smooth solutions of id ⟵ %s, want exactly 1 (keys %v)",
-			len(res.Solutions), h.Name, res.SolutionKeys())
+			res.Solutions.Len(), h.Name, res.SolutionKeys())
 	}
-	got := res.Solutions[0].Channel(c)
+	got := res.Solutions.At(0).Channel(c)
 	if !got.Equal(lfp) {
 		return fmt.Errorf("kahn: Theorem 4 fails: smooth solution %s ≠ lfp %s", got, lfp)
 	}
@@ -219,10 +219,10 @@ func CheckTheorem4Multi(ctx context.Context, eq Equations, alphabet map[string][
 	}
 	p := solver.NewProblem(MultiIdentityDescription(eq), alphabet, depth)
 	res := solver.Enumerate(ctx, p)
-	if len(res.Solutions) == 0 {
+	if res.Solutions.Len() == 0 {
 		return fmt.Errorf("kahn: Theorem 4 (multi) fails: no smooth solution of id ⟵ %s found", eq.Name)
 	}
-	for _, sol := range res.Solutions {
+	for _, sol := range res.Solutions.Traces() {
 		for _, c := range eq.Channels {
 			if got := sol.Channel(c); !got.Equal(fix.Env[c]) {
 				return fmt.Errorf("kahn: Theorem 4 (multi) fails: solution %s has %s = %s ≠ lfp %s",

@@ -93,7 +93,7 @@ func TestCorpusLemma2(t *testing.T) {
 		if res.Truncated {
 			continue
 		}
-		for _, sol := range res.Solutions {
+		for _, sol := range res.Solutions.Traces() {
 			checked++
 			if err := p.D.CheckLemma2(sol); err != nil {
 				t.Errorf("%s: %v", s.name, err)
@@ -147,7 +147,7 @@ func TestCorpusMonitorMatchesTree(t *testing.T) {
 		p := s.prog.Problem()
 		p.MaxNodes = sweepNodes
 		res := solver.Enumerate(context.Background(), p)
-		leaves := slices.Concat(res.Solutions, res.Frontier, res.DeadLeaves)
+		leaves := slices.Concat(res.Solutions.Traces(), res.Frontier.Traces(), res.DeadLeaves.Traces())
 		rng.Shuffle(len(leaves), func(i, j int) { leaves[i], leaves[j] = leaves[j], leaves[i] })
 		var traces []trace.Trace
 		for _, u := range leaves[:min(len(leaves), 12)] {

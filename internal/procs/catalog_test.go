@@ -30,10 +30,10 @@ func TestChaosAcceptsEverything(t *testing.T) {
 	}
 	// Every trace over the alphabet is smooth — the Section 4.1 claim.
 	res := solver.Enumerate(context.Background(), c.Problem)
-	if len(res.Solutions) != 1+2+4 {
-		t.Errorf("CHAOS solutions to depth 2: %d, want 7", len(res.Solutions))
+	if res.Solutions.Len() != 1+2+4 {
+		t.Errorf("CHAOS solutions to depth 2: %d, want 7", res.Solutions.Len())
 	}
-	if len(res.DeadLeaves) != 0 {
+	if res.DeadLeaves.Len() != 0 {
 		t.Errorf("CHAOS has dead leaves: %v", res.DeadLeaves)
 	}
 }
@@ -282,7 +282,7 @@ func TestFairRandomSeqOmega(t *testing.T) {
 		"c": {value.T, value.F},
 	}, 4)
 	res := solver.Enumerate(context.Background(), p)
-	if len(res.Solutions) != 0 {
+	if res.Solutions.Len() != 0 {
 		t.Errorf("fair random has finite solutions: %v", res.SolutionKeys())
 	}
 	// Every finite bit string is a tree node (any prefix extends to a

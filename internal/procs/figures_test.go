@@ -299,10 +299,10 @@ func TestFig4BrockAckermann(t *testing.T) {
 		"c": value.Ints(0, 1, 2),
 	}, 4)
 	res := solver.Enumerate(context.Background(), p)
-	if len(res.Solutions) != 1 {
-		t.Fatalf("full system has %d smooth solutions, want 1: %v", len(res.Solutions), res.SolutionKeys())
+	if res.Solutions.Len() != 1 {
+		t.Fatalf("full system has %d smooth solutions, want 1: %v", res.Solutions.Len(), res.SolutionKeys())
 	}
-	if got := res.Solutions[0].Channel("c"); !got.Equal(want021) {
+	if got := res.Solutions.At(0).Channel("c"); !got.Equal(want021) {
 		t.Errorf("full-system smooth solution has c = %s, want %s", got, want021)
 	}
 

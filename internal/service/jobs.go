@@ -469,6 +469,9 @@ func (s *Scheduler) worker() {
 			s.completed.Inc()
 			tq.completed.Inc()
 		}
+		// The history keeps the finished job; its closure, which holds the
+		// call and a streamed solve's buffered traces, is done with.
+		j.run = nil
 		j.doneAt = time.Now()
 		run := j.doneAt.Sub(j.startedAt)
 		s.runTime.Observe(run)
@@ -614,6 +617,7 @@ func (s *Scheduler) Shutdown(ctx context.Context) error {
 			for _, j := range tq.queue {
 				j.state = JobCanceled
 				j.err = ErrShutdown.Error()
+				j.run = nil
 				j.doneAt = now
 				wait := now.Sub(j.submittedAt)
 				s.queueWait.Observe(wait)

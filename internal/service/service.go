@@ -625,7 +625,7 @@ func (s *Server) submitSolve(w http.ResponseWriter, r *http.Request, admitStart 
 			problem.OnSolution = onSolution
 			start := time.Now()
 			res := solver.Enumerate(ctx, problem)
-			s.countSearch(res.Nodes, len(res.Solutions))
+			s.countSearch(res.Nodes, res.Solutions.Len())
 			out := wireResult(res, start)
 			if !c.req.NoCache && !out.Truncated && !out.Canceled {
 				s.saveResult(c.key(), *out)
@@ -648,8 +648,8 @@ func (s *Server) countSearch(newNodes, newSolutions int) {
 func wireResult(res solver.Result, start time.Time) *SolveResult {
 	return &SolveResult{
 		Solutions:  res.SolutionKeys(),
-		Frontier:   len(res.Frontier),
-		DeadLeaves: len(res.DeadLeaves),
+		Frontier:   res.Frontier.Len(),
+		DeadLeaves: res.DeadLeaves.Len(),
 		Nodes:      res.Nodes,
 		Truncated:  res.Truncated,
 		Canceled:   res.Canceled,

@@ -130,7 +130,7 @@ func (s *Server) runSession(w http.ResponseWriter, r *http.Request, hash string,
 				return nil, err
 			}
 			outcome = out
-			s.countSearch(res.Nodes-prevNodes, len(res.Solutions)-len(prevRes.Solutions))
+			s.countSearch(res.Nodes-prevNodes, res.Solutions.Len()-prevRes.Solutions.Len())
 			switch out {
 			case session.Resumed:
 				s.sessionResumes.Inc()

@@ -125,6 +125,49 @@ func TestAdmitSpanStartsAtHandlerEntry(t *testing.T) {
 	check("session", src, srv.sched.View(jobs[0]))
 }
 
+// TestFinishedJobDropsItsRun: a finished job stays in the history for
+// its view, but not its run closure, which holds the solve call and, for
+// a streamed solve, every solution trace the stream buffered.
+func TestFinishedJobDropsItsRun(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	src := fig4 + "# solve\n"
+	resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Source: src, Wait: true})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("solve: status %d: %s", resp.StatusCode, body)
+	}
+	solved := decode[JobView](t, body).SpecHash
+
+	src = fig4 + "# stream\n"
+	js, err := json.Marshal(SolveRequest{Source: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sresp, err := http.Post(ts.URL+"/v1/solve/stream", "application/json", bytes.NewReader(js))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sresp.Body.Close()
+	var streamed string
+	for br := bufio.NewReader(sresp.Body); streamed == ""; {
+		if e := readSSE(t, br); e.name == "done" {
+			streamed = decode[JobView](t, e.data).SpecHash
+		}
+	}
+	for _, hash := range []string{solved, streamed} {
+		jobs := jobsFor(srv, hash)
+		if len(jobs) != 1 {
+			t.Fatalf("spec %s ran %d jobs, want 1", hash, len(jobs))
+		}
+		<-jobs[0].Done()
+		srv.sched.mu.Lock()
+		state, run := jobs[0].state, jobs[0].run
+		srv.sched.mu.Unlock()
+		if state != JobDone || run != nil {
+			t.Errorf("spec %s: finished job in state %s still holds its run closure: %v", hash, state, run != nil)
+		}
+	}
+}
+
 // TestSessionElapsedIsTheSearchAlone: a session leg's result.elapsed_ms
 // is the search's wall clock, measured on the worker, so it fits inside
 // the job's run span. The only worker is held while the leg queues: a

@@ -54,10 +54,10 @@ func TestSessionCodecRoundTrip(t *testing.T) {
 	if err != nil || gotOut != Resumed {
 		t.Fatalf("decoded deepen: %v %v", gotOut, err)
 	}
-	if !reflect.DeepEqual(keys(gotRes.Solutions), keys(wantRes.Solutions)) ||
+	if !reflect.DeepEqual(keys(gotRes.Solutions.Traces()), keys(wantRes.Solutions.Traces())) ||
 		gotRes.Nodes != wantRes.Nodes {
 		t.Fatalf("decoded session deepened to %v (%d nodes), live %v (%d nodes)",
-			keys(gotRes.Solutions), gotRes.Nodes, keys(wantRes.Solutions), wantRes.Nodes)
+			keys(gotRes.Solutions.Traces()), gotRes.Nodes, keys(wantRes.Solutions.Traces()), wantRes.Nodes)
 	}
 	if g, w := gotRes.Stats.Deterministic(), wantRes.Stats.Deterministic(); !reflect.DeepEqual(g, w) {
 		t.Fatalf("deterministic stats diverged:\n got %+v\nwant %+v", g, w)

@@ -72,7 +72,8 @@ func (s *Session) DeltaCheck(ctx context.Context, d DeltaResult) (DeltaCheckRepo
 		return DeltaCheckReport{}, fmt.Errorf("session: fresh solve of %s was truncated: %w", d.System.Name, ErrTruncatedReference)
 	}
 
-	freshByKey := bucket(fresh.Solutions)
+	freshSols := fresh.Solutions.Traces()
+	freshByKey := bucket(freshSols)
 	projByKey := bucket(d.Solutions)
 	rep := DeltaCheckReport{FreshNodes: fresh.Nodes}
 
@@ -81,7 +82,7 @@ func (s *Session) DeltaCheck(ctx context.Context, d DeltaResult) (DeltaCheckRepo
 			return rep, fmt.Errorf("session: Theorem 5 violation: projected solution %s is not a solution of the eliminated system %s", p, d.System.Name)
 		}
 	}
-	for _, sc := range fresh.Solutions {
+	for _, sc := range freshSols {
 		if member(projByKey, sc) {
 			rep.Matched++
 			continue

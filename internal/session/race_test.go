@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"smoothproc/internal/eqlang"
+	"smoothproc/internal/solver"
 	"smoothproc/internal/trace"
 )
 
@@ -60,7 +61,7 @@ func TestRaceConcurrentResumeAndReaders(t *testing.T) {
 				_ = s.Nodes()
 				_ = s.FrontierSize()
 				if res, ok := s.Result(); ok {
-					_ = len(res.Solutions)
+					_ = res.Solutions.Len()
 				}
 				_, _, _ = s.Counts()
 			}
@@ -109,6 +110,67 @@ func TestRaceConcurrentResumeAndReaders(t *testing.T) {
 	}
 }
 
+// TestRaceReadersBuildPublishedResults: a published Result is read
+// without a lock while other goroutines deepen its session, whose legs
+// add nodes to the same tree past the Result's snapshot. Readers build
+// the solution, frontier and dead-leaf traces, and hold each to the
+// Key, the rendering and the single trace the list gives for it without
+// building them all, and the Result's fingerprint to its first reading:
+// a record a writer moved or wrote again under a reader would show as a
+// mismatch, and under -race as a race.
+func TestRaceReadersBuildPublishedResults(t *testing.T) {
+	ctx := context.Background()
+	prog, err := eqlang.CompileSource(bufferSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New("buffer", prog.Problem(), prog.System)
+	if _, _, err := s.Solve(ctx, Options{Depth: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// The tree outgrows several chunks on the way to depth 7.
+			for d := 2; d <= 7; d++ {
+				// A depth below the session's is a legitimate race outcome.
+				_, _, _ = s.Solve(ctx, Options{Depth: d})
+			}
+		}()
+	}
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 10; j++ {
+				res, ok := s.Result()
+				if !ok {
+					continue
+				}
+				fp := res.Fingerprint()
+				var b []byte
+				for _, l := range []solver.NodeList{res.Solutions, res.Frontier, res.DeadLeaves} {
+					for k, tr := range l.Traces() {
+						b = l.AppendString(b[:0], k)
+						if l.Key(k) != tr.Key() || string(b) != tr.String() || !l.At(k).Equal(tr) {
+							t.Errorf("node %d of a published list: key %x, %s, built %s; trace key %x, %s",
+								k, l.Key(k), b, l.At(k), tr.Key(), tr)
+							return
+						}
+					}
+				}
+				if got := res.Fingerprint(); got != fp {
+					t.Errorf("a published result's fingerprint moved from %#x to %#x", fp, got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestRaceConcurrentEncodeDuringResume hammers the persistence surface
 // the durable store added: goroutines Encode the session while others
 // deepen it. Every snapshot taken mid-flight must be internally
@@ -134,7 +196,7 @@ func TestRaceConcurrentEncodeDuringResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := keys(refRes.Solutions)
+	want := keys(refRes.Solutions.Traces())
 
 	var mu sync.Mutex
 	var records [][]byte
@@ -184,7 +246,7 @@ func TestRaceConcurrentEncodeDuringResume(t *testing.T) {
 		if err != nil {
 			t.Fatalf("record %d: deepen after restore: %v", i, err)
 		}
-		if got := keys(res.Solutions); !equalStrings(got, want) {
+		if got := keys(res.Solutions.Traces()); !equalStrings(got, want) {
 			t.Fatalf("record %d: restored session diverged: %v, want %v", i, got, want)
 		}
 	}

@@ -137,7 +137,7 @@ func (s *Session) Solve(ctx context.Context, o Options) (solver.Result, Outcome,
 	if o.OnSolution != nil {
 		// Replay the stored prefix. A resume emits only new solutions,
 		// which in canonical BFS order all follow the stored ones.
-		for _, t := range stored.Solutions {
+		for _, t := range stored.Solutions.Traces() {
 			o.OnSolution(t)
 		}
 	}
@@ -261,7 +261,7 @@ func (s *Session) Delta(idx int, b string) (DeltaResult, error) {
 		return DeltaResult{}, err
 	}
 	keep := trace.NewChanSet(s.p.Channels...).Without(b)
-	projected := projectDedupe(res.Solutions, keep)
+	projected := projectDedupe(res.Solutions.Traces(), keep)
 	return DeltaResult{
 		System:    elim,
 		Index:     idx,

@@ -63,8 +63,8 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatalf("first solve: outcome %v, err %v", out, err)
 	}
 	cold2 := solver.Enumerate(ctx, coldProblem(t, 2))
-	if !reflect.DeepEqual(keys(res2.Solutions), keys(cold2.Solutions)) {
-		t.Fatalf("depth-2 solutions %v, want %v", keys(res2.Solutions), keys(cold2.Solutions))
+	if !reflect.DeepEqual(keys(res2.Solutions.Traces()), keys(cold2.Solutions.Traces())) {
+		t.Fatalf("depth-2 solutions %v, want %v", keys(res2.Solutions.Traces()), keys(cold2.Solutions.Traces()))
 	}
 
 	res4, out, err := s.Solve(ctx, Options{Depth: 4})
@@ -72,8 +72,8 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatalf("deepen: outcome %v, err %v", out, err)
 	}
 	cold4 := solver.Enumerate(ctx, coldProblem(t, 4))
-	if !reflect.DeepEqual(keys(res4.Solutions), keys(cold4.Solutions)) {
-		t.Fatalf("depth-4 solutions %v, want %v", keys(res4.Solutions), keys(cold4.Solutions))
+	if !reflect.DeepEqual(keys(res4.Solutions.Traces()), keys(cold4.Solutions.Traces())) {
+		t.Fatalf("depth-4 solutions %v, want %v", keys(res4.Solutions.Traces()), keys(cold4.Solutions.Traces()))
 	}
 	if res4.Nodes != cold4.Nodes {
 		t.Fatalf("deepened session classified %d nodes, cold %d", res4.Nodes, cold4.Nodes)
@@ -86,11 +86,11 @@ func TestSessionLifecycle(t *testing.T) {
 	if err != nil || out != Replayed {
 		t.Fatalf("replay: outcome %v, err %v", out, err)
 	}
-	if !reflect.DeepEqual(keys(resR.Solutions), keys(res4.Solutions)) {
+	if !reflect.DeepEqual(keys(resR.Solutions.Traces()), keys(res4.Solutions.Traces())) {
 		t.Fatal("replay returned a different result")
 	}
-	if !reflect.DeepEqual(replayed, keys(res4.Solutions)) {
-		t.Fatalf("replay streamed %v, want %v", replayed, keys(res4.Solutions))
+	if !reflect.DeepEqual(replayed, keys(res4.Solutions.Traces())) {
+		t.Fatalf("replay streamed %v, want %v", replayed, keys(res4.Solutions.Traces()))
 	}
 
 	if _, _, err := s.Solve(ctx, Options{Depth: 3}); err == nil {
@@ -134,7 +134,7 @@ func TestSessionStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The resumed leg re-emits the stored prefix, then the new solutions.
-	want := append(stream[:coldLen:coldLen], keys(res.Solutions)...)
+	want := append(stream[:coldLen:coldLen], keys(res.Solutions.Traces())...)
 	if !reflect.DeepEqual(stream, want) {
 		t.Fatalf("stream %v, want %v", stream, want)
 	}
@@ -160,7 +160,7 @@ func TestSessionBudgetResume(t *testing.T) {
 		t.Fatalf("budget resume: outcome %v, err %v", out, err)
 	}
 	cold := solver.Enumerate(ctx, coldProblem(t, 4))
-	if res.Truncated || res.Nodes != cold.Nodes || !reflect.DeepEqual(keys(res.Solutions), keys(cold.Solutions)) {
+	if res.Truncated || res.Nodes != cold.Nodes || !reflect.DeepEqual(keys(res.Solutions.Traces()), keys(cold.Solutions.Traces())) {
 		t.Fatalf("resumed end state (%v,%d) differs from cold (%d)", res.Truncated, res.Nodes, cold.Nodes)
 	}
 }

@@ -41,57 +41,67 @@ func TestPrunedCandidatesAllocateNothing(t *testing.T) {
 	}
 }
 
+// all returns the fifo's elements, oldest first.
+func (q *fifo[T]) all() []T {
+	var out []T
+	q.each(func(v T) { out = append(out, v) })
+	return out
+}
+
 // TestQueueIsFIFOAndRecyclesBlocks: the BFS queue hands nodes back in
-// push order across block boundaries, clears each slot it pops (so a
-// carried f dies with the visit), and a steady queue that has reached
-// full-size blocks allocates nothing more: each consumed block becomes
+// push order across chunk boundaries, each node that was pushed with a
+// carried f followed by that f, and clears each slot it pops, so a
+// carried f dies with the visit. A steady queue that has reached
+// full-size chunks allocates nothing more: each consumed chunk becomes
 // the tail's next one.
 func TestQueueIsFIFOAndRecyclesBlocks(t *testing.T) {
-	mk := func(i int) node {
-		return node{t: trace.Of(trace.E("a", value.Int(int64(i)))), f: fn.Tuple{seq.OfInts(int64(i))}}
-	}
+	val := func(i int) fn.Tuple { return fn.Tuple{seq.OfInts(int64(i))} }
 	var q queue
-	if _, ok := q.pop(); ok || !q.empty() {
-		t.Fatal("zero queue is not empty")
-	}
 	next, want := 0, 0
 	for round := 0; round < 40; round++ {
-		for i := 0; i < 3*queueMax/2; i++ {
-			q.push(mk(next))
+		for i := 0; i < 300; i++ {
+			q.push(trace.ID(next), val(next), next%3 != 0)
 			next++
 		}
-		for i := 0; i < 3*queueMax/2-round%3; i++ {
-			h, pos := q.head, q.pos
-			n, ok := q.pop()
-			if !ok || n.t.Last().Val.MustInt() != int64(want) || !n.f[0].Equal(seq.OfInts(int64(want))) {
-				t.Fatalf("pop %d: got %v, %v", want, n.t, ok)
+		for i := 0; i < 300-round%3; i++ {
+			if id := q.ids.pop(); id != trace.ID(want) {
+				t.Fatalf("pop %d: got node %d", want, id)
 			}
-			if h == q.head && h.nodes[pos].f != nil {
-				t.Fatalf("pop %d left its slot's f behind", want)
+			if want%3 != 0 {
+				c, head := q.fs.chunks[0], q.fs.head
+				if f := q.fs.pop(); !f.Equal(val(want)) {
+					t.Fatalf("pop %d: got f %v", want, f)
+				}
+				if c[:head+1][head] != nil {
+					t.Fatalf("pop %d left its slot's f behind", want)
+				}
 			}
 			want++
 		}
 	}
-	if rest := q.drain(); len(rest) != next-want || !q.empty() {
-		t.Fatalf("drain returned %d nodes, want %d", len(rest), next-want)
-	} else if len(rest) > 0 && rest[0].t.Last().Val.MustInt() != int64(want) {
-		t.Fatalf("drain starts at %v, want %d", rest[0].t, want)
+	var rest queue
+	rest.pushAll(&q)
+	if rest.len() != next-want || q.len() != next-want {
+		t.Fatalf("pushAll copied %d nodes and left %d, want %d", rest.len(), q.len(), next-want)
+	} else if rest.ids.pop() != trace.ID(want) {
+		t.Fatalf("pushAll's copy does not start at %d", want)
 	}
 
-	// Steady state: one full-size block in, one out.
+	// Steady state: one full-size chunk in, one out.
 	var s queue
-	n := mk(0)
-	for i := 0; i < 4*queueMax; i++ {
-		s.push(n)
+	f := val(0)
+	for i := 0; i < 4*fifoMax; i++ {
+		s.push(1, f, true)
 	}
 	if got := testing.AllocsPerRun(10, func() {
-		for i := 0; i < queueMax; i++ {
-			s.push(n)
+		for i := 0; i < fifoMax; i++ {
+			s.push(1, f, true)
 		}
-		for i := 0; i < queueMax; i++ {
-			s.pop()
+		for i := 0; i < fifoMax; i++ {
+			s.ids.pop()
+			s.fs.pop()
 		}
 	}); got != 0 {
-		t.Errorf("steady queue: %.1f allocs per %d pushes and pops, want 0", got, queueMax)
+		t.Errorf("steady queue: %.1f allocs per %d pushes and pops, want 0", got, fifoMax)
 	}
 }

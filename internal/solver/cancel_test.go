@@ -64,7 +64,7 @@ func TestEnumerateDeadline(t *testing.T) {
 		t.Error(err)
 	}
 	full := Enumerate(context.Background(), dfmProblem(6))
-	for _, s := range res.Solutions {
+	for _, s := range res.Solutions.Traces() {
 		if !full.Contains(s) && s.Len() > 6 {
 			continue // beyond the comparison depth
 		}

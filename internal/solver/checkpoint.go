@@ -33,33 +33,28 @@ import (
 	"smoothproc/internal/trace"
 )
 
-// frontierEntry is one retained depth-bound node together with its
-// admitted sons (each carrying its f), in canonical order — the unit of
-// the resume frontier.
-type frontierEntry struct {
-	node trace.Trace
-	sons []node
-}
-
 // Checkpoint is the retained state of a capture-mode search: the problem
 // (whose bounds track the latest captured leg), the search machinery —
-// the sides' VM sessions and the interned candidates — the last captured
-// leg's Result, the resume frontier, the pending queue of a truncated
-// run, and the tree's shape records, which Encode writes. The Result
-// carries every evaluation count so far, and each leg counts on into
-// it.
+// the sides' VM sessions and the tree — the last captured leg's Result,
+// the resume frontier, the pending queue of a truncated run, and the
+// tree's shape records, which Encode writes. The Result carries every
+// evaluation count so far, and each leg counts on into it.
 //
 // A Checkpoint is not safe for concurrent use; callers that share one
-// (the session subsystem) serialize resumes.
+// (the session subsystem) serialize resumes. The Results its legs
+// return are snapshots, safe to read while a later leg runs.
 type Checkpoint struct {
-	s        *search
-	done     Result
-	frontier []frontierEntry
-	pending  []node
-	// tree holds one shape record per committed node, in commit order
+	s    *search
+	done Result
+	// retained is the resume frontier: the admitted sons of done's
+	// frontier nodes, each node's consecutive and in commit order, with
+	// the f each carries. pending is the unclassified queue remainder of
+	// a truncated run.
+	retained, pending queue
+	// shape holds one shape record per committed node, in commit order
 	// (see codec.go): every capture leg appends to it, and a decoded
 	// checkpoint starts from the blob's.
-	tree    []byte
+	shape   []byte
 	resumes int
 	finaled bool
 }
@@ -117,8 +112,8 @@ func (cp *Checkpoint) Resume(ctx context.Context, o ResumeOpts) (Result, error) 
 		return Result{}, fmt.Errorf("solver: resume depth %d below the captured depth %d (the classified prefix cannot shrink)", o.MaxDepth, oldDepth)
 	}
 	deepen := o.MaxDepth > oldDepth
-	if o.Final && !deepen && len(cp.frontier) > 0 {
-		return Result{}, fmt.Errorf("solver: final resume at the captured depth %d would re-probe %d expanded frontier nodes; raise MaxDepth or resume in capture mode", oldDepth, len(cp.frontier))
+	if o.Final && !deepen && cp.done.Frontier.Len() > 0 {
+		return Result{}, fmt.Errorf("solver: final resume at the captured depth %d would re-probe %d expanded frontier nodes; raise MaxDepth or resume in capture mode", oldDepth, cp.done.Frontier.Len())
 	}
 
 	// The stored result in continuation accounting: without the skipped
@@ -143,15 +138,13 @@ func (cp *Checkpoint) Resume(ctx context.Context, o ResumeOpts) (Result, error) 
 	// every pending node before any frontier son), then the retained
 	// frontier's sons in commit order.
 	var q queue
-	q.push(cp.pending...)
+	q.pushAll(&cp.pending)
 	if deepen {
 		st.Interior += st.Frontier
 		st.Frontier = 0
 		st.RetainedSons = 0
-		base.Frontier = base.Frontier[:0]
-		for _, fe := range cp.frontier {
-			q.push(fe.sons...)
-		}
+		base.Frontier.ids = base.Frontier.ids[:0]
+		q.pushAll(&cp.retained)
 	}
 	captured := cp.s.p
 	cp.s.p.MaxDepth = o.MaxDepth
@@ -169,23 +162,23 @@ func (cp *Checkpoint) Resume(ctx context.Context, o ResumeOpts) (Result, error) 
 		return res, nil
 	}
 	if deepen {
-		cp.frontier = cp.frontier[:0]
+		cp.retained = queue{}
 	}
-	cp.pending = nil
+	cp.pending = queue{}
 	cp.s.run(ctx, &res, &q, cp)
 	cp.s.p.OnSolution = nil
 	cp.done = res
 	return res, nil
 }
 
-// cloneResult deep-copies the slices and per-level stats a resume leg
+// cloneResult deep-copies the lists and per-level stats a resume leg
 // appends to, so the stored checkpoint result and the returned one never
 // share mutable backing arrays.
 func cloneResult(r Result) Result {
 	out := r
-	out.Solutions = append([]trace.Trace(nil), r.Solutions...)
-	out.Frontier = append([]trace.Trace(nil), r.Frontier...)
-	out.DeadLeaves = append([]trace.Trace(nil), r.DeadLeaves...)
+	out.Solutions.ids = append([]trace.ID(nil), r.Solutions.ids...)
+	out.Frontier.ids = append([]trace.ID(nil), r.Frontier.ids...)
+	out.DeadLeaves.ids = append([]trace.ID(nil), r.DeadLeaves.ids...)
 	out.Stats.Levels = append([]LevelStats(nil), r.Stats.Levels...)
 	return out
 }
@@ -204,11 +197,11 @@ func (cp *Checkpoint) MaxDepth() int { return cp.s.p.MaxDepth }
 
 // FrontierSize returns the number of retained depth-bound nodes whose
 // sons seed a deepening resume.
-func (cp *Checkpoint) FrontierSize() int { return len(cp.frontier) }
+func (cp *Checkpoint) FrontierSize() int { return cp.done.Frontier.Len() }
 
 // PendingSize returns the number of unclassified nodes a truncated
 // capture left in its queue.
-func (cp *Checkpoint) PendingSize() int { return len(cp.pending) }
+func (cp *Checkpoint) PendingSize() int { return cp.pending.len() }
 
 // Resumes returns how many resume legs the checkpoint has run.
 func (cp *Checkpoint) Resumes() int { return cp.resumes }

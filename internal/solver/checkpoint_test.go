@@ -21,9 +21,9 @@ func expectResultsEqual(t *testing.T, what string, got, want Result) {
 		name      string
 		got, want []trace.Trace
 	}{
-		{"solutions", got.Solutions, want.Solutions},
-		{"frontier", got.Frontier, want.Frontier},
-		{"dead leaves", got.DeadLeaves, want.DeadLeaves},
+		{"solutions", got.Solutions.Traces(), want.Solutions.Traces()},
+		{"frontier", got.Frontier.Traces(), want.Frontier.Traces()},
+		{"dead leaves", got.DeadLeaves.Traces(), want.DeadLeaves.Traces()},
 	} {
 		if len(s.got) != len(s.want) {
 			t.Errorf("%s: %s: %d traces, want %d", what, s.name, len(s.got), len(s.want))
@@ -115,10 +115,10 @@ func TestCaptureResumeChain(t *testing.T) {
 		if got, want := res.SolutionKeys(), cold.SolutionKeys(); !reflect.DeepEqual(got, want) {
 			t.Errorf("depth %d: solutions %v, want %v", depth, got, want)
 		}
-		if res.Nodes != cold.Nodes || len(res.Frontier) != len(cold.Frontier) || len(res.DeadLeaves) != len(cold.DeadLeaves) {
+		if res.Nodes != cold.Nodes || res.Frontier.Len() != cold.Frontier.Len() || res.DeadLeaves.Len() != cold.DeadLeaves.Len() {
 			t.Errorf("depth %d: classification counts (%d,%d,%d), want (%d,%d,%d)",
-				depth, res.Nodes, len(res.Frontier), len(res.DeadLeaves),
-				cold.Nodes, len(cold.Frontier), len(cold.DeadLeaves))
+				depth, res.Nodes, res.Frontier.Len(), res.DeadLeaves.Len(),
+				cold.Nodes, cold.Frontier.Len(), cold.DeadLeaves.Len())
 		}
 		if err := res.Stats.CheckInvariants(false); err != nil {
 			t.Errorf("depth %d: %v", depth, err)
@@ -186,10 +186,10 @@ func TestOnSolutionStreamsCanonically(t *testing.T) {
 	var seq []string
 	p.OnSolution = func(tr trace.Trace) { seq = append(seq, tr.String()) }
 	res := Enumerate(ctx, p)
-	if len(seq) != len(res.Solutions) {
-		t.Fatalf("emitted %d, result has %d", len(seq), len(res.Solutions))
+	if len(seq) != res.Solutions.Len() {
+		t.Fatalf("emitted %d, result has %d", len(seq), res.Solutions.Len())
 	}
-	for i, tr := range res.Solutions {
+	for i, tr := range res.Solutions.Traces() {
 		if seq[i] != tr.String() {
 			t.Fatalf("emission[%d] = %s, want %s", i, seq[i], tr)
 		}
@@ -205,7 +205,7 @@ func TestOnSolutionStreamsCanonically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(full.Solutions) - len(capRes.Solutions); len(resumed) != want {
+	if want := full.Solutions.Len() - capRes.Solutions.Len(); len(resumed) != want {
 		t.Errorf("resume emitted %d solutions, want the %d new ones", len(resumed), want)
 	}
 }

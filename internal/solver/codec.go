@@ -7,10 +7,10 @@
 // admitted. A flat index runs over Channels × Alphabet, the order of the
 // search's candidate table.
 //
-// Decode replays the BFS from ⊥ over the records, building each son with
-// the search's prehashed candidate events, so spine sharing is exactly
-// as in memory: one trace node per tree node. Everything else follows
-// from the shape and the bounds. A node with sons is interior below the
+// Decode replays the BFS from ⊥ over the records into the search's
+// tree, adding each son by its flat index, so the decoded tree is the
+// captured one: one 24-byte record per tree node. Everything else
+// follows from the shape and the bounds. A node with sons is interior below the
 // depth bound and frontier at it, where its sons are the retained ones;
 // a node without sons is closed if it is a solution and dead otherwise.
 // The admitted sons the records never commit are the pending queue, the
@@ -23,10 +23,11 @@
 // live checkpoint's would.
 //
 // Integrity: the blob ends with a check value, a fold of the Keys of
-// every trace outside the interior (solutions, frontier, dead leaves,
-// retained sons and pending nodes). Every tree node lies on the spine of
-// one of them, so a record naming a wrong son, or a Problem whose
-// candidate order differs from the capture's, fails the check. The
+// every node outside the interior (solutions, frontier, dead leaves,
+// retained sons and pending nodes), read from the tree's records. Every
+// tree node lies on the path of one of them, so a record naming a wrong
+// son, or a Problem whose candidate order differs from the capture's,
+// fails the check. The
 // replayed tree's role counts must also equal the stored stats', every
 // count and index is bounds-checked before use, and every failure wraps
 // ErrCorrupt.
@@ -45,7 +46,7 @@ import (
 	"fmt"
 	"time"
 
-	"smoothproc/internal/descvm"
+	"smoothproc/internal/fn"
 	"smoothproc/internal/trace"
 	"smoothproc/internal/value"
 )
@@ -60,15 +61,17 @@ var ErrCorrupt = errors.New("solver: corrupt checkpoint")
 
 // appendRecord appends a committed node's shape record to b: its son
 // count and solution bit in one varint, then each son's flat candidate
-// index, as expand recorded them.
-func appendRecord(b []byte, solution bool, sons []int) []byte {
-	head := uint64(len(sons)) << 1
+// index. The sons are the n nodes expand last added to tree, from ID
+// first on, and a node's event index is its flat candidate index.
+func appendRecord(b []byte, solution bool, tree *trace.Tree, first, n int) []byte {
+	head := uint64(n) << 1
 	if solution {
 		head |= 1
 	}
 	b = binary.AppendUvarint(b, head)
-	for _, i := range sons {
-		b = binary.AppendUvarint(b, uint64(i))
+	for v := first; v < first+n; v++ {
+		_, e := tree.Edge(trace.ID(v))
+		b = binary.AppendUvarint(b, uint64(e))
 	}
 	return b
 }
@@ -98,31 +101,53 @@ func (cp *Checkpoint) Encode() ([]byte, error) {
 	h = appendBool(h, r.Canceled)
 	h = appendStats(h, r.Stats)
 	h = binary.AppendUvarint(h, uint64(committed))
-	b := make([]byte, 0, len(h)+len(cp.tree)+binary.MaxVarintLen64)
-	b = append(append(b, h...), cp.tree...)
-	return binary.AppendUvarint(b, checkValue(r, cp.frontier, cp.pending)), nil
+	b := make([]byte, 0, len(h)+len(cp.shape)+binary.MaxVarintLen64)
+	b = append(append(b, h...), cp.shape...)
+	return binary.AppendUvarint(b, cp.checkValue(r)), nil
 }
 
-// checkValue folds the Keys of every trace a checkpoint holds outside
-// the interior, list by list, each list's length first.
-func checkValue(r Result, frontier []frontierEntry, pending []node) uint64 {
+// checkValue folds the Keys of every node a checkpoint holds outside
+// the interior, list by list, each list's length first: r's lists, each
+// of r's frontier nodes' retained sons, and the pending nodes.
+func (cp *Checkpoint) checkValue(r Result) uint64 {
+	tree := cp.s.tree
 	h := uint64(checkpointVersion)
-	for _, ts := range [][]trace.Trace{r.Solutions, r.Frontier, r.DeadLeaves} {
-		h = value.HashMix(h, uint64(len(ts)))
-		for _, t := range ts {
-			h = value.HashMix(h, uint64(t.Key()))
+	fold := func(ids []trace.ID) {
+		h = value.HashMix(h, uint64(len(ids)))
+		for _, id := range ids {
+			h = value.HashMix(h, uint64(tree.Key(id)))
 		}
 	}
-	fold := func(ns []node) {
-		h = value.HashMix(h, uint64(len(ns)))
-		for _, n := range ns {
-			h = value.HashMix(h, uint64(n.t.Key()))
+	fold(r.Solutions.ids)
+	fold(r.Frontier.ids)
+	fold(r.DeadLeaves.ids)
+	// Each frontier node's sons are the retained nodes that follow, as
+	// long as their parent is that node: counted first, then folded.
+	sons := &cp.retained.ids
+	p, left := sons.start(), sons.len()
+	foldNext := func(n int) {
+		h = value.HashMix(h, uint64(n))
+		for ; n > 0; n-- {
+			var u trace.ID
+			u, p = sons.at(p)
+			h = value.HashMix(h, uint64(tree.Key(u)))
 		}
 	}
-	for _, fe := range frontier {
-		fold(fe.sons)
+	for _, f := range r.Frontier.ids {
+		n := 0
+		for c := p; n < left; n++ {
+			var u trace.ID
+			u, c = sons.at(c)
+			if parent, _ := tree.Edge(u); parent != f {
+				break
+			}
+		}
+		foldNext(n)
+		left -= n
 	}
-	fold(pending)
+	sons = &cp.pending.ids
+	p = sons.start()
+	foldNext(sons.len())
 	return h
 }
 
@@ -166,7 +191,7 @@ func decodeCheckpoint(data []byte, p Problem) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp.tree = bytes.Clone(records[:len(records)-len(r.b)])
+	cp.shape = bytes.Clone(records[:len(records)-len(r.b)])
 	check := r.uvarint()
 	if r.err != nil {
 		return nil, r.err
@@ -174,7 +199,7 @@ func decodeCheckpoint(data []byte, p Problem) (*Checkpoint, error) {
 	if len(r.b) != 0 {
 		return nil, fmt.Errorf("%d trailing bytes: %w", len(r.b), ErrCorrupt)
 	}
-	res.Truncated, res.Canceled = len(cp.pending) > 0, canceled
+	res.Truncated, res.Canceled = cp.pending.len() > 0, canceled
 	if res.Truncated {
 		// The skipped node heads the pending queue: visited, not committed.
 		res.Stats.Visited++
@@ -184,19 +209,18 @@ func decodeCheckpoint(data []byte, p Problem) (*Checkpoint, error) {
 	if got, want := roles(st), roles(res.Stats); got != want || (canceled && !res.Truncated) {
 		return nil, fmt.Errorf("stats %v disagree with the replayed tree %v (canceled %v): %w", got, want, canceled, ErrCorrupt)
 	}
-	if got := checkValue(res, cp.frontier, cp.pending); got != check {
+	if got := cp.checkValue(res); got != check {
 		return nil, fmt.Errorf("check value %#x, replayed tree gives %#x: %w", check, got, ErrCorrupt)
 	}
 	res.Stats = st
+	cp.s.publish(&res, true)
 	cp.done = res
-	var a descvm.Arena
-	for _, fe := range cp.frontier {
-		for i := range fe.sons {
-			fe.sons[i] = cp.s.carried(fe.sons[i].t, &a)
-		}
-	}
-	for i := range cp.pending {
-		cp.pending[i] = cp.s.carried(cp.pending[i].t, &a)
+	for _, q := range []*queue{&cp.pending, &cp.retained} {
+		q.ids.each(func(u trace.ID) {
+			if u != trace.Root && cp.s.carries(u) {
+				q.fs.push(cp.s.carried(u))
+			}
+		})
 	}
 	return cp, nil
 }
@@ -207,119 +231,101 @@ func roles(s SearchStats) [8]int {
 }
 
 // replay runs the BFS from ⊥ over n shape records read from r, at the
-// problem's depth bound. It returns the result lists with the role
-// counters of the committed nodes in its Stats, and leaves the retained
-// frontier and the pending queue in cp. A son is queued only below the
-// depth bound, so no node lies deeper than it. The blob's stats size the
-// lists up front; they are not trusted beyond what the records can hold.
+// problem's depth bound, adding every son they name to the search's
+// tree. It returns the result lists with the role counters of the
+// committed nodes in its Stats, and leaves the retained frontier and the
+// pending queue in cp, without their carried values, for which it
+// reserves room. A son is queued only below the depth bound, so no node
+// lies deeper than it. The blob's stats size the lists up front; they
+// are not trusted beyond what the records can hold.
 func (cp *Checkpoint) replay(r *reader, n int, claimed SearchStats) (Result, error) {
 	s := cp.s
+	fanout := len(s.auto)
 	size := func(c, limit int) int { return max(0, min(c, limit)) }
 	res := Result{
-		Solutions:  make([]trace.Trace, 0, size(claimed.Solutions, n)),
-		Frontier:   make([]trace.Trace, 0, size(claimed.Frontier, n)),
-		DeadLeaves: make([]trace.Trace, 0, size(claimed.Dead, n)),
+		Solutions:  NodeList{ids: make([]trace.ID, 0, size(claimed.Solutions, n))},
+		Frontier:   NodeList{ids: make([]trace.ID, 0, size(claimed.Frontier, n))},
+		DeadLeaves: NodeList{ids: make([]trace.ID, 0, size(claimed.Dead, n))},
 	}
-	cp.frontier = make([]frontierEntry, 0, size(claimed.Frontier, n))
-	// retained holds every frontier node's sons, each node's a window.
-	retained := make([]node, 0, size(claimed.RetainedSons, len(r.b)))
-	// Every replayed node but ⊥ is a son: the committed ones, the
-	// retained ones and the pending ones. Their trace nodes come from
-	// one block, which keeps decode well under the capture's cost.
-	s.slab.Reserve(size(claimed.Visited+claimed.RetainedSons, len(r.b)))
-	// order is the BFS work list: ⊥, then every son a record queues, in
-	// the order they are built; next is the node the next record commits.
-	order := make([]trace.Trace, 1, size(claimed.Visited, len(r.b))+1)
-	next := 0
+	// The BFS work list is ⊥, then every son a record queues, in the
+	// order they are added, so its nodes are IDs 0, 1, …: next is the one
+	// the next record commits, and queued how many there are. A son at
+	// the depth bound is retained instead, and the tree gets it only
+	// after every queued node, since BFS reaches the bound last. What the
+	// records never commit is pending.
+	cp.retained.ids.reserve(size(claimed.RetainedSons, len(r.b)))
+	next, queued, carriers := trace.Root, 1, 0
 	st := &res.Stats
 	for ; n > 0; n-- {
 		head := r.uvarint()
 		if r.err != nil {
 			return res, r.err
 		}
-		if next == len(order) || head>>1 > uint64(s.fanout) {
-			return res, fmt.Errorf("record %d (head %#x) past the tree or its fan-out %d: %w", st.Visited, head, s.fanout, ErrCorrupt)
+		if int(next) == queued || head>>1 > uint64(fanout) {
+			return res, fmt.Errorf("record %d (head %#x) past the tree or its fan-out %d: %w", st.Visited, head, fanout, ErrCorrupt)
 		}
 		sons, solution := int(head>>1), head&1 == 1
-		u := order[next]
+		u := next
 		next++
-		frontier := u.Len() >= s.p.MaxDepth
-		first := len(retained)
+		frontier := s.tree.Len(u) >= s.p.MaxDepth
 		for k, prev := 0, -1; k < sons; k++ {
 			i := r.uvarint()
 			if r.err != nil {
 				return res, r.err
 			}
-			if i >= uint64(s.fanout) || int(i) <= prev {
-				return res, fmt.Errorf("son index %d after %d, fan-out %d: %w", i, prev, s.fanout, ErrCorrupt)
+			if i >= uint64(fanout) || int(i) <= prev {
+				return res, fmt.Errorf("son index %d after %d, fan-out %d: %w", i, prev, fanout, ErrCorrupt)
 			}
 			prev = int(i)
-			c, j := s.candAt(prev)
-			v := s.slab.AppendPrehashed(u, c.es[j], c.hs[j])
+			s.son = trace.Empty
+			v := s.add(u, prev)
 			if frontier {
-				retained = append(retained, node{t: v})
+				cp.retained.ids.push(v)
+				if !s.auto[prev] {
+					carriers++
+				}
 			} else {
-				order = append(order, v)
+				queued++
 			}
 		}
 		st.Visited++
 		if solution {
-			res.Solutions = append(res.Solutions, u)
+			res.Solutions.ids = append(res.Solutions.ids, u)
 			st.Solutions++
 		}
 		switch {
 		case sons == 0 && solution:
 			st.Closed++
 		case sons == 0:
-			res.DeadLeaves = append(res.DeadLeaves, u)
+			res.DeadLeaves.ids = append(res.DeadLeaves.ids, u)
 			st.Dead++
 		case !frontier:
 			st.Interior++
 		default:
-			res.Frontier = append(res.Frontier, u)
-			cp.frontier = append(cp.frontier, frontierEntry{node: u, sons: retained[first:len(retained):len(retained)]})
+			res.Frontier.ids = append(res.Frontier.ids, u)
 			st.Frontier++
 			st.RetainedSons += sons
 		}
 	}
-	for _, t := range order[next:] {
-		cp.pending = append(cp.pending, node{t: t})
+	cp.retained.fs.reserve(carriers)
+	cp.pending.ids.reserve(queued - int(next))
+	for carriers = 0; int(next) < queued; next++ {
+		cp.pending.ids.push(next)
+		if next != trace.Root && s.carries(next) {
+			carriers++
+		}
 	}
+	cp.pending.fs.reserve(carriers)
 	return res, nil
 }
 
-// candAt returns the candidate set and position of flat index i, which
-// must be below the fan-out.
-func (s *search) candAt(i int) (*candSet, int) {
-	c := &s.cands[0]
-	for k := 1; i >= len(c.es); k++ {
-		i -= len(c.es)
-		c = &s.cands[k]
-	}
-	return c, i
-}
-
-// carried returns queued node t as the search left it: ⊥ with the
-// induction-base check's f(⊥), a son admitted by a Theorem 1 auto edge
-// with nothing, and any other son with f(t) recomputed, counting
-// nothing, as its parent's edge check left it. A value the VM computed
-// is kept in a.
-func (s *search) carried(t trace.Trace, a *descvm.Arena) node {
-	if t.IsEmpty() {
-		return s.rootNode()
-	}
-	ch := t.Last().Ch
-	for i := range s.cands {
-		if c := &s.cands[i]; c.ch == ch && c.auto {
-			return node{t: t}
-		}
-	}
+// carried returns f of queued node u, a son that is not a Theorem 1
+// auto edge's, recomputed, counting nothing, as its parent's edge check
+// left it: the value a checkpoint blob does not store. A value the VM
+// computed is carved from the search's arena.
+func (s *search) carried(u trace.ID) fn.Tuple {
 	var untimed int64
-	f := apply(s.p.D.F, s.fsess, t, nil, nil, &untimed)
-	if s.fsess != nil {
-		f = s.fsess.KeepIn(f, a)
-	}
-	return node{t: t, f: f}
+	return s.carry(s.apply(s.p.D.F, s.fsess, u, -1, &untimed))
 }
 
 func appendBool(b []byte, v bool) []byte {

@@ -39,16 +39,21 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 			dec.FrontierSize(), dec.PendingSize(), dec.Resumes(), dec.Resumable(), dec.MaxDepth(),
 			cp.FrontierSize(), cp.PendingSize(), cp.Resumes(), cp.Resumable(), cp.MaxDepth())
 	}
-	carried := 0
-	for i, fe := range cp.frontier {
-		for j, son := range fe.sons {
-			got := dec.frontier[i].sons[j]
-			if !got.t.Equal(son.t) || (got.f == nil) != (son.f == nil) || !got.f.Equal(son.f) {
-				t.Fatalf("frontier %d son %d: decoded (%s, %v), live (%s, %v)", i, j, got.t, got.f, son.t, son.f)
-			}
-			if son.f != nil {
-				carried++
-			}
+	live, decoded := cp.retained.ids.all(), dec.retained.ids.all()
+	if len(live) != len(decoded) || cp.retained.fs.len() != dec.retained.fs.len() {
+		t.Fatalf("decoded %d retained sons carrying %d values, live %d carrying %d",
+			len(decoded), dec.retained.fs.len(), len(live), cp.retained.fs.len())
+	}
+	for i, son := range live {
+		got, want := dec.s.tree.Trace(decoded[i]), cp.s.tree.Trace(son)
+		if !got.Equal(want) || dec.s.carries(decoded[i]) != cp.s.carries(son) {
+			t.Fatalf("retained son %d: decoded %s, live %s", i, got, want)
+		}
+	}
+	carried := cp.retained.fs.len()
+	for i, f := range cp.retained.fs.all() {
+		if got := dec.retained.fs.all()[i]; (got == nil) != (f == nil) || !got.Equal(f) {
+			t.Fatalf("retained value %d: decoded %v, live %v", i, got, f)
 		}
 	}
 	if carried == 0 {
@@ -160,8 +165,8 @@ func TestCheckpointCodecCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := binary.AppendUvarint(nil, checkValue(cp.done, cp.frontier, cp.pending))
-	shapeStart := len(blob) - len(check) - len(cp.tree)
+	check := binary.AppendUvarint(nil, cp.checkValue(cp.done))
+	shapeStart := len(blob) - len(check) - len(cp.shape)
 	for i := 0; i < len(blob); i++ {
 		mut := bytes.Clone(blob)
 		mut[i] ^= 0xff

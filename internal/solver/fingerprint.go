@@ -2,13 +2,11 @@ package solver
 
 import (
 	"hash/fnv"
-
-	"smoothproc/internal/trace"
 )
 
 // Fingerprint condenses a search result into one uint64 covering every
 // deterministic observable: the solution, frontier and dead-leaf traces
-// (in result order) and the node/edge/pruning/evaluation counters. Two
+// (in result order, rendered from the tree's records) and the node/edge/pruning/evaluation counters. Two
 // runs of the same problem — interpreted or compiled, cold or resumed —
 // must produce equal fingerprints; that is the determinism contract the
 // differential suites assert field by field, packed into a value cheap
@@ -25,12 +23,13 @@ func (r Result) Fingerprint() uint64 {
 		}
 		h.Write(buf[:])
 	}
-	writeTraces := func(label string, ts []trace.Trace) {
+	var b []byte
+	writeTraces := func(label string, l NodeList) {
 		h.Write([]byte(label))
-		writeInt(len(ts))
-		for _, t := range ts {
-			h.Write([]byte(t.String()))
-			h.Write([]byte{0})
+		writeInt(l.Len())
+		for i := range l.Len() {
+			b = append(l.AppendString(b[:0], i), 0)
+			h.Write(b)
 		}
 	}
 	writeTraces("solutions", r.Solutions)

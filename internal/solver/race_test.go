@@ -25,7 +25,7 @@ import (
 // repo-level BENCH_solver.json fingerprint.
 func raceFingerprint(res Result) string {
 	var b strings.Builder
-	for _, ts := range [][]trace.Trace{res.Solutions, res.Frontier, res.DeadLeaves} {
+	for _, ts := range [][]trace.Trace{res.Solutions.Traces(), res.Frontier.Traces(), res.DeadLeaves.Traces()} {
 		for _, t := range ts {
 			b.WriteString(t.String())
 			b.WriteByte('\n')

@@ -120,8 +120,8 @@ func TestSolutionKeysMatchString(t *testing.T) {
 			t.Fatalf("%s: %v", path, err)
 		}
 		res := solver.Enumerate(context.Background(), prog.Problem())
-		want := make([]string, len(res.Solutions))
-		for i, s := range res.Solutions {
+		want := make([]string, res.Solutions.Len())
+		for i, s := range res.Solutions.Traces() {
 			want[i] = s.String()
 		}
 		sort.Strings(want)

@@ -58,7 +58,10 @@ type SampleResult struct {
 // bound. Sampling is sound (everything returned is a smooth solution)
 // but deliberately incomplete; use Enumerate when the bounds allow. The
 // context is checked at every step of every walk; cancellation sets
-// Canceled and returns what the walks found so far.
+// Canceled and returns what the walks found so far. Each walk grows a
+// tree of its own, so only the walk in progress keeps the sons it
+// admitted, and a trace is built only for a solution first found and
+// for a walk that went deeper than every walk before it.
 func Sample(ctx context.Context, p Problem, opts SampleOpts) SampleResult {
 	opts = opts.withDefaults(p)
 	s := newSearch(p)
@@ -67,30 +70,47 @@ func Sample(ctx context.Context, p Problem, opts SampleOpts) SampleResult {
 	s.countBase(s.st)
 	rng := rand.New(rand.NewSource(opts.Seed))
 	start := time.Now()
-walks:
-	for w := 0; w < opts.Walks; w++ {
-		cur := s.rootNode()
+	var sons queue
+	var key []byte
+	for w := 0; w < opts.Walks && !res.Canceled; w++ {
+		if w > 0 {
+			s.tree = trace.NewTree(s.tree.Alphabet())
+			if s.spines != nil {
+				s.spines = s.spines[:1]
+			}
+		}
+		cur, f := trace.Root, s.f0
 		for depth := 0; ; depth++ {
 			if ctx.Err() != nil {
 				res.Canceled = true
-				break walks
+				break
 			}
-			gu, ok, below := s.limit(cur)
+			gu, ok, below := s.limit(cur, f)
 			if ok {
-				res.Solutions[cur.t.String()] = cur.t
+				key = s.tree.AppendString(key[:0], cur)
+				if _, seen := res.Solutions[string(key)]; !seen {
+					res.Solutions[string(key)] = s.trace(cur)
+				}
 			}
 			if depth >= opts.MaxDepth {
 				break
 			}
-			sons := s.expand(cur.t, gu, below, s.sonBuf[:0])
-			if len(sons) == 0 {
+			n := s.expand(cur, gu, below, &sons)
+			if n == 0 {
 				break
 			}
-			cur = sons[rng.Intn(len(sons))]
-			res.Steps++
-			if cur.t.Len() > res.Deepest.Len() {
-				res.Deepest = cur.t
+			// The walk goes on at a uniformly random son; the others are
+			// dropped with the walk's tree.
+			for k := rng.Intn(n); k > 0; k-- {
+				s.pop(&sons)
 			}
+			cur, f = s.pop(&sons)
+			sons.reset()
+			res.Steps++
+		}
+		// A walk's last node is its deepest.
+		if s.tree.Len(cur) > res.Deepest.Len() {
+			res.Deepest = s.trace(cur)
 		}
 	}
 	res.Stats.CompiledEval = s.fsess != nil && s.gsess != nil

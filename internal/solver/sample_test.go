@@ -86,8 +86,8 @@ func TestSampleCoversMostOfSmallSpace(t *testing.T) {
 	p := dfmProblem(4)
 	full := Enumerate(context.Background(), p)
 	s := Sample(context.Background(), p, SampleOpts{Seed: 5, Walks: 512})
-	if len(s.Solutions)*2 < len(full.Solutions) {
-		t.Errorf("sampler hit %d of %d solutions", len(s.Solutions), len(full.Solutions))
+	if len(s.Solutions)*2 < full.Solutions.Len() {
+		t.Errorf("sampler hit %d of %d solutions", len(s.Solutions), full.Solutions.Len())
 	}
 }
 

@@ -77,16 +77,16 @@ func NewProblem(d desc.Description, alphabet map[string][]value.Value, maxDepth 
 type Result struct {
 	// Solutions are the tree nodes satisfying the limit condition —
 	// exactly the finite smooth solutions within the depth bound.
-	Solutions []trace.Trace
+	Solutions NodeList
 	// Frontier are the depth-bound nodes that still have sons (or are at
 	// MaxDepth); every ω smooth solution within the alphabet passes
 	// through the frontier.
-	Frontier []trace.Trace
+	Frontier NodeList
 	// DeadLeaves are nodes with no sons that fail the limit condition:
 	// communication histories after which the process is stuck yet its
 	// equations do not hold. (For a well-formed process description these
 	// are nonquiescent histories whose extensions all left the alphabet.)
-	DeadLeaves []trace.Trace
+	DeadLeaves NodeList
 	// Nodes is the number of tree nodes visited.
 	Nodes int
 	// Truncated reports that the search stopped early — either MaxNodes
@@ -104,122 +104,146 @@ type Result struct {
 // that prefer errors.
 var ErrBudget = errors.New("solver: node budget exhausted")
 
-// root is the tree's bottom element ⊥. Tree nodes are plain traces: the
-// persistent representation extends in O(1) with full prefix sharing,
-// so no per-node key string is maintained.
-var root = trace.Empty
-
-// node is one queued tree node: its trace, and f of it when the
-// parent's edge check computed it. The §3.3 tree reaches every trace
-// once, so that edge check is the only other read of f(v) there ever
-// is; carrying the value down the edge replaces a whole-search memo. f
-// is nil when nothing computed it: sons the Theorem 1 fast path
-// admitted unevaluated, and the root unless the induction-base check
-// ran (see search.rootNode).
-type node struct {
-	t trace.Trace
-	f fn.Tuple
+// fifo is a first-in first-out list held in chunks whose sizes double
+// from fifoFirst elements, or from a reserved first chunk, to fifoMax.
+// pop clears the slot it reads, so a carried value dies with its visit,
+// and a consumed full-size chunk is kept as the tail's next one: a
+// growing fifo allocates about its peak length, and a steady one
+// nothing.
+type fifo[T any] struct {
+	chunks [][]T // oldest first; only the last may have room
+	head   int   // the next slot to pop in chunks[0]
+	n      int
+	spare  []T // a consumed full-size chunk, empty
 }
 
-// Queue blocks: the first holds queueFirst nodes, each next one twice
-// its predecessor, up to queueMax.
 const (
-	queueFirst = 8
-	queueMax   = 256
+	fifoFirst = 16
+	fifoMax   = 1024
 )
 
-// queue is the BFS work list, a FIFO of node blocks. A slice that pops
-// its front and appends at its back loses the front's capacity, so it
-// re-allocates and copies the live queue every time it fills and
-// allocates several times its peak. Blocks never move: a search
-// allocates about its peak queue, and a tiny search one small block. pop
-// clears the slot it reads, so a carried f dies when its node is
-// visited, and the head's last full-size block is kept for the tail's
-// next one.
+func (q *fifo[T]) len() int { return q.n }
+
+// reserve makes an empty fifo's first chunk hold n elements, for a
+// caller that knows how many it will push: one allocation, where
+// growing chunk by chunk takes one per fifoMax elements.
+func (q *fifo[T]) reserve(n int) {
+	if len(q.chunks) == 0 && n > fifoFirst {
+		q.chunks = append(q.chunks, make([]T, 0, n))
+	}
+}
+
+func (q *fifo[T]) push(v T) {
+	k := len(q.chunks) - 1
+	if k < 0 || len(q.chunks[k]) == cap(q.chunks[k]) {
+		size := fifoFirst
+		if k >= 0 {
+			size = min(2*cap(q.chunks[k]), fifoMax)
+		}
+		c := q.spare
+		if size < fifoMax || c == nil {
+			c = make([]T, 0, size)
+		}
+		q.spare = nil
+		q.chunks = append(q.chunks, c)
+		k++
+	}
+	q.chunks[k] = append(q.chunks[k], v)
+	q.n++
+}
+
+// pop removes and returns the oldest element; the fifo must not be
+// empty.
+func (q *fifo[T]) pop() T {
+	var zero T
+	c := q.chunks[0]
+	v := c[q.head]
+	c[q.head] = zero
+	q.head++
+	q.n--
+	if q.head == len(c) {
+		q.head = 0
+		if len(q.chunks) == 1 {
+			q.chunks[0] = c[:0]
+		} else {
+			if cap(c) == fifoMax {
+				q.spare = c[:0]
+			}
+			q.chunks = append(q.chunks[:0], q.chunks[1:]...)
+		}
+	}
+	return v
+}
+
+// each calls visit on every element, oldest first.
+func (q *fifo[T]) each(visit func(T)) {
+	for p, n := q.start(), q.n; n > 0; n-- {
+		var v T
+		v, p = q.at(p)
+		visit(v)
+	}
+}
+
+// fifoPos is a position in a fifo: slot i of chunk k.
+type fifoPos struct{ k, i int }
+
+// start returns the position of the oldest element.
+func (q *fifo[T]) start() fifoPos { return fifoPos{0, q.head} }
+
+// at returns the element at p, which must hold one, and the position
+// after it.
+func (q *fifo[T]) at(p fifoPos) (T, fifoPos) {
+	v := q.chunks[p.k][p.i]
+	if p.i++; p.i == len(q.chunks[p.k]) {
+		p = fifoPos{p.k + 1, 0}
+	}
+	return v, p
+}
+
+// queue is a BFS work list: tree nodes in visit order, and beside them,
+// in the same order, the f that each node that carries one carries. The
+// §3.3 tree reaches every trace once, so the edge check that admits a
+// son is the only other read of f(v) there ever is; carrying the value
+// down the edge replaces a whole-search memo. Sons the Theorem 1 fast
+// path admitted unevaluated carry nothing, and neither does ⊥, whose f
+// the induction-base check keeps (see search.carries and search.pop).
+// The IDs hold no pointer, and the f values are carved from the
+// search's arena.
 type queue struct {
-	head, tail *queueBlock
-	pos        int         // the head's next slot to pop
-	size       int         // the tail's size
-	spare      *queueBlock // a consumed full-size block, empty
+	ids fifo[trace.ID]
+	fs  fifo[fn.Tuple]
 }
 
-// queueBlock is one block of a queue: its filled slots, in a slice
-// whose capacity is the block's size.
-type queueBlock struct {
-	nodes []node
-	next  *queueBlock
-}
+func (q *queue) len() int { return q.ids.len() }
 
-// push appends ns to the back of the queue.
-func (q *queue) push(ns ...node) {
-	for _, n := range ns {
-		if q.tail == nil || len(q.tail.nodes) == cap(q.tail.nodes) {
-			q.grow()
-		}
-		q.tail.nodes = append(q.tail.nodes, n)
+// push appends node u, and f when u carries it.
+func (q *queue) push(u trace.ID, f fn.Tuple, carried bool) {
+	q.ids.push(u)
+	if carried {
+		q.fs.push(f)
 	}
 }
 
-// grow links a new tail block: the spare if there is one, which fits,
-// since only full-size blocks are kept and new blocks are full-size by
-// the time one has been consumed, or else a fresh block.
-func (q *queue) grow() {
-	q.size = min(max(2*q.size, queueFirst), queueMax)
-	b := q.spare
-	if b == nil {
-		b = &queueBlock{nodes: make([]node, 0, q.size)}
-	}
-	q.spare = nil
-	if q.tail == nil {
-		q.head = b
-	} else {
-		q.tail.next = b
-	}
-	q.tail = b
+// pushAll appends r's nodes and values, leaving r as it was.
+func (q *queue) pushAll(r *queue) {
+	r.ids.each(q.ids.push)
+	r.fs.each(q.fs.push)
 }
 
-// empty reports whether the queue holds no node. Only the tail may be
-// short of full, so the head is empty only when it is also the tail.
-func (q *queue) empty() bool { return q.head == nil || q.pos == len(q.head.nodes) }
-
-// pop removes and returns the front node; it reports false when the
-// queue is empty.
-func (q *queue) pop() (node, bool) {
-	if q.empty() {
-		return node{}, false
+// reset empties the queue, keeping its slices.
+func (q *queue) reset() {
+	for q.ids.len() > 0 {
+		q.ids.pop()
 	}
-	h := q.head
-	n := h.nodes[q.pos]
-	h.nodes[q.pos] = node{}
-	q.pos++
-	if q.pos == cap(h.nodes) {
-		q.head, q.pos = h.next, 0
-		if q.head == nil {
-			q.tail = nil
-		}
-		if cap(h.nodes) == queueMax {
-			h.nodes, h.next = h.nodes[:0], nil
-			q.spare = h
-		}
+	for q.fs.len() > 0 {
+		q.fs.pop()
 	}
-	return n, true
-}
-
-// drain pops every queued node, in order.
-func (q *queue) drain() []node {
-	var out []node
-	for n, ok := q.pop(); ok; n, ok = q.pop() {
-		out = append(out, n)
-	}
-	return out
 }
 
 // search carries the machinery of one tree exploration: the problem,
-// a VM session per side, the stats it counts into, and the interned
-// candidate events — one Event per (channel, message) built up front,
-// so expansion never re-constructs them. It runs on the goroutine that
-// called the search; concurrent searches share only the Problem and the
-// cached bytecode.
+// a VM session per side, the stats it counts into, and the tree. It
+// runs on the goroutine that called the search; concurrent searches
+// share only the Problem and the cached bytecode.
 type search struct {
 	p Problem
 	// fsess and gsess evaluate the two sides' bytecode when the side
@@ -231,12 +255,17 @@ type search struct {
 	// evaluation: run points it at its leg's Result.Stats and clears it
 	// when the leg ends, Sample at the walks' stats.
 	st *SearchStats
-	// cands holds the per-channel candidate events in Channels order —
-	// the same data as ev, but expansion iterates it as a slice so the
-	// per-node inner loop never touches a map. Each event's Hash64 is
-	// precomputed: expansion appends the same few events to thousands of
-	// nodes, so each is hashed once per search (trace.AppendPrehashed).
-	cands []candSet
+	// tree is every node the search admitted, as records over the
+	// candidate table: one event per (channel, message), in Channels ×
+	// Alphabet order, so a node's event index is the flat candidate
+	// index a checkpoint's shape records store. Expansion iterates the
+	// table as a slice and never touches a map, and each event is
+	// hashed once per search.
+	tree *trace.Tree
+	// auto caches, per candidate, the Theorem 1 membership test: its
+	// channel lies outside supp(f). All false until newSearch verifies
+	// the fast path's induction base.
+	auto []bool
 	// thm1 is true when the Theorem 1 fast path is active: the
 	// description is eligible and the induction base f(⊥) ⊑ g(⊥) holds
 	// (see newSearch). Candidates on channels outside supp(f) are then
@@ -246,49 +275,22 @@ type search struct {
 	// them (nil otherwise): the root's limit check reads them instead of
 	// applying the sides again.
 	f0, g0 fn.Tuple
-	// fanout is the total alphabet size across channels — the exact
-	// capacity an expanding node's son list can need.
-	fanout int
-	// sonBuf is the reusable son-slot buffer for expansions below the
-	// depth bound: capacity fanout, so expand never reallocates, and the
-	// consumer copies the sons into its queue before the next expand
-	// reuses the slots.
-	sonBuf []node
-	// kept is the chunk a capture carves its depth-bound nodes' sons
-	// from, which the resume frontier retains: each node's sons are a
-	// capacity-clipped window of it, and a full chunk is left to the
-	// windows already carved and replaced by one twice its size, up to
-	// keptMax.
-	kept []node
-	// sonIdx holds the flat candidate indices (over Channels × Alphabet)
-	// of the sons the last expand admitted, in order, for the shape
-	// record a capture leg commits. It stays nil, and expand records
-	// nothing, until a capture leg runs.
-	sonIdx []int
-	// slab holds the trace nodes of admitted sons. Every tree node
-	// stays reachable from the Result — a leaf is a solution, a dead
-	// leaf or a frontier node, and every interior node lies on a leaf's
-	// spine — so a block pins nothing that allocating each node on its
-	// own would have freed, bar its last block's unused tail. Sample and
-	// CheckInduction keep less, but a block of at most 128 nodes carved
-	// in visit order dies with its neighbours.
-	slab trace.Slab
-}
-
-// candSet is one channel's interned candidate events and their hashes.
-type candSet struct {
-	ch string
-	es []trace.Event
-	hs []uint64
-	// auto caches the Theorem 1 membership test ch ∉ supp(f); expand
-	// reads it per node instead of re-testing the ChanSet. False until
-	// newSearch verifies the fast path's induction base.
-	auto bool
+	// arena holds the carried f values the VM computes: one allocation
+	// per chunk, not two per value, and a chunk dies with the last value
+	// carved from it.
+	arena descvm.Arena
+	// spines holds every node's trace, by ID, when a side does not lower
+	// or a caller reads every node (CheckInduction): the interpreter
+	// applies a side only to a built trace. It is nil otherwise.
+	spines []trace.Trace
+	// son is the trace of the son the interpreter's last edge check
+	// built, which expand's add reuses when it admits that son.
+	son trace.Trace
 }
 
 // newSearch builds the search state: a VM session for each side that
-// lowers, and the Theorem 1 fast path when the description is eligible
-// and its induction base holds.
+// lowers, the tree over the candidate table, and the Theorem 1 fast
+// path when the description is eligible and its induction base holds.
 //
 // The fast path is Theorem 1 applied to the son rule. For independent
 // sides (supp(f) ∩ supp(g) = ∅) and a candidate edge u → u·e with e
@@ -299,24 +301,28 @@ type candSet struct {
 // ω-approximation left side is not eligible, because its output grows
 // with raw trace length.
 func newSearch(p Problem) *search {
-	s := &search{p: p, cands: make([]candSet, 0, len(p.Channels))}
+	s := &search{p: p}
 	if prog, ok := descvm.Compile(p.D.F); ok {
 		s.fsess = prog.NewSession()
 	}
 	if prog, ok := descvm.Compile(p.D.G); ok {
 		s.gsess = prog.NewSession()
 	}
+	n := 0
 	for _, c := range p.Channels {
-		es := make([]trace.Event, len(p.Alphabet[c]))
-		hs := make([]uint64, len(es))
-		for i, m := range p.Alphabet[c] {
-			es[i] = trace.E(c, m)
-			hs[i] = es[i].Hash64()
-		}
-		s.cands = append(s.cands, candSet{ch: c, es: es, hs: hs})
-		s.fanout += len(es)
+		n += len(p.Alphabet[c])
 	}
-	s.sonBuf = make([]node, 0, s.fanout)
+	cands := make([]trace.Event, 0, n)
+	for _, c := range p.Channels {
+		for _, m := range p.Alphabet[c] {
+			cands = append(cands, trace.E(c, m))
+		}
+	}
+	s.tree = trace.NewTree(cands)
+	s.auto = make([]bool, n)
+	if s.fsess == nil || s.gsess == nil {
+		s.spines = []trace.Trace{trace.Empty}
+	}
 	if p.D.Thm1Eligible() {
 		// Induction base for the fast path's invariant. If it fails, the
 		// root has no sons at all (f(⊥) ⊑ f(v) ⊑ g(⊥) for any admitted
@@ -328,12 +334,12 @@ func newSearch(p Problem) *search {
 		// every Sample walk re-reads them at its root, long after the
 		// sessions have moved on.
 		var untimed int64
-		s.f0 = keep(s.fsess, apply(p.D.F, s.fsess, root, nil, nil, &untimed))
-		s.g0 = keep(s.gsess, apply(p.D.G, s.gsess, root, nil, nil, &untimed))
+		s.f0 = keep(s.fsess, s.apply(p.D.F, s.fsess, trace.Root, -1, &untimed))
+		s.g0 = keep(s.gsess, s.apply(p.D.G, s.gsess, trace.Root, -1, &untimed))
 		s.thm1 = s.f0.Leq(s.g0)
 		if s.thm1 {
-			for i := range s.cands {
-				s.cands[i].auto = !p.D.F.Support.Has(s.cands[i].ch)
+			for e, ev := range cands {
+				s.auto[e] = !p.D.F.Support.Has(ev.Ch)
 			}
 		}
 	}
@@ -349,32 +355,73 @@ func (s *search) countBase(st *SearchStats) {
 	}
 }
 
-// rootNode is ⊥ as a queued node, carrying f(⊥) when the
-// induction-base check computed it.
-func (s *search) rootNode() node { return node{t: root, f: s.f0} }
+// carries reports whether queued node u carries its f: every son but
+// one a Theorem 1 auto edge admitted unevaluated. ⊥ takes f(⊥), if the
+// induction-base check computed it, from the search instead.
+func (s *search) carries(u trace.ID) bool {
+	_, e := s.tree.Edge(u)
+	return !s.auto[e]
+}
 
-// apply applies one side to u·e, or to u itself when e is nil. A side
-// that lowered to bytecode is evaluated by sess into a view of its
-// frame, without building u·e: the caller may read the view until
-// sess's next call and must keep it to retain it. Otherwise the
-// interpreter applies the side, adding its wall-clock time to nanos
-// (see EvalStats.FNanos), and the caller owns the result. The
-// interpreter can apply a side only to a built trace, so it leaves u·e
-// in *son, which must be non-nil with e, for a caller that admits the
-// son; the VM leaves *son alone.
-func apply(side fn.TraceFn, sess *descvm.Session, u trace.Trace, e *trace.Event, son *trace.Trace, nanos *int64) fn.Tuple {
-	if sess != nil {
-		if e == nil {
-			return sess.View(u)
-		}
-		return sess.ViewSon(u, *e)
+// pop removes the head of q and returns it with the f it carries, nil
+// when it carries none.
+func (s *search) pop(q *queue) (trace.ID, fn.Tuple) {
+	u := q.ids.pop()
+	switch {
+	case u == trace.Root:
+		return u, s.f0
+	case s.carries(u):
+		return u, q.fs.pop()
 	}
-	if e != nil {
-		u = u.Append(*e)
-		*son = u
+	return u, nil
+}
+
+// add adds u's son by candidate e to the tree and returns it. With
+// spines kept, the son's trace is the one the interpreter's edge check
+// just built, if it built one, and u's extended by e otherwise.
+func (s *search) add(u trace.ID, e int) trace.ID {
+	v := s.tree.Add(u, e)
+	if s.spines != nil {
+		t := s.son
+		if t.IsEmpty() {
+			t = s.tree.Extend(s.spines[u], e)
+		}
+		s.spines = append(s.spines, t)
+	}
+	return v
+}
+
+// trace builds node u's trace, or reads it from spines when they are
+// kept.
+func (s *search) trace(u trace.ID) trace.Trace {
+	if s.spines != nil {
+		return s.spines[u]
+	}
+	return s.tree.Trace(u)
+}
+
+// apply applies one side to u's son by candidate e, or to u itself
+// when e < 0. A side that lowered to bytecode is evaluated by sess into
+// a view of its frame, without adding the son to the tree: the caller
+// may read the view until sess's next call and must keep it to retain
+// it. Otherwise the interpreter applies the side to u's trace from
+// spines, extended by e into s.son for a caller that admits the son,
+// adding its wall-clock time to nanos (see EvalStats.FNanos), and the
+// caller owns the result.
+func (s *search) apply(side fn.TraceFn, sess *descvm.Session, u trace.ID, e int, nanos *int64) fn.Tuple {
+	if sess != nil {
+		if e < 0 {
+			return sess.View(s.tree, u)
+		}
+		return sess.ViewSon(s.tree, u, e)
+	}
+	t := s.spines[u]
+	if e >= 0 {
+		t = s.tree.Extend(t, e)
+		s.son = t
 	}
 	start := time.Now()
-	v := side.Apply(u)
+	v := side.Apply(t)
 	*nanos += time.Since(start).Nanoseconds()
 	return v
 }
@@ -388,43 +435,52 @@ func keep(sess *descvm.Session, v fn.Tuple) fn.Tuple {
 	return sess.Keep(v)
 }
 
-// f applies the description's left side to u·e (to u when e is nil),
-// counting the application; see apply for what the caller may do with
-// the value, and for son.
-func (s *search) f(u trace.Trace, e *trace.Event, son *trace.Trace) fn.Tuple {
+// carry is keep for the f a queued son carries: a copy of a view is
+// carved from the search's arena.
+func (s *search) carry(v fn.Tuple) fn.Tuple {
+	if s.fsess == nil {
+		return v
+	}
+	return s.fsess.KeepIn(v, &s.arena)
+}
+
+// f applies the description's left side to u's son by e (to u when
+// e < 0), counting the application; see apply for what the caller may
+// do with the value.
+func (s *search) f(u trace.ID, e int) fn.Tuple {
 	s.st.Eval.FApplies++
-	return apply(s.p.D.F, s.fsess, u, e, son, &s.st.Eval.FNanos)
+	return s.apply(s.p.D.F, s.fsess, u, e, &s.st.Eval.FNanos)
 }
 
 // g is f for the right side, at u itself.
-func (s *search) g(u trace.Trace) fn.Tuple {
+func (s *search) g(u trace.ID) fn.Tuple {
 	s.st.Eval.GApplies++
-	return apply(s.p.D.G, s.gsess, u, nil, nil, &s.st.Eval.GNanos)
+	return s.apply(s.p.D.G, s.gsess, u, -1, &s.st.Eval.GNanos)
 }
 
 // edge is the §3.3 edge check f(u·e) ⊑ g(u), given gu = g(u), counted
 // as one application of f. It returns the verdict and, when full is set
-// and the son is admitted, f(u·e) as apply returns it; son is as for
-// apply. below reports f(u) ⊑ g(u): at such a node a side on bytecode
-// takes the sliced check (descvm.Session.SonLeq), which evaluates and
-// compares only the components e's channel reaches. Every other
-// component of f(u·e) is f(u)'s, so the verdict is the full check's.
-// Elsewhere — at ⊥ when the induction base fails, below a g that is not
-// monotone, and on the interpreter — the whole of f(u·e) is compared.
-func (s *search) edge(u trace.Trace, e *trace.Event, gu fn.Tuple, below, full bool, son *trace.Trace) (fn.Tuple, bool) {
+// and the son is admitted, f(u·e) as apply returns it. below reports
+// f(u) ⊑ g(u): at such a node a side on bytecode takes the sliced check
+// (descvm.Session.SonLeq), which evaluates and compares only the
+// components e's channel reaches. Every other component of f(u·e) is
+// f(u)'s, so the verdict is the full check's. Elsewhere — at ⊥ when the
+// induction base fails, below a g that is not monotone, and on the
+// interpreter — the whole of f(u·e) is compared.
+func (s *search) edge(u trace.ID, e int, gu fn.Tuple, below, full bool) (fn.Tuple, bool) {
 	if s.fsess == nil || !below {
-		v := s.f(u, e, son)
+		v := s.f(u, e)
 		return v, v.Leq(gu)
 	}
 	s.st.Eval.FApplies++
-	return s.fsess.SonLeq(u, *e, gu, full)
+	return s.fsess.SonLeq(s.tree, u, e, gu, full)
 }
 
 // Enumerate explores the Section 3.3 tree breadth-first to the problem's
 // bounds and classifies every visited node. Each node's f and g are
 // applied at most once: f(v) when its parent's edge check admits it,
 // g(u) at u's limit check, and both carried to their one other read
-// (see node); Result.Stats accounts for every node, edge and
+// (see queue); Result.Stats accounts for every node, edge and
 // evaluation.
 //
 // The search runs on the calling goroutine. The context is checked once
@@ -454,7 +510,7 @@ func enumerate(ctx context.Context, p Problem, capture bool) (Result, *Checkpoin
 	var res Result
 	s.countBase(&res.Stats)
 	var q queue
-	q.push(s.rootNode())
+	q.push(trace.Root, nil, false)
 	s.run(ctx, &res, &q, cp)
 	if cp != nil {
 		cp.done = res
@@ -465,7 +521,8 @@ func enumerate(ctx context.Context, p Problem, capture bool) (Result, *Checkpoin
 // run is the one BFS core, shared by Enumerate and the checkpoint
 // capture/resume paths. It folds classifications into res, which may
 // arrive pre-loaded with an already-classified prefix (a resumed
-// search); q holds the work list in canonical BFS order.
+// search); q holds the work list in canonical BFS order. When the leg
+// ends, res's lists are published on a snapshot of the tree.
 //
 // Each step visits the head of the queue and commits it (step): the
 // node is counted, classified and its sons appended to the queue. The
@@ -477,7 +534,7 @@ func enumerate(ctx context.Context, p Problem, capture bool) (Result, *Checkpoin
 // capture semantics: depth-bound nodes are fully expanded (instead of
 // probed with hasSon) and their admitted sons retained in cp as the
 // resume frontier, every committed node's shape record is appended to
-// cp's, and a truncated run drains its unclassified queue remainder into
+// cp's, and a truncated run leaves its unclassified queue remainder in
 // cp.pending. Classification of every node is identical in
 // both modes — a bound node is Frontier iff it has at least one son —
 // only the bound-level edge accounting differs (expand visits every
@@ -489,10 +546,7 @@ func (s *search) run(ctx context.Context, res *Result, q *queue, cp *Checkpoint)
 	s.st = st
 	begin := time.Now()
 	st.Thm1FastPath = s.thm1
-	if cp != nil && s.sonIdx == nil {
-		s.sonIdx = make([]int, 0, s.fanout)
-	}
-	for !q.empty() {
+	for q.len() > 0 {
 		canceled := ctx.Err() != nil
 		if canceled || (p.MaxNodes > 0 && res.Nodes >= p.MaxNodes) {
 			// The first node past the stopping point is visited but
@@ -503,233 +557,206 @@ func (s *search) run(ctx context.Context, res *Result, q *queue, cp *Checkpoint)
 			st.Visited++
 			st.Skipped++
 			if cp != nil {
-				cp.pending = q.drain()
+				cp.pending, *q = *q, queue{}
 			}
 			break
 		}
-		cur, _ := q.pop()
-		q.push(s.step(res, cp, cur)...)
+		u, f := s.pop(q)
+		s.step(res, cp, q, u, f)
 	}
 	s.st = nil
 	st.CompiledEval = s.fsess != nil && s.gsess != nil
 	st.Elapsed += time.Since(begin)
+	s.publish(res, cp != nil)
 }
 
-// step visits one node and commits it. The visit decides the limit
-// condition and whether the node has a son — expanding it below the
-// depth bound (into sonBuf) or, in capture mode, at the bound (into a
-// window of the kept chunk, which the resume frontier retains), and
-// probing with hasSon otherwise; g(cur) and whether f(cur) ⊑ g(cur) go
-// from the limit check to the expansion. The commit folds the node into
-// the result in canonical order — node and level counts, solution
-// (streamed through OnSolution), role, and in capture mode the node's
-// shape record and the retained frontier — and step returns the sons
-// the queue must take (none at the depth bound).
-func (s *search) step(res *Result, cp *Checkpoint, cur node) []node {
-	u := cur.t
-	gu, solution, below := s.limit(cur)
-	var sons []node
-	var hasSon bool
+// publish points res's lists at the tree, or, when a later leg may add
+// nodes to it (grows), at a snapshot of the tree as it stands: a
+// Result's readers read only records written before it, which the
+// search never writes again, so they need no lock while a later leg
+// adds nodes.
+func (s *search) publish(res *Result, grows bool) {
+	t := s.tree
+	if grows {
+		t = new(trace.Tree)
+		*t = *s.tree
+	}
+	res.Solutions.tree, res.Frontier.tree, res.DeadLeaves.tree = t, t, t
+}
+
+// step visits node u, which carries fu (nil if nothing computed it),
+// and commits it. The visit decides the limit condition and whether the
+// node has a son — expanding it below the depth bound, onto q, or, in
+// capture mode, at the bound, onto the resume frontier cp.retained, and
+// probing with hasSon otherwise; g(u) and whether f(u) ⊑ g(u) go from
+// the limit check to the expansion. The commit folds the node into the
+// result in canonical order — node and level counts, solution (streamed
+// through OnSolution) and role — and in capture mode appends the node's
+// shape record.
+func (s *search) step(res *Result, cp *Checkpoint, q *queue, u trace.ID, fu fn.Tuple) {
+	gu, solution, below := s.limit(u, fu)
+	depth := s.tree.Len(u)
+	first := s.tree.Size()
+	sons, hasSon := 0, false
 	switch {
-	case u.Len() < s.p.MaxDepth:
-		sons = s.expand(u, gu, below, s.sonBuf[:0])
+	case depth < s.p.MaxDepth:
+		sons = s.expand(u, gu, below, q)
 	case cp != nil:
-		sons = s.expandKept(u, gu, below)
+		sons = s.expand(u, gu, below, &cp.retained)
 	default:
 		hasSon = s.hasSon(u, gu, below)
 	}
-	hasSon = hasSon || len(sons) > 0
+	hasSon = hasSon || sons > 0
 
 	st := s.st
 	if cp != nil {
-		cp.tree = appendRecord(cp.tree, solution, s.sonIdx)
+		cp.shape = appendRecord(cp.shape, solution, s.tree, first, sons)
 	}
 	res.Nodes++
 	st.Visited++
-	lvl := st.level(u.Len())
+	lvl := st.level(depth)
 	lvl.Nodes++
 	if solution {
-		res.Solutions = append(res.Solutions, u)
+		res.Solutions.ids = append(res.Solutions.ids, u)
 		st.Solutions++
 		lvl.Solutions++
 		if s.p.OnSolution != nil {
-			s.p.OnSolution(u)
+			s.p.OnSolution(s.trace(u))
 		}
 	}
 	switch {
 	case !hasSon && solution:
 		st.Closed++
 	case !hasSon:
-		res.DeadLeaves = append(res.DeadLeaves, u)
+		res.DeadLeaves.ids = append(res.DeadLeaves.ids, u)
 		st.Dead++
-	case u.Len() < s.p.MaxDepth:
+	case depth < s.p.MaxDepth:
 		st.Interior++
-		return sons
 	default:
-		res.Frontier = append(res.Frontier, u)
+		res.Frontier.ids = append(res.Frontier.ids, u)
 		st.Frontier++
 		if cp != nil {
-			cp.frontier = append(cp.frontier, frontierEntry{node: u, sons: sons})
-			st.RetainedSons += len(sons)
+			st.RetainedSons += sons
 		}
 	}
-	return nil
 }
 
-// limit evaluates the limit condition f = g at n and returns g of it,
-// which the node's expansion reads again, together with whether
-// f(n) ⊑ g(n), which licenses the sliced edge check at n's sons (see
-// edge). Every node reached is reachable only through smooth edges, so
-// the limit condition alone decides whether it is a smooth solution. f
-// comes from n when its parent's edge check carried it, and the root
-// takes both sides from the induction-base check when that ran; each
-// such read counts as a hit. Applied values are views: f(n) dies here,
-// and g(n) lives through n's expansion, which evaluates only f, on the
+// limit evaluates the limit condition f = g at u, given fu = f(u) when
+// u carried it, and returns g(u), which the node's expansion reads
+// again, together with whether f(u) ⊑ g(u), which licenses the sliced
+// edge check at u's sons (see edge). Every node reached is reachable
+// only through smooth edges, so the limit condition alone decides
+// whether it is a smooth solution. The root takes both sides from the
+// induction-base check when that ran; each such read, and each carried
+// f, counts as a hit. Applied values are views: f(u) dies here, and
+// g(u) lives through u's expansion, which evaluates only f, on the
 // other session.
 //
 // With a monotone g, f ⊑ g fails only at ⊥, when the induction base
 // does: an admitted son v of u has f(v) ⊑ g(u) ⊑ g(v). Testing it per
 // node keeps the tree exact below a g that is not monotone too, and
 // costs nothing at a solution, where f = g.
-func (s *search) limit(n node) (gu fn.Tuple, solution, below bool) {
+func (s *search) limit(u trace.ID, fu fn.Tuple) (gu fn.Tuple, solution, below bool) {
 	s.st.LimitChecks++
-	fu := n.f
 	if fu != nil {
 		s.st.Eval.FHits++
 	} else {
-		fu = s.f(n.t, nil, nil)
+		fu = s.f(u, -1)
 	}
-	if n.t.Len() == 0 && s.g0 != nil {
+	if u == trace.Root && s.g0 != nil {
 		s.st.Eval.GHits++
 		gu = s.g0
 	} else {
-		gu = s.g(n.t)
+		gu = s.g(u)
 	}
 	solution = fu.Equal(gu)
 	return gu, solution, solution || fu.Leq(gu)
 }
 
-// expandKept is expand for a capture's depth-bound node, whose sons the
-// resume frontier retains: it appends them to the kept chunk, first
-// starting a fresh chunk when fewer than fanout slots are left, and
-// returns them as a window of the chunk whose capacity is clipped to
-// its length.
-func (s *search) expandKept(u trace.Trace, gu fn.Tuple, below bool) []node {
-	if cap(s.kept)-len(s.kept) < s.fanout {
-		s.kept = make([]node, 0, max(s.fanout, min(2*cap(s.kept), keptMax)))
-	}
-	n := len(s.kept)
-	s.kept = s.expand(u, gu, below, s.kept)
-	return s.kept[n:len(s.kept):len(s.kept)]
-}
-
-// keptMax caps the size of the kept chunks, which double from the
-// fan-out: a capture's unused chunk tail stays retained with its
-// frontier, so the cap bounds that waste to a few KB, about what a
-// slice of fanout slots per frontier node wastes on a small capture.
-const keptMax = 64
-
 // expand generates the smooth sons of u, given gu = g(u) from u's limit
 // check: g is never re-applied here, and the check's reuse of it is
 // counted once per node — not once per candidate, and not at all when
 // the Theorem 1 fast path admits every candidate. The edge check reads
-// f(u·e) as a view without building u·e; only an admitted son gets its
-// trace — an O(1) persistent extension sharing u's spine — and a kept
-// copy of that f to carry. Each rejected candidate is a whole subtree
-// of the unpruned tree cut before any of it is built, so on bytecode it
-// allocates nothing.
+// f(u·e) as a view without adding u·e to the tree; only an admitted son
+// gets its record — 24 bytes with no pointer — and a copy of that f,
+// carved from the arena, to carry. Each rejected candidate is a whole
+// subtree of the unpruned tree cut before any of it is built, so on
+// bytecode it allocates nothing.
 //
 // below reports f(u) ⊑ g(u), from the limit check: it licenses the
-// sliced edge check (see edge). expand appends the sons to dst, which
-// must have room for fanout more — the search's reusable buffer, or the
-// kept chunk for sons a capture retains (see expandKept) — and returns
-// it.
-func (s *search) expand(u trace.Trace, gu fn.Tuple, below bool, dst []node) []node {
+// sliced edge check (see edge). expand adds the sons to the tree, in
+// candidate order, pushes them onto dst and returns how many there are.
+func (s *search) expand(u trace.ID, gu fn.Tuple, below bool, dst *queue) int {
 	st := s.st
-	sons := dst
-	s.sonIdx = s.sonIdx[:0]
-	lvl := st.level(u.Len() + 1)
+	lvl := st.level(s.tree.Len(u) + 1)
 	guRead := false
-	flat := 0
-	for ci := range s.cands {
+	n := 0
+	for e, auto := range s.auto {
 		// Fast path (Theorem 1): a channel outside supp(f) means
 		// f(u·e) = f(u), and f(u) ⊑ g(u) holds at every admitted node, so
 		// the edge condition f(v) ⊑ g(u) is guaranteed — admit without
 		// evaluating.
-		c := &s.cands[ci]
-		auto := c.auto
-		for i := range c.es {
-			var v node
-			st.EdgesChecked++
-			if auto {
-				st.Thm1AutoEdges++
-			} else {
-				if !guRead {
-					st.Eval.GHits++
-					guRead = true
-				}
-				f, ok := s.edge(u, &c.es[i], gu, below, true, &v.t)
-				if !ok {
-					st.SubtreesPruned++
-					lvl.Pruned++
-					continue
-				}
-				v.f = keep(s.fsess, f)
+		st.EdgesChecked++
+		var f fn.Tuple
+		s.son = trace.Empty
+		if auto {
+			st.Thm1AutoEdges++
+		} else {
+			if !guRead {
+				st.Eval.GHits++
+				guRead = true
 			}
-			st.EdgesKept++
-			if v.t.IsEmpty() {
-				v.t = s.slab.AppendPrehashed(u, c.es[i], c.hs[i])
+			v, ok := s.edge(u, e, gu, below, true)
+			if !ok {
+				st.SubtreesPruned++
+				lvl.Pruned++
+				continue
 			}
-			sons = append(sons, v)
-			if s.sonIdx != nil {
-				s.sonIdx = append(s.sonIdx, flat+i)
-			}
+			f = s.carry(v)
 		}
-		flat += len(c.es)
+		st.EdgesKept++
+		dst.push(s.add(u, e), f, !auto)
+		n++
 	}
-	return sons
+	return n
 }
 
 // hasSon reports whether a depth-bound node has a smooth son, stopping at
 // the first witness; gu is g(u) from the limit check, as for expand.
 // Failed candidates are pruned subtrees like expand's; the witness is
-// counted separately since it is never enqueued, so hasSon builds no
-// candidate's trace. A Theorem-1 auto-admitted candidate is an
-// immediate witness.
-func (s *search) hasSon(u trace.Trace, gu fn.Tuple, below bool) bool {
+// counted separately since it is never enqueued, so hasSon adds no node
+// to the tree. A Theorem-1 auto-admitted candidate is an immediate
+// witness.
+func (s *search) hasSon(u trace.ID, gu fn.Tuple, below bool) bool {
 	st := s.st
-	lvl := st.level(u.Len() + 1)
+	lvl := st.level(s.tree.Len(u) + 1)
 	guRead := false
-	for ci := range s.cands {
-		c := &s.cands[ci]
-		auto := c.auto
-		for i := range c.es {
-			st.EdgesChecked++
-			if auto {
-				st.Thm1AutoEdges++
-				st.FrontierWitnesses++
-				return true
-			}
-			if !guRead {
-				st.Eval.GHits++
-				guRead = true
-			}
-			var v trace.Trace
-			if _, ok := s.edge(u, &c.es[i], gu, below, false, &v); ok {
-				st.FrontierWitnesses++
-				return true
-			}
-			st.SubtreesPruned++
-			lvl.Pruned++
+	for e, auto := range s.auto {
+		st.EdgesChecked++
+		if auto {
+			st.Thm1AutoEdges++
+			st.FrontierWitnesses++
+			return true
 		}
+		if !guRead {
+			st.Eval.GHits++
+			guRead = true
+		}
+		if _, ok := s.edge(u, e, gu, below, false); ok {
+			st.FrontierWitnesses++
+			return true
+		}
+		st.SubtreesPruned++
+		lvl.Pruned++
 	}
 	return false
 }
 
 // Contains reports whether the result's solutions include t.
 func (r Result) Contains(t trace.Trace) bool {
-	for _, s := range r.Solutions {
-		if s.Equal(t) {
+	k := t.Key()
+	for i := range r.Solutions.Len() {
+		if r.Solutions.Key(i) == k && r.Solutions.At(i).Equal(t) {
 			return true
 		}
 	}
@@ -739,12 +766,13 @@ func (r Result) Contains(t trace.Trace) bool {
 // SolutionKeys returns the canonical strings of all solutions, sorted —
 // convenient for table-driven tests. These are the human-readable
 // renderings (Trace.String), not the (hash, length) trace keys. Every
-// solution renders through one reused buffer.
+// solution renders from the tree's records through one reused buffer,
+// so no trace is built.
 func (r Result) SolutionKeys() []string {
-	keys := make([]string, len(r.Solutions))
+	keys := make([]string, r.Solutions.Len())
 	var b []byte
-	for i, s := range r.Solutions {
-		b = s.AppendString(b[:0])
+	for i := range keys {
+		b = r.Solutions.AppendString(b[:0], i)
 		keys[i] = string(b)
 	}
 	sort.Strings(keys)
@@ -776,19 +804,23 @@ func IsTreeNode(d desc.Description, t trace.Trace) bool {
 // The tree is explored exactly once: each dequeued node is classified by
 // the limit condition during the same walk that checks the inductive
 // step along its out-edges, carrying f and g down the tree as Enumerate
-// does — there is no second Enumerate pass.
+// does — there is no second Enumerate pass. φ reads traces, so the walk
+// keeps every node's (search.spines).
 func CheckInduction(ctx context.Context, p Problem, phi func(trace.Trace) bool) error {
 	if !phi(trace.Empty) {
 		return errors.New("solver: induction base φ(⊥) fails")
 	}
 	s := newSearch(p)
+	if s.spines == nil {
+		s.spines = []trace.Trace{trace.Empty}
+	}
 	s.st = new(SearchStats) // the walk's counts are not reported
 	var q queue
-	q.push(s.rootNode())
+	q.push(trace.Root, nil, false)
 	nodes := 0
 	var unsound error
-	for n, ok := q.pop(); ok; n, ok = q.pop() {
-		u := n.t
+	for q.len() > 0 {
+		u, f := s.pop(&q)
 		nodes++
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("solver: induction check stopped: %w", err)
@@ -802,18 +834,19 @@ func CheckInduction(ctx context.Context, p Problem, phi func(trace.Trace) bool) 
 		// anywhere in the walk take precedence, matching the rule's
 		// reading (an unsound conclusion only matters once the premises
 		// are discharged).
-		gu, solution, below := s.limit(n)
-		if unsound == nil && solution && !phi(u) {
-			unsound = fmt.Errorf("solver: induction rule unsound?! φ fails on smooth solution %s", u)
+		gu, solution, below := s.limit(u, f)
+		if unsound == nil && solution && !phi(s.spines[u]) {
+			unsound = fmt.Errorf("solver: induction rule unsound?! φ fails on smooth solution %s", s.spines[u])
 		}
-		if u.Len() >= p.MaxDepth {
+		if s.tree.Len(u) >= p.MaxDepth {
 			continue
 		}
-		for _, v := range s.expand(u, gu, below, s.sonBuf[:0]) {
-			if err := p.D.InductionPremise(phi, u, v.t); err != nil {
+		first := s.tree.Size()
+		n := s.expand(u, gu, below, &q)
+		for v := first; v < first+n; v++ {
+			if err := p.D.InductionPremise(phi, s.spines[u], s.spines[v]); err != nil {
 				return err
 			}
-			q.push(v)
 		}
 	}
 	return unsound

@@ -37,10 +37,10 @@ func TestEnumerateDFM(t *testing.T) {
 	// The complete merges: b, c and both d orders, in all interleavings
 	// consistent with causality. Exactly the traces with b=⟨0⟩, c=⟨1⟩,
 	// d a permutation of {0,1}, with each d-event after its input.
-	if len(res.Solutions) == 0 {
+	if res.Solutions.Len() == 0 {
 		t.Fatal("no solutions found")
 	}
-	for _, s := range res.Solutions {
+	for _, s := range res.Solutions.Traces() {
 		if !s.Channel("b").Equal(seq.OfInts(0)) || !s.Channel("c").Equal(seq.OfInts(1)) {
 			t.Errorf("solution %s has wrong inputs", s)
 		}
@@ -51,7 +51,7 @@ func TestEnumerateDFM(t *testing.T) {
 	}
 	// Both merge orders are present.
 	orders := map[string]bool{}
-	for _, s := range res.Solutions {
+	for _, s := range res.Solutions.Traces() {
 		orders[s.Channel("d").String()] = true
 	}
 	if len(orders) != 2 {
@@ -73,10 +73,10 @@ func TestEnumerateRandomBit(t *testing.T) {
 	d := desc.MustNew("rb", fn.OnChan(fn.RMap, "b"), fn.ConstTraceFn(seq.Of(value.T)))
 	p := NewProblem(d, map[string][]value.Value{"b": {value.T, value.F}}, 3)
 	res := Enumerate(context.Background(), p)
-	if len(res.Solutions) != 2 {
-		t.Fatalf("random bit has %d solutions, want 2: %v", len(res.Solutions), res.SolutionKeys())
+	if res.Solutions.Len() != 2 {
+		t.Fatalf("random bit has %d solutions, want 2: %v", res.Solutions.Len(), res.SolutionKeys())
 	}
-	for _, s := range res.Solutions {
+	for _, s := range res.Solutions.Traces() {
 		if s.Len() != 1 {
 			t.Errorf("solution %s should be a single output", s)
 		}
@@ -92,15 +92,15 @@ func TestEnumerateTicksFrontier(t *testing.T) {
 	d := desc.MustNew("ticks", fn.ChanFn("b"), fn.OnChan(fn.PrependFn(value.T), "b"))
 	p := NewProblem(d, map[string][]value.Value{"b": {value.T, value.F}}, 5)
 	res := Enumerate(context.Background(), p)
-	if len(res.Solutions) != 0 {
+	if res.Solutions.Len() != 0 {
 		t.Errorf("ticks has finite solutions: %v", res.SolutionKeys())
 	}
-	if len(res.Frontier) != 1 {
-		t.Fatalf("frontier size %d, want 1", len(res.Frontier))
+	if res.Frontier.Len() != 1 {
+		t.Fatalf("frontier size %d, want 1", res.Frontier.Len())
 	}
 	wantFrontier := trace.CycleGen("t", trace.Of(trace.E("b", value.T))).Prefix(5)
-	if !res.Frontier[0].Equal(wantFrontier) {
-		t.Errorf("frontier %s, want %s", res.Frontier[0], wantFrontier)
+	if !res.Frontier.At(0).Equal(wantFrontier) {
+		t.Errorf("frontier %s, want %s", res.Frontier.At(0), wantFrontier)
 	}
 	if res.Nodes != 6 {
 		t.Errorf("visited %d nodes, want 6 (the single path)", res.Nodes)
@@ -115,10 +115,10 @@ func TestDeadLeaves(t *testing.T) {
 	d := desc.MustNew("lead", fn.ChanFn("b"), fn.ConstTraceFn(seq.OfInts(0, 2)))
 	p := NewProblem(d, map[string][]value.Value{"b": value.Ints(0)}, 4)
 	res := Enumerate(context.Background(), p)
-	if len(res.Solutions) != 0 {
+	if res.Solutions.Len() != 0 {
 		t.Errorf("solutions: %v", res.SolutionKeys())
 	}
-	if len(res.DeadLeaves) != 1 || !res.DeadLeaves[0].Equal(trace.Of(ev("b", 0))) {
+	if res.DeadLeaves.Len() != 1 || !res.DeadLeaves.At(0).Equal(trace.Of(ev("b", 0))) {
 		t.Errorf("dead leaves: %v", res.DeadLeaves)
 	}
 }
@@ -235,11 +235,11 @@ func TestTheorem4Degeneration(t *testing.T) {
 	d := desc.MustNew("det", fn.ChanFn("b"), fn.ConstTraceFn(seq.OfInts(7, 8)))
 	p := NewProblem(d, map[string][]value.Value{"b": value.Ints(0, 7, 8, 9)}, 4)
 	res := Enumerate(context.Background(), p)
-	if len(res.Solutions) != 1 {
-		t.Fatalf("%d solutions, want 1", len(res.Solutions))
+	if res.Solutions.Len() != 1 {
+		t.Fatalf("%d solutions, want 1", res.Solutions.Len())
 	}
-	if !res.Solutions[0].Channel("b").Equal(seq.OfInts(7, 8)) {
-		t.Errorf("solution %s", res.Solutions[0])
+	if !res.Solutions.At(0).Channel("b").Equal(seq.OfInts(7, 8)) {
+		t.Errorf("solution %s", res.Solutions.At(0))
 	}
 	if res.Nodes != 3 {
 		t.Errorf("visited %d nodes, want the 3-node chain ⊥ → ⟨7⟩ → ⟨7 8⟩", res.Nodes)

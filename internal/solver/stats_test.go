@@ -41,14 +41,14 @@ func TestSearchStatsInvariants(t *testing.T) {
 			if st.Visited != res.Nodes {
 				t.Errorf("stats visited %d ≠ nodes %d", st.Visited, res.Nodes)
 			}
-			if st.Solutions != len(res.Solutions) {
-				t.Errorf("stats solutions %d ≠ %d", st.Solutions, len(res.Solutions))
+			if st.Solutions != res.Solutions.Len() {
+				t.Errorf("stats solutions %d ≠ %d", st.Solutions, res.Solutions.Len())
 			}
-			if st.Frontier != len(res.Frontier) {
-				t.Errorf("stats frontier %d ≠ %d", st.Frontier, len(res.Frontier))
+			if st.Frontier != res.Frontier.Len() {
+				t.Errorf("stats frontier %d ≠ %d", st.Frontier, res.Frontier.Len())
 			}
-			if st.Dead != len(res.DeadLeaves) {
-				t.Errorf("stats dead %d ≠ %d", st.Dead, len(res.DeadLeaves))
+			if st.Dead != res.DeadLeaves.Len() {
+				t.Errorf("stats dead %d ≠ %d", st.Dead, res.DeadLeaves.Len())
 			}
 		})
 	}
@@ -126,9 +126,9 @@ func TestParallelBudgetPrefix(t *testing.T) {
 		t.Fatalf("visited %d, want 7 (6 classified + 1 skipped)", cut.Nodes)
 	}
 	for name, pair := range map[string][2][]trace.Trace{
-		"solutions":   {cut.Solutions, full.Solutions},
-		"frontier":    {cut.Frontier, full.Frontier},
-		"dead leaves": {cut.DeadLeaves, full.DeadLeaves},
+		"solutions":   {cut.Solutions.Traces(), full.Solutions.Traces()},
+		"frontier":    {cut.Frontier.Traces(), full.Frontier.Traces()},
+		"dead leaves": {cut.DeadLeaves.Traces(), full.DeadLeaves.Traces()},
 	} {
 		if len(pair[0]) > len(pair[1]) {
 			t.Errorf("%s: %d after the cut, %d in the full search", name, len(pair[0]), len(pair[1]))

@@ -69,9 +69,9 @@ func TestThm1FastPathEquivalence(t *testing.T) {
 
 	// Identical trees: same nodes in the same BFS order, same classes.
 	for name, pair := range map[string][2]int{
-		"solutions": {len(rf.Solutions), len(rs.Solutions)},
-		"frontier":  {len(rf.Frontier), len(rs.Frontier)},
-		"dead":      {len(rf.DeadLeaves), len(rs.DeadLeaves)},
+		"solutions": {rf.Solutions.Len(), rs.Solutions.Len()},
+		"frontier":  {rf.Frontier.Len(), rs.Frontier.Len()},
+		"dead":      {rf.DeadLeaves.Len(), rs.DeadLeaves.Len()},
 		"nodes":     {rf.Nodes, rs.Nodes},
 		"edges":     {rf.Stats.EdgesChecked, rs.Stats.EdgesChecked},
 		"kept":      {rf.Stats.EdgesKept, rs.Stats.EdgesKept},
@@ -82,9 +82,9 @@ func TestThm1FastPathEquivalence(t *testing.T) {
 		}
 	}
 	for name, pair := range map[string][2][]trace.Trace{
-		"solutions": {rf.Solutions, rs.Solutions},
-		"frontier":  {rf.Frontier, rs.Frontier},
-		"dead":      {rf.DeadLeaves, rs.DeadLeaves},
+		"solutions": {rf.Solutions.Traces(), rs.Solutions.Traces()},
+		"frontier":  {rf.Frontier.Traces(), rs.Frontier.Traces()},
+		"dead":      {rf.DeadLeaves.Traces(), rs.DeadLeaves.Traces()},
 	} {
 		for i := 0; i < min(len(pair[0]), len(pair[1])); i++ {
 			if !pair[0][i].Equal(pair[1][i]) {
@@ -150,8 +150,8 @@ func TestThm1BaseFailure(t *testing.T) {
 	if res.Stats.Thm1FastPath {
 		t.Error("fast path active despite failed induction base")
 	}
-	if res.Nodes != 1 || len(res.DeadLeaves) != 1 {
-		t.Errorf("root should be a lone dead leaf, got %d nodes, %d dead", res.Nodes, len(res.DeadLeaves))
+	if res.Nodes != 1 || res.DeadLeaves.Len() != 1 {
+		t.Errorf("root should be a lone dead leaf, got %d nodes, %d dead", res.Nodes, res.DeadLeaves.Len())
 	}
 }
 
@@ -166,7 +166,7 @@ func benchmarkBuffer(b *testing.B, thm1 bool) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res := Enumerate(ctx, p)
-		if len(res.Solutions) == 0 {
+		if res.Solutions.Len() == 0 {
 			b.Fatal("no solutions")
 		}
 	}

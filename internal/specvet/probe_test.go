@@ -88,7 +88,7 @@ func refContracts(f *eqlang.File, p *eqlang.Program, samples []trace.Trace) []Di
 				})
 			}
 			for _, tr := range samples {
-				if err := fn.CheckOutputGrowth(s.tf, tr, s.tf.Apply(tr)); err != nil {
+				if err := fn.CheckOutputGrowth(s.tf, tr.Len(), s.tf.Apply(tr), tr.String); err != nil {
 					ds = append(ds, Diagnostic{
 						Rule: "growth-bound", Severity: SevError,
 						Line: stmt.Line, Col: stmt.Col,
@@ -194,21 +194,21 @@ func liarSystem(ls []fn.TraceFn) (*eqlang.File, *eqlang.Program) {
 func checkProbe(t *testing.T, name string, f *eqlang.File, p *eqlang.Program, depth, max int, samples []trace.Trace) {
 	t.Helper()
 	pr := newProbe(p.Alphabet, depth, max)
-	if len(pr.traces) != len(samples) {
-		t.Fatalf("%s depth %d cap %d: %d samples, breadth-first list has %d", name, depth, max, len(pr.traces), len(samples))
+	if pr.tree.Size() != len(samples) {
+		t.Fatalf("%s depth %d cap %d: %d samples, breadth-first list has %d", name, depth, max, pr.tree.Size(), len(samples))
 	}
 	for k := range samples {
-		if !pr.traces[k].Equal(samples[k]) {
-			t.Fatalf("%s depth %d cap %d: sample %d is %s, want %s", name, depth, max, k, pr.traces[k], samples[k])
+		if got := pr.tree.Trace(trace.ID(k)); !got.Equal(samples[k]) {
+			t.Fatalf("%s depth %d cap %d: sample %d is %s, want %s", name, depth, max, k, got, samples[k])
 		}
 	}
 	for _, d := range p.System.Descs {
 		for _, tf := range []fn.TraceFn{d.F, d.G} {
 			pr.project(tf.Support)
 			for k, s := range samples {
-				if want := s.Project(tf.Support); !pr.traces[pr.proj[k]].Equal(want) {
+				if got, want := pr.tree.Trace(trace.ID(pr.proj[k])), s.Project(tf.Support); !got.Equal(want) {
 					t.Fatalf("%s depth %d cap %d: %s↾%v indexed as %s, want %s",
-						name, depth, max, s, tf.Support.Names(), pr.traces[pr.proj[k]], want)
+						name, depth, max, s, tf.Support.Names(), got, want)
 				}
 			}
 		}
@@ -367,9 +367,9 @@ func TestContractProbeReachesInterpreterOnlyForOpaqueSides(t *testing.T) {
 						changes, last = changes+1, j
 					}
 				}
-				if n, want := counts[2*i+s], len(pr.traces)+changes; n != want {
+				if n, want := counts[2*i+s], pr.tree.Size()+changes; n != want {
 					t.Errorf("description %d %s side: %d applications over %d probe traces and %d changes of projection, want %d",
-						i, sideNames[s], n, len(pr.traces), changes, want)
+						i, sideNames[s], n, pr.tree.Size(), changes, want)
 				}
 			}
 		}

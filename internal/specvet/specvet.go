@@ -403,57 +403,50 @@ func vetDeclaredContracts(f *eqlang.File, p *eqlang.Program, pr *probe) []Diagno
 // breadth-first up to a depth and capped at a count. The list is a
 // prefix of the complete n-ary tree of traces (n events) in heap order:
 // sample k ≥ 1 extends sample (k-1)/n by events[(k-1)%n], and the son
-// of sample j by events[e] is sample j·n+1+e.
+// of sample j by events[e] is sample j·n+1+e. The samples are the nodes
+// of a trace.Tree, numbered as listed, so the VM views them by ID and a
+// trace is built only for a side the VM cannot run and for a finding.
 type probe struct {
-	traces []trace.Trace
-	events []trace.Event
+	tree *trace.Tree
 	// proj holds one side's support projections, reused from side to
 	// side.
 	proj []int
 }
 
 // newProbe lists the samples breadth-first up to the given depth,
-// capped at max traces. Their spine nodes come from one slab block,
-// and each event is hashed once.
+// capped at max traces.
 func newProbe(alphabet map[string][]value.Value, depth, max int) *probe {
-	p := &probe{}
+	var events []trace.Event
 	for _, c := range sortedKeys(alphabet) {
 		for _, v := range alphabet[c] {
-			p.events = append(p.events, trace.E(c, v))
+			events = append(events, trace.E(c, v))
 		}
 	}
-	n := len(p.events)
+	n := len(events)
 	count := 1
 	for d, level := 0, 1; d < depth && count < max && n > 0; d++ {
 		level = min(level*n, max)
 		count = min(count+level, max)
 	}
-	hashes := make([]uint64, n)
-	for e, ev := range p.events {
-		hashes[e] = ev.Hash64()
-	}
-	var slab trace.Slab
-	slab.Reserve(count - 1)
-	p.traces = make([]trace.Trace, 1, count)
+	p := &probe{tree: trace.NewTree(events), proj: make([]int, count)}
 	for k := 1; k < count; k++ {
-		e := (k - 1) % n
-		p.traces = append(p.traces, slab.AppendPrehashed(p.traces[(k-1)/n], p.events[e], hashes[e]))
+		p.tree.Add(trace.ID((k-1)/n), (k-1)%n)
 	}
-	p.proj = make([]int, count)
 	return p
 }
 
-// project fills p.proj so that sample p.proj[k] equals traces[k]↾s.
+// project fills p.proj so that sample p.proj[k] equals sample k↾s.
 // Such a sample exists: the list is prefix-closed and every level but
 // the last is complete, so t↾s, when shorter than t, lies on a complete
 // level, and otherwise is t itself. A sample's projection is its
 // parent's when its last event lies off s, else that projection's son
 // by the event.
 func (p *probe) project(s trace.ChanSet) {
-	n := len(p.events)
-	for k := 1; k < len(p.traces); k++ {
+	events := p.tree.Alphabet()
+	n := len(events)
+	for k := 1; k < len(p.proj); k++ {
 		j, e := p.proj[(k-1)/n], (k-1)%n
-		if s.Has(p.events[e].Ch) {
+		if s.Has(events[e].Ch) {
 			j = j*n + 1 + e
 		}
 		p.proj[k] = j
@@ -468,28 +461,32 @@ func (p *probe) project(s trace.ChanSet) {
 // projection changes from the previous sample's. The two views are
 // compared in place, and the growth check reads the first, so nothing is
 // copied. A side that does not lower takes the same loop through
-// tf.Apply.
+// tf.Apply of each sample's built trace.
 func (p *probe) check(tf fn.TraceFn) (string, error) {
-	view, viewProj := tf.Apply, tf.Apply
+	apply := func(id trace.ID) fn.Tuple { return tf.Apply(p.tree.Trace(id)) }
+	view, viewProj := apply, apply
 	if prog, ok := descvm.Compile(tf); ok {
-		view, viewProj = prog.NewSession().View, prog.NewSession().View
+		s, sp := prog.NewSession(), prog.NewSession()
+		view = func(id trace.ID) fn.Tuple { return s.View(p.tree, id) }
+		viewProj = func(id trace.ID) fn.Tuple { return sp.View(p.tree, id) }
 	}
 	p.project(tf.Support)
 	var msg string
 	var err error
 	var onSupp fn.Tuple
 	last := -1
-	for k, t := range p.traces {
-		whole := view(t)
+	for k := range p.proj {
+		id := trace.ID(k)
+		whole := view(id)
 		if err == nil {
-			err = fn.CheckOutputGrowth(tf, t, whole)
+			err = fn.CheckOutputGrowth(tf, p.tree.Len(id), whole, func() string { return string(p.tree.AppendString(nil, id)) })
 		}
 		if msg == "" {
 			j := p.proj[k]
 			if j != last {
-				onSupp, last = viewProj(p.traces[j]), j
+				onSupp, last = viewProj(trace.ID(j)), j
 			}
-			msg = supportViolation(tf, t, p.traces[j], whole, onSupp)
+			msg = p.supportViolation(tf, id, trace.ID(j), whole, onSupp)
 		}
 		if msg != "" && err != nil {
 			break
@@ -503,16 +500,17 @@ func (p *probe) check(tf fn.TraceFn) (string, error) {
 // projection to their support; ω-approximations (fn.TraceFn.Omega)
 // legitimately shorten under projection, so only compatibility is
 // required of them.
-func supportViolation(tf fn.TraceFn, t, proj trace.Trace, whole, onSupp fn.Tuple) string {
+func (p *probe) supportViolation(tf fn.TraceFn, t, proj trace.ID, whole, onSupp fn.Tuple) string {
 	if tf.Omega {
 		if !onSupp.Leq(whole) {
-			return fmt.Sprintf("ω-approximation on support projection %s does not approximate the output on %s", proj, t)
+			return fmt.Sprintf("ω-approximation on support projection %s does not approximate the output on %s",
+				p.tree.AppendString(nil, proj), p.tree.AppendString(nil, t))
 		}
 		return ""
 	}
 	if !whole.Equal(onSupp) {
 		return fmt.Sprintf("output on %s differs from the output on its support projection %s (declared support %v)",
-			t, proj, tf.Support.Names())
+			p.tree.AppendString(nil, t), p.tree.AppendString(nil, proj), tf.Support.Names())
 	}
 	return ""
 }

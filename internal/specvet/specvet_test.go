@@ -209,9 +209,10 @@ func TestSupportMismatchDoc(t *testing.T) {
 	// has growth len(vals); the compiled combinators respect it, so no
 	// shipped spec triggers growth-bound (asserted by the goldens).
 	f := fn.ConstTraceFn(seq.OfInts(1, 2))
-	samples := newProbe(map[string][]value.Value{"c": value.Ints(0)}, 1, 8).traces
-	for _, tr := range samples {
-		if err := fn.CheckOutputGrowth(f, tr, f.Apply(tr)); err != nil {
+	pr := newProbe(map[string][]value.Value{"c": value.Ints(0)}, 1, 8)
+	for k := range pr.tree.Size() {
+		tr := pr.tree.Trace(trace.ID(k))
+		if err := fn.CheckOutputGrowth(f, tr.Len(), f.Apply(tr), tr.String); err != nil {
 			t.Errorf("constant fn violates its growth bound: %v", err)
 		}
 	}

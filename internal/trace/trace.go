@@ -11,13 +11,16 @@
 // Representation: a Trace is a persistent, prefix-sharing structure — an
 // immutable parent-pointer spine with one node per event. Append is O(1)
 // and shares the whole parent spine; Take returns an existing spine node
-// without copying; Prefixes and PrePairs walk the spine. Because the
-// Section 3.3 tree search materialises every node of a tree whose nodes
-// share almost all of their prefix, this turns the search's O(N·depth)
-// trace storage into O(N). Each node also carries an incrementally
+// without copying; Prefixes and PrePairs walk the spine. Traces that
+// share almost all of their prefix — the Section 3.3 tree's nodes — so
+// take O(N) storage, not O(N·depth). Each node also carries an incrementally
 // maintained 64-bit structural hash, so Key — the (hash, length) map
 // key for traces — is O(1). See DESIGN.md ("Persistent
 // traces and the trace cpo") for why sharing is sound.
+//
+// The search itself keeps no Trace per node: it holds its tree as a
+// Tree, fixed-size records of parent and event indices, and builds a
+// Trace only for a node a caller reads (tree.go).
 package trace
 
 import (
@@ -143,11 +146,6 @@ func spineEqual(a, b *node) bool {
 	return true
 }
 
-// Same reports whether t and u end at the same spine node: O(1), and
-// the test a walk to two traces' common ancestor stops at. Equal traces
-// built on separate spines are not Same.
-func (t Trace) Same(u Trace) bool { return t.end == u.end }
-
 // Equal reports event-wise equality.
 func (t Trace) Equal(u Trace) bool {
 	return t.Len() == u.Len() && spineEqual(t.end, u.end)
@@ -181,16 +179,7 @@ func (t Trace) Take(n int) Trace {
 
 // Append returns t extended by one event: O(1), sharing t's spine.
 func (t Trace) Append(e Event) Trace {
-	return t.AppendPrehashed(e, e.Hash64())
-}
-
-// AppendPrehashed is Append with the event's Hash64 supplied by the
-// caller (eh must equal e.Hash64()). Callers that extend traces by
-// events from a fixed candidate alphabet — the solver's expand, which
-// appends the same few events to thousands of nodes — hash each event
-// once per search instead of once per appended node.
-func (t Trace) AppendPrehashed(e Event, eh uint64) Trace {
-	c := t.cell(e, eh)
+	c := t.cell(e, e.Hash64())
 	return Trace{end: &c}
 }
 
@@ -201,46 +190,6 @@ func (t Trace) cell(e Event, eh uint64) node {
 		h, n = t.end.hash, t.end.n+1
 	}
 	return node{parent: t.end, ev: e, n: n, hash: value.HashMix(h, eh)}
-}
-
-// Slab blocks: the first holds slabFirst nodes, each next one twice its
-// predecessor, up to slabMax.
-const (
-	slabFirst = 8
-	slabMax   = 128
-)
-
-// Slab carves spine nodes from blocks instead of allocating each on its
-// own. A block stays allocated while any of its nodes is reachable, so a
-// Slab suits a caller whose nodes all live about as long as each other:
-// the Section 3.3 search, whose every tree node stays reachable from its
-// result, gives each search one. The zero Slab is ready to use; it is
-// not safe for concurrent use.
-type Slab struct {
-	free []node // the current block's unused tail
-	size int    // the current block's size
-}
-
-// Reserve gives the slab room for n more nodes in one block, for a
-// caller that knows how many it will append: one allocation where
-// blocks of at most slabMax nodes would take many.
-func (s *Slab) Reserve(n int) {
-	if n > len(s.free) {
-		s.free = make([]node, n)
-	}
-}
-
-// AppendPrehashed is Trace.AppendPrehashed with the new node carved from
-// the slab.
-func (s *Slab) AppendPrehashed(t Trace, e Event, eh uint64) Trace {
-	if len(s.free) == 0 {
-		s.size = min(max(2*s.size, slabFirst), slabMax)
-		s.free = make([]node, s.size)
-	}
-	c := &s.free[0]
-	s.free = s.free[1:]
-	*c = t.cell(e, eh)
-	return Trace{end: c}
 }
 
 // Concat returns t followed by u.

@@ -28,23 +28,6 @@ func TestEventBasics(t *testing.T) {
 	}
 }
 
-// TestSame: Same is spine identity. Prefixes taken from one spine are
-// Same, ⊥ is Same as ⊥, and an Equal copy built on a separate spine is
-// not.
-func TestSame(t *testing.T) {
-	tr := sample()
-	copied := FromEvents(tr.Events())
-	if !tr.Same(tr) || !Empty.Same(Empty) || !tr.Take(3).Same(tr.Take(4).Take(3)) {
-		t.Error("a spine node is not Same as itself")
-	}
-	if !copied.Equal(tr) || copied.Same(tr) || copied.Take(1).Same(tr.Take(1)) {
-		t.Error("a copy on a separate spine is Same as the original")
-	}
-	if tr.Same(Empty) || tr.Take(5).Same(tr) {
-		t.Error("traces of different lengths are Same")
-	}
-}
-
 func TestTraceBasics(t *testing.T) {
 	tr := sample()
 	if tr.Len() != 6 || tr.IsEmpty() {
@@ -232,48 +215,6 @@ func TestNotComparable(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(Trace{}); got != 8 {
 		t.Errorf("unsafe.Sizeof(Trace{}) = %d, want 8", got)
-	}
-}
-
-// TestSlabMatchesAppend: a slab-carved trace is the trace Append builds,
-// key included, and it shares its parent's spine; blocks grow from
-// slabFirst nodes to slabMax, one allocation each, and Reserve makes
-// one block of the size asked.
-func TestSlabMatchesAppend(t *testing.T) {
-	var s Slab
-	plain, carved := Empty, Empty
-	for i := 0; i < 3*slabMax; i++ {
-		e := ev([]string{"a", "b"}[i%2], int64(i))
-		prev := carved
-		plain, carved = plain.Append(e), s.AppendPrehashed(carved, e, e.Hash64())
-		if carved.Key() != plain.Key() || !carved.Equal(plain) {
-			t.Fatalf("after %d appends: slab gave %s, Append %s", i+1, carved, plain)
-		}
-		if carved.Take(i).end != prev.end {
-			t.Fatalf("after %d appends: slab node does not share its parent's spine", i+1)
-		}
-	}
-	var fresh Slab
-	e := ev("a", 1)
-	// 8 + 16 + 32 + 64 + 128 + 128 nodes take six blocks.
-	if n := testing.AllocsPerRun(1, func() {
-		fresh = Slab{}
-		for i := 0; i < 376; i++ {
-			fresh.AppendPrehashed(Empty, e, e.Hash64())
-		}
-	}); n != 6 {
-		t.Errorf("376 slab appends: %v allocs, want 6", n)
-	}
-	// Reserve puts the next 376 in one block, and the 377th in a block
-	// of its own.
-	if n := testing.AllocsPerRun(1, func() {
-		fresh = Slab{}
-		fresh.Reserve(376)
-		for i := 0; i < 377; i++ {
-			fresh.AppendPrehashed(Empty, e, e.Hash64())
-		}
-	}); n != 2 {
-		t.Errorf("377 slab appends after Reserve(376): %v allocs, want 2", n)
 	}
 }
 

@@ -74,7 +74,7 @@ func treeOf(res solver.Result) oracleTree {
 		sort.Strings(out)
 		return out
 	}
-	return oracleTree{res.Nodes, keys(res.Solutions), keys(res.Frontier), keys(res.DeadLeaves)}
+	return oracleTree{res.Nodes, keys(res.Solutions.Traces()), keys(res.Frontier.Traces()), keys(res.DeadLeaves.Traces())}
 }
 
 // maxBruteTraces bounds the brute-force leg: a spec whose full tree has

@@ -71,9 +71,9 @@ func TestParallelParityAcrossSpecs(t *testing.T) {
 				if got := res.Stats.Deterministic(); !reflect.DeepEqual(got, loneStats) {
 					t.Errorf("%s: SearchStats diverged:\n got %+v\nwant %+v", what, got, loneStats)
 				}
-				compareTraceSlices(t, what+" solutions", res.Solutions, lone.Solutions)
-				compareTraceSlices(t, what+" frontier", res.Frontier, lone.Frontier)
-				compareTraceSlices(t, what+" dead leaves", res.DeadLeaves, lone.DeadLeaves)
+				compareTraceSlices(t, what+" solutions", res.Solutions.Traces(), lone.Solutions.Traces())
+				compareTraceSlices(t, what+" frontier", res.Frontier.Traces(), lone.Frontier.Traces())
+				compareTraceSlices(t, what+" dead leaves", res.DeadLeaves.Traces(), lone.DeadLeaves.Traces())
 			}
 		})
 	}

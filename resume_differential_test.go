@@ -109,9 +109,9 @@ func TestResumeParityAcrossSpecs(t *testing.T) {
 					if got := res.Stats.Deterministic(); !reflect.DeepEqual(got, coldStats) {
 						t.Errorf("SearchStats diverged:\n got %+v\nwant %+v", got, coldStats)
 					}
-					compareTraceSlices(t, "solutions", res.Solutions, cold.Solutions)
-					compareTraceSlices(t, "frontier", res.Frontier, cold.Frontier)
-					compareTraceSlices(t, "dead leaves", res.DeadLeaves, cold.DeadLeaves)
+					compareTraceSlices(t, "solutions", res.Solutions.Traces(), cold.Solutions.Traces())
+					compareTraceSlices(t, "frontier", res.Frontier.Traces(), cold.Frontier.Traces())
+					compareTraceSlices(t, "dead leaves", res.DeadLeaves.Traces(), cold.DeadLeaves.Traces())
 					if cp.Resumable() {
 						t.Error("checkpoint still resumable after a Final resume")
 					}

@@ -26,8 +26,8 @@ func TestFacadeQuickstart(t *testing.T) {
 		"b": smoothproc.Ints(0), "c": smoothproc.Ints(1), "d": smoothproc.Ints(0, 1),
 	}, 4)
 	result := smoothproc.Enumerate(context.Background(), problem)
-	if len(result.Solutions) != 6 {
-		t.Fatalf("solutions = %d, want 6", len(result.Solutions))
+	if result.Solutions.Len() != 6 {
+		t.Fatalf("solutions = %d, want 6", result.Solutions.Len())
 	}
 
 	spec := smoothproc.Spec{Name: "dfm", Procs: []smoothproc.Proc{
@@ -46,10 +46,10 @@ func TestFacadeQuickstart(t *testing.T) {
 		}},
 	}}
 	quiescent := smoothproc.QuiescentTraces(spec, 20, smoothproc.RealizeOpts{})
-	if len(quiescent) != len(result.Solutions) {
-		t.Fatalf("operational %d vs denotational %d", len(quiescent), len(result.Solutions))
+	if len(quiescent) != result.Solutions.Len() {
+		t.Fatalf("operational %d vs denotational %d", len(quiescent), result.Solutions.Len())
 	}
-	for _, s := range result.Solutions {
+	for _, s := range result.Solutions.Traces() {
 		if _, ok := quiescent[s.String()]; !ok {
 			t.Errorf("smooth solution %s not operational", s)
 		}
@@ -88,8 +88,8 @@ desc R(b) <- [T]
 		t.Fatal(err)
 	}
 	res := smoothproc.Enumerate(context.Background(), prog.Problem())
-	if len(res.Solutions) != 2 {
-		t.Errorf("random bit via eqlang: %d solutions", len(res.Solutions))
+	if res.Solutions.Len() != 2 {
+		t.Errorf("random bit via eqlang: %d solutions", res.Solutions.Len())
 	}
 }
 
