@@ -20,8 +20,9 @@ func (s System) Combined() Description {
 	return Combine(s.Name, s.Descs...)
 }
 
-// ElimConditions are the side conditions of Theorems 5 and 6 for
-// eliminating channel b using its defining description b ⟵ h:
+// Eliminability checks, for one system, the side conditions of
+// Theorems 5 and 6 for eliminating channel b using its defining
+// description b ⟵ h:
 //
 //	(1) h and every remaining left side f are independent of b,
 //	(2) every remaining right side g factors through (t_b, t_c) — true by
@@ -32,7 +33,31 @@ func (s System) Combined() Description {
 // Condition (3) is the one the paper reports discovering during the
 // construction in Theorem 6's proof; the counterexample requiring it
 // (b ⟵ f, f ⟵ b) is reproduced in the package tests.
-func checkElimConditions(defining Description, b string, rest []Description) error {
+//
+// Check(idx, b) is nil exactly when Eliminate(s, idx, b) succeeds, and
+// otherwise Eliminate's error, without building the reduced system.
+// Each left side is applied at ⊥ at most once, however many verdicts
+// read it, so only one goroutine may use an Eliminability at a time.
+type Eliminability struct {
+	s System
+	// bottom caches condition (3) per description: 0 not yet applied,
+	// 1 f(⊥) = ⊥, -1 not.
+	bottom []int8
+}
+
+// NewEliminability returns the verdicts of s's eliminations.
+func NewEliminability(s System) *Eliminability {
+	return &Eliminability{s: s, bottom: make([]int8, len(s.Descs))}
+}
+
+// Check returns nil when channel b is eliminable through the
+// description at idx, and the side condition that blocks it otherwise.
+func (e *Eliminability) Check(idx int, b string) error {
+	s := e.s
+	if idx < 0 || idx >= len(s.Descs) {
+		return fmt.Errorf("desc: index %d out of range for system %s", idx, s.Name)
+	}
+	defining := s.Descs[idx]
 	if defining.F.Out != 1 {
 		return fmt.Errorf("desc: defining description for %s must be single-channel, got width %d", b, defining.F.Out)
 	}
@@ -43,11 +68,20 @@ func checkElimConditions(defining Description, b string, rest []Description) err
 	if !defining.G.IndependentOf(b) {
 		return fmt.Errorf("desc: condition (1) fails: h = %s mentions %s", defining.G.Name, b)
 	}
-	for _, d := range rest {
+	for i, d := range s.Descs {
+		if i == idx {
+			continue
+		}
 		if !d.F.IndependentOf(b) {
 			return fmt.Errorf("desc: condition (1) fails: left side %s mentions %s", d.F.Name, b)
 		}
-		if !d.F.Apply(trace.Empty).Equal(fn.BottomTuple(d.F.Out)) {
+		if e.bottom[i] == 0 {
+			e.bottom[i] = -1
+			if d.F.Apply(trace.Empty).Equal(fn.BottomTuple(d.F.Out)) {
+				e.bottom[i] = 1
+			}
+		}
+		if e.bottom[i] < 0 {
 			return fmt.Errorf("desc: condition (3) fails: %s(⊥) ≠ ⊥", d.F.Name)
 		}
 	}
@@ -66,21 +100,15 @@ func checkElimConditions(defining Description, b string, rest []Description) err
 // every solution of the result extends to one of the original
 // (Theorem 6). The conformance tests check both directions by enumeration.
 func Eliminate(s System, idx int, b string) (System, error) {
-	if idx < 0 || idx >= len(s.Descs) {
-		return System{}, fmt.Errorf("desc: index %d out of range for system %s", idx, s.Name)
-	}
-	defining := s.Descs[idx]
-	rest := make([]Description, 0, len(s.Descs)-1)
-	for i, d := range s.Descs {
-		if i != idx {
-			rest = append(rest, d)
-		}
-	}
-	if err := checkElimConditions(defining, b, rest); err != nil {
+	if err := NewEliminability(s).Check(idx, b); err != nil {
 		return System{}, err
 	}
+	defining := s.Descs[idx]
 	out := System{Name: s.Name + " \\ " + b}
-	for _, d := range rest {
+	for i, d := range s.Descs {
+		if i == idx {
+			continue
+		}
 		nd := d
 		if !d.G.IndependentOf(b) {
 			nd = Description{

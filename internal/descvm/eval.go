@@ -188,6 +188,11 @@ type Arena struct {
 	vals  []value.Value
 }
 
+// Reset lets KeepIn carve a's newest chunk again from its start, for a
+// caller done with every value carved from a so far: those values are
+// overwritten by the next ones.
+func (a *Arena) Reset() { a.comps, a.vals = a.comps[:0], a.vals[:0] }
+
 // An Arena's chunks double from arenaFirst elements, or the first
 // value's size if that is larger, up to arenaChunk.
 const (

@@ -72,6 +72,7 @@ func Sample(ctx context.Context, p Problem, opts SampleOpts) SampleResult {
 	start := time.Now()
 	var sons queue
 	var key []byte
+	done := ctx.Done()
 	for w := 0; w < opts.Walks && !res.Canceled; w++ {
 		if w > 0 {
 			s.tree = trace.NewTree(s.tree.Alphabet())
@@ -81,7 +82,7 @@ func Sample(ctx context.Context, p Problem, opts SampleOpts) SampleResult {
 		}
 		cur, f := trace.Root, s.f0
 		for depth := 0; ; depth++ {
-			if ctx.Err() != nil {
+			if stopped(done) {
 				res.Canceled = true
 				break
 			}

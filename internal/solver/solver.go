@@ -546,8 +546,9 @@ func (s *search) run(ctx context.Context, res *Result, q *queue, cp *Checkpoint)
 	s.st = st
 	begin := time.Now()
 	st.Thm1FastPath = s.thm1
+	done := ctx.Done()
 	for q.len() > 0 {
-		canceled := ctx.Err() != nil
+		canceled := stopped(done)
 		if canceled || (p.MaxNodes > 0 && res.Nodes >= p.MaxNodes) {
 			// The first node past the stopping point is visited but
 			// skipped: counted in Nodes and Stats.Visited, never
@@ -568,6 +569,18 @@ func (s *search) run(ctx context.Context, res *Result, q *queue, cp *Checkpoint)
 	st.CompiledEval = s.fsess != nil && s.gsess != nil
 	st.Elapsed += time.Since(begin)
 	s.publish(res, cp != nil)
+}
+
+// stopped polls a context's Done channel without blocking. A search
+// reads the channel once and polls it at every node, where ctx.Err
+// would take the context's lock each time.
+func stopped(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // publish points res's lists at the tree, or, when a later leg may add
@@ -819,11 +832,12 @@ func CheckInduction(ctx context.Context, p Problem, phi func(trace.Trace) bool) 
 	q.push(trace.Root, nil, false)
 	nodes := 0
 	var unsound error
+	done := ctx.Done()
 	for q.len() > 0 {
 		u, f := s.pop(&q)
 		nodes++
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("solver: induction check stopped: %w", err)
+		if stopped(done) {
+			return fmt.Errorf("solver: induction check stopped: %w", ctx.Err())
 		}
 		if p.MaxNodes > 0 && nodes > p.MaxNodes {
 			return ErrBudget

@@ -149,10 +149,17 @@ type Plan struct {
 // evaluates the sides only at the empty trace (the induction base) —
 // it never runs the search.
 func Analyze(sys desc.System, alphabet map[string][]value.Value, depth int) *Plan {
+	return AnalyzeCombined(sys, sys.Combined(), alphabet, depth)
+}
+
+// AnalyzeCombined is Analyze for a caller that holds the system's
+// combined description already, sys.Combined() or one built by it —
+// a program's memoized Problem().D — which the plan then reads instead
+// of building its own.
+func AnalyzeCombined(sys desc.System, combined desc.Description, alphabet map[string][]value.Value, depth int) *Plan {
 	if depth < 0 {
 		depth = 0
 	}
-	combined := sys.Combined()
 	p := &Plan{Depth: depth, MaxPathLen: -1}
 	p.BaseHolds = combined.F.Apply(trace.Empty).Leq(combined.G.Apply(trace.Empty))
 	p.Thm1FastPath = combined.Thm1Eligible() && p.BaseHolds

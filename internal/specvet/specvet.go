@@ -159,6 +159,15 @@ func (r Result) Text(name string) string {
 	return b.String()
 }
 
+// analyze and newSession are what Vet calls to plan a program and to
+// open a VM session on a probed side; the build-once tests replace them
+// to see which combined description the planner reads and how many
+// sessions the probe opens.
+var (
+	analyze    = specplan.AnalyzeCombined
+	newSession = (*descvm.Prog).NewSession
+)
+
 // maxProbeTraces bounds the sample set used for support/growth probing.
 const maxProbeTraces = 256
 
@@ -210,7 +219,7 @@ func Vet(src string) Result {
 		return r
 	}
 	r.Program = p
-	r.Plan = specplan.Analyze(p.System, p.Alphabet, p.Depth)
+	r.Plan = analyze(p.System, p.Problem().D, p.Alphabet, p.Depth)
 
 	r.Findings = append(r.Findings, vetUnusedAlphabets(f, refs)...)
 	r.Findings = append(r.Findings, vetDuplicateDescs(f)...)
@@ -367,8 +376,9 @@ func hasLinearFixpoint(vals []value.Value, a, b int64) bool {
 //
 // A side that lowers runs on the descvm bytecode the search compiles for
 // it, so the contract checked is the one the search relies on: one
-// session views every sample, and another the sample's support
-// projection, which is itself a sample (see probe.project).
+// session views every sample, and a sample's support projection, itself
+// an earlier sample (see probe.project), is compared through the view
+// kept when that sample was viewed.
 func vetDeclaredContracts(f *eqlang.File, p *eqlang.Program, pr *probe) []Diagnostic {
 	var ds []Diagnostic
 	for i, d := range p.System.Descs {
@@ -408,9 +418,15 @@ func vetDeclaredContracts(f *eqlang.File, p *eqlang.Program, pr *probe) []Diagno
 // trace is built only for a side the VM cannot run and for a finding.
 type probe struct {
 	tree *trace.Tree
-	// proj holds one side's support projections, reused from side to
-	// side.
-	proj []int
+	// proj holds one side's support projections, and onSupp the events
+	// on its support; both are reused from side to side.
+	proj   []int
+	onSupp []bool
+	// kept holds a lowered side's views of the samples that are their
+	// own projections, by sample, carved from arena, which each side
+	// resets.
+	kept  []fn.Tuple
+	arena descvm.Arena
 }
 
 // newProbe lists the samples breadth-first up to the given depth,
@@ -428,7 +444,7 @@ func newProbe(alphabet map[string][]value.Value, depth, max int) *probe {
 		level = min(level*n, max)
 		count = min(count+level, max)
 	}
-	p := &probe{tree: trace.NewTree(events), proj: make([]int, count)}
+	p := &probe{tree: trace.NewTree(events), proj: make([]int, count), onSupp: make([]bool, n), kept: make([]fn.Tuple, count)}
 	for k := 1; k < count; k++ {
 		p.tree.Add(trace.ID((k-1)/n), (k-1)%n)
 	}
@@ -440,13 +456,16 @@ func newProbe(alphabet map[string][]value.Value, depth, max int) *probe {
 // the last is complete, so t↾s, when shorter than t, lies on a complete
 // level, and otherwise is t itself. A sample's projection is its
 // parent's when its last event lies off s, else that projection's son
-// by the event.
+// by the event. So a projection is never a later sample, and is its
+// own projection.
 func (p *probe) project(s trace.ChanSet) {
-	events := p.tree.Alphabet()
-	n := len(events)
+	n := len(p.onSupp)
+	for e, ev := range p.tree.Alphabet() {
+		p.onSupp[e] = s.Has(ev.Ch)
+	}
 	for k := 1; k < len(p.proj); k++ {
 		j, e := p.proj[(k-1)/n], (k-1)%n
-		if s.Has(events[e].Ch) {
+		if p.onSupp[e] {
 			j = j*n + 1 + e
 		}
 		p.proj[k] = j
@@ -456,35 +475,65 @@ func (p *probe) project(s trace.ChanSet) {
 // check runs tf on every sample and returns a description of the first
 // support violation ("" if the side honors its declaration on all
 // samples) and the first growth-bound violation. A side that lowers runs
-// on two descvm sessions: one views the samples in order, the other the
-// support projection of each, and views it again only when the
-// projection changes from the previous sample's. The two views are
-// compared in place, and the growth check reads the first, so nothing is
-// copied. A side that does not lower takes the same loop through
-// tf.Apply of each sample's built trace.
+// on one descvm session, which views the samples in order: a sample that
+// is its own projection honors the support trivially, and its view is
+// kept if a later sample may project onto it, that is, if it lies above
+// the last level; any other sample's view is compared in place with its
+// projection's kept view. The growth check reads the view, so only
+// projections are copied. A side that does not lower takes the loop of
+// checkApply.
 func (p *probe) check(tf fn.TraceFn) (string, error) {
-	apply := func(id trace.ID) fn.Tuple { return tf.Apply(p.tree.Trace(id)) }
-	view, viewProj := apply, apply
-	if prog, ok := descvm.Compile(tf); ok {
-		s, sp := prog.NewSession(), prog.NewSession()
-		view = func(id trace.ID) fn.Tuple { return s.View(p.tree, id) }
-		viewProj = func(id trace.ID) fn.Tuple { return sp.View(p.tree, id) }
-	}
 	p.project(tf.Support)
+	prog, ok := descvm.Compile(tf)
+	if !ok {
+		return p.checkApply(tf)
+	}
+	s := newSession(prog)
+	p.arena.Reset()
+	// Only a sample above the last level can be a later one's projection.
+	deepest := p.tree.Len(trace.ID(len(p.proj) - 1))
+	var msg string
+	var err error
+	for k, j := range p.proj {
+		id := trace.ID(k)
+		whole := s.View(p.tree, id)
+		if err == nil {
+			err = fn.CheckOutputGrowth(tf, p.tree.Len(id), whole, func() string { return string(p.tree.AppendString(nil, id)) })
+		}
+		if msg == "" {
+			switch {
+			case j != k:
+				msg = p.supportViolation(tf, id, trace.ID(j), whole, p.kept[j])
+			case p.tree.Len(id) < deepest:
+				p.kept[k] = s.KeepIn(whole, &p.arena)
+			}
+		}
+		if msg != "" && err != nil {
+			break
+		}
+	}
+	return msg, err
+}
+
+// checkApply is check for a side that does not lower: it applies tf to
+// every sample's built trace, and to each sample's projection when that
+// changes from the previous sample's.
+func (p *probe) checkApply(tf fn.TraceFn) (string, error) {
+	apply := func(id trace.ID) fn.Tuple { return tf.Apply(p.tree.Trace(id)) }
 	var msg string
 	var err error
 	var onSupp fn.Tuple
 	last := -1
 	for k := range p.proj {
 		id := trace.ID(k)
-		whole := view(id)
+		whole := apply(id)
 		if err == nil {
 			err = fn.CheckOutputGrowth(tf, p.tree.Len(id), whole, func() string { return string(p.tree.AppendString(nil, id)) })
 		}
 		if msg == "" {
 			j := p.proj[k]
 			if j != last {
-				onSupp, last = viewProj(trace.ID(j)), j
+				onSupp, last = apply(trace.ID(j)), j
 			}
 			msg = p.supportViolation(tf, id, trace.ID(j), whole, onSupp)
 		}
@@ -561,6 +610,7 @@ func vetElimination(f *eqlang.File, p *eqlang.Program) ([]Diagnostic, []ElimVerd
 	if len(p.System.Descs) < 2 {
 		return ds, vs
 	}
+	elim := desc.NewEliminability(p.System)
 	for i, d := range p.System.Descs {
 		lhs, ok := f.Descs[i].Lhs.(*eqlang.ChanExpr)
 		if !ok {
@@ -568,7 +618,7 @@ func vetElimination(f *eqlang.File, p *eqlang.Program) ([]Diagnostic, []ElimVerd
 		}
 		b := lhs.Name
 		stmt := f.Descs[i]
-		if _, err := desc.Eliminate(p.System, i, b); err != nil {
+		if err := elim.Check(i, b); err != nil {
 			ds = append(ds, Diagnostic{
 				Rule: "not-eliminable", Severity: SevInfo,
 				Line: stmt.Line, Col: stmt.Col,

@@ -15,7 +15,7 @@ import (
 )
 
 // Kind discriminates the variants of Value.
-type Kind int
+type Kind int32
 
 // The message variants, in the order used by Compare.
 const (
@@ -47,14 +47,20 @@ func (k Kind) String() string {
 // addresses, and the leading zero-size func field makes it a compile
 // error.
 //
-// The layout is three words: the kind, an integer payload (an int, or a
-// bool as 0 or 1) and a pointer that is nil for ints and bools. Every
-// trace event, carried f tuple and VM frame history holds Values, and
-// almost all of them are ints, bools or pairs, so the one pointer word
-// is what the garbage collector scans, and a pair is one allocation.
+// The layout is three words: the kind beside a 32-bit first component,
+// an integer payload (an int, or a bool as 0 or 1) and a pointer that is
+// nil for ints and bools. Every trace event, carried f tuple and VM
+// frame history holds Values, and almost all of them are ints, bools or
+// pairs, so the one pointer word is what the garbage collector scans. A
+// pair of ints whose first fits in 32 bits — every tagged message
+// (0, n) and (1, n) of Section 4.10 — is packed into the first two words
+// with a nil pointer, so building one allocates nothing; any other pair
+// is one allocation. Pair picks the packed form whenever it fits, so
+// each pair has one representation.
 type Value struct {
 	_    [0]func() // first, so it adds no padding
 	kind Kind
+	fst  int32 // a packed pair's first component
 	i    int64
 	x    *ext
 }
@@ -88,7 +94,20 @@ func Sym(s string) Value { return Value{kind: KindSym, x: &ext{s: s}} }
 
 // Pair returns a pair message, e.g. the tagged values (0, n) and (1, n)
 // of the fair-merge network (Section 4.10, Figure 7).
-func Pair(a, b Value) Value { return Value{kind: KindPair, x: &ext{fst: a, snd: b}} }
+func Pair(a, b Value) Value {
+	if a.kind == KindInt && b.kind == KindInt && int64(int32(a.i)) == a.i {
+		return Value{kind: KindPair, fst: int32(a.i), i: b.i}
+	}
+	return Value{kind: KindPair, x: &ext{fst: a, snd: b}}
+}
+
+// pair returns the components of a pair, packed or not.
+func (v Value) pair() (Value, Value) {
+	if v.x == nil {
+		return Int(int64(v.fst)), Int(v.i)
+	}
+	return v.x.fst, v.x.snd
+}
 
 // Kind reports the variant of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -136,7 +155,8 @@ func (v Value) AsPair() (Value, Value, bool) {
 	if v.kind != KindPair {
 		return Value{}, Value{}, false
 	}
-	return v.x.fst, v.x.snd, true
+	a, b := v.pair()
+	return a, b, true
 }
 
 // First returns the first component of a pair and panics otherwise.
@@ -202,10 +222,12 @@ func (v Value) Compare(w Value) int {
 	case KindSym:
 		return strings.Compare(v.x.s, w.x.s)
 	case KindPair:
-		if c := v.x.fst.Compare(w.x.fst); c != 0 {
+		v1, v2 := v.pair()
+		w1, w2 := w.pair()
+		if c := v1.Compare(w1); c != 0 {
 			return c
 		}
-		return v.x.snd.Compare(w.x.snd)
+		return v2.Compare(w2)
 	default:
 		return 0
 	}
@@ -225,7 +247,8 @@ func (v Value) String() string {
 	case KindSym:
 		return v.x.s
 	case KindPair:
-		return "(" + v.x.fst.String() + "," + v.x.snd.String() + ")"
+		a, b := v.pair()
+		return "(" + a.String() + "," + b.String() + ")"
 	default:
 		return "<invalid>"
 	}
@@ -246,10 +269,11 @@ func (v Value) AppendTo(b []byte) []byte {
 	case KindSym:
 		return append(b, v.x.s...)
 	case KindPair:
+		fst, snd := v.pair()
 		b = append(b, '(')
-		b = v.x.fst.AppendTo(b)
+		b = fst.AppendTo(b)
 		b = append(b, ',')
-		b = v.x.snd.AppendTo(b)
+		b = snd.AppendTo(b)
 		return append(b, ')')
 	default:
 		return append(b, "<invalid>"...)
@@ -298,7 +322,8 @@ func (v Value) Hash64() uint64 {
 	case KindSym:
 		return HashString(uint64(v.kind), v.x.s)
 	case KindPair:
-		return hashMix(uint64(v.kind), hashMix(v.x.fst.Hash64(), v.x.snd.Hash64()))
+		a, b := v.pair()
+		return hashMix(uint64(v.kind), hashMix(a.Hash64(), b.Hash64()))
 	default:
 		return hashMix(0, 0)
 	}

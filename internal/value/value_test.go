@@ -372,3 +372,49 @@ func TestLayout(t *testing.T) {
 		}
 	}
 }
+
+// TestPackedPairs: a pair of ints whose first fits in 32 bits is built
+// without allocating, and reads, renders, orders and hashes as a pair
+// held out of line does.
+func TestPackedPairs(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { _ = Pair(Int(1), Int(1<<40)) }); n != 0 {
+		t.Errorf("a tagged pair allocates %v times, want 0", n)
+	}
+	vals := []Value{
+		Pair(Int(0), Int(-7)), Pair(Int(1), Int(1<<40)), Pair(Int(-1<<31), Int(3)),
+		Pair(Int(1<<31), Int(3)), Pair(Int(1<<40), Int(0)), Pair(Int(0), T),
+		Pair(T, Int(0)), Pair(Pair(Int(0), Int(1)), Int(2)), Pair(Int(2), Sym("x")),
+	}
+	for _, v := range vals {
+		a, b := v.First(), v.Second()
+		if got := a.String(); !Pair(a, b).Equal(v) || v.String() != "("+got+","+b.String()+")" {
+			t.Errorf("%s does not rebuild from its components %s and %s", v, a, b)
+		}
+		if w := MustParse(v.String()); !w.Equal(v) || w.Hash64() != v.Hash64() || string(w.AppendTo(nil)) != v.String() {
+			t.Errorf("%s does not round-trip through Parse", v)
+		}
+		want := hashMix(uint64(KindPair), hashMix(a.Hash64(), b.Hash64()))
+		if v.Hash64() != want {
+			t.Errorf("%s hashes to %x, want %x", v, v.Hash64(), want)
+		}
+		for _, w := range vals {
+			c := a.Compare(w.First())
+			if c == 0 {
+				c = b.Compare(w.Second())
+			}
+			if sign(v.Compare(w)) != sign(c) {
+				t.Errorf("%s vs %s: Compare %d, want the sign of %d", v, w, v.Compare(w), c)
+			}
+		}
+	}
+}
+
+func sign(c int) int {
+	switch {
+	case c < 0:
+		return -1
+	case c > 0:
+		return 1
+	}
+	return 0
+}
